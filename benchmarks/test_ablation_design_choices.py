@@ -15,7 +15,6 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import (
     ablation_dv_granularity,
     ablation_parallel_recovery,
-    ablation_value_vs_access_order,
 )
 
 
@@ -40,17 +39,3 @@ def test_ablation_dv_granularity(benchmark, bench_scale):
     report(result)
     assert_claims(result)
 
-
-def test_ablation_value_vs_access_order(benchmark, bench_scale):
-    """Value logging (the paper's choice) vs access-order logging (the
-    rejected [16] alternative): reader sessions recover independently
-    under value logging but are held hostage to the writer's replay
-    under access-order logging."""
-    result = benchmark.pedantic(
-        ablation_value_vs_access_order,
-        kwargs={"scale": 1.0},
-        rounds=1,
-        iterations=1,
-    )
-    report(result)
-    assert_claims(result)

@@ -44,7 +44,6 @@ import sys
 from repro.harness import (
     ablation_dv_granularity,
     ablation_parallel_recovery,
-    ablation_value_vs_access_order,
     analysis_flush_accounting,
     fig14_calls_chart,
     fig14_response_table,
@@ -68,7 +67,6 @@ EXPERIMENTS = {
     "analysis-flush": analysis_flush_accounting,
     "ablation-parallel-recovery": ablation_parallel_recovery,
     "ablation-dv-granularity": ablation_dv_granularity,
-    "ablation-sv-logging": ablation_value_vs_access_order,
 }
 
 

@@ -146,8 +146,7 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
         # does, and omitting the field keeps its bytes identical.
         prev_write = sv.last_write_lsn if msp.log.nparts > 1 else None
         record = SvCheckpointRecord(
-            variable=sv.name, value=sv.value, version=sv.write_seq,
-            prev_write_lsn=prev_write,
+            variable=sv.name, value=sv.value, prev_write_lsn=prev_write,
             # Command effects included in the checkpointed value
             # (DESIGN.md §16); empty for value logging, keeping the
             # record's bytes identical.
@@ -234,7 +233,8 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         # Captured in the same no-yield step as the start lsns: every
         # partition's end bounds (from above) all start lsns that hash
         # to it, so a partition nothing names still gets a valid scan
-        # start and truncation floor.
+        # start and truncation floor.  The single log's format has no
+        # ends block; its one floor is the minimal LSN.
         partition_ends=msp.log.partition_ends() if partitioned else (),
         # Lazy recovery (DESIGN.md §15): each live session's backward
         # chain head, so a post-crash analysis can seed chains without
@@ -265,6 +265,9 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         # floors, so bytes below them can never be re-read.
         yield from msp.log.flush(None)
     else:
+        # The single log flushes through the record, not through its
+        # end: an append landing during the flush_issue_ms yield above
+        # must stay volatile, as it always has (DESIGN.md §14).
         yield from msp.log.flush(lsn)
     msp.sim.probe("ckpt.msp.flushed", owner=msp.name)
     yield from msp.log.write_anchor(lsn)
@@ -279,7 +282,4 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         # anchor-durable and segment-recycle must recover exactly like
         # one after the recycle (the floor is rebuilt by the next
         # checkpoint, not recovered).
-        if partitioned:
-            yield from msp.log.truncate_to(record.partition_floors(lsn))
-        else:
-            yield from msp.log.truncate_to(record.min_lsn(lsn))
+        yield from msp.log.truncate_to(record.partition_floors(lsn))

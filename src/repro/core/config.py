@@ -13,6 +13,37 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.plsn import MAX_PARTITIONS
+
+
+#: Legal values of the mode strings.
+RECOVERY_MODES = ("eager", "lazy")
+LOGGING_MODES = ("value", "command", "adaptive")
+
+
+def check_modes(recovery_mode: str, logging_mode: str, log_partitions: int) -> None:
+    """Reject an illegal mode string or partition count (``ValueError``).
+
+    The one check behind ``MiddlewareServer``, ``FleetTopology`` and
+    scenario expansion, so a bad configuration fails where it is
+    written down, before any simulator runs.
+    """
+    if recovery_mode not in RECOVERY_MODES:
+        raise ValueError(
+            f"unknown recovery_mode {recovery_mode!r}; "
+            f"choose one of {', '.join(RECOVERY_MODES)}"
+        )
+    if logging_mode not in LOGGING_MODES:
+        raise ValueError(
+            f"unknown logging_mode {logging_mode!r}; "
+            f"choose one of {', '.join(LOGGING_MODES)}"
+        )
+    if not isinstance(log_partitions, int) or not 1 <= log_partitions <= MAX_PARTITIONS:
+        raise ValueError(
+            f"log_partitions must be an integer in 1..{MAX_PARTITIONS}, "
+            f"got {log_partitions!r}"
+        )
+
 
 class LoggingMode(enum.Enum):
     """How (and whether) an MSP logs nondeterministic events."""
@@ -137,17 +168,13 @@ class RecoveryConfig:
     #: segments reclaim space at a finer grain; larger ones make frame
     #: straddling (the only non-zero-copy reads) rarer.
     log_segment_bytes: int = 64 * 1024
-    #: Number of log partitions (DESIGN.md §14).  1 keeps the historical
-    #: single log, bit-identical bytes included; N>1 hashes each
-    #: session's stream to one of N stores with independent group-commit
-    #: flushers, control records on partition 0, and recovery merging
-    #: the per-partition durable prefixes in dependency order.
+    #: Number of log partitions, 1..255 (DESIGN.md §14).  Each
+    #: session's stream hashes to one of N stores with independent
+    #: group-commit flushers, control records go to partition 0, and
+    #: recovery merges the per-partition durable prefixes in dependency
+    #: order.  1 is the one-partition case of the same code and keeps
+    #: the historical single log's bytes.
     log_partitions: int = 1
-    #: Verify, while merging partitioned recovery scans, that every
-    #: record's intra-MSP dependencies were applied before it (the
-    #: DV-merge correctness assertion).  Costs a dependency re-check per
-    #: scanned record during recovery; no effect at log_partitions=1.
-    recovery_merge_assert: bool = True
 
     # -- server sizing -----------------------------------------------------
     thread_pool_size: int = 16
@@ -194,15 +221,6 @@ class RecoveryConfig:
     #: every session at once -- "all its sessions will roll back,
     #: possibly unnecessarily".
     per_session_dv: bool = True
-    #: Shared-variable logging scheme: "value" (the paper's choice,
-    #: S3.3) or "access-order" (the rejected alternative [16], kept as a
-    #: measurable ablation).  Access-order logging records only access
-    #: sequence numbers; recovery must re-execute every session's
-    #: accesses in the logged per-variable order, coupling otherwise
-    #: independent recoveries.  Access-order mode requires
-    #: checkpointing to be disabled and MSPs to stand alone (no
-    #: optimistic domains) -- enforced at start().
-    sv_logging: str = "value"
 
     # -- timeouts ------------------------------------------------------------
     #: How long an outgoing call waits for a reply before resending.
@@ -219,3 +237,7 @@ class RecoveryConfig:
     @property
     def recoverable(self) -> bool:
         return self.mode is LoggingMode.RECOVERABLE
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for an illegal mode or partition count."""
+        check_modes(self.recovery_mode, self.logging_mode, self.log_partitions)

@@ -32,7 +32,6 @@ from repro.core.records import (
     EosRecord,
     ReplyRecord,
     RequestRecord,
-    SvOrderRecord,
     SvReadRecord,
     SvUpdateRecord,
     SvWriteRecord,
@@ -100,10 +99,6 @@ class NormalContext:
             finally:
                 sv.lock.release_read()
 
-        if msp.config.sv_logging == "access-order":
-            value = yield from self._read_shared_access_order(sv)
-            return value
-
         yield from sv.lock.acquire_read()
         write_locked = False
         try:
@@ -140,9 +135,6 @@ class NormalContext:
         """Write a shared variable (generator)."""
         msp, session = self.msp, self.session
         sv = msp.shared_variable(name)
-        if msp.recoverable and msp.config.sv_logging == "access-order":
-            yield from self._write_shared_access_order(sv, value)
-            return
         yield from self._acquire_sealed(sv)
         try:
             if not msp.recoverable:
@@ -191,59 +183,6 @@ class NormalContext:
 
             yield from sv_checkpoint(msp, sv)
 
-    def _await_variable_recovered(self, sv):
-        """Access-order mode: block while the variable is still being
-        reconstructed by replaying sessions (paper §3.3's coupling)."""
-        while sv.reconstructing:
-            yield 0.5
-
-    def _read_shared_access_order(self, sv):
-        """Log only the write version observed; concurrent reads of the
-        same version commute, so the shared read lock suffices."""
-        msp, session = self.msp, self.session
-        yield from self._await_variable_recovered(sv)
-        yield from sv.lock.acquire_read()
-        try:
-            record = SvOrderRecord(
-                session_id=session.id, variable=sv.name,
-                version=sv.write_seq, is_write=False,
-            )
-            yield from msp.append_session_record(session, record)
-            return sv.value
-        finally:
-            sv.lock.release_read()
-
-    def _write_shared_access_order(self, sv, value: bytes):
-        msp, session = self.msp, self.session
-        yield from self._await_variable_recovered(sv)
-        yield from sv.lock.acquire_write()
-        try:
-            record = SvOrderRecord(
-                session_id=session.id, variable=sv.name,
-                version=sv.write_seq + 1, is_write=True,
-            )
-            yield from msp.append_write_record(session, record)
-            sv.write_seq += 1
-            sv.value = bytes(value)
-        finally:
-            sv.lock.release_write()
-
-    def _update_shared_access_order(self, sv, update):
-        msp, session = self.msp, self.session
-        yield from self._await_variable_recovered(sv)
-        yield from sv.lock.acquire_write()
-        try:
-            record = SvOrderRecord(
-                session_id=session.id, variable=sv.name,
-                version=sv.write_seq + 1, is_write=True,
-            )
-            yield from msp.append_session_record(session, record)
-            sv.write_seq += 1
-            sv.value = bytes(update(sv.value))
-            return sv.value
-        finally:
-            sv.lock.release_write()
-
     def update_shared(self, name: str, update):
         """Atomic read-modify-write of a shared variable (generator).
 
@@ -256,9 +195,6 @@ class NormalContext:
         """
         msp, session = self.msp, self.session
         sv = msp.shared_variable(name)
-        if msp.recoverable and msp.config.sv_logging == "access-order":
-            value = yield from self._update_shared_access_order(sv, update)
-            return value
         if self.command_request:
             value = yield from self._update_shared_command(sv, update)
             return value
@@ -555,88 +491,9 @@ class ReplayContext:
         yield from self.msp.cpu(self.msp.config.costs.session_var_ms)
         self.session.variables[name] = bytes(value)
 
-    def _await_write_turn(self, sv, version: int):
-        """Access-order replay: a write of ``version`` may re-execute
-        once the variable reached ``version - 1`` AND every logged read
-        of ``version - 1`` has replayed (read/write conflict order).
-        This cross-session waiting is the recovery coupling the paper
-        rejects access-order logging for (§3.3)."""
-        while sv.write_seq < version - 1 or sv.expected_reads.get(version - 1, 0) > 0:
-            yield 0.2
-        if sv.write_seq != version - 1:
-            raise SessionProtocolError(
-                f"access-order divergence on {sv.name!r}: variable at "
-                f"write {sv.write_seq}, record expects write {version}"
-            )
-
-    def _await_read_turn(self, sv, version: int):
-        """A replayed read waits until the variable reaches the version
-        it observed during normal execution."""
-        while sv.write_seq < version:
-            yield 0.2
-        if sv.write_seq != version:
-            raise SessionProtocolError(
-                f"access-order divergence on {sv.name!r}: variable at "
-                f"write {sv.write_seq}, read expects {version}"
-            )
-
-    def _expect_order_record(self, name: str, is_write: bool):
-        nxt = yield from self._next_logged()
-        if nxt is None:
-            return None
-        lsn, record = nxt
-        if (
-            not isinstance(record, SvOrderRecord)
-            or record.variable != name
-            or record.is_write is not is_write
-        ):
-            raise SessionProtocolError(
-                f"replay divergence: expected order record for {name!r} "
-                f"(write={is_write}), log has {record!r}"
-            )
-        self.session.state_lsn = lsn
-        self.session.dv.observe(self.msp.name, StateId(self.msp.epoch, lsn))
-        return record
-
-    def _read_shared_access_order(self, name: str):
-        record = yield from self._expect_order_record(name, is_write=False)
-        if record is None:
-            return (yield from self._normal.read_shared(name))
-        sv = self.msp.shared_variable(name)
-        yield from self._await_read_turn(sv, record.version)
-        value = sv.value
-        remaining = sv.expected_reads.get(record.version, 0)
-        if remaining > 0:
-            sv.expected_reads[record.version] = remaining - 1
-        return value
-
-    def _write_shared_access_order(self, name: str, value: bytes):
-        record = yield from self._expect_order_record(name, is_write=True)
-        if record is None:
-            yield from self._normal.write_shared(name, value)
-            return
-        sv = self.msp.shared_variable(name)
-        yield from self._await_write_turn(sv, record.version)
-        # Unlike value logging, the replayed write must be APPLIED: the
-        # variable is reconstructed by re-execution, not from the log.
-        sv.value = bytes(value)
-        sv.write_seq = record.version
-
-    def _update_shared_access_order(self, name: str, update):
-        record = yield from self._expect_order_record(name, is_write=True)
-        if record is None:
-            return (yield from self._normal.update_shared(name, update))
-        sv = self.msp.shared_variable(name)
-        yield from self._await_write_turn(sv, record.version)
-        sv.value = bytes(update(sv.value))
-        sv.write_seq = record.version
-        return sv.value
-
     def read_shared(self, name: str):
         if self._normal is not None:
             return (yield from self._normal.read_shared(name))
-        if self.msp.config.sv_logging == "access-order":
-            return (yield from self._read_shared_access_order(name))
         nxt = yield from self._next_logged()
         if nxt is None:
             return (yield from self._normal.read_shared(name))
@@ -656,9 +513,6 @@ class ReplayContext:
     def write_shared(self, name: str, value: bytes):
         if self._normal is not None:
             yield from self._normal.write_shared(name, value)
-            return
-        if self.msp.config.sv_logging == "access-order":
-            yield from self._write_shared_access_order(name, value)
             return
         nxt = yield from self._next_logged()
         if nxt is None:
@@ -683,8 +537,6 @@ class ReplayContext:
         """
         if self._normal is not None:
             return (yield from self._normal.update_shared(name, update))
-        if self.msp.config.sv_logging == "access-order":
-            return (yield from self._update_shared_access_order(name, update))
         if self.command_request:
             return (yield from self._update_shared_command(name, update))
         nxt = yield from self._next_logged()

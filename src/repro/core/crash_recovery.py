@@ -27,10 +27,16 @@ O(analysis + one session chain).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.checkpoint import perform_msp_checkpoint
 from repro.core.dv import PKEY_BITS, RecoveryTable
-from repro.core.errors import LogTruncatedError, RecoveryMergeError
+from repro.core.errors import (
+    LogTruncatedError,
+    RecoveryMergeError,
+    SessionProtocolError,
+)
+from repro.core.log_manager import LogWindowReader
 from repro.core.plsn import (
     OFFSET_BITS,
     OFFSET_MASK,
@@ -50,10 +56,10 @@ from repro.core.records import (
     SessionCheckpointRecord,
     SessionEndRecord,
     SvCheckpointRecord,
-    SvOrderRecord,
     SvReadRecord,
     SvUpdateRecord,
     SvWriteRecord,
+    session_of,
 )
 from repro.core.replay import run_session_recovery
 from repro.core.session import SessionStatus
@@ -64,7 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class AnalysisState:
-    """Everything the single-threaded analysis scan reconstructs."""
+    """What crash recovery reconstructs, shared by the phases of
+    :func:`recover_msp`: the analysis scan's output first, then what the
+    phases around it hand each other.  Every per-partition quantity is
+    a list of length ``log.nparts``."""
 
     #: session id -> LSNs of its position-stream records.
     positions: dict[str, list[int]] = field(default_factory=dict)
@@ -72,10 +81,25 @@ class AnalysisState:
     session_ckpts: dict[str, int] = field(default_factory=dict)
     #: sessions whose end marker was seen (never rebuilt).
     ended: set[str] = field(default_factory=set)
-    #: access-order logging: variable -> last logged write version.
-    order_writes: dict[str, int] = field(default_factory=dict)
-    #: access-order logging: variable -> {version: read count}.
-    order_reads: dict[str, dict[int, int]] = field(default_factory=dict)
+
+    #: LSN of the anchored MSP checkpoint (None: never anchored), the
+    #: epoch it recorded and the chain heads it captured (lazy mode).
+    anchor: Optional[int] = None
+    old_epoch: int = 0
+    ckpt_chain_heads: dict[str, int] = field(default_factory=dict)
+    #: Per-partition scan start offsets.
+    scan_starts: list[int] = field(default_factory=list)
+    #: partition -> scanned ``(offset, record)`` pairs, below the cut
+    #: once :func:`cut_and_merge` ran.
+    partition_records: dict[int, list] = field(default_factory=dict)
+    #: Per-partition consistent cut — the recovered frontier.
+    cut: list[int] = field(default_factory=list)
+    #: The merged ``(plsn, record)`` scan the analysis pass consumes.
+    records: list = field(default_factory=list)
+    #: ``cut`` as announced and recorded (``encode_frontier``).
+    recovered_lsn: int = 0
+    #: The rebuilt sessions awaiting replay, in session-id order.
+    to_recover: list = field(default_factory=list)
 
     def chain_heads(self) -> dict[str, int]:
         """Per-session backward-chain heads (lazy recovery, DESIGN.md §15).
@@ -126,23 +150,11 @@ def _scan_sv_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
     if sv is not None:
         sv.value = record.value
         sv.apply_checkpoint(lsn)
-        sv.write_seq = record.version
         # Command/value adaptive logging (DESIGN.md §16): the frontier
         # says which command effects the checkpointed value already
         # includes, so replayed commands at or below it skip re-apply.
         sv.command_frontier = dict(record.command_frontier)
         sv._frontier_floor = dict(record.command_frontier)
-        state.order_writes[record.variable] = record.version
-        state.order_reads[record.variable] = {}
-
-
-def _scan_sv_order(msp, state: AnalysisState, lsn: int, record) -> None:
-    state.positions.setdefault(record.session_id, []).append(lsn)
-    if record.is_write:
-        state.order_writes[record.variable] = record.version
-    else:
-        reads = state.order_reads.setdefault(record.variable, {})
-        reads[record.version] = reads.get(record.version, 0) + 1
 
 
 def _scan_session_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
@@ -189,7 +201,6 @@ _ANALYSIS_DISPATCH: dict[type, Callable] = {
     SvWriteRecord: _scan_sv_write,
     SvUpdateRecord: _scan_sv_update,
     SvCheckpointRecord: _scan_sv_checkpoint,
-    SvOrderRecord: _scan_sv_order,
     SessionCheckpointRecord: _scan_session_checkpoint,
     EosRecord: _scan_eos,
     AnnouncementRecord: _scan_announcement,
@@ -199,15 +210,18 @@ _ANALYSIS_DISPATCH: dict[type, Callable] = {
 
 
 def analyze_scan(
-    msp: "MiddlewareServer", records: list[tuple[int, LogRecord]]
+    msp: "MiddlewareServer",
+    records: list[tuple[int, LogRecord]],
+    state: Optional[AnalysisState] = None,
 ) -> AnalysisState:
     """The analysis pass over scanned ``(lsn, record)`` pairs (§4.3 step 2).
 
     Pure CPU — no simulated time; callers charge scan cost separately.
-    Factored out of :func:`recover_msp` so the ``recovery_scan``
-    benchmark can measure it against log length in isolation.
+    Fills ``state`` (a fresh one when omitted, so the ``recovery_scan``
+    benchmark can measure the pass against log length in isolation).
     """
-    state = AnalysisState()
+    if state is None:
+        state = AnalysisState()
     dispatch = _ANALYSIS_DISPATCH
     for lsn, record in records:
         handler = dispatch.get(record.__class__)
@@ -272,8 +286,13 @@ def compute_partition_cut(
     partition, together with everything after it in its own partition
     (suffix exclusion keeps each partition a prefix, which is what the
     announcement frontier and position streams require).
+
+    A single scanned partition has no cross-partition edges: its cut is
+    its durable end.
     """
     cut = dict(durable_ends)
+    if len(partition_records) == 1:
+        return cut
     nparts = len(cut)
     changed = True
     while changed:
@@ -314,8 +333,18 @@ def merge_partition_scans(
     (offset, partition) minimum is picked, making the merge
     deterministic.  Happens-before acyclicity guarantees progress; a
     stall means the log (or this merge) is broken and raises
-    :class:`RecoveryMergeError`.
+    :class:`RecoveryMergeError`; the result is re-checked by
+    :func:`assert_merge_order` before it is returned.
+
+    A single scanned partition has nothing to interleave: the merge is
+    its scan order (for partition 0 the list itself, since
+    ``make_plsn(0, offset) == offset``).
     """
+    if len(partition_records) == 1:
+        ((partition, records),) = partition_records.items()
+        if partition == 0:
+            return records
+        return [(make_plsn(partition, offset), record) for offset, record in records]
     lists = {p: records for p, records in sorted(partition_records.items())}
     index = {p: 0 for p in lists}
 
@@ -364,6 +393,7 @@ def merge_partition_scans(
         index[partition] += 1
         remaining -= 1
         merged.append((make_plsn(partition, offset), record))
+    assert_merge_order(msp_name, old_epoch, merged)
     return merged
 
 
@@ -372,7 +402,7 @@ def assert_merge_order(
     old_epoch: int,
     merged: list[tuple[int, LogRecord]],
 ) -> None:
-    """The DV-merge correctness assertion (``recovery_merge_assert``).
+    """The DV-merge correctness assertion.
 
     Re-walks the merged order and verifies every record's intra-MSP
     dependencies were applied before it (dependencies below the scan
@@ -405,160 +435,139 @@ def assert_merge_order(
     return None
 
 
-def recover_msp(msp: "MiddlewareServer"):
-    """Run full crash recovery (generator); called from ``start()``."""
-    started_at = msp.sim.now
-    log = msp.log
-    msp.sim.probe("recovery.begin", owner=msp.name)
-    tracer = msp.sim.tracer
-    span = step = None
-    if tracer is not None:
-        span = tracer.span("recovery", owner=msp.name)
-        step = tracer.span("recovery.anchor", owner=msp.name)
+# -- the restart pipeline (§4.3, Fig. 12; DESIGN.md §14) ----------------------
+#
+# ``recover_msp`` drives eight phases over one ``AnalysisState``.  Every
+# per-partition quantity is a vector of length ``log.nparts``; a single
+# log is the one-partition case and keeps its historical bytes through
+# the encoders (``make_plsn(0, off) == off``, ``encode_frontier((x,))
+# == x``, no ``partition_ends`` block => ``partition_floors() ==
+# [min_lsn]``), not through a second code path.
 
-    # 1. Re-initialize from the most recent MSP checkpoint.
-    nparts = log.nparts
-    anchor = log.read_anchor()
-    old_epoch = 0
-    scan_start = 0
-    scan_starts = [0] * nparts
-    ckpt_chain_heads: dict[str, int] = {}
-    if anchor is not None:
+
+def _span(msp: "MiddlewareServer", name: str, **fields):
+    tracer = msp.sim.tracer
+    if tracer is None:
+        return None
+    return tracer.span(name, owner=msp.name, **fields)
+
+
+def _end(span, **fields) -> None:
+    if span is not None:
+        span.end(**fields)
+
+
+def read_anchor(msp: "MiddlewareServer", state: AnalysisState):
+    """Step 1: re-initialize from the anchored MSP checkpoint (generator)."""
+    log = msp.log
+    state.scan_starts = [0] * log.nparts
+    state.anchor = log.read_anchor()
+    if state.anchor is not None:
         # One random read to pull the checkpoint record itself.
         yield from msp.disk.read(1, sequential=False)
-        ckpt, _next = log.record_at(anchor)
+        ckpt, _next = log.record_at(state.anchor)
         if not isinstance(ckpt, MspCheckpointRecord):
             raise ValueError(f"{msp.name}: anchor does not point at an MSP checkpoint")
         msp.table = RecoveryTable.from_snapshot(ckpt.recovered_snapshot)
-        old_epoch = ckpt.epoch
-        scan_start = ckpt.min_lsn(anchor)
-        ckpt_chain_heads = dict(ckpt.session_chain_heads)
-        if nparts > 1:
-            if len(ckpt.partition_ends) != nparts:
-                raise ValueError(
-                    f"{msp.name}: anchored checkpoint captured "
-                    f"{len(ckpt.partition_ends)} partition ends, but the "
-                    f"log has {nparts} partitions"
-                )
-            scan_starts = ckpt.partition_floors(anchor)
+        state.old_epoch = ckpt.epoch
+        state.ckpt_chain_heads = dict(ckpt.session_chain_heads)
+        state.scan_starts = ckpt.partition_floors(state.anchor)
+        if len(state.scan_starts) != log.nparts:
+            raise ValueError(
+                f"{msp.name}: anchored checkpoint covers "
+                f"{len(state.scan_starts)} partitions, but the log has "
+                f"{log.nparts}"
+            )
     # Truncation safety, stated as an executable assertion: the floor
     # only ever advances to an *anchored* checkpoint's minimal LSN, and
-    # the durable anchor is monotone, so the scan start derived from the
-    # current anchor can never lie in recycled space.  Tripping this
+    # the durable anchor is monotone, so the scan starts derived from
+    # the current anchor can never lie in recycled space.  Tripping this
     # means the truncation pipeline ran ahead of the anchor.
-    if nparts == 1:
-        if scan_start < log.store.truncate_lsn:
+    for partition, unit in enumerate(log.partitions):
+        if state.scan_starts[partition] < unit.store.truncate_lsn:
             raise LogTruncatedError(
-                f"{msp.name}: recovery scan start {scan_start} below the "
-                f"truncation floor {log.store.truncate_lsn}"
+                f"{msp.name}: recovery scan start "
+                f"{state.scan_starts[partition]} of partition {partition} "
+                f"below the truncation floor {unit.store.truncate_lsn}"
             )
-    else:
-        for partition, unit in enumerate(log.partitions):
-            if scan_starts[partition] < unit.store.truncate_lsn:
-                raise LogTruncatedError(
-                    f"{msp.name}: recovery scan start "
-                    f"{scan_starts[partition]} of partition {partition} "
-                    f"below the truncation floor {unit.store.truncate_lsn}"
-                )
     msp.sim.probe("recovery.anchor-read", owner=msp.name)
-    if step is not None:
-        step.end(anchor=anchor, scan_start=scan_start, epoch=old_epoch)
-        step = tracer.span("recovery.scan", owner=msp.name, lsn=scan_start)
 
-    # 2. Single-threaded analysis scan.  One partition reads a single
-    # contiguous durable prefix; N partitions each contribute one, cut
-    # to a consistent prefix set and merged in dependency order before
-    # analysis (DESIGN.md §14) — the merged list replays exactly like a
-    # single-partition scan.
-    if nparts == 1:
-        records = yield from log.scan_durable(scan_start)
-    else:
-        partition_records = {}
-        for partition in range(nparts):
-            scanned = yield from log.scan_durable(
-                make_plsn(partition, scan_starts[partition])
-            )
-            partition_records[partition] = [
-                (plsn_offset(plsn), record) for plsn, record in scanned
-            ]
-        durable_ends = {
-            partition: unit.store.durable_end
-            for partition, unit in enumerate(log.partitions)
-        }
-        cut = compute_partition_cut(
-            msp.name, old_epoch, partition_records, durable_ends
-        )
-        # Excised durable suffixes must leave the disk with the replay:
-        # left behind, a later recovery would rediscover them after the
-        # new incarnation reused the offsets their dependencies name and
-        # accept them against aliased records.  Safe because the cut
-        # never drops below the anchored checkpoint's captured ends
-        # (records below the capture depend only on records below it).
-        log.rewind([cut[partition] for partition in range(nparts)])
-        for partition, pairs in partition_records.items():
-            partition_records[partition] = [
+
+def scan_partitions(msp: "MiddlewareServer", state: AnalysisState):
+    """Step 2a: read every partition's durable prefix from its scan
+    start (generator, charges sequential disk time per partition)."""
+    for partition, start in enumerate(state.scan_starts):
+        scanned = yield from msp.log.scan_durable(make_plsn(partition, start))
+        state.partition_records[partition] = [
+            (plsn & OFFSET_MASK, record) for plsn, record in scanned
+        ]
+
+
+def cut_and_merge(msp: "MiddlewareServer", state: AnalysisState) -> None:
+    """Step 2b: lower the durable ends to a consistent cut, drop what it
+    excises from disk and scan alike, and linearize the rest in
+    dependency order (DESIGN.md §14) for the analysis pass."""
+    log = msp.log
+    durable_ends = {
+        partition: unit.store.durable_end
+        for partition, unit in enumerate(log.partitions)
+    }
+    cut = compute_partition_cut(
+        msp.name, state.old_epoch, state.partition_records, durable_ends
+    )
+    state.cut = [cut[partition] for partition in range(log.nparts)]
+    # Excised durable suffixes must leave the disk with the replay:
+    # left behind, a later recovery would rediscover them after the
+    # new incarnation reused the offsets their dependencies name and
+    # accept them against aliased records.  Safe because the cut
+    # never drops below the anchored checkpoint's captured ends
+    # (records below the capture depend only on records below it).
+    log.rewind(state.cut)
+    for partition, pairs in state.partition_records.items():
+        if cut[partition] < durable_ends[partition]:
+            state.partition_records[partition] = [
                 (offset, record)
                 for offset, record in pairs
                 if offset < cut[partition]
             ]
-        records = merge_partition_scans(
-            msp.name, old_epoch, partition_records, cut
-        )
-        if msp.config.recovery_merge_assert:
-            assert_merge_order(msp.name, old_epoch, records)
+    state.records = merge_partition_scans(
+        msp.name, state.old_epoch, state.partition_records, cut
+    )
     msp.sim.probe("recovery.scanned", owner=msp.name)
-    if step is not None:
-        step.end(records=len(records))
-        step = tracer.span("recovery.analyze", owner=msp.name)
+
+
+def analyze(msp: "MiddlewareServer", state: AnalysisState):
+    """Step 2c: the single-threaded analysis pass over the merged scan,
+    then fix what we recovered to (generator, charges scan CPU)."""
+    records = state.records
     yield from msp.cpu(len(records) * msp.config.costs.scan_record_cpu_ms)
-
-    state = analyze_scan(msp, records)
-    positions = state.positions
-    session_ckpts = state.session_ckpts
-    ended = state.ended
+    analyze_scan(msp, records, state)
     msp.stats.recovery_scan_records += len(records)
-
-    if msp.config.sv_logging == "access-order":
-        # Access-order recovery: variables are reconstructed by
-        # re-executing every logged access in conflict order; until
-        # then, live accesses must block (the §3.3 coupling this
-        # ablation measures).
-        for name, sv in msp.shared.items():
-            sv.recovery_target_write = state.order_writes.get(name, sv.write_seq)
-            sv.expected_reads = dict(state.order_reads.get(name, {}))
-
     msp.sim.probe("recovery.analyzed", owner=msp.name)
-    if step is not None:
-        step.end(
-            sessions=len(state.positions) + len(state.session_ckpts),
-            ended=len(state.ended),
-        )
+    # The largest persistent LSN is what we recovered to: the
+    # consistent-cut *frontier* — durable suffixes excised by the cut
+    # were never replayed, so state depending on them is as lost as if
+    # the bytes had never hit a platter.
+    state.recovered_lsn = encode_frontier(state.cut)
+    msp.table.record(msp.name, state.old_epoch, state.recovered_lsn)
+    msp.epoch = state.old_epoch + 1
 
-    # The largest persistent LSN is what we recovered to.  Partitioned,
-    # that is the consistent-cut *frontier* — durable suffixes excised
-    # by the cut were never replayed, so state depending on them is as
-    # lost as if the bytes had never hit a platter.
-    if nparts == 1:
-        recovered_lsn = msp.store.durable_end
-    else:
-        recovered_lsn = encode_frontier(
-            tuple(cut[partition] for partition in range(nparts))
-        )
-    msp.table.record(msp.name, old_epoch, recovered_lsn)
-    msp.epoch = old_epoch + 1
 
-    # Rebuild the session objects (state itself is rebuilt by replay).
-    # Lazy mode: each session keeps its scan-derived position stream
-    # (the chain walk's fallback and cross-check oracle) plus its chain
-    # head — seeded from the anchored checkpoint, overridden by anything
-    # the scan observed since.
+def rebuild_sessions(msp: "MiddlewareServer", state: AnalysisState) -> None:
+    """Rebuild the session objects (state itself is rebuilt by replay).
+
+    Lazy mode: each session keeps its scan-derived position stream (the
+    chain walk's fallback and cross-check oracle) plus its chain head —
+    seeded from the anchored checkpoint, overridden by anything the
+    scan observed since.
+    """
+    positions, session_ckpts = state.positions, state.session_ckpts
     lazy = msp.lazy_mode
     if lazy:
-        heads = ckpt_chain_heads
+        heads = state.ckpt_chain_heads
         heads.update(state.chain_heads())
-    to_recover = []
     for session_id in sorted(positions.keys() | session_ckpts.keys()):
-        if session_id in ended:
+        if session_id in state.ended:
             continue
         session = msp.session_for(session_id)
         session.status = SessionStatus.RECOVERING
@@ -576,40 +585,45 @@ def recover_msp(msp: "MiddlewareServer"):
         if lazy:
             session.chain_lsn = heads.get(session_id, NO_LSN)
             session.lazy_pending = True
-        to_recover.append(session)
+        state.to_recover.append(session)
 
-    # 3. Broadcast the recovery message within the service domain.
-    msp.broadcast_recovery(old_epoch, recovered_lsn)
+
+def announce(msp: "MiddlewareServer", state: AnalysisState) -> None:
+    """Step 3: broadcast the recovery message within the service domain."""
+    msp.broadcast_recovery(state.old_epoch, state.recovered_lsn)
     msp.sim.probe("recovery.announced", owner=msp.name)
+    tracer = msp.sim.tracer
     if tracer is not None:
         tracer.instant(
             "recovery.announce",
             owner=msp.name,
-            epoch=old_epoch,
-            lsn=recovered_lsn,
+            epoch=state.old_epoch,
+            lsn=state.recovered_lsn,
         )
-        step = tracer.span("recovery.checkpoint", owner=msp.name)
 
-    # 4. Make a fresh MSP checkpoint (so the next crash starts here).
-    from repro.core.checkpoint import perform_msp_checkpoint
 
+def checkpoint(msp: "MiddlewareServer", state: AnalysisState):
+    """Step 4: a fresh MSP checkpoint, so the next crash starts here
+    (generator)."""
     yield from perform_msp_checkpoint(msp)
     msp.sim.probe("recovery.checkpointed", owner=msp.name)
-    if step is not None:
-        step.end()
 
-    # 5. Recover sessions in parallel; the caller opens for business
-    # immediately, so new sessions are accepted while these replay.
-    # (The sequential mode exists only for the ablation benchmark — the
-    # paper's design point is that parallel recovery shortens outages.)
-    # Lazy mode replaces this step entirely: no session is replayed
-    # here — requests trigger their session's replay inline, and a
-    # background pump drains the rest hot-first (DESIGN.md §15).
+
+def drain(msp: "MiddlewareServer", state: AnalysisState) -> None:
+    """Step 5: start session replay; the caller opens for business
+    immediately, so new sessions are accepted while these replay.
+
+    Eager recovers every session in parallel (the sequential mode
+    exists only for the ablation benchmark — the paper's design point is
+    that parallel recovery shortens outages).  Lazy replays nothing
+    here: requests trigger their session's replay inline, and a
+    background pump drains the rest hot-first (DESIGN.md §15).
+    """
     if msp.lazy_mode:
         msp.sim.probe("recovery.lazy.analyze", owner=msp.name)
         spawn_recovery_pump(msp)
     elif msp.config.parallel_recovery:
-        for session in to_recover:
+        for session in state.to_recover:
             msp.sim.spawn(
                 run_session_recovery(msp, session, orphan=False),
                 name=f"{msp.name}.sessionrec.{session.id}",
@@ -617,20 +631,63 @@ def recover_msp(msp: "MiddlewareServer"):
             )
     else:
         def _sequential():
-            for session in to_recover:
+            for session in state.to_recover:
                 yield from run_session_recovery(msp, session, orphan=False)
 
         msp.sim.spawn(
             _sequential(), name=f"{msp.name}.sessionrec.seq", group=msp.group
         )
+
+
+def recover_msp(msp: "MiddlewareServer"):
+    """Run full crash recovery (generator); called from ``start()``.
+
+    The tracer spans are the five numbered steps of §4.3; the phases
+    own the crash-site probes.
+    """
+    started_at = msp.sim.now
+    msp.sim.probe("recovery.begin", owner=msp.name)
+    state = AnalysisState()
+    span = _span(msp, "recovery")
+
+    step = _span(msp, "recovery.anchor")
+    yield from read_anchor(msp, state)
+    _end(
+        step,
+        anchor=state.anchor,
+        scan_start=state.scan_starts[0],
+        epoch=state.old_epoch,
+    )
+
+    step = _span(msp, "recovery.scan", lsn=state.scan_starts[0])
+    yield from scan_partitions(msp, state)
+    cut_and_merge(msp, state)
+    _end(step, records=len(state.records))
+
+    step = _span(msp, "recovery.analyze")
+    yield from analyze(msp, state)
+    _end(
+        step,
+        sessions=len(state.positions) + len(state.session_ckpts),
+        ended=len(state.ended),
+    )
+
+    rebuild_sessions(msp, state)
+    announce(msp, state)
+
+    step = _span(msp, "recovery.checkpoint")
+    yield from checkpoint(msp, state)
+    _end(step)
+
+    drain(msp, state)
     msp.stats.recovery_scan_ms += msp.sim.now - started_at
     if span is not None:
         span.end(
             epoch=msp.epoch,
-            records=len(records),
-            sessions_to_recover=len(to_recover),
+            records=len(state.records),
+            sessions_to_recover=len(state.to_recover),
         )
-        tracer.metrics.observe("recovery.total_ms", msp.sim.now - started_at)
+        msp.sim.tracer.metrics.observe("recovery.total_ms", msp.sim.now - started_at)
     msp.sim.probe("recovery.end", owner=msp.name)
 
 
@@ -649,10 +706,6 @@ def walk_session_chain(msp: "MiddlewareServer", session, head: int):
     to move strictly backward — either means a corrupt chain, and
     serving state reconstructed from it would violate exactly-once.
     """
-    from repro.core.errors import SessionProtocolError
-    from repro.core.log_manager import LogWindowReader
-    from repro.core.records import session_of
-
     reader = LogWindowReader(msp.log, durable_only=False)
     positions: list[int] = []
     cursor = head
@@ -708,18 +761,15 @@ def recover_session(msp: "MiddlewareServer", session):
             fallback=walked is None and session.chain_lsn != NO_LSN,
         )
     if walked is not None:
-        if msp.config.recovery_merge_assert:
-            # The chain walk must visit exactly the records the analysis
-            # scan attributed to this session (the §15 safety argument's
-            # executable form).
-            scanned = list(session.position_stream.positions())
-            if walked != scanned:
-                from repro.core.errors import SessionProtocolError
-
-                raise SessionProtocolError(
-                    f"{msp.name}: chain walk of session {session.id} visited "
-                    f"{walked}, scan attributed {scanned}"
-                )
+        # The chain walk must visit exactly the records the analysis
+        # scan attributed to this session (the §15 safety argument's
+        # executable form).
+        scanned = list(session.position_stream.positions())
+        if walked != scanned:
+            raise SessionProtocolError(
+                f"{msp.name}: chain walk of session {session.id} visited "
+                f"{walked}, scan attributed {scanned}"
+            )
         session.position_stream.replace(walked)
     # A chainless (eager-written) log replays along the scan-derived
     # stream already installed on the session.

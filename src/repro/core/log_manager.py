@@ -20,9 +20,10 @@ With ``partitions > 1`` the log is split across N segmented stores,
 each with its own disk and group-commit flusher: session streams hash
 to a partition by session id, control records (checkpoints, recovery
 announcements) go to partition 0, and appends on different partitions
-never serialize against each other.  At ``partitions=1`` every plsn is
-a raw offset and the behaviour (bytes, probes, counters) is identical
-to the historical single-log manager.
+never serialize against each other.  ``partitions=1`` is the same code
+with one store: every plsn is a raw offset (``make_plsn(0, off) ==
+off``), so the bytes, probes and counters are those of the historical
+single-log manager.
 
 Sector accounting follows §5.2: each flush writes whole sectors and the
 next flush starts at a fresh sector boundary, wasting on average half a
@@ -199,23 +200,14 @@ class LogManager:
 
     # -- routing -------------------------------------------------------------
 
-    def partition_of_session(self, session_id: str) -> int:
-        """The partition a session's stream records hash to."""
-        if self.nparts == 1:
-            return 0
-        return zlib.crc32(session_id.encode("utf-8")) % self.nparts
-
-    def route(self, record: LogRecord) -> int:
-        """The partition ``record`` is appended to.
+    def partition_of_session(self, session_id: Optional[str]) -> int:
+        """The partition a record of ``session_id`` is appended to.
 
         Session-stream records hash by session id (a session's whole
         stream shares one partition, so position-stream offsets stay
-        comparable); everything else — MSP/SV checkpoints, recovery
-        announcements — is control state on partition 0.
+        comparable); everything else (``None``) — MSP/SV checkpoints,
+        recovery announcements — is control state on partition 0.
         """
-        if self.nparts == 1:
-            return 0
-        session_id = getattr(record, "session_id", None)
         if session_id is None:
             return 0
         return zlib.crc32(session_id.encode("utf-8")) % self.nparts
@@ -229,7 +221,9 @@ class LogManager:
         flush covers it.
         """
         self.sim.probe("log.append", owner=self.owner)
-        unit = self.partitions[self.route(record)]
+        unit = self.partitions[
+            self.partition_of_session(getattr(record, "session_id", None))
+        ]
         payload = record.encode()
         framed = frame(payload)
         offset = unit.store.append(framed)
@@ -251,15 +245,6 @@ class LogManager:
             tracer.metrics.inc(f"log.append.{kind}.bytes", size)
         return make_plsn(unit.index, offset), size
 
-    @property
-    def end_lsn(self) -> int:
-        """Offset just past the last appended control-partition byte."""
-        return self.store.end
-
-    @property
-    def durable_lsn(self) -> int:
-        return self.store.durable_end
-
     def partition_end(self, index: int) -> int:
         """Offset just past the last appended byte of one partition."""
         return self.partitions[index].store.end
@@ -277,12 +262,6 @@ class LogManager:
         (length, _crc) = _HEADER.unpack_from(unit.store.view(offset, _HEADER.size))
         return offset + _HEADER.size + length
 
-    def _frame_end(self, lsn: int) -> int:
-        unit = self.partitions[plsn_partition(lsn)]
-        return make_plsn(
-            unit.index, self._frame_end_off(unit, plsn_offset(lsn))
-        )
-
     # -- the decode cache ------------------------------------------------------
 
     @property
@@ -293,8 +272,6 @@ class LogManager:
     @property
     def _cache_shard_records(self) -> int:
         """Per-shard LRU capacity: the total budget split evenly."""
-        if self.nparts == 1:
-            return self.decode_cache_records
         return max(1, self.decode_cache_records // self.nparts)
 
     def _cache_sync(self, unit: _LogPartition) -> None:
@@ -602,11 +579,12 @@ class LogManager:
     def rewind(self, cuts: Sequence[int]) -> None:
         """Discard per-partition suffixes beyond recovery's consistent cut.
 
-        Only partitioned recovery calls this: a durable record whose
+        Crash recovery calls this with its cut: a durable record whose
         cross-partition dependency was lost is excluded from the
         recovered state, and its bytes must go with it — left on disk,
         a later recovery would rediscover the record after the offsets
-        its dependencies named have been reused by new appends.
+        its dependencies named have been reused by new appends.  (A
+        single log's cut is its durable end: nothing to discard.)
         """
         for unit, cut in zip(self.partitions, cuts):
             store = unit.store
@@ -620,13 +598,13 @@ class LogManager:
         for unit in self.partitions:
             self.stats.partition(unit.index)["live_bytes"] = unit.store.live_bytes
 
-    def truncate_to(self, floor_lsn: Union[int, Sequence[int]]):
-        """Advance the log's truncation floor(s) (generator).
+    def truncate_to(self, floors: Sequence[int]):
+        """Advance every partition's truncation floor (generator).
 
         Called by the MSP checkpoint daemon once the log anchor is
-        durable, with the anchored checkpoint's minimal LSN — or, for a
-        partitioned log, the per-partition floor vector from
-        ``MspCheckpointRecord.partition_floors``.  Safety: the floors
+        durable, with the per-partition floor vector from
+        ``MspCheckpointRecord.partition_floors`` (for a single log,
+        the one-element ``[min_lsn]``).  Safety: the floors
         lower-bound every LSN recovery can touch — session scan starts,
         shared-variable scan starts (backward write chains break at sv
         checkpoints at or above them), EOS back-pointers are only
@@ -638,15 +616,9 @@ class LogManager:
         must recover exactly like one after recycling (the floor is not
         recovery state — the next checkpoint simply re-truncates).
         """
-        if isinstance(floor_lsn, int):
-            floors = [(plsn_partition(floor_lsn), plsn_offset(floor_lsn))]
-        else:
-            floors = list(enumerate(floor_lsn))
         recycled_total = 0
-        for index, floor_off in floors:
-            recycled_total += yield from self._truncate_unit(
-                self.partitions[index], floor_off
-            )
+        for unit, floor_off in zip(self.partitions, floors):
+            recycled_total += yield from self._truncate_unit(unit, floor_off)
         return recycled_total
 
     def _truncate_unit(self, unit: _LogPartition, floor_off: int):

@@ -23,7 +23,7 @@ from typing import Callable, Generator, Optional
 from repro.core.checkpoint import (
     maybe_session_checkpoint,
     msp_checkpoint_daemon,
-    sv_checkpoint,
+    perform_msp_checkpoint,
 )
 from repro.core.config import LoggingMode, RecoveryConfig
 from repro.core.context import BUSY_RETRY_SLEEP_MS, NormalContext, _await_reply
@@ -128,12 +128,13 @@ class MiddlewareServer:
         self.name = name
         self.domains = domains
         self.config = config or RecoveryConfig()
+        self.config.validate()
         self.node = network.node(name)
         rng = rng or RngRegistry(0)
         # One store+disk pair per log partition (DESIGN.md §14); element
         # 0 is the control partition and keeps the historical names so
         # a partitions=1 run is indistinguishable from the old layout.
-        nparts = max(1, self.config.log_partitions)
+        nparts = self.config.log_partitions
         self.disks = [
             Disk(
                 sim,
@@ -165,7 +166,8 @@ class MiddlewareServer:
         self.stats = MspStats()
         #: Lazy recovery mode (DESIGN.md §15): thread per-session
         #: backward-chain links through the log and recover sessions on
-        #: demand after a crash.  Cached — the mode is fixed per run.
+        #: demand after a crash.  Cached — the mode is fixed per run
+        #: (and was validated above, like ``logging_mode``).
         self.lazy_mode = self.config.recovery_mode == "lazy"
         #: Command/value adaptive logging (DESIGN.md §16), cached like
         #: ``lazy_mode``: ``command_mode`` fixes every session to
@@ -209,47 +211,6 @@ class MiddlewareServer:
         """
         if self.running:
             raise SessionProtocolError(f"{self.name} already running")
-        if self.config.recovery_mode not in ("eager", "lazy"):
-            raise SessionProtocolError(
-                f"unknown recovery_mode {self.config.recovery_mode!r}; "
-                "choose 'eager' or 'lazy'"
-            )
-        if self.lazy_mode and self.config.sv_logging != "value":
-            # Access-order recovery couples every session's replay
-            # through the per-variable access sequence — the opposite of
-            # the independent per-chain replays lazy mode relies on.
-            raise SessionProtocolError(
-                "lazy recovery requires value logging (sv_logging='value')"
-            )
-        if self.config.logging_mode not in ("value", "command", "adaptive"):
-            raise SessionProtocolError(
-                f"unknown logging_mode {self.config.logging_mode!r}; "
-                "choose 'value', 'command' or 'adaptive'"
-            )
-        if self.config.logging_mode != "value" and self.config.sv_logging != "value":
-            # Command replay re-executes handlers against recovered SV
-            # state; access-order recovery rebuilds SVs by replaying the
-            # logged access sequence — the two re-execution disciplines
-            # cannot interleave on one variable.
-            raise SessionProtocolError(
-                "command/adaptive logging requires sv_logging='value'"
-            )
-        if self.recoverable and self.config.sv_logging == "access-order":
-            # The ablation supports crash recovery of standalone MSPs
-            # only: checkpoints would cut the access chains replay must
-            # re-execute, and optimistic domains would need the very
-            # orphan machinery value logging exists to simplify.
-            problems = []
-            if self.domains.peers_of(self.name):
-                problems.append("MSP must not be in a multi-MSP service domain")
-            if self.config.session_ckpt_threshold_bytes is not None:
-                problems.append("session checkpointing must be disabled")
-            if self.config.sv_ckpt_write_threshold < 10**9:
-                problems.append("shared-variable checkpointing must be disabled")
-            if problems:
-                raise SessionProtocolError(
-                    "access-order logging ablation: " + "; ".join(problems)
-                )
         if self.group is None:
             self.group = ProcessGroup(self.name)
         self.log = LogManager(
@@ -291,8 +252,6 @@ class MiddlewareServer:
             # empty log and no way to know we crashed — we would reuse
             # epoch 0 while other MSPs hold dependencies on the lost
             # buffered records, and never announce their loss.
-            from repro.core.checkpoint import perform_msp_checkpoint
-
             yield from perform_msp_checkpoint(self)
         self._open_for_business()
 

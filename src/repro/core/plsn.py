@@ -35,6 +35,10 @@ OFFSET_MASK = (1 << OFFSET_BITS) - 1
 #: Frontier values below this are plain single-partition offsets.
 _FRONTIER_TAG = 1 << 59
 
+#: A packed frontier stores its length in 8 bits, which caps the
+#: partition count (``RecoveryConfig.validate`` enforces it).
+MAX_PARTITIONS = 0xFF
+
 
 def make_plsn(partition: int, offset: int) -> int:
     """Pack ``(partition, offset)`` into a plsn int."""
@@ -79,7 +83,7 @@ def decode_frontier(value: int) -> tuple[int, ...]:
     if value < _FRONTIER_TAG:
         return (value,)
     payload = value >> 60
-    count = payload & 0xFF
+    count = payload & MAX_PARTITIONS
     packed = payload >> 8
     return tuple(
         (packed >> (OFFSET_BITS * i)) & OFFSET_MASK for i in range(count)

@@ -42,7 +42,7 @@ KIND_ANNOUNCEMENT = 9
 KIND_SESSION_END = 10
 KIND_FILLER = 11
 KIND_SV_UPDATE = 12
-KIND_SV_ORDER = 13
+# 13 is retired (last written at commit 92fdbba) and is never reused.
 KIND_COMMAND = 14
 
 #: Sentinel "no previous write" value for backward chains.
@@ -316,8 +316,7 @@ class SvCheckpointRecord:
     Written after a distributed log flush covered the variable's DV, so
     no DV needs to be stored and the backward chain breaks here.
     ``version`` is the variable's write-version counter at checkpoint
-    time; it is only consumed by the access-order-logging ablation,
-    whose recovery replays accesses in version order from here.
+    time (always 0 under value logging; kept for the record's bytes).
 
     ``prev_write_lsn`` is an optional trailing field written only by
     partitioned logs (DESIGN.md §14): the lsn of the write this
@@ -360,40 +359,6 @@ class SvCheckpointRecord:
             for sid in sorted(self.command_frontier):
                 lsn, ordinal = self.command_frontier[sid]
                 enc.text(sid).uint(lsn).uint(ordinal)
-        return enc.finish()
-
-
-@dataclass
-class SvOrderRecord:
-    """Access-order logging (the paper's rejected §3.3 alternative [16]).
-
-    Logs only *which version* of the variable an access observed or
-    produced — no values.  Recovery must reconstruct shared state by
-    re-executing every writer in the logged order, which couples the
-    recoveries of otherwise independent sessions; this record type
-    exists to measure that coupling (see the access-order ablation).
-    """
-
-    session_id: str
-    variable: str
-    #: For a read: the version observed.  For a write: the version the
-    #: write produced (observed + 1).
-    version: int
-    is_write: bool
-    prev_lsn: Optional[int] = None
-    kind: int = field(default=KIND_SV_ORDER, init=False)
-
-    def encode(self) -> bytes:
-        enc = (
-            Encoder()
-            .uint(self.kind)
-            .text(self.session_id)
-            .text(self.variable)
-            .uint(self.version)
-            .boolean(self.is_write)
-        )
-        if self.prev_lsn is not None:
-            enc.uint(self.prev_lsn)
         return enc.finish()
 
 
@@ -488,7 +453,7 @@ class MspCheckpointRecord:
         return min(candidates)
 
     def partition_floors(self, own_lsn: int) -> list[int]:
-        """Per-partition scan starts / truncation floors (partitions>1).
+        """Per-partition scan starts / truncation floors.
 
         For each partition, the minimum offset among the start lsns
         that live in it; partitions nothing names default to their end
@@ -497,9 +462,14 @@ class MspCheckpointRecord:
         session, one partition); shared-variable starts are packed
         frontiers (the chain spans the writers' partitions — see
         ``SharedVariable.scan_start_frontier``).
+
+        A checkpoint that wrote no ``partition_ends`` block is a
+        single log's: its one floor is the minimal LSN.
         """
         from repro.core.plsn import decode_frontier, is_frontier
 
+        if not self.partition_ends:
+            return [self.min_lsn(own_lsn)]
         floors = list(self.partition_ends)
         candidates = [own_lsn]
         candidates.extend(self.session_start_lsns.values())
@@ -614,7 +584,6 @@ LogRecord = (
     | CommandRecord
     | FillerRecord
     | ReplyRecord
-    | SvOrderRecord
     | SvUpdateRecord
     | SvReadRecord
     | SvWriteRecord
@@ -873,15 +842,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
         record = SessionEndRecord(session_id=dec.text())
     elif kind == KIND_FILLER:
         record = FillerRecord(size=len(dec.raw()))
-    elif kind == KIND_SV_ORDER:
-        record = SvOrderRecord(
-            session_id=dec.text(),
-            variable=dec.text(),
-            version=dec.uint(),
-            is_write=dec.boolean(),
-        )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_SV_UPDATE:
         record = SvUpdateRecord(
             session_id=dec.text(),
@@ -905,7 +865,7 @@ def session_of(record: LogRecord) -> Optional[str]:
     if isinstance(
         record,
         (RequestRecord, CommandRecord, ReplyRecord, SvReadRecord, SvWriteRecord,
-         SvUpdateRecord, SvOrderRecord),
+         SvUpdateRecord),
     ):
         return record.session_id
     return None

@@ -66,18 +66,6 @@ class SharedVariable:
         self.live_chain_floors: dict[int, int] = {}
         #: Checkpoint-staleness counter for forced checkpoints (§3.4).
         self.msp_ckpts_since_own_ckpt = 0
-        #: Access-order ablation state (paper §3.3's rejected
-        #: alternative [16]).  ``write_seq`` counts committed writes;
-        #: reads log the write version they observed (concurrent reads
-        #: of one version commute).  During recovery, ``expected_reads``
-        #: holds how many logged reads of each version must replay
-        #: before the next write may, and ``recovery_target_write`` is
-        #: the final version re-execution must reach; live accesses
-        #: block until both are satisfied — the coupling the paper
-        #: rejects access-order logging for.
-        self.write_seq = 0
-        self.expected_reads: dict[int, int] = {}
-        self.recovery_target_write = 0
         #: Command/value adaptive logging (DESIGN.md §16).  A command-
         #: mode RMW applies its effect *without* a log record; the
         #: variable's recovery then rests on three pieces of state:
@@ -195,10 +183,14 @@ class SharedVariable:
     def scan_start_frontier(self, nparts: int) -> Optional[int]:
         """The scan start as recorded in MSP checkpoints.
 
-        Single log: the scalar LSN (byte-identical to the classical
-        format).  Partitioned: the per-partition chain floors packed as
-        a frontier, with unconstrained partitions pinned at the offset
-        maximum so they do not hold truncation back.
+        Partitioned: the per-partition chain floors packed as a
+        frontier, with unconstrained partitions pinned at the offset
+        maximum so they do not hold truncation back.  Single log: the
+        scalar LSN of the classical format.  That is the one-element
+        frontier except after a rollback exhausted the chain of a
+        never-checkpointed variable — the scalar still names its first
+        write, the floors are empty — so the single log's checkpoint
+        bytes need this branch (DESIGN.md §14).
         """
         if nparts == 1:
             return self.scan_start_lsn()
@@ -209,13 +201,6 @@ class SharedVariable:
             if partition < nparts:
                 starts[partition] = min(starts[partition], offset)
         return encode_frontier(tuple(starts))
-
-    @property
-    def reconstructing(self) -> bool:
-        """Access-order mode: is replay still rebuilding this variable?"""
-        return self.write_seq < self.recovery_target_write or any(
-            self.expected_reads.values()
-        )
 
     def is_orphan(self, table: RecoveryTable) -> bool:
         self.dv.prune_resolved(table)

@@ -26,8 +26,9 @@ have: same analysis scan, same session replays, same dependency
 vectors.  Only the bytes that were durable anywhere survive; the
 disaster loses exactly what an ordinary crash loses, never more.
 
-The hooks are installed per store instance (``mark_durable``,
-``flush_anchor``, ``rewind``), so they survive the MSP's
+Each primary store reports its durability events (``mark_durable``,
+``flush_anchor``, ``rewind``) to a subscribed :class:`_Shipper`; the
+subscription lives on the store, so it survives the MSP's
 crash/restart cycles — the store objects themselves persist.
 """
 
@@ -58,6 +59,42 @@ class StandbyStats:
     verification_failures: list = field(default_factory=list)
 
 
+class _Shipper:
+    """Durability observer of one primary store: ships every event to
+    its mirror synchronously."""
+
+    def __init__(self, mirror: StableStore, stats: StandbyStats):
+        self.mirror = mirror
+        self.stats = stats
+
+    def durable_advanced(self, primary: StableStore) -> None:
+        mirror = self.mirror
+        durable = primary.durable_end
+        if durable <= mirror.end:
+            return
+        data = primary.read_durable(mirror.end, durable - mirror.end)
+        mirror.append(data)
+        mirror.mark_durable(durable)
+        self.stats.shipments += 1
+        self.stats.shipped_bytes += len(data)
+
+    def anchor_flushed(self, primary: StableStore) -> None:
+        anchor = primary.read_anchor()
+        if anchor is not None:
+            self.mirror.write_anchor(anchor)
+            self.mirror.flush_anchor()
+            self.stats.anchor_shipments += 1
+
+    def rewound(self, primary: StableStore, boundary: int) -> None:
+        # Partitioned recovery may cut a *durable* suffix whose
+        # cross-partition dependency was lost; the standby copy must
+        # shed the same bytes or a later promotion would resurrect
+        # records the primary's own recovery rejected.
+        if boundary < self.mirror.end:
+            self.mirror.rewind(boundary)
+            self.stats.rewinds += 1
+
+
 class WarmStandby:
     """A standby node holding a shipped copy of one MSP's durable log."""
 
@@ -75,51 +112,7 @@ class WarmStandby:
             for store in msp.stores
         ]
         for primary, mirror in zip(msp.stores, self.mirrors):
-            self._attach(primary, mirror)
-
-    # -- shipping ----------------------------------------------------------
-
-    def _attach(self, primary: StableStore, mirror: StableStore) -> None:
-        """Wrap the primary's durability hooks to ship synchronously."""
-        mark_durable = primary.mark_durable
-        flush_anchor = primary.flush_anchor
-        rewind = primary.rewind
-
-        def shipping_mark_durable(upto: int) -> None:
-            mark_durable(upto)
-            self._ship(primary, mirror)
-
-        def shipping_flush_anchor() -> None:
-            flush_anchor()
-            anchor = primary.read_anchor()
-            if anchor is not None:
-                mirror.write_anchor(anchor)
-                mirror.flush_anchor()
-                self.stats.anchor_shipments += 1
-
-        def shipping_rewind(boundary: int) -> None:
-            # Partitioned recovery may cut a *durable* suffix whose
-            # cross-partition dependency was lost; the standby copy must
-            # shed the same bytes or a later promotion would resurrect
-            # records the primary's own recovery rejected.
-            rewind(boundary)
-            if boundary < mirror.end:
-                mirror.rewind(boundary)
-                self.stats.rewinds += 1
-
-        primary.mark_durable = shipping_mark_durable
-        primary.flush_anchor = shipping_flush_anchor
-        primary.rewind = shipping_rewind
-
-    def _ship(self, primary: StableStore, mirror: StableStore) -> None:
-        durable = primary.durable_end
-        if durable <= mirror.end:
-            return
-        data = primary.read_durable(mirror.end, durable - mirror.end)
-        mirror.append(data)
-        mirror.mark_durable(durable)
-        self.stats.shipments += 1
-        self.stats.shipped_bytes += len(data)
+            primary.subscribe(_Shipper(mirror, self.stats))
 
     # -- verification ------------------------------------------------------
 

@@ -15,9 +15,9 @@ The shape rules (DESIGN.md §17):
   shards execute concurrently and never changes results.
 
 Validation happens at construction: unknown MSP names in the domain
-layout or the crash plan, non-disjoint layouts, and epoch lengths
-longer than the cross-shard latency are all rejected before any
-simulator is built.
+layout or the crash plan, non-disjoint layouts, epoch lengths longer
+than the cross-shard latency, and illegal recovery/logging modes or
+partition counts are all rejected before any simulator is built.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
+from repro.core.config import check_modes
 from repro.core.domain import ServiceDomainConfig
 
 
@@ -153,6 +154,7 @@ class FleetTopology:
                 f"shards must be in [1, domains]: {spec.shards} vs "
                 f"{spec.domains} domains (whole domains live on one shard)"
             )
+        check_modes(spec.recovery_mode, spec.logging_mode, spec.log_partitions)
         if spec.epoch_ms <= 0:
             raise ValueError(f"epoch_ms must be positive, got {spec.epoch_ms}")
         if spec.shards > 1 and spec.cross_latency_ms < spec.epoch_ms:

@@ -259,19 +259,11 @@ def check_durable_log(msp: "MiddlewareServer") -> list[str]:
                         f"durable-log: {msp.name} anchor {anchor} points at a "
                         "non-durable checkpoint record"
                     )
-                elif len(stores) == 1 and record.min_lsn(anchor) < floor:
-                    # Truncation safety itself: a floor above the
-                    # anchored checkpoint's minimal LSN means recovery
+                else:
+                    # Truncation safety itself: every partition's floor
+                    # must sit at or below the scan start this anchored
+                    # checkpoint implies for it — above it, recovery
                     # would need recycled bytes.
-                    violations.append(
-                        f"durable-log: {msp.name} anchored checkpoint min_lsn "
-                        f"{record.min_lsn(anchor)} below the truncation "
-                        f"floor {floor}"
-                    )
-                elif len(stores) > 1 and record.partition_ends:
-                    # Partitioned truncation safety: every partition's
-                    # floor must sit at or below the scan start this
-                    # anchored checkpoint implies for it.
                     scan_floors = record.partition_floors(anchor)
                     for partition, pstore in enumerate(stores):
                         if scan_floors[partition] < pstore.truncate_lsn:

@@ -10,7 +10,6 @@ claims.  :mod:`repro.harness.report` renders them as text tables.
 from repro.harness.ablations import (
     ablation_dv_granularity,
     ablation_parallel_recovery,
-    ablation_value_vs_access_order,
 )
 from repro.harness.experiments import (
     ExperimentResult,
@@ -31,7 +30,6 @@ __all__ = [
     "ResponseStats",
     "ablation_dv_granularity",
     "ablation_parallel_recovery",
-    "ablation_value_vs_access_order",
     "analysis_flush_accounting",
     "fig14_calls_chart",
     "fig14_response_table",

@@ -8,9 +8,7 @@ directly; these experiments quantify each one on our substrate:
   replaying all activities sequentially in log order";
 - **per-session dependency vectors** (§3.2) versus one DV for the whole
   MSP — "if only one DV is maintained ... all its sessions will roll
-  back, possibly unnecessarily";
-- **value logging** (§3.3) versus **access-order logging** ([16]) — "this
-  approach increases recovery dependence among sessions".
+  back, possibly unnecessarily".
 """
 
 from __future__ import annotations
@@ -146,149 +144,6 @@ def ablation_parallel_recovery(
     result.claim(
         "the speedup is material (>= 1.2x)",
         times[False] / max(times[True], 1e-9) >= 1.2,
-    )
-    return result
-
-
-def _reader_method(ctx, argument):
-    yield from ctx.compute(0.1)
-    value = yield from ctx.read_shared("total")
-    return value
-
-
-def _measure_sv_logging_recovery(
-    sv_logging: str, readers: int, writer_requests: int, seed: int
-):
-    """One heavy writer + light readers on one shared variable.
-
-    Returns ``(writer_ready_ms, mean_reader_ready_ms)`` measured from
-    the crash.  The interesting quantity is how soon the *readers* are
-    back online: with value logging their replayed reads come straight
-    from the log, independent of the writer; with access-order logging
-    each read must wait for the writer to re-execute every preceding
-    write.
-    """
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, rng=rng)
-    config = RecoveryConfig(
-        sv_logging=sv_logging,
-        session_ckpt_threshold_bytes=None,
-        sv_ckpt_write_threshold=10**9,
-    )
-    msp = MiddlewareServer(
-        sim, network, "server", ServiceDomainConfig(), config=config, rng=rng
-    )
-    msp.register_service("counter", _counter_method)
-    msp.register_service("reader", _reader_method)
-    msp.register_shared("total", (0).to_bytes(8, "big"))
-    msp.start_process()
-    client = EndClient(sim, network, "client")
-
-    def writer_driver(session):
-        yield 1.0
-        for _ in range(writer_requests):
-            yield from session.call("counter", b"x" * 100)
-
-    def reader_driver(session):
-        # Readers read once near the end of the writer's run, so their
-        # logged read observes a late version of the variable.
-        yield 1.0 + writer_requests * 8.0
-        yield from session.call("reader", b"")
-
-    writer_session = client.open_session("server", session_id="writer")
-    drivers = [sim.spawn(writer_driver(writer_session))]
-    reader_ids = []
-    for i in range(readers):
-        rid = f"reader{i}"
-        reader_ids.append(rid)
-        drivers.append(
-            sim.spawn(reader_driver(client.open_session("server", session_id=rid)))
-        )
-    for process in drivers:
-        sim.run_until_process(process, limit=3_600_000)
-
-    msp.crash()
-    boot = msp.restart_process()
-    crash_at = sim.now
-
-    ready: dict[str, float] = {}
-
-    def monitor():
-        yield boot
-        expected = {"writer", *reader_ids}
-        while expected - set(ready):
-            for sid, s in msp.sessions.items():
-                if sid in expected and sid not in ready:
-                    if s.status is SessionStatus.NORMAL and not s.recovery_pending:
-                        ready[sid] = sim.now - crash_at
-            yield 1.0
-
-    waiter = sim.spawn(monitor())
-    sim.run_until_process(waiter, limit=sim.now + 3_600_000)
-    total = int.from_bytes(msp.shared["total"].value, "big")
-    assert total == writer_requests, (
-        f"exactly-once violated under {sv_logging} logging: {total}"
-    )
-    mean_reader = sum(ready[r] for r in reader_ids) / len(reader_ids)
-    return ready["writer"], mean_reader
-
-
-def _sv_logging_point(spec):
-    sv_logging, readers, writer_requests, seed = spec
-    return _measure_sv_logging_recovery(sv_logging, readers, writer_requests, seed)
-
-
-def ablation_value_vs_access_order(
-    scale: float = 1.0, seed: int = 0, readers: int = 4,
-    jobs=None, progress=None,
-) -> ExperimentResult:
-    """Value logging (§3.3) vs access-order logging ([16]) at recovery.
-
-    One heavy writer keeps updating a shared variable; light reader
-    sessions read it once.  After a crash, value logging lets each
-    reader replay independently (its read value comes from the log, "a
-    recovering reader session can obtain the value from the log
-    directly"), while access-order logging makes every reader wait for
-    the writer to re-execute all preceding writes — the recovery
-    dependence the paper rejects access-order logging for.
-    """
-    writer_requests = max(30, int(250 * scale))
-    result = ExperimentResult(
-        experiment="ablation-sv-logging",
-        description=(
-            f"Session back-online time after a crash (ms); 1 writer x "
-            f"{writer_requests} requests + {readers} one-read readers"
-        ),
-    )
-    measured = {}
-    specs = [
-        (mode, readers, writer_requests, seed) for mode in ("value", "access-order")
-    ]
-    points = _ablation_sweep(_sv_logging_point, specs, jobs=jobs, progress=progress)
-    for spec, (writer_ms, reader_ms) in zip(specs, points):
-        mode = spec[0]
-        measured[mode] = (writer_ms, reader_ms)
-        result.rows.append(
-            {
-                "sv_logging": mode,
-                "writer_ready_ms": writer_ms,
-                "mean_reader_ready_ms": reader_ms,
-            }
-        )
-    result.claim(
-        "with value logging, readers are back online well before the "
-        "writer finishes replaying (recovery independence)",
-        measured["value"][1] < 0.7 * measured["value"][0],
-    )
-    result.claim(
-        "with access-order logging, readers are held hostage to the "
-        "writer's replay (recovery dependence)",
-        measured["access-order"][1] > 0.8 * measured["access-order"][0],
-    )
-    result.claim(
-        "value logging brings readers back >= 1.25x sooner",
-        measured["access-order"][1] / max(measured["value"][1], 1e-9) >= 1.25,
     )
     return result
 

@@ -379,7 +379,7 @@ def _log_space_run(
                 if truncation:
                     # Empty position maps: min_lsn is the checkpoint's
                     # own LSN, the most aggressive legal floor.
-                    yield from log.truncate_to(ckpt.min_lsn(clsn))
+                    yield from log.truncate_to(ckpt.partition_floors(clsn))
             if i + 1 in marks:
                 rows.append({"records": i + 1, "live_bytes": store.live_bytes})
         yield from log.flush()

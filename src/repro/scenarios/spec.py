@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fleet import FleetSpec
+from repro.fleet import FleetSpec, FleetTopology
 
 FAMILIES = ("none", "crash", "correlated", "partition", "disaster")
 
@@ -167,7 +167,10 @@ class ScenarioSpec:
 
     def expand(self) -> list[ScenarioCell]:
         """The full cell list, in canonical (topology, fault, seed)
-        order; disaster cells are followed by their cold baselines."""
+        order; disaster cells are followed by their cold baselines.
+
+        Every cell's fleet is validated here (``FleetTopology``), so a
+        bad cell fails before any shard starts, naming the cell."""
         cells: list[ScenarioCell] = []
         for topo_items in self.topologies:
             topo = dict(topo_items)
@@ -175,6 +178,11 @@ class ScenarioSpec:
                 fault = dict(fault_items)
                 for seed in self.seeds:
                     cells.extend(self._cells_for(topo, fault, seed))
+        for cell in cells:
+            try:
+                FleetTopology(cell.fleet)
+            except ValueError as error:
+                raise ValueError(f"cell {cell.cell_id}: {error}") from None
         ids = [c.cell_id for c in cells]
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -27,11 +27,16 @@ files on a real disk.
 The store also keeps a small *anchor block* (the paper's §3.4 "log
 anchor ... a block located at a specific location inside the physical
 log such as the log header") with its own durability flag.
+
+Whatever changes what a crash would leave behind — the durable
+boundary, the durable anchor, a rewind — is reported to the store's
+*durability observers* (:meth:`StableStore.subscribe`) after it
+succeeded; log shipping mirrors the store from those three events.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Protocol, Union
 
 #: Default segment size.  Small enough that short-lived data is
 #: reclaimed promptly, large enough that almost no frame straddles a
@@ -52,6 +57,20 @@ class LogTruncatedError(StableStoreError):
     starts, backward write chains, EOS comparisons).  Seeing this error
     therefore means a bookkeeping bug, not a recoverable condition.
     """
+
+
+class DurabilityObserver(Protocol):
+    """What a :meth:`StableStore.subscribe` subscriber is told, each
+    call made after the store's own state changed."""
+
+    def durable_advanced(self, store: "StableStore") -> None:
+        """``mark_durable`` ran (the boundary may not have moved)."""
+
+    def anchor_flushed(self, store: "StableStore") -> None:
+        """``flush_anchor`` ran."""
+
+    def rewound(self, store: "StableStore", boundary: int) -> None:
+        """``rewind(boundary)`` discarded everything past ``boundary``."""
 
 
 class StableStore:
@@ -87,6 +106,12 @@ class StableStore:
         #: Space accounting (monotone; survives crashes like the floor).
         self.truncated_bytes = 0
         self.recycled_segments = 0
+        self._observers: list[DurabilityObserver] = []
+
+    def subscribe(self, observer: DurabilityObserver) -> None:
+        """Report durability events to ``observer`` from now on.  The
+        subscription belongs to the store, so it survives crashes."""
+        self._observers.append(observer)
 
     # -- appending ------------------------------------------------------
 
@@ -159,6 +184,8 @@ class StableStore:
                 f"{self.name}: cannot mark durable past end ({upto} > {self._end})"
             )
         self._durable_end = max(self._durable_end, upto)
+        for observer in self._observers:
+            observer.durable_advanced(self)
 
     # -- reading ----------------------------------------------------------
 
@@ -282,6 +309,8 @@ class StableStore:
         """Make the staged anchor durable (caller pays the disk write)."""
         if self._anchor_volatile is not None:
             self._anchor_durable = self._anchor_volatile
+        for observer in self._observers:
+            observer.anchor_flushed(self)
 
     def read_anchor(self) -> Optional[bytes]:
         """Return the durable anchor contents (``None`` if never flushed)."""
@@ -322,6 +351,8 @@ class StableStore:
         if self._durable_end > boundary:
             self._durable_end = boundary
         self._reset_tail()
+        for observer in self._observers:
+            observer.rewound(self, boundary)
 
     # -- crashes ----------------------------------------------------------
 

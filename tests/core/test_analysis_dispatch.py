@@ -16,7 +16,6 @@ from repro.core.records import (
     RequestRecord,
     SessionCheckpointRecord,
     SessionEndRecord,
-    SvOrderRecord,
     SvReadRecord,
 )
 
@@ -103,19 +102,6 @@ def test_eos_hides_skipped_records():
     state = analyze_scan(_StubMsp(), records)
     # Everything at or after the orphan LSN is invisible.
     assert state.positions == {"s1": [0]}
-
-
-def test_access_order_bookkeeping():
-    records = [
-        (0, SvOrderRecord("s1", "SV0", version=1, is_write=True)),
-        (10, SvOrderRecord("s2", "SV0", version=1, is_write=False)),
-        (20, SvOrderRecord("s3", "SV0", version=1, is_write=False)),
-        (30, SvOrderRecord("s1", "SV0", version=2, is_write=True)),
-    ]
-    state = analyze_scan(_StubMsp(), records)
-    assert state.order_writes == {"SV0": 2}
-    assert state.order_reads == {"SV0": {1: 2}}
-    assert state.positions["s1"] == [0, 30]
 
 
 def test_empty_scan():

@@ -1,0 +1,73 @@
+"""Illegal configurations fail where they are written down.
+
+One table of illegal mode strings and partition counts, checked at the
+three places a configuration enters the system: ``MiddlewareServer``
+construction, ``FleetTopology`` construction, and scenario-matrix
+expansion.  Each must raise ``ValueError`` naming the offending value
+before any simulator step runs — not inside ``start()`` under the
+simulator, where a fleet or scenario cell would have hit it in a
+spawned shard.
+"""
+
+import pytest
+
+from repro.core import RecoveryConfig, ServiceDomainConfig
+from repro.core.msp import MiddlewareServer
+from repro.fleet import FleetSpec, FleetTopology
+from repro.net import Network
+from repro.scenarios import ScenarioSpec
+from repro.sim import Simulator
+
+#: (RecoveryConfig / FleetSpec overrides, regex the error must match)
+ILLEGAL = [
+    ({"recovery_mode": "sideways"}, r"unknown recovery_mode 'sideways'"),
+    ({"recovery_mode": ""}, r"unknown recovery_mode ''"),
+    ({"logging_mode": "both"}, r"unknown logging_mode 'both'"),
+    ({"logging_mode": "lazy"}, r"unknown logging_mode 'lazy'"),
+    ({"log_partitions": 0}, r"log_partitions must be an integer in 1\.\.255, got 0"),
+    ({"log_partitions": -1}, r"log_partitions must be an integer in 1\.\.255, got -1"),
+    ({"log_partitions": 256}, r"log_partitions must be an integer in 1\.\.255, got 256"),
+    ({"log_partitions": 2.0}, r"log_partitions must be an integer in 1\.\.255, got 2\.0"),
+]
+IDS = [f"{key}={value!r}" for overrides, _ in ILLEGAL for key, value in overrides.items()]
+
+
+@pytest.mark.parametrize("overrides,message", ILLEGAL, ids=IDS)
+def test_msp_construction_rejects(overrides, message):
+    sim = Simulator()
+    with pytest.raises(ValueError, match=message):
+        MiddlewareServer(
+            sim, Network(sim), "a", ServiceDomainConfig(),
+            config=RecoveryConfig(**overrides),
+        )
+    assert sim.steps == 0
+
+
+@pytest.mark.parametrize("overrides,message", ILLEGAL, ids=IDS)
+def test_fleet_topology_rejects(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        FleetTopology(FleetSpec(**overrides))
+
+
+@pytest.mark.parametrize("overrides,message", ILLEGAL, ids=IDS)
+def test_scenario_expansion_rejects_naming_the_cell(overrides, message):
+    spec = ScenarioSpec.from_dict({
+        "seeds": [3],
+        "topologies": [
+            {"name": "good", "msps": 2, "domains": 1},
+            {"name": "bad", "msps": 2, "domains": 1, **overrides},
+        ],
+        "faults": [{"name": "calm", "family": "none"}],
+    })
+    with pytest.raises(ValueError, match=r"cell bad/calm/s3: " + message):
+        spec.expand()
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 255])
+def test_partition_count_bounds_are_legal(partitions):
+    sim = Simulator()
+    msp = MiddlewareServer(
+        sim, Network(sim), "a", ServiceDomainConfig(),
+        config=RecoveryConfig(log_partitions=partitions),
+    )
+    assert len(msp.stores) == len(msp.disks) == partitions

@@ -65,10 +65,6 @@ GOLDEN = [
         "05057661722d6107636b707476616c03",
     ),
     (
-        R.SvOrderRecord("sess-1", "var-a", version=5, is_write=True),
-        "0d06736573732d31057661722d610501",
-    ),
-    (
         R.SessionCheckpointRecord(
             "sess-1", {"x": b"1", "y": b"22"}, b"reply", 4, 5, {"out-2": 7},
             buffered_reply_error=True,
@@ -179,3 +175,27 @@ def test_decode_from_memoryview_matches(record, golden_hex):
     # buffer alive.
     for name, value in vars(decoded).items():
         assert not isinstance(value, memoryview), name
+
+
+def test_single_log_checkpoint_floor_is_its_min_lsn():
+    """The golden P=1 checkpoint wrote no ``partition_ends`` block: its
+    floor vector is the one-element ``[min_lsn]`` — the encoding rule
+    that lets a single log run the N-partition recovery path."""
+    golden = next(r for r, _ in GOLDEN if isinstance(r, R.MspCheckpointRecord))
+    ckpt = decode_record(golden.encode())
+    assert ckpt.partition_ends == ()
+    for anchor in (40, 55, 700):
+        assert ckpt.partition_floors(anchor) == [ckpt.min_lsn(anchor)]
+    assert ckpt.partition_floors(700) == [50]
+
+
+@pytest.mark.parametrize("decoder", [decode_record, _decode_record_general])
+def test_retired_kind_13_is_unknown(decoder):
+    """Kind 13 (the access-order record, retired) must not decode: these
+    are the bytes the seed codec wrote for one."""
+    payload = bytes.fromhex("0d06736573732d31057661722d610501")
+    with pytest.raises(ValueError, match="unknown log record kind 13"):
+        decoder(payload)
+    assert 13 not in {
+        value for name, value in vars(R).items() if name.startswith("KIND_")
+    }

@@ -37,7 +37,6 @@ def _chained_records(prev_lsn):
             "s-1", "v", b"old", b"new", variable_dv=_dv(), writer_dv=_dv(),
             prev_write_lsn=64, prev_lsn=prev_lsn,
         ),
-        R.SvOrderRecord("s-1", "v", 5, is_write=True, prev_lsn=prev_lsn),
     ]
 
 

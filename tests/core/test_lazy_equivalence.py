@@ -10,10 +10,9 @@ a service method can observe must not.
 
 The companion property — the backward chain walk visits exactly the
 records the analysis scan attributes to the session — is checked
-*inside* every lazy recovery: ``recovery_merge_assert`` (on by default
-here) makes ``recover_session`` cross-check the walked positions
-against the scan-derived stream and raise on any difference, so each
-example exercises it once per recovered session.
+*inside* every lazy recovery: ``recover_session`` cross-checks the
+walked positions against the scan-derived stream and raises on any
+difference, so each example exercises it once per recovered session.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -49,7 +48,6 @@ def run_mode(mode, seed, crash_times, n_clients, n_calls, logging_mode="value"):
     rng = RngRegistry(seed)
     net = Network(sim, rng=rng)
     config = RecoveryConfig(recovery_mode=mode, logging_mode=logging_mode)
-    assert config.recovery_merge_assert  # the chain-walk cross-check is armed
     msp = MiddlewareServer(
         sim, net, "msp1", ServiceDomainConfig(), config=config, rng=rng
     )

@@ -92,33 +92,6 @@ def settle(sim, msp):
     sim.run_until_process(p, limit=sim.now + 600_000)
 
 
-# -- configuration validation -------------------------------------------------
-
-
-def test_unknown_recovery_mode_rejected():
-    from repro.core.errors import SessionProtocolError
-
-    sim, _net, msp, _clients = build_world(
-        config=RecoveryConfig(recovery_mode="sideways")
-    )
-    boot = msp.start_process()
-    sim.run_until_process(boot, limit=10_000)
-    with pytest.raises(SessionProtocolError, match="recovery_mode"):
-        boot.result
-
-
-def test_lazy_requires_value_logging():
-    from repro.core.errors import SessionProtocolError
-
-    sim, _net, msp, _clients = build_world(
-        config=lazy_config(sv_logging="access-order")
-    )
-    boot = msp.start_process()
-    sim.run_until_process(boot, limit=10_000)
-    with pytest.raises(SessionProtocolError, match="value logging"):
-        boot.result
-
-
 # -- basic lazy crash/restart -------------------------------------------------
 
 

@@ -40,7 +40,7 @@ def fill(sim, log, n):
 
 
 def truncate(sim, log, floor):
-    return sim.run_process(log.truncate_to(floor))
+    return sim.run_process(log.truncate_to([floor]))
 
 
 def test_truncate_to_advances_floor_and_recycles():
@@ -169,7 +169,7 @@ def test_window_reader_invalidated_by_truncation():
     def fetches():
         first = yield from reader.fetch(lsns[0])
         assert first.recovered_lsn == 0
-        yield from log.truncate_to(lsns[5])
+        yield from log.truncate_to([lsns[5]])
         # The window's low end was recycled: fetches below raise ...
         with pytest.raises(LogTruncatedError):
             yield from reader.fetch(lsns[1])
@@ -195,7 +195,7 @@ def test_truncate_floor_at_exact_segment_boundary():
         for i in range(4):
             log.append(rec(i))
         yield from log.flush()
-        yield from log.truncate_to(boundary)
+        yield from log.truncate_to([boundary])
         return boundary
 
     boundary = sim.run_process(run())

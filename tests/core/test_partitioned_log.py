@@ -24,7 +24,14 @@ from repro.core.crash_recovery import (
 from repro.core.dv import DependencyVector
 from repro.core.errors import RecoveryMergeError
 from repro.core.log_manager import LogManager
-from repro.core.plsn import make_plsn, plsn_offset, plsn_partition
+from repro.core.plsn import (
+    decode_frontier,
+    encode_frontier,
+    is_frontier,
+    make_plsn,
+    plsn_offset,
+    plsn_partition,
+)
 from repro.core.records import RequestRecord
 from repro.sim import ProcessGroup, Simulator
 from repro.storage import Disk, StableStore
@@ -160,6 +167,50 @@ def test_consistent_cut_is_dependency_closed(seed, nparts, n):
     merged = merge_partition_scans("M", 0, filtered, cut)
     assert_merge_order("M", 0, merged)
     assert {lsn for lsn, _record in merged} == kept
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    nparts=st.integers(1, 4),
+    n=st.integers(1, 60),
+    data=st.data(),
+)
+def test_one_partition_is_the_degenerate_cut_and_merge(seed, nparts, n, data):
+    """Whatever dependencies its records carry, a single scanned
+    partition has no cross-partition edges: the cut is its durable end
+    and the merge is its scan order.  This is what lets a single log
+    run the N-partition recovery path at no per-record cost."""
+    rng = random.Random(seed)
+    _sim, log = make_partitioned_log(nparts)
+    _plsns, _deps, partition_records = _append_history(log, rng, n)
+    partition = data.draw(st.integers(0, nparts - 1))
+    scanned = partition_records[partition]
+    durable_ends = {partition: log.partitions[partition].store.end}
+    alone = {partition: scanned}
+    assert compute_partition_cut("M", 0, alone, durable_ends) == durable_ends
+    merged = merge_partition_scans("M", 0, alone, durable_ends)
+    assert merged == [
+        (make_plsn(partition, offset), record) for offset, record in scanned
+    ]
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 255])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_frontier_roundtrips_at_every_legal_width(nparts, data):
+    ends = tuple(
+        data.draw(st.lists(
+            st.integers(0, (1 << 48) - 1), min_size=nparts, max_size=nparts
+        ))
+    )
+    packed = encode_frontier(ends)
+    assert decode_frontier(packed) == ends
+    # One partition is the raw scalar (the historical announcement
+    # bytes); wider frontiers are tagged and never collide with it.
+    assert is_frontier(packed) == (nparts > 1)
+    if nparts == 1:
+        assert packed == ends[0]
 
 
 def test_merge_raises_on_unsatisfiable_dependency():

@@ -176,16 +176,6 @@ def test_session_checkpoint_roundtrip_property(variables, reply, seq):
     assert roundtrip(rec) == rec
 
 
-def test_sv_order_record_roundtrip():
-    from repro.core.records import SvOrderRecord
-
-    read = SvOrderRecord("s", "v", version=7, is_write=False)
-    write = SvOrderRecord("s", "v", version=8, is_write=True)
-    assert roundtrip(read) == read
-    assert roundtrip(write) == write
-    assert session_of(read) == "s"
-
-
 def test_sv_checkpoint_version_roundtrip():
     rec = SvCheckpointRecord("v", b"value", version=42)
     back = roundtrip(rec)

@@ -68,6 +68,16 @@ def test_shipping_tracks_the_durable_prefix():
     assert standby.verify_against_primary() == []
 
 
+def test_standby_subscribes_instead_of_patching_the_store():
+    """Shipping hangs off the store's durability-observer hook: no
+    method of any store instance is assigned over."""
+    _sim, msp, _client = build(log_partitions=2)
+    WarmStandby(msp)
+    for store in msp.stores:
+        patched = {"mark_durable", "flush_anchor", "rewind"} & set(vars(store))
+        assert not patched, patched
+
+
 def test_shipping_covers_every_log_partition():
     sim, msp, client = build(log_partitions=3)
     standby = WarmStandby(msp)

@@ -2,8 +2,8 @@
 
 Everything the single-log battery checks must hold at ``--partitions
 4``: crashes landing inside any one partition's flush, DV-ordered
-merge recovery (``recovery_merge_assert`` is on by default in fuzz
-worlds), and the cross-incarnation aliasing regression the recovery
+merge recovery (the merge re-checks its own order on every
+recovery), and the cross-incarnation aliasing regression the recovery
 rewind exists for — case 33 crashes msp1 so that one partition keeps a
 durable record whose cross-partition dependency was lost, and a later
 crash re-reads the offsets the first recovery excised.

@@ -95,3 +95,52 @@ def test_append_after_crash_continues_from_durable_end():
     offset = store.append(b"cccc")
     assert offset == 4
     assert store.read(0, 8) == b"aaaacccc"
+
+
+class _Recorder:
+    """A durability observer that writes down what it is told, and what
+    the store looked like when it was told."""
+
+    def __init__(self):
+        self.events = []
+
+    def durable_advanced(self, store):
+        self.events.append(("durable", store.durable_end))
+
+    def anchor_flushed(self, store):
+        self.events.append(("anchor", store.read_anchor()))
+
+    def rewound(self, store, boundary):
+        self.events.append(("rewound", boundary, store.end))
+
+
+def test_observer_is_told_after_each_durability_event():
+    store = StableStore()
+    seen = _Recorder()
+    store.subscribe(seen)
+    store.append(b"0123456789")
+    assert seen.events == []  # appends are volatile: nothing to report
+    store.mark_durable(6)
+    store.write_anchor(b"a1")
+    assert seen.events == [("durable", 6)]  # staging is not durable yet
+    store.flush_anchor()
+    store.rewind(4)
+    assert seen.events == [
+        ("durable", 6), ("anchor", b"a1"), ("rewound", 4, 4),
+    ]
+
+
+def test_observer_is_not_told_of_a_refused_call_and_survives_crashes():
+    store = StableStore()
+    seen = _Recorder()
+    store.subscribe(seen)
+    store.append(b"abcd")
+    with pytest.raises(StableStoreError):
+        store.mark_durable(99)
+    with pytest.raises(StableStoreError):
+        store.rewind(99)
+    assert seen.events == []
+    store.crash()
+    store.append(b"efgh")
+    store.mark_durable(4)
+    assert seen.events == [("durable", 4)]
