@@ -128,14 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "--recovery-mode", choices=("eager", "lazy"), default="eager",
-        help="crash-recovery mode: eager replays every session before "
-        "serving (the paper's restart); lazy opens after the analysis "
-        "scan and replays each session's log chain on demand",
+        help="crash-recovery mode: eager starts every session's replay "
+        "at restart (the paper's restart); lazy opens after the analysis "
+        "scan and replays each session on demand (same log format)",
     )
     workload.add_argument(
         "--pump-concurrency", type=int, default=4,
         help="lazy mode: background recovery workers draining "
-        "not-yet-recovered sessions hot-first (default 4)",
+        "not-yet-recovered sessions in session-id order (>= 1, default 4)",
     )
     workload.add_argument(
         "--logging-mode", choices=("value", "command", "adaptive"),
@@ -277,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--batch", type=float, default=0.0, help="batch flush ms")
     trace.add_argument(
         "--recovery-mode", choices=("eager", "lazy"), default="eager",
-        help="crash-recovery mode for the traced workload; lazy adds the "
-        "chain-walk and pump spans to the recovery breakdown",
+        help="crash-recovery mode for the traced workload; lazy replays "
+        "each session on demand (inline or by the background pump)",
     )
     trace.add_argument(
         "--logging-mode", choices=("value", "command", "adaptive"),
@@ -650,7 +650,6 @@ def _run_trace(args: argparse.Namespace) -> int:
             "recovery.analyze",
             "recovery.checkpoint",
             "recovery.session",
-            "recovery.session.chainwalk",
         )
     ]
     if any(h is not None and h.count for _name, h in rows):

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.dv import DependencyVector, StateId
 from repro.core.errors import FlushFailed
-from repro.core.records import NO_LSN, MspCheckpointRecord, SvCheckpointRecord
+from repro.core.records import MspCheckpointRecord, SvCheckpointRecord
 from repro.core.session import Session, SessionStatus
 from repro.core.shared_variable import SharedVariable
 
@@ -236,19 +236,6 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         # start and truncation floor.  The single log's format has no
         # ends block; its one floor is the minimal LSN.
         partition_ends=msp.log.partition_ends() if partitioned else (),
-        # Lazy recovery (DESIGN.md §15): each live session's backward
-        # chain head, so a post-crash analysis can seed chains without
-        # rediscovering them.  Sessions with an empty chain are omitted
-        # (absent == NO_LSN).
-        session_chain_heads=(
-            {
-                sid: s.chain_lsn
-                for sid, s in msp.sessions.items()
-                if s.chain_lsn != NO_LSN
-            }
-            if msp.lazy_mode
-            else {}
-        ),
     )
     yield from msp.cpu(msp.config.costs.log_append_ms)
     lsn, _size = msp.log.append(record)

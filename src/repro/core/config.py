@@ -181,14 +181,16 @@ class RecoveryConfig:
     cpu_cores: int = 1
 
     # -- lazy recovery (DESIGN.md §15) --------------------------------------
-    #: ``eager`` replays every session before the MSP opens for traffic
-    #: (the paper's §4 restart, byte-identical to previous releases).
-    #: ``lazy`` opens the MSP right after the analysis scan: each
-    #: session's chain is replayed on demand when its next request
-    #: arrives, with a background pump draining the rest hot-first.
+    #: Who replays a rebuilt session after the analysis scan, and when
+    #: — a drain policy only; the log format is the same in both modes.
+    #: Either way the MSP opens for traffic as soon as ``drain`` returns.
+    #: ``eager`` spawns every session's replay at once (the paper's §4
+    #: restart).  ``lazy`` leaves the sessions pending: each is replayed
+    #: on demand when its next request arrives, and a background pump
+    #: drains the rest in session-id order.
     recovery_mode: str = "eager"
     #: How many sessions the background recovery pump replays
-    #: concurrently in lazy mode.
+    #: concurrently in lazy mode (an integer >= 1).
     recovery_pump_concurrency: int = 4
 
     # -- command/value logging (DESIGN.md §16) -------------------------------
@@ -239,5 +241,11 @@ class RecoveryConfig:
         return self.mode is LoggingMode.RECOVERABLE
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for an illegal mode or partition count."""
+        """Raise ``ValueError`` for an illegal mode, partition count or
+        pump concurrency."""
         check_modes(self.recovery_mode, self.logging_mode, self.log_partitions)
+        pump = self.recovery_pump_concurrency
+        if not isinstance(pump, int) or pump < 1:
+            raise ValueError(
+                f"recovery_pump_concurrency must be an integer >= 1, got {pump!r}"
+            )

@@ -625,14 +625,6 @@ def write_eos(msp: "MiddlewareServer", session: "Session", orphan_lsn: int):
     the orphan record to the log end, which is equally correct.
     """
     session.position_stream.remove_from(orphan_lsn)
-    if msp.lazy_mode:
-        # Splice the backward chain past the skipped records: the next
-        # chained record links to the last *kept* position, so a lazy
-        # chain walk never visits the orphaned suffix (DESIGN.md §15).
-        from repro.core.records import NO_LSN
-
-        kept = session.position_stream.positions()
-        session.chain_lsn = kept[-1] if kept else NO_LSN
     record = EosRecord(session_id=session.id, orphan_lsn=orphan_lsn)
     yield from msp.cpu(msp.config.costs.log_append_ms)
     _lsn, size = msp.log.append(record)

@@ -15,13 +15,14 @@ The sequence after a restart:
 5. recover all sessions **in parallel** along their reconstructed
    position streams while already accepting new sessions.
 
-Lazy mode (``recovery_mode: lazy``, DESIGN.md §15) replaces step 5: the
-MSP opens for traffic right after the analysis scan with every surviving
-session marked ``lazy_pending``; a session's chain is replayed on demand
-— inline when its next request arrives (:func:`recover_session`), or by
-a background pump draining the rest hot-first under a concurrency
-budget.  Time-to-first-served-request drops from O(total log replay) to
-O(analysis + one session chain).
+Lazy mode (``recovery_mode: lazy``, DESIGN.md §15) changes only step 5:
+the MSP opens for traffic right after the analysis scan with every
+surviving session marked ``lazy_pending``; a session is replayed along
+its scan-built position stream on demand — inline when its next request
+arrives (:func:`recover_session`), or by a background pump draining the
+rest in session-id order under a concurrency budget.
+Time-to-first-served-request drops from O(total log replay) to
+O(analysis + one session's stream).
 """
 
 from __future__ import annotations
@@ -31,19 +32,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.checkpoint import perform_msp_checkpoint
 from repro.core.dv import PKEY_BITS, RecoveryTable
-from repro.core.errors import (
-    LogTruncatedError,
-    RecoveryMergeError,
-    SessionProtocolError,
-)
-from repro.core.log_manager import LogWindowReader
-from repro.core.plsn import (
-    OFFSET_BITS,
-    OFFSET_MASK,
-    encode_frontier,
-    make_plsn,
-    plsn_offset,
-)
+from repro.core.errors import LogTruncatedError, RecoveryMergeError
+from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, encode_frontier, make_plsn
 from repro.core.records import (
     NO_LSN,
     AnnouncementRecord,
@@ -59,7 +49,6 @@ from repro.core.records import (
     SvReadRecord,
     SvUpdateRecord,
     SvWriteRecord,
-    session_of,
 )
 from repro.core.replay import run_session_recovery
 from repro.core.session import SessionStatus
@@ -82,11 +71,10 @@ class AnalysisState:
     #: sessions whose end marker was seen (never rebuilt).
     ended: set[str] = field(default_factory=set)
 
-    #: LSN of the anchored MSP checkpoint (None: never anchored), the
-    #: epoch it recorded and the chain heads it captured (lazy mode).
+    #: LSN of the anchored MSP checkpoint (None: never anchored) and
+    #: the epoch it recorded.
     anchor: Optional[int] = None
     old_epoch: int = 0
-    ckpt_chain_heads: dict[str, int] = field(default_factory=dict)
     #: Per-partition scan start offsets.
     scan_starts: list[int] = field(default_factory=list)
     #: partition -> scanned ``(offset, record)`` pairs, below the cut
@@ -100,20 +88,6 @@ class AnalysisState:
     recovered_lsn: int = 0
     #: The rebuilt sessions awaiting replay, in session-id order.
     to_recover: list = field(default_factory=list)
-
-    def chain_heads(self) -> dict[str, int]:
-        """Per-session backward-chain heads (lazy recovery, DESIGN.md §15).
-
-        The chain and the position stream cover exactly the same
-        records and are pruned identically (reset at session
-        checkpoints, filtered at EOS, dropped at session end), so the
-        head is simply each stream's most recent position — NO_LSN for
-        a session whose stream is empty (just checkpointed).
-        """
-        return {
-            sid: (stream[-1] if stream else NO_LSN)
-            for sid, stream in self.positions.items()
-        }
 
 
 # -- per-record-kind handlers of the analysis scan ---------------------------
@@ -470,7 +444,6 @@ def read_anchor(msp: "MiddlewareServer", state: AnalysisState):
             raise ValueError(f"{msp.name}: anchor does not point at an MSP checkpoint")
         msp.table = RecoveryTable.from_snapshot(ckpt.recovered_snapshot)
         state.old_epoch = ckpt.epoch
-        state.ckpt_chain_heads = dict(ckpt.session_chain_heads)
         state.scan_starts = ckpt.partition_floors(state.anchor)
         if len(state.scan_starts) != log.nparts:
             raise ValueError(
@@ -554,18 +527,10 @@ def analyze(msp: "MiddlewareServer", state: AnalysisState):
 
 
 def rebuild_sessions(msp: "MiddlewareServer", state: AnalysisState) -> None:
-    """Rebuild the session objects (state itself is rebuilt by replay).
-
-    Lazy mode: each session keeps its scan-derived position stream (the
-    chain walk's fallback and cross-check oracle) plus its chain head —
-    seeded from the anchored checkpoint, overridden by anything the
-    scan observed since.
-    """
+    """Rebuild the session objects (state itself is rebuilt by replay
+    along the position stream installed here); lazy mode marks each one
+    ``lazy_pending`` until :func:`recover_session` claims it."""
     positions, session_ckpts = state.positions, state.session_ckpts
-    lazy = msp.lazy_mode
-    if lazy:
-        heads = state.ckpt_chain_heads
-        heads.update(state.chain_heads())
     for session_id in sorted(positions.keys() | session_ckpts.keys()):
         if session_id in state.ended:
             continue
@@ -582,9 +547,7 @@ def rebuild_sessions(msp: "MiddlewareServer", state: AnalysisState) -> None:
         stream = positions.get(session_id, [])
         session.position_stream.replace(stream)
         session.first_lsn = stream[0] if stream else session.last_ckpt_lsn
-        if lazy:
-            session.chain_lsn = heads.get(session_id, NO_LSN)
-            session.lazy_pending = True
+        session.lazy_pending = msp.lazy_mode
         state.to_recover.append(session)
 
 
@@ -617,7 +580,7 @@ def drain(msp: "MiddlewareServer", state: AnalysisState) -> None:
     exists only for the ablation benchmark — the paper's design point is
     that parallel recovery shortens outages).  Lazy replays nothing
     here: requests trigger their session's replay inline, and a
-    background pump drains the rest hot-first (DESIGN.md §15).
+    background pump drains the rest (DESIGN.md §15).
     """
     if msp.lazy_mode:
         msp.sim.probe("recovery.lazy.analyze", owner=msp.name)
@@ -694,46 +657,9 @@ def recover_msp(msp: "MiddlewareServer"):
 # -- lazy on-demand session recovery (DESIGN.md §15) --------------------------
 
 
-def walk_session_chain(msp: "MiddlewareServer", session, head: int):
-    """Walk one session's backward chain from ``head`` (generator).
-
-    Returns the chained record lsns in forward (replay) order, or
-    ``None`` if a visited record carries no chain link — a log written
-    in eager mode, where the caller must fall back to the scan-derived
-    position stream.  Raises :class:`LogTruncatedError` (from the
-    window reader) if the chain reaches below the truncation floor, and
-    :class:`SessionProtocolError` if a link leaves the session or fails
-    to move strictly backward — either means a corrupt chain, and
-    serving state reconstructed from it would violate exactly-once.
-    """
-    reader = LogWindowReader(msp.log, durable_only=False)
-    positions: list[int] = []
-    cursor = head
-    prev_offset: int | None = None
-    while cursor != NO_LSN:
-        record = yield from reader.fetch(cursor)
-        if session_of(record) != session.id:
-            raise SessionProtocolError(
-                f"{msp.name}: chain of session {session.id} reached foreign "
-                f"record {record!r} at {cursor}"
-            )
-        offset = plsn_offset(cursor)
-        if prev_offset is not None and offset >= prev_offset:
-            raise SessionProtocolError(
-                f"{msp.name}: chain of session {session.id} does not move "
-                f"strictly backward at {cursor}"
-            )
-        prev_offset = offset
-        positions.append(cursor)
-        if record.prev_lsn is None:
-            return None
-        cursor = record.prev_lsn
-    positions.reverse()
-    return positions
-
-
 def recover_session(msp: "MiddlewareServer", session):
-    """Replay one lazy-pending session's chain on demand (generator).
+    """Replay one lazy-pending session on demand (generator), along the
+    position stream the analysis scan built for it.
 
     Idempotent under races: the claim (clearing ``lazy_pending``) is
     synchronous, so of an arriving request and a pump worker targeting
@@ -746,33 +672,6 @@ def recover_session(msp: "MiddlewareServer", session):
     session.status = SessionStatus.RECOVERING
     msp.stats.lazy_recoveries += 1
     msp.sim.probe("recovery.session.begin", owner=msp.name)
-    tracer = msp.sim.tracer
-    step = None
-    if tracer is not None:
-        step = tracer.span(
-            "recovery.session.chainwalk", owner=msp.name, session=session.id
-        )
-    walked = None
-    if session.chain_lsn != NO_LSN:
-        walked = yield from walk_session_chain(msp, session, session.chain_lsn)
-    if step is not None:
-        step.end(
-            records=len(walked) if walked is not None else 0,
-            fallback=walked is None and session.chain_lsn != NO_LSN,
-        )
-    if walked is not None:
-        # The chain walk must visit exactly the records the analysis
-        # scan attributed to this session (the §15 safety argument's
-        # executable form).
-        scanned = list(session.position_stream.positions())
-        if walked != scanned:
-            raise SessionProtocolError(
-                f"{msp.name}: chain walk of session {session.id} visited "
-                f"{walked}, scan attributed {scanned}"
-            )
-        session.position_stream.replace(walked)
-    # A chainless (eager-written) log replays along the scan-derived
-    # stream already installed on the session.
     yield from run_session_recovery(msp, session, orphan=False)
     # The replay may run long after the restart (pump backlog): the
     # idle-expiry clock restarts at the moment the session is actually
@@ -781,38 +680,14 @@ def recover_session(msp: "MiddlewareServer", session):
     msp.sim.probe("recovery.session.end", owner=msp.name)
 
 
-def _session_heat(msp: "MiddlewareServer", session_id: str) -> int:
-    """Trace-derived request heat (PR 5 metrics registry); 0 untraced."""
-    tracer = msp.sim.tracer
-    if tracer is None:
-        return 0
-    counter = tracer.metrics.counters.get(f"heat.session.{session_id}")
-    return counter.value if counter is not None else 0
-
-
-def _next_lazy_session(msp: "MiddlewareServer"):
-    """The hottest unclaimed lazy-pending session (deterministic:
-    strictly greater heat wins, ties break to the smallest id)."""
-    best = None
-    best_heat = -1
-    for session_id in sorted(msp.sessions):
-        session = msp.sessions[session_id]
+def _recovery_pump(msp: "MiddlewareServer", pending):
+    """One background pump worker: claim and replay sessions from the
+    iterator it shares with its siblings until that runs dry.  Picking
+    and claiming are synchronous (no yield between them), so concurrent
+    workers never double-replay a session."""
+    for session in pending:
         if not session.lazy_pending:
-            continue
-        heat = _session_heat(msp, session_id)
-        if heat > best_heat:
-            best, best_heat = session, heat
-    return best
-
-
-def _recovery_pump(msp: "MiddlewareServer"):
-    """One background pump worker: claim and replay sessions until none
-    remain.  Picking and claiming are synchronous (no yield between
-    them), so concurrent workers never double-replay a session."""
-    while True:
-        session = _next_lazy_session(msp)
-        if session is None:
-            return
+            continue  # an arriving request claimed it inline meanwhile
         msp.stats.pump_recoveries += 1
         msp.sim.probe("recovery.pump.step", owner=msp.name)
         yield from recover_session(msp, session)
@@ -820,10 +695,15 @@ def _recovery_pump(msp: "MiddlewareServer"):
 
 def spawn_recovery_pump(msp: "MiddlewareServer") -> None:
     """Start the background drain under the configured concurrency
-    budget (lazy mode step 5)."""
-    pending = sum(1 for s in msp.sessions.values() if s.lazy_pending)
-    workers = min(max(1, msp.config.recovery_pump_concurrency), pending)
-    for i in range(workers):
+    budget (lazy mode step 5): the workers share one pass over the
+    pending sessions in session-id order."""
+    pending = [
+        session
+        for _id, session in sorted(msp.sessions.items())
+        if session.lazy_pending
+    ]
+    queue = iter(pending)
+    for i in range(min(msp.config.recovery_pump_concurrency, len(pending))):
         msp.sim.spawn(
-            _recovery_pump(msp), name=f"{msp.name}.recpump{i}", group=msp.group
+            _recovery_pump(msp, queue), name=f"{msp.name}.recpump{i}", group=msp.group
         )

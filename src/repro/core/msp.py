@@ -85,13 +85,13 @@ class MspStats:
     replayed_requests: int = 0
     recovery_scan_records: int = 0
     recovery_scan_ms: float = 0.0
-    #: Lazy recovery (DESIGN.md §15): chains replayed on demand, split
-    #: by trigger (an arriving request vs the background pump).
+    #: Lazy recovery (DESIGN.md §15): sessions replayed on demand,
+    #: split by trigger (an arriving request vs the background pump).
     lazy_recoveries: int = 0
     inline_recoveries: int = 0
     pump_recoveries: int = 0
     #: Invariant counter — a request entering normal processing while
-    #: its session's chain was still unreplayed.  Must stay 0.
+    #: its session was still unreplayed.  Must stay 0.
     served_before_recovery: int = 0
     #: Command/value adaptive logging (DESIGN.md §16): requests logged
     #: as command records, commands re-executed at replay, and adaptive
@@ -164,10 +164,10 @@ class MiddlewareServer:
         self.group: Optional[ProcessGroup] = None
         self.running = False
         self.stats = MspStats()
-        #: Lazy recovery mode (DESIGN.md §15): thread per-session
-        #: backward-chain links through the log and recover sessions on
-        #: demand after a crash.  Cached — the mode is fixed per run
-        #: (and was validated above, like ``logging_mode``).
+        #: Lazy recovery mode (DESIGN.md §15): after a crash, leave the
+        #: rebuilt sessions pending and replay each on demand.  Cached —
+        #: the mode is fixed per run (and was validated above, like
+        #: ``logging_mode``).
         self.lazy_mode = self.config.recovery_mode == "lazy"
         #: Command/value adaptive logging (DESIGN.md §16), cached like
         #: ``lazy_mode``: ``command_mode`` fixes every session to
@@ -355,11 +355,7 @@ class MiddlewareServer:
         Returns ``(lsn, size)``.
         """
         yield from self.cpu(self.config.costs.log_append_ms)
-        if self.lazy_mode:
-            record.prev_lsn = session.chain_lsn
         lsn, size = self.log.append(record)
-        if self.lazy_mode:
-            session.chain_lsn = lsn
         spill_due = session.account_record(lsn, size, self.epoch)
         if spill_due:
             yield from session.position_stream.spill(self.disk)
@@ -374,11 +370,7 @@ class MiddlewareServer:
         variable's state number, not the session's (paper Fig. 8).
         """
         yield from self.cpu(self.config.costs.log_append_ms)
-        if self.lazy_mode:
-            record.prev_lsn = session.chain_lsn
         lsn, size = self.log.append(record)
-        if self.lazy_mode:
-            session.chain_lsn = lsn
         if session.first_lsn is None:
             session.first_lsn = lsn
         session.bytes_since_ckpt += size
@@ -456,9 +448,6 @@ class MiddlewareServer:
             tracer = self.sim.tracer
             span = None
             if tracer is not None:
-                # Per-session request heat — the lazy recovery pump's
-                # hot-first priority signal (DESIGN.md §15).
-                tracer.metrics.inc(f"heat.session.{request.session_id}")
                 span = tracer.span(
                     "msp.request",
                     owner=self.name,
@@ -505,7 +494,7 @@ class MiddlewareServer:
 
         if session.lazy_pending:
             # Lazy restart (DESIGN.md §15): first contact with an
-            # unrecovered session replays its chain inline, then falls
+            # unrecovered session replays it inline, then falls
             # through — duplicate detection below runs against the
             # restored exactly-once state.  A concurrent request for the
             # same session sees RECOVERING and gets a busy reply.

@@ -86,12 +86,6 @@ class RequestRecord:
 
     The attached DV is present only for intra-domain senders (optimistic
     logging); cross-domain messages arrive flushed and carry none.
-
-    ``prev_lsn`` is an optional trailing field written only in lazy
-    recovery mode (DESIGN.md §15): the lsn of the session's previous
-    chained record, forming a per-session backward chain that lazy
-    recovery walks instead of attributing a full scan.  Eager mode omits
-    it, keeping the bytes identical to previous releases.
     """
 
     session_id: str
@@ -99,26 +93,24 @@ class RequestRecord:
     method: str
     argument: bytes
     sender_dv: Optional[DependencyVector] = None
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_REQUEST, init=False)
 
     def encode(self) -> bytes:
         sid = self.session_id.encode("utf-8")
         method = self.method.encode("utf-8")
         argument = self.argument
-        parts = [
-            _kind_len(KIND_REQUEST, len(sid)),
-            sid,
-            encode_uvarint(self.seq),
-            encode_uvarint(len(method)),
-            method,
-            encode_uvarint(len(argument)),
-            argument,
-            _optional_dv_bytes(self.sender_dv),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_REQUEST, len(sid)),
+                sid,
+                encode_uvarint(self.seq),
+                encode_uvarint(len(method)),
+                method,
+                encode_uvarint(len(argument)),
+                argument,
+                _optional_dv_bytes(self.sender_dv),
+            )
+        )
 
 
 @dataclass
@@ -131,8 +123,8 @@ class CommandRecord:
     recovery re-executes the handler deterministically against recovered
     state (Lomet-style logical recovery).  The fields deliberately
     mirror :class:`RequestRecord` so the analysis scan, the recovery
-    cut/merge (``sender_dv``), partition routing (``session_id``) and
-    the lazy backward chain (``prev_lsn``) all treat it identically.
+    cut/merge (``sender_dv``) and partition routing (``session_id``)
+    all treat it identically.
     """
 
     session_id: str
@@ -140,26 +132,24 @@ class CommandRecord:
     method: str
     argument: bytes
     sender_dv: Optional[DependencyVector] = None
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_COMMAND, init=False)
 
     def encode(self) -> bytes:
         sid = self.session_id.encode("utf-8")
         method = self.method.encode("utf-8")
         argument = self.argument
-        parts = [
-            _kind_len(KIND_COMMAND, len(sid)),
-            sid,
-            encode_uvarint(self.seq),
-            encode_uvarint(len(method)),
-            method,
-            encode_uvarint(len(argument)),
-            argument,
-            _optional_dv_bytes(self.sender_dv),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_COMMAND, len(sid)),
+                sid,
+                encode_uvarint(self.seq),
+                encode_uvarint(len(method)),
+                method,
+                encode_uvarint(len(argument)),
+                argument,
+                _optional_dv_bytes(self.sender_dv),
+            )
+        )
 
 
 @dataclass
@@ -171,26 +161,24 @@ class ReplyRecord:
     seq: int
     payload: bytes
     sender_dv: Optional[DependencyVector] = None
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_REPLY, init=False)
 
     def encode(self) -> bytes:
         sid = self.session_id.encode("utf-8")
         out = self.outgoing_session_id.encode("utf-8")
         payload = self.payload
-        parts = [
-            _kind_len(KIND_REPLY, len(sid)),
-            sid,
-            encode_uvarint(len(out)),
-            out,
-            encode_uvarint(self.seq),
-            encode_uvarint(len(payload)),
-            payload,
-            _optional_dv_bytes(self.sender_dv),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_REPLY, len(sid)),
+                sid,
+                encode_uvarint(len(out)),
+                out,
+                encode_uvarint(self.seq),
+                encode_uvarint(len(payload)),
+                payload,
+                _optional_dv_bytes(self.sender_dv),
+            )
+        )
 
 
 @dataclass
@@ -206,25 +194,23 @@ class SvReadRecord:
     variable: str
     value: bytes
     variable_dv: DependencyVector
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_SV_READ, init=False)
 
     def encode(self) -> bytes:
         sid = self.session_id.encode("utf-8")
         var = self.variable.encode("utf-8")
         value = self.value
-        parts = [
-            _kind_len(KIND_SV_READ, len(sid)),
-            sid,
-            encode_uvarint(len(var)),
-            var,
-            encode_uvarint(len(value)),
-            value,
-            self.variable_dv.encode_bytes(),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_SV_READ, len(sid)),
+                sid,
+                encode_uvarint(len(var)),
+                var,
+                encode_uvarint(len(value)),
+                value,
+                self.variable_dv.encode_bytes(),
+            )
+        )
 
 
 @dataclass
@@ -241,26 +227,24 @@ class SvWriteRecord:
     value: bytes
     writer_dv: DependencyVector
     prev_write_lsn: int = NO_LSN
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_SV_WRITE, init=False)
 
     def encode(self) -> bytes:
         sid = self.session_id.encode("utf-8")
         var = self.variable.encode("utf-8")
         value = self.value
-        parts = [
-            _kind_len(KIND_SV_WRITE, len(sid)),
-            sid,
-            encode_uvarint(len(var)),
-            var,
-            encode_uvarint(len(value)),
-            value,
-            self.writer_dv.encode_bytes(),
-            encode_uvarint(self.prev_write_lsn),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_SV_WRITE, len(sid)),
+                sid,
+                encode_uvarint(len(var)),
+                var,
+                encode_uvarint(len(value)),
+                value,
+                self.writer_dv.encode_bytes(),
+                encode_uvarint(self.prev_write_lsn),
+            )
+        )
 
 
 @dataclass
@@ -283,7 +267,6 @@ class SvUpdateRecord:
     variable_dv: DependencyVector
     writer_dv: DependencyVector
     prev_write_lsn: int = NO_LSN
-    prev_lsn: Optional[int] = None
     kind: int = field(default=KIND_SV_UPDATE, init=False)
 
     def encode(self) -> bytes:
@@ -291,22 +274,21 @@ class SvUpdateRecord:
         var = self.variable.encode("utf-8")
         old_value = self.old_value
         new_value = self.new_value
-        parts = [
-            _kind_len(KIND_SV_UPDATE, len(sid)),
-            sid,
-            encode_uvarint(len(var)),
-            var,
-            encode_uvarint(len(old_value)),
-            old_value,
-            encode_uvarint(len(new_value)),
-            new_value,
-            self.variable_dv.encode_bytes(),
-            self.writer_dv.encode_bytes(),
-            encode_uvarint(self.prev_write_lsn),
-        ]
-        if self.prev_lsn is not None:
-            parts.append(encode_uvarint(self.prev_lsn))
-        return b"".join(parts)
+        return b"".join(
+            (
+                _kind_len(KIND_SV_UPDATE, len(sid)),
+                sid,
+                encode_uvarint(len(var)),
+                var,
+                encode_uvarint(len(old_value)),
+                old_value,
+                encode_uvarint(len(new_value)),
+                new_value,
+                self.variable_dv.encode_bytes(),
+                self.writer_dv.encode_bytes(),
+                encode_uvarint(self.prev_write_lsn),
+            )
+        )
 
 
 @dataclass
@@ -424,17 +406,6 @@ class MspCheckpointRecord:
     time.  A partition none of the start-lsns name still needs a scan
     start and truncation floor — its end at the anchor point.  The
     single-partition log omits it (byte-identical encoding).
-
-    ``session_chain_heads`` is a second optional trailing field written
-    only in lazy recovery mode (DESIGN.md §15): each live session's
-    backward-chain head (the lsn of its most recent chained record) at
-    checkpoint time, ``NO_LSN`` for a freshly checkpointed chain.  The
-    analysis scan seeds its chain heads from the anchored checkpoint and
-    then advances them with every scanned record.  When present, the
-    ``partition_ends`` block is always written first — even a
-    single-partition log writes its (one-element) ends — so the two
-    exhaustion-gated trailing fields decode unambiguously.  Eager mode
-    leaves the heads empty and the encoding byte-identical.
     """
 
     recovered_snapshot: dict[str, dict[int, int]]
@@ -442,7 +413,6 @@ class MspCheckpointRecord:
     sv_start_lsns: dict[str, int]  #: variable -> scan-start LSN
     epoch: int = 0
     partition_ends: tuple[int, ...] = ()
-    session_chain_heads: dict[str, int] = field(default_factory=dict)
     kind: int = field(default=KIND_MSP_CHECKPOINT, init=False)
 
     def min_lsn(self, own_lsn: int) -> int:
@@ -501,14 +471,10 @@ class MspCheckpointRecord:
         enc.uint(len(self.sv_start_lsns))
         for name in sorted(self.sv_start_lsns):
             enc.text(name).uint(self.sv_start_lsns[name])
-        if self.partition_ends or self.session_chain_heads:
+        if self.partition_ends:
             enc.uint(len(self.partition_ends))
             for end in self.partition_ends:
                 enc.uint(end)
-        if self.session_chain_heads:
-            enc.uint(len(self.session_chain_heads))
-            for sid in sorted(self.session_chain_heads):
-                enc.text(sid).uint(self.session_chain_heads[sid])
         return enc.finish()
 
 
@@ -620,21 +586,13 @@ def _read_optional_dv(buf: Buffer, pos: int) -> tuple[Optional[DependencyVector]
     return DependencyVector.decode_from_buffer(buf, pos)
 
 
-def _read_optional_prev_lsn(buf: Buffer, pos: int) -> tuple[Optional[int], int]:
-    """The lazy-mode trailing chain link (present iff bytes remain)."""
-    if pos < len(buf):
-        return read_uvarint(buf, pos)
-    return None, pos
-
-
 def _decode_request(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     session_id, pos = read_text_interned(buf, pos)
     seq, pos = read_uvarint(buf, pos)
     method, pos = read_text_interned(buf, pos)
     argument, pos = read_bytes(buf, pos)
     sender_dv, pos = _read_optional_dv(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
-    return RequestRecord(session_id, seq, method, argument, sender_dv, prev_lsn), pos
+    return RequestRecord(session_id, seq, method, argument, sender_dv), pos
 
 
 def _decode_command(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
@@ -643,8 +601,7 @@ def _decode_command(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     method, pos = read_text_interned(buf, pos)
     argument, pos = read_bytes(buf, pos)
     sender_dv, pos = _read_optional_dv(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
-    return CommandRecord(session_id, seq, method, argument, sender_dv, prev_lsn), pos
+    return CommandRecord(session_id, seq, method, argument, sender_dv), pos
 
 
 def _decode_reply(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
@@ -653,8 +610,7 @@ def _decode_reply(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     seq, pos = read_uvarint(buf, pos)
     payload, pos = read_bytes(buf, pos)
     sender_dv, pos = _read_optional_dv(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
-    return ReplyRecord(session_id, outgoing, seq, payload, sender_dv, prev_lsn), pos
+    return ReplyRecord(session_id, outgoing, seq, payload, sender_dv), pos
 
 
 def _decode_sv_read(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
@@ -662,8 +618,7 @@ def _decode_sv_read(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     variable, pos = read_text_interned(buf, pos)
     value, pos = read_bytes(buf, pos)
     dv, pos = DependencyVector.decode_from_buffer(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
-    return SvReadRecord(session_id, variable, value, dv, prev_lsn), pos
+    return SvReadRecord(session_id, variable, value, dv), pos
 
 
 def _decode_sv_write(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
@@ -672,8 +627,7 @@ def _decode_sv_write(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     value, pos = read_bytes(buf, pos)
     dv, pos = DependencyVector.decode_from_buffer(buf, pos)
     prev_write_lsn, pos = read_uvarint(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
-    return SvWriteRecord(session_id, variable, value, dv, prev_write_lsn, prev_lsn), pos
+    return SvWriteRecord(session_id, variable, value, dv, prev_write_lsn), pos
 
 
 def _decode_sv_update(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
@@ -684,11 +638,10 @@ def _decode_sv_update(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     variable_dv, pos = DependencyVector.decode_from_buffer(buf, pos)
     writer_dv, pos = DependencyVector.decode_from_buffer(buf, pos)
     prev_write_lsn, pos = read_uvarint(buf, pos)
-    prev_lsn, pos = _read_optional_prev_lsn(buf, pos)
     return (
         SvUpdateRecord(
             session_id, variable, old_value, new_value, variable_dv, writer_dv,
-            prev_write_lsn, prev_lsn,
+            prev_write_lsn,
         ),
         pos,
     )
@@ -744,8 +697,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             argument=dec.raw(),
             sender_dv=_decode_optional_dv(dec),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_COMMAND:
         record = CommandRecord(
             session_id=dec.text(),
@@ -754,8 +705,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             argument=dec.raw(),
             sender_dv=_decode_optional_dv(dec),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_REPLY:
         record = ReplyRecord(
             session_id=dec.text(),
@@ -764,8 +713,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             payload=dec.raw(),
             sender_dv=_decode_optional_dv(dec),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_SV_READ:
         record = SvReadRecord(
             session_id=dec.text(),
@@ -773,8 +720,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             value=dec.raw(),
             variable_dv=DependencyVector.decode_from(dec),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_SV_WRITE:
         record = SvWriteRecord(
             session_id=dec.text(),
@@ -783,8 +728,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             writer_dv=DependencyVector.decode_from(dec),
             prev_write_lsn=dec.uint(),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     elif kind == KIND_SV_CHECKPOINT:
         record = SvCheckpointRecord(variable=dec.text(), value=dec.raw(), version=dec.uint())
         if not dec.exhausted:
@@ -823,16 +766,12 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
         ends: tuple[int, ...] = ()
         if not dec.exhausted:
             ends = tuple(dec.uint() for _ in range(dec.uint()))
-        chain_heads: dict[str, int] = {}
-        if not dec.exhausted:
-            chain_heads = {dec.text(): dec.uint() for _ in range(dec.uint())}
         record = MspCheckpointRecord(
             recovered_snapshot=recovered,
             session_start_lsns=session_start,
             sv_start_lsns=sv_start,
             epoch=epoch,
             partition_ends=ends,
-            session_chain_heads=chain_heads,
         )
     elif kind == KIND_EOS:
         record = EosRecord(session_id=dec.text(), orphan_lsn=dec.uint())
@@ -852,8 +791,6 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
             writer_dv=DependencyVector.decode_from(dec),
             prev_write_lsn=dec.uint(),
         )
-        if not dec.exhausted:
-            record.prev_lsn = dec.uint()
     else:
         raise ValueError(f"unknown log record kind {kind}")
     dec.expect_end()

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
 from repro.core.position_stream import PositionStream
-from repro.core.records import NO_LSN, SessionCheckpointRecord
+from repro.core.records import SessionCheckpointRecord
 
 
 class SessionStatus(enum.Enum):
@@ -70,11 +70,6 @@ class Session:
         self.msp_ckpts_since_own_ckpt = 0
         #: Set while orphan recovery is pending/running for this session.
         self.recovery_pending = False
-        #: Backward-chain head (lazy recovery, DESIGN.md §15): the lsn
-        #: of this session's most recent chained record, NO_LSN when the
-        #: chain is empty (fresh session or just checkpointed).  Only
-        #: maintained in lazy recovery mode.
-        self.chain_lsn: int = NO_LSN
         #: True between the analysis scan and this session's on-demand
         #: replay during a lazy restart; cleared when the replay is
         #: claimed (inline or by the pump).
@@ -176,9 +171,6 @@ class Session:
         self.bytes_since_ckpt = 0
         self.msp_ckpts_since_own_ckpt = 0
         self.position_stream.truncate()
-        # The backward chain breaks at a checkpoint: replay restarts
-        # from the checkpoint, so earlier records are unreachable.
-        self.chain_lsn = NO_LSN
         # The distributed flush that preceded the checkpoint made every
         # current dependency durable; none can ever become an orphan.
         self.dv.clear()

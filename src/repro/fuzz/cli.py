@@ -111,7 +111,7 @@ def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--recovery-mode", choices=("eager", "lazy"), default=None,
         help="crash-recovery mode (default eager; lazy adds on-demand "
-        "chain-replay crash sites to the enumeration)",
+        "session-replay crash sites to the enumeration)",
     )
     parser.add_argument(
         "--logging-mode", choices=("value", "command", "adaptive"), default=None,

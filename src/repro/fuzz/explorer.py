@@ -134,9 +134,9 @@ class FuzzParams:
     #: per-partition group commit and DV-ordered recovery merge.
     log_partitions: int = 1
     #: Crash-recovery mode: ``eager`` (historical, byte-identical) or
-    #: ``lazy`` (on-demand chain replay, DESIGN.md §15).  Lazy mode adds
-    #: crash sites inside the lazy machinery (analysis hand-off, chain
-    #: walks, pump steps), so the exhaustive battery enumerates
+    #: ``lazy`` (on-demand session replay, DESIGN.md §15).  Lazy mode
+    #: adds crash sites inside the lazy machinery (analysis hand-off,
+    #: session replays, pump steps), so the exhaustive battery enumerates
     #: crash-during-lazy-replay and crash-while-partially-recovered.
     recovery_mode: str = "eager"
     #: Request logging mode: ``value`` (historical, byte-identical),

@@ -21,8 +21,8 @@ quiesced world.  Each checker returns a list of violation strings (empty
 - **network counter ledger** — every copy the fabric created is exactly
   one of delivered, dropped, or in flight (under loss and duplication
   faults alike);
-- **lazy recovery** — no request ever executed against a session whose
-  chain was still unreplayed, and no session is left awaiting its
+- **lazy recovery** — no request ever executed against a session that
+  was still unreplayed, and no session is left awaiting its
   on-demand replay after quiesce (DESIGN.md §15).
 """
 
@@ -285,7 +285,7 @@ def check_running(msp: "MiddlewareServer") -> list[str]:
 
 def check_lazy_recovery(msp: "MiddlewareServer") -> list[str]:
     """Lazy mode (DESIGN.md §15): no request may ever have executed
-    against a session whose chain was still unreplayed."""
+    against a session that was still unreplayed."""
     if msp.stats.served_before_recovery:
         return [
             f"lazy: {msp.name} executed {msp.stats.served_before_recovery} "

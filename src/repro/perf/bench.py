@@ -536,7 +536,7 @@ def _instant_restart_run(mode: str, nparts: int, n_sessions: int) -> dict:
 
     Eager mode replays every session before opening — TTFR grows with
     the session count.  Lazy mode opens after the analysis scan and
-    replays only the probed session's chain inline; the pump drains the
+    replays only the probed session inline; the pump drains the
     rest in the background (``full_recovery_ms`` shows that tail).
     """
     from repro.core import RecoveryConfig, ServiceDomainConfig
@@ -668,7 +668,7 @@ def bench_instant_restart(scale: float = 1.0) -> dict:
     for cell in cells.values():
         if cell["served_before_recovery"]:
             raise AssertionError(
-                "instant_restart: a session was served before its chain "
+                "instant_restart: a session was served before it "
                 f"was replayed ({cell['mode']} P={cell['partitions']})"
             )
     return {
@@ -756,7 +756,7 @@ def _log_volume_run(
         "record_kinds": kinds,
         # Crash recovery (restart to open-for-business) and session
         # replay sim-time.  Eager nests replay inside the recovery span;
-        # lazy runs chains after it — the sum is the total repair work
+        # lazy runs replays after it — the sum is the total repair work
         # either way, which is what the spectrum plots.
         "recovery_ms": recovery.total if recovery is not None else 0.0,
         "session_replay_ms": (

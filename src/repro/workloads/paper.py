@@ -93,7 +93,7 @@ class WorkloadParams:
     #: Forced-checkpoint staleness limit override (None = default).
     forced_ckpt_msp_count: Optional[int] = None
     #: Crash-recovery mode: ``eager`` (the paper's recover-everything
-    #: restart) or ``lazy`` (on-demand per-session chain replay,
+    #: restart) or ``lazy`` (on-demand per-session replay,
     #: DESIGN.md §15).
     recovery_mode: str = "eager"
     #: Lazy mode: background recovery pump concurrency budget.
@@ -393,7 +393,7 @@ class PaperWorkload:
         # sees quiesced servers.  Under lazy recovery that includes the
         # background pump: a still-pending session's unflushed-tail RMWs
         # have not been re-executed yet, so shared counters read stale
-        # until every chain is replayed.  Measurements were taken above.
+        # until every session is replayed.  Measurements were taken above.
         def _quiesced() -> bool:
             if not (self.msp1.running and self.msp2.running):
                 return False

@@ -3,7 +3,8 @@
 One table of illegal mode strings and partition counts, checked at the
 three places a configuration enters the system: ``MiddlewareServer``
 construction, ``FleetTopology`` construction, and scenario-matrix
-expansion.  Each must raise ``ValueError`` naming the offending value
+expansion (plus the pump budget, which only ``RecoveryConfig``
+carries).  Each must raise ``ValueError`` naming the offending value
 before any simulator step runs — not inside ``start()`` under the
 simulator, where a fleet or scenario cell would have hit it in a
 spawned shard.
@@ -29,10 +30,27 @@ ILLEGAL = [
     ({"log_partitions": 256}, r"log_partitions must be an integer in 1\.\.255, got 256"),
     ({"log_partitions": 2.0}, r"log_partitions must be an integer in 1\.\.255, got 2\.0"),
 ]
-IDS = [f"{key}={value!r}" for overrides, _ in ILLEGAL for key, value in overrides.items()]
 
 
-@pytest.mark.parametrize("overrides,message", ILLEGAL, ids=IDS)
+def _ids(table):
+    return [f"{key}={value!r}" for overrides, _ in table for key, value in overrides.items()]
+
+
+IDS = _ids(ILLEGAL)
+
+#: ``RecoveryConfig``-only rows: a fleet spec carries no pump budget.
+_PUMP = r"recovery_pump_concurrency must be an integer >= 1, got "
+ILLEGAL_PUMP = [
+    ({"recovery_pump_concurrency": 0}, _PUMP + "0"),
+    ({"recovery_pump_concurrency": -2}, _PUMP + "-2"),
+    ({"recovery_pump_concurrency": 1.5}, _PUMP + r"1\.5"),
+    ({"recovery_pump_concurrency": None}, _PUMP + "None"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,message", ILLEGAL + ILLEGAL_PUMP, ids=IDS + _ids(ILLEGAL_PUMP)
+)
 def test_msp_construction_rejects(overrides, message):
     sim = Simulator()
     with pytest.raises(ValueError, match=message):

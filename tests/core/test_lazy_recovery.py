@@ -2,23 +2,25 @@
 
 The hand-picked schedules ISSUE 7 names: a request arriving for a
 session the background pump is mid-replay on, a duplicate request for a
-session still being recovered inline, and a chain head pointing below
+session still being recovered inline, and a position stream lying below
 the truncation floor (which must raise, never serve stale state).  The
 broad schedule space is covered by the fuzz battery and the hypothesis
-equivalence tests; these pin the specific races.
+equivalence tests; these pin the specific races — and what ``lazy`` is
+since the per-session backward chain left: a drain policy over the
+eager pipeline's own index, not a log format.
 """
 
 import pytest
 
 from repro.core import RecoveryConfig, ServiceDomainConfig
 from repro.core.client import EndClient
-from repro.core.crash_recovery import walk_session_chain
+from repro.core.crash_recovery import recover_session
 from repro.core.msp import MiddlewareServer
-from repro.core.records import NO_LSN
 from repro.core.session import SessionStatus
 from repro.net import Network
 from repro.sim import RngRegistry, Simulator
 from repro.storage import LogTruncatedError
+from repro.trace import Tracer
 
 
 def counter_method(ctx, argument):
@@ -81,10 +83,12 @@ def drive(sim, msp, clients, n_calls, crash_after_calls=()):
 
 
 def settle(sim, msp):
-    """Run until the pump has drained every lazy-pending session."""
+    """Run until the MSP is up and every rebuilt session is replayed."""
     def idle():
         for _ in range(200):
-            if not any(s.lazy_pending for s in msp.sessions.values()):
+            if msp.running and not any(
+                s.lazy_pending or s.recovery_pending for s in msp.sessions.values()
+            ):
                 return
             yield 50.0
 
@@ -127,7 +131,7 @@ def test_lazy_multi_session_pump_drains_all():
 def test_request_for_unrecovered_session_recovers_inline(monkeypatch):
     """With the pump stubbed out, the only path back to NORMAL is the
     inline hook in ``_handle_request`` — the arriving resend must
-    trigger the chain replay and then answer exactly-once."""
+    trigger the replay and then answer exactly-once."""
     import repro.core.crash_recovery as cr
 
     monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
@@ -146,7 +150,7 @@ def test_duplicate_request_during_inline_replay_gets_busy(monkeypatch):
     import repro.core.crash_recovery as cr
 
     monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
-    # Make the replayed chain long (no session checkpoints) and the
+    # Make the replayed stream long (no session checkpoints) and the
     # client impatient, so resends land mid-replay.
     config = lazy_config(session_ckpt_threshold_bytes=None)
     sim, _net, msp, clients = build_world(config=config)
@@ -177,27 +181,212 @@ def test_request_during_pump_replay_is_busy_then_served():
     assert msp.stats.busy_replies > busy_before
 
 
-# -- chain head below the truncation floor ------------------------------------
+# -- position stream below the truncation floor -------------------------------
 
 
-def test_chain_below_truncation_floor_raises():
-    """A chain head pointing below the truncation floor must raise
-    ``LogTruncatedError`` — never serve stale (partially replayed)
-    state.  The floor only ever advances over state captured by a
-    checkpoint, so this is unreachable in a correct log; the walk still
-    refuses rather than trusting the caller."""
+def test_chain_below_truncation_floor_raises(monkeypatch):
+    """A pending session whose position stream lies below the truncation
+    floor must raise ``LogTruncatedError`` — never serve stale
+    (partially replayed) state.  The floor only ever advances over state
+    captured by a checkpoint, so this is unreachable in a correct log;
+    the replay's window reader still refuses rather than trusting the
+    caller."""
+    import repro.core.crash_recovery as cr
+
+    monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
     sim, _net, msp, clients = build_world()
     results = drive(sim, msp, clients, 6)
     assert results[0] == list(range(1, 7))
-    session = next(iter(msp.sessions.values()))
-    assert session.chain_lsn != NO_LSN
-    # Recycle everything durable, stranding the chain below the floor.
+    msp.crash()
+    msp.restart_process()
+    sim.run(until=sim.now + 1_000)
+    (session,) = msp.sessions.values()
+    assert session.lazy_pending
+    stream = session.position_stream.positions()
+    assert stream
+    # Recycle everything durable, stranding the stream below the floor.
     unit = msp.log.partitions[0]
     assert unit.store.truncate(unit.store.durable_end) >= 0
-    walk = walk_session_chain(msp, session, session.chain_lsn)
+    assert stream[0] < unit.store.truncate_lsn
     with pytest.raises(LogTruncatedError):
-        for _ in walk:
+        for _ in recover_session(msp, session):
             pass
+
+
+# -- the pump: one pass in session-id order -----------------------------------
+
+
+def quiesced_crash(sim, msp, clients, counts):
+    """Client i completes ``counts[i]`` calls on its own session; once
+    every client is idle the MSP crashes and restarts, so only the pump
+    (or a request a test sends afterwards) can claim a session.
+    Returns the client sessions."""
+    msp.start_process()
+    sessions = [c.open_session("msp1") for c in clients]
+
+    def driver(session, n_calls):
+        yield 1.0
+        for _ in range(n_calls):
+            yield from session.call("counter", b"")
+
+    procs = [sim.spawn(driver(s, n)) for s, n in zip(sessions, counts)]
+    for proc in procs:
+        sim.run_until_process(proc, limit=1_200_000)
+    msp.crash()
+    msp.restart_process()
+    return sessions
+
+
+def record_claims(sim, msp):
+    """``[(session id, sim time)]`` in the order sessions leave
+    ``lazy_pending`` after a restart — ``recovery.session.begin`` fires
+    right after the synchronous claim, whoever made it, and the claimed
+    session stays ``recovery_pending`` until its replay ends."""
+    claims = []
+
+    def listener(site, owner):
+        if site == "recovery.session.begin":
+            seen = {sid for sid, _at in claims}
+            claims.extend(
+                (sid, sim.now)
+                for sid, s in sorted(msp.sessions.items())
+                if s.recovery_pending and not s.lazy_pending and sid not in seen
+            )
+
+    sim.add_probe_listener(listener)
+    return claims
+
+
+def pump_world(traced=False):
+    """Five sessions of unequal request counts, one pump worker."""
+    config = lazy_config(
+        recovery_pump_concurrency=1, session_ckpt_threshold_bytes=None
+    )
+    sim, _net, msp, clients = build_world(config=config, n_clients=5)
+    if traced:
+        Tracer(sim).attach()
+    return sim, msp, clients
+
+
+def test_pump_drains_pending_sessions_in_id_order():
+    sim, msp, clients = pump_world()
+    claims = record_claims(sim, msp)
+    quiesced_crash(sim, msp, clients, [2, 4, 6, 8, 10])
+    settle(sim, msp)
+    assert [sid for sid, _at in claims] == sorted(msp.sessions)
+    assert len(claims) == 5
+    assert msp.stats.pump_recoveries == 5
+    assert msp.stats.inline_recoveries == 0
+    # Each replay rebuilt its own session's state.
+    assert [
+        int.from_bytes(msp.sessions[sid].variables["count"], "big")
+        for sid in sorted(msp.sessions)
+    ] == [2, 4, 6, 8, 10]
+
+
+def test_pump_skips_a_session_claimed_inline_meanwhile():
+    """The last session's client comes back while the single pump worker
+    is still on the first ones: its request claims the session inline,
+    and the pump's pass skips it instead of replaying it twice."""
+    sim, msp, clients = pump_world()
+    claims = record_claims(sim, msp)
+    clients[4].resend_timeout_ms = 5.0
+    sessions = quiesced_crash(sim, msp, clients, [30, 30, 30, 30, 3])
+    result = []
+
+    def comeback():
+        reply = yield from sessions[4].call("counter", b"")
+        result.append(int.from_bytes(reply.payload, "big"))
+
+    sim.run_until_process(sim.spawn(comeback()), limit=sim.now + 600_000)
+    settle(sim, msp)
+    assert result == [4]
+    order = [sid for sid, _at in claims]
+    assert sorted(order) == sorted(msp.sessions) and len(order) == 5
+    ids = sorted(msp.sessions)
+    assert order.index(ids[4]) < 4, "the inline claim came before the pump's"
+    assert [sid for sid in order if sid != ids[4]] == ids[:4]
+    stats = msp.stats
+    assert (stats.inline_recoveries, stats.pump_recoveries) == (1, 4)
+    assert stats.lazy_recoveries == stats.inline_recoveries + stats.pump_recoveries
+    assert stats.served_before_recovery == 0
+
+
+def test_attaching_a_tracer_changes_no_pump_claim():
+    """Pump order must not read trace state: the same sessions leave
+    ``lazy_pending`` in the same order at the same simulated times with
+    and without a ``Tracer`` (``Simulator.steps`` alone cannot tell — it
+    was equal even when a tracer reversed the order)."""
+
+    def run(traced):
+        sim, msp, clients = pump_world(traced)
+        claims = record_claims(sim, msp)
+        quiesced_crash(sim, msp, clients, [2, 4, 6, 8, 10])
+        settle(sim, msp)
+        return claims, sim.steps
+
+    untraced, traced = run(False), run(True)
+    assert len(untraced[0]) == 5
+    assert traced == untraced
+
+
+# -- the mode is a drain policy, not a log format -----------------------------
+
+
+def mode_config(mode, nparts):
+    return RecoveryConfig(recovery_mode=mode, log_partitions=nparts)
+
+
+def store_images(msp):
+    return [
+        (
+            unit.store.truncate_lsn,
+            unit.store.durable_end,
+            unit.store.read(
+                unit.store.truncate_lsn, unit.store.end - unit.store.truncate_lsn
+            ),
+        )
+        for unit in msp.log.partitions
+    ]
+
+
+@pytest.mark.parametrize("nparts", [1, 4])
+def test_recovery_mode_changes_no_logged_byte(nparts):
+    """A crash-free seeded run leaves the same bytes in every partition
+    store under either mode, so an eager-written log restarts lazily
+    (and vice versa) through the same code."""
+    images = {}
+    for mode in ("eager", "lazy"):
+        sim, _net, msp, clients = build_world(
+            seed=7, config=mode_config(mode, nparts), n_clients=3
+        )
+        results = drive(sim, msp, clients, 12)
+        assert all(r == list(range(1, 13)) for r in results)
+        images[mode] = store_images(msp)
+        assert any(image[2] for image in images[mode])
+    assert images["lazy"] == images["eager"]
+
+
+@pytest.mark.parametrize("nparts", [1, 4])
+def test_lazy_restart_reads_what_an_eager_restart_reads(nparts):
+    """Same seed, same crash point, both drained: lazy touches each
+    replayed record as often as eager does — one scan, one replay along
+    the stream the scan built, no second index to walk."""
+    costs = {}
+    for mode in ("eager", "lazy"):
+        sim, _net, msp, clients = build_world(
+            seed=7, config=mode_config(mode, nparts), n_clients=4
+        )
+        quiesced_crash(sim, msp, clients, [20, 20, 20, 20])
+        settle(sim, msp)
+        assert msp.stats.replayed_requests == 80
+        costs[mode] = (
+            msp.log.stats.read_chunks,
+            sum(unit.disk.stats.sectors_read for unit in msp.log.partitions),
+            msp.log.stats.appended_bytes,
+        )
+    assert costs["lazy"] == costs["eager"]
+    assert costs["eager"][0] > 0
 
 
 # -- stats and counters -------------------------------------------------------

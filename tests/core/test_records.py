@@ -8,6 +8,7 @@ from repro.core.dv import DependencyVector, StateId
 from repro.core.records import (
     NO_LSN,
     AnnouncementRecord,
+    CommandRecord,
     EosRecord,
     MspCheckpointRecord,
     ReplyRecord,
@@ -16,10 +17,14 @@ from repro.core.records import (
     SessionEndRecord,
     SvCheckpointRecord,
     SvReadRecord,
+    SvUpdateRecord,
     SvWriteRecord,
+    _decode_record_general,
     decode_record,
     session_of,
 )
+from repro.wire import Encoder
+from repro.wire.codec import CodecError, encode_uvarint
 
 
 def sample_dv():
@@ -132,10 +137,55 @@ def test_session_end_roundtrip():
 
 
 def test_unknown_kind_rejected():
-    from repro.wire import Encoder
-
     with pytest.raises(ValueError):
         decode_record(Encoder().uint(99).finish())
+
+
+def _session_records():
+    dv = sample_dv()
+    return [
+        RequestRecord("s-1", 7, "method", b"arg", sender_dv=dv),
+        CommandRecord("s-1", 7, "method", b"arg", sender_dv=dv),
+        ReplyRecord("s-1", "out-1", 3, b"pay", sender_dv=dv),
+        SvReadRecord("s-1", "v", b"val", variable_dv=dv),
+        SvWriteRecord("s-1", "v", b"new", writer_dv=dv, prev_write_lsn=64),
+        SvUpdateRecord(
+            "s-1", "v", b"old", b"new", variable_dv=dv, writer_dv=dv,
+            prev_write_lsn=64,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("decoder", [decode_record, _decode_record_general])
+@pytest.mark.parametrize("link", [0, 4096, (3 << 48) | 12345, NO_LSN])
+def test_retired_session_chain_link_is_rejected(decoder, link):
+    """The lazy backward chain's trailing ``prev_lsn`` uvarint is
+    retired with the chain: a session record still carrying one must
+    fail as trailing bytes, not decode with the link dropped."""
+    for record in _session_records():
+        assert decoder(record.encode()) == record
+        with pytest.raises(CodecError, match="trailing bytes after decode"):
+            decoder(record.encode() + encode_uvarint(link))
+
+
+@pytest.mark.parametrize("decoder", [decode_record, _decode_record_general])
+@pytest.mark.parametrize("ends", [(), (512, 0, 77, 4096)])
+def test_retired_checkpoint_chain_heads_are_rejected(decoder, ends):
+    """Likewise the MSP checkpoint's trailing heads block — written
+    after an ends block, which a one-partition log then wrote as
+    zero-length."""
+    record = MspCheckpointRecord(
+        recovered_snapshot={"msp1": {0: 3}},
+        session_start_lsns={"s-1": 100, "s-2": 220},
+        sv_start_lsns={"v": 40},
+        epoch=3,
+        partition_ends=ends,
+    )
+    assert decoder(record.encode()) == record
+    heads = Encoder().uint(1).text("s-1").uint(480).finish()
+    retired = record.encode() + (b"" if ends else encode_uvarint(0)) + heads
+    with pytest.raises(CodecError, match="trailing bytes after decode"):
+        decoder(retired)
 
 
 def test_session_of():

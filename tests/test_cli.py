@@ -52,6 +52,18 @@ def test_workload_atomic_sv_exactly_once_with_concurrent_clients(capsys):
     assert "exactly-once:       verified" in out
 
 
+@pytest.mark.parametrize("recovery_mode", ["eager", "lazy"])
+def test_workload_crashing_partitioned_in_each_recovery_mode(capsys, recovery_mode):
+    code = main(
+        ["workload", "LoOptimistic", "--requests", "120", "--clients", "2",
+         "--crash-every", "40", "--partitions", "4", "--atomic-sv",
+         "--recovery-mode", recovery_mode]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "exactly-once:       verified" in out
+
+
 def test_fuzz_exhaustive_smoke(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["fuzz", "--max-schedules", "5", "--quiet"])
