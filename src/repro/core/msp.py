@@ -334,11 +334,15 @@ class MiddlewareServer:
         the core pool, so CPU contention is modeled)."""
         if ms <= 0:
             return
-        yield from self._cpu.acquire()
+        cpu = self._cpu
+        # No suspension point between the grant (either way) and the
+        # ``try``, so a kill can never strand a held core.
+        if not cpu.try_acquire():
+            yield from cpu.acquire()
         try:
             yield ms
         finally:
-            self._cpu.release()
+            cpu.release()
 
     def cpu_utilization(self, since: float = 0.0) -> float:
         return self._cpu.utilization(since=since)

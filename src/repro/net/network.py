@@ -13,7 +13,9 @@ paper's clients must resend requests until a reply arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.net.faults import RELIABLE, FaultModel, PartitionWindow
@@ -106,6 +108,9 @@ class Network:
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._default_link = Link()
+        #: The fault-draw stream of each directed link used so far
+        #: (``net:<source>-><destination>`` in the registry).
+        self._link_streams: dict[tuple[str, str], random.Random] = {}
         #: Counters for experiment reporting — an honest ledger: every
         #: copy the fabric ever created is exactly one of delivered,
         #: dropped or still in flight, so
@@ -199,7 +204,11 @@ class Network:
         # directed link), in the single order delivery_plan defines —
         # this is what makes fuzz replays reproduce delivery orders
         # exactly (see repro.net.faults module docstring).
-        rng = self._rng.stream(f"net:{source}->{destination}")
+        rng = self._link_streams.get((source, destination))
+        if rng is None:
+            rng = self._link_streams[source, destination] = self._rng.stream(
+                f"net:{source}->{destination}"
+            )
         self.messages_sent += 1
         self.bytes_sent += size_bytes
 
@@ -224,6 +233,8 @@ class Network:
             dest_incarnation = self.remote_incarnations.get(destination, 0)
         else:
             dest_incarnation = dest_node.incarnation if dest_node is not None else 0
+        sim = self.sim
+        now = sim.now
         for extra in extra_delays:
             delay = (
                 link.latency_ms
@@ -236,7 +247,7 @@ class Network:
                 port=port,
                 payload=payload,
                 size_bytes=size_bytes,
-                sent_at=self.sim.now,
+                sent_at=now,
                 dest_incarnation=dest_incarnation,
             )
             if remote:
@@ -246,10 +257,10 @@ class Network:
                 # becomes "imported + in_flight" on the destination shard
                 # at the next epoch barrier.
                 self.messages_exported += 1
-                self.remote_router(envelope, self.sim.now + delay)
+                self.remote_router(envelope, now + delay)
                 continue
             self.messages_in_flight += 1
-            self.sim.call_later(delay, lambda env=envelope: self._deliver(env))
+            sim.call_at(now + delay, partial(self._deliver, envelope))
 
     def import_remote(self, envelope: Envelope, arrival_time: float) -> None:
         """Inject a copy exported by another shard's network.
@@ -263,7 +274,7 @@ class Network:
         """
         self.messages_imported += 1
         self.messages_in_flight += 1
-        self.sim.call_at(arrival_time, lambda env=envelope: self._deliver(env))
+        self.sim.call_at(arrival_time, partial(self._deliver, envelope))
 
     def _drop(self, reason: str) -> None:
         self.messages_dropped += 1

@@ -28,8 +28,6 @@ from repro.sim.kernel import (
     ProcessKilled,
     SimTimeoutError,
     Simulator,
-    first_of,
-    wait_with_timeout,
 )
 from repro.sim.resources import Resource, RWLock, Store, StoreClosed
 from repro.sim.rng import RngRegistry
@@ -46,6 +44,4 @@ __all__ = [
     "Simulator",
     "Store",
     "StoreClosed",
-    "first_of",
-    "wait_with_timeout",
 ]

@@ -12,21 +12,34 @@ generator that *yields effects*:
 - ``None`` — relinquish control and resume at the same simulated time
   (after any already-scheduled work at that time).
 
-Sub-routines compose with ``yield from``.  Determinism is guaranteed by
-tie-breaking simultaneous events with a monotone sequence number.
+Sub-routines compose with ``yield from``.
+
+The scheduling contract (DESIGN.md §9, "Kernel fast path"): callbacks
+run in ``(time, seq)`` order, where ``seq`` comes from one per-simulator
+counter consumed once per :meth:`Simulator.call_at`, in call order — so
+simultaneous callbacks run in the order they were scheduled and every
+run is deterministic.  Heap entries are ``[time, seq, callback]`` lists
+that ``heapq`` orders in C; ``seq`` is unique, so callbacks themselves
+are never compared.  *Every* schedule — timers, process steps, event
+wake-ups, network deliveries — goes through ``call_at``, which makes it
+the one place to count, wrap or slow the kernel from outside.
+``Simulator.steps`` counts callbacks run; cancelled entries are skipped
+uncounted.
 
 Processes can be killed (used for crash injection).  A kill closes the
-generator, so ``try/finally`` blocks run; finalizers must not yield.
+generator at once, so ``try/finally`` blocks run; finalizers must not
+yield.  A wake-up already scheduled for the victim still runs, as a
+no-op.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
-#: Effects a process generator may yield; see module docstring.
-Effect = Any
+#: A time no clock reaches: "no bound" for the run loop.
+_NEVER = float("inf")
 
 
 class SimError(Exception):
@@ -38,26 +51,23 @@ class ProcessKilled(SimError):
 
 
 class SimTimeoutError(SimError):
-    """Raised by :func:`wait_with_timeout` when the deadline passes first."""
+    """Raised by :meth:`~repro.sim.resources.Store.get_with_timeout` when
+    the deadline passes first."""
 
 
-class _Handle:
-    """A cancelable scheduled callback."""
+class _Handle(list):
+    """A cancelable scheduled callback: the heap entry ``[time, seq, callback]``.
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    Entries order as lists, so ``heapq`` compares them in C; ``seq`` is
+    unique per simulator, so the comparison is decided by ``(time, seq)``
+    and never reaches the callback.  A cancelled entry has no callback.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
+    __slots__ = ()
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "_Handle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self[2] = None
 
 
 class Event:
@@ -68,23 +78,21 @@ class Event:
     protocol bugs early.
     """
 
-    __slots__ = ("_sim", "_triggered", "_value", "_exception", "_waiters", "name")
+    __slots__ = ("_sim", "triggered", "_value", "_exception", "_waiters", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self._sim = sim
-        self._triggered = False
+        #: Whether the event has fired (set by ``trigger``/``fail`` only).
+        self.triggered = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._waiters: list[Callable[["Event"], None]] = []
+        #: Processes suspended on this event, in arrival order.
+        self._waiters: list["Process"] = []
         self.name = name
 
     @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
     def value(self) -> Any:
-        if not self._triggered:
+        if not self.triggered:
             raise SimError(f"event {self.name!r} not yet triggered")
         if self._exception is not None:
             raise self._exception
@@ -92,45 +100,28 @@ class Event:
 
     def trigger(self, value: Any = None) -> None:
         """Fire the event with ``value``, waking all waiters."""
-        if self._triggered:
+        if self.triggered:
             raise SimError(f"event {self.name!r} triggered twice")
-        self._triggered = True
+        self.triggered = True
         self._value = value
         self._dispatch()
 
     def fail(self, exception: BaseException) -> None:
         """Fire the event with an exception; waiters will have it raised."""
-        if self._triggered:
+        if self.triggered:
             raise SimError(f"event {self.name!r} triggered twice")
-        self._triggered = True
+        self.triggered = True
         self._exception = exception
         self._dispatch()
 
     def _dispatch(self) -> None:
         waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            self._sim._call_soon(lambda cb=callback: cb(self))
-
-    def subscribe(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback(event)`` to run when the event fires.
-
-        If the event already fired, the callback is scheduled immediately
-        (at the current simulated time).
-        """
-        if self._triggered:
-            self._sim._call_soon(lambda: callback(self))
-        else:
-            self._waiters.append(callback)
-
-    def unsubscribe(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback if still pending."""
-        try:
-            self._waiters.remove(callback)
-        except ValueError:
-            pass
+        sim = self._sim
+        for process in waiters:
+            sim.call_at(sim.now, process._on_event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state}>"
 
 
@@ -152,7 +143,6 @@ class Process:
         "_killed",
         "_pending_handle",
         "_waiting_event",
-        "_event_callback",
         "_group",
     )
 
@@ -167,7 +157,6 @@ class Process:
         self._killed = False
         self._pending_handle: Optional[_Handle] = None
         self._waiting_event: Optional[Event] = None
-        self._event_callback: Optional[Callable[[Event], None]] = None
         self._group: Optional["ProcessGroup"] = None
 
     # -- introspection -------------------------------------------------
@@ -210,10 +199,12 @@ class Process:
         if self._pending_handle is not None:
             self._pending_handle.cancel()
             self._pending_handle = None
-        if self._waiting_event is not None and self._event_callback is not None:
-            self._waiting_event.unsubscribe(self._event_callback)
-        self._waiting_event = None
-        self._event_callback = None
+        if self._waiting_event is not None:
+            try:
+                self._waiting_event._waiters.remove(self)
+            except ValueError:
+                pass  # already fired: its dispatch will find us finished
+            self._waiting_event = None
 
     def _complete(self, result: Any = None, failure: Optional[BaseException] = None) -> None:
         if self._finished:
@@ -230,56 +221,56 @@ class Process:
 
     # -- stepping -------------------------------------------------------
 
-    def _resume(self, value: Any = None) -> None:
-        self._step(lambda: self._gen.send(value))
-
-    def _throw(self, exc: BaseException) -> None:
-        self._step(lambda: self._gen.throw(exc))
-
-    def _step(self, advance: Callable[[], Effect]) -> None:
+    def _resume(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """Advance the generator one step — sending ``value``, or throwing
+        ``exc`` into it — and act on the effect it yields.  Timers run
+        this bound method as their callback, with no arguments."""
         if self._finished:
             return
         self._pending_handle = None
         self._waiting_event = None
-        self._event_callback = None
         try:
-            effect = advance()
+            effect = self._gen.send(value) if exc is None else self._gen.throw(exc)
         except StopIteration as stop:
             self._complete(result=stop.value)
             return
-        except ProcessKilled as exc:
-            self._complete(failure=exc)
+        except Exception as failure:  # noqa: BLE001 - propagate via join
+            self._complete(failure=failure)
             return
-        except Exception as exc:  # noqa: BLE001 - propagate via join
-            self._complete(failure=exc)
-            return
-        self._interpret(effect)
-
-    def _interpret(self, effect: Effect) -> None:
-        if effect is None:
-            self._pending_handle = self.sim._call_soon(lambda: self._resume(None))
-        elif isinstance(effect, (int, float)):
-            if effect < 0:
-                self._throw(SimError(f"negative timeout {effect!r}"))
-                return
-            self._pending_handle = self.sim.call_later(float(effect), lambda: self._resume(None))
+        # Exact types first: nearly every effect is a delay or an event.
+        kind = type(effect)
+        if kind is Event:
+            self._wait_on(effect)
+        elif kind is float or kind is int or isinstance(effect, (int, float)):
+            if effect >= 0:
+                sim = self.sim
+                self._pending_handle = sim.call_at(sim.now + float(effect), self._resume)
+            else:  # negative, or NaN: it would corrupt the clock
+                self._resume(exc=SimError(f"process {self.name!r} yielded bad delay {effect!r}"))
+        elif effect is None:
+            sim = self.sim
+            self._pending_handle = sim.call_at(sim.now, self._resume)
         elif isinstance(effect, Event):
             self._wait_on(effect)
         elif isinstance(effect, Process):
             self._wait_on(effect.done_event)
         else:
-            self._throw(SimError(f"process {self.name!r} yielded bad effect {effect!r}"))
+            self._resume(exc=SimError(f"process {self.name!r} yielded bad effect {effect!r}"))
 
     def _wait_on(self, event: Event) -> None:
-        def callback(ev: Event) -> None:
-            if ev._exception is not None:
-                self._throw(ev._exception)
-            else:
-                self._resume(ev._value)
-
         self._waiting_event = event
-        self._event_callback = callback
-        event.subscribe(callback)
+        if event.triggered:
+            sim = self.sim
+            sim.call_at(sim.now, self._on_event)
+        else:
+            event._waiters.append(self)
+
+    def _on_event(self) -> None:
+        """The awaited event has fired: resume with its outcome.  A
+        process killed since the trigger waits on nothing (a no-op)."""
+        event = self._waiting_event
+        if event is not None:
+            self._resume(event._value, event._exception)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self._finished else "running"
@@ -318,7 +309,10 @@ class Simulator:
     """The discrete-event loop: a clock plus a heap of timed callbacks."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in milliseconds.  A plain attribute —
+        #: every layer reads it on its hot path — that only the run loop
+        #: writes.
+        self.now = 0.0
         self._heap: list[_Handle] = []
         self._seq = itertools.count()
         self._process_count = itertools.count()
@@ -332,11 +326,6 @@ class Simulator:
         #: single attribute load.  Typed loosely to keep the kernel free
         #: of higher-layer imports.
         self.tracer: Optional[object] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     # -- crash-site probes ----------------------------------------------
 
@@ -374,18 +363,15 @@ class Simulator:
 
     def call_at(self, time: float, callback: Callable[[], None]) -> _Handle:
         """Schedule ``callback`` to run at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimError(f"cannot schedule in the past ({time} < {self._now})")
-        handle = _Handle(time, next(self._seq), callback)
+        if not time >= self.now:  # also rejects NaN, which orders with nothing
+            raise SimError(f"cannot schedule at {time}: the clock is at {self.now}")
+        handle = _Handle((time, next(self._seq), callback))
         heapq.heappush(self._heap, handle)
         return handle
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> _Handle:
         """Schedule ``callback`` to run ``delay`` ms from now."""
-        return self.call_at(self._now + delay, callback)
-
-    def _call_soon(self, callback: Callable[[], None]) -> _Handle:
-        return self.call_at(self._now, callback)
+        return self.call_at(self.now + delay, callback)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh one-shot :class:`Event`."""
@@ -413,38 +399,53 @@ class Simulator:
             # before that thread ever runs.  Ungrouped (harness-level)
             # processes are not crash units and stay unprobed.
             self.probe("kernel.spawn", owner=group.name)
-        self._call_soon(lambda: process._resume(None))
+        self.call_at(self.now, process._resume)
         return process
 
     # -- running --------------------------------------------------------
 
+    def _run(
+        self,
+        until: float = _NEVER,
+        process: Optional[Process] = None,
+        limit: float = _NEVER,
+        budget: int = -1,
+    ) -> int:
+        """The one run loop: take the earliest entry; a cancelled one is
+        dropped uncounted, any other advances the clock, is counted and
+        called.  Stops when the heap drains, the earliest entry lies
+        beyond ``until``, ``process`` has finished, the clock has passed
+        ``limit`` or ``budget`` callbacks ran; returns how many ran."""
+        heap = self._heap
+        pop = heapq.heappop
+        ran = 0
+        while heap and ran != budget:
+            if self.now > limit or (process is not None and process._finished):
+                break
+            entry = heap[0]
+            if entry[0] > until:
+                break
+            pop(heap)
+            callback = entry[2]
+            if callback is None:
+                continue
+            self.now = entry[0]
+            self.steps += 1
+            ran += 1
+            callback()
+        return ran
+
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False when idle."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self._now = handle.time
-            self.steps += 1
-            handle.callback()
-            return True
-        return False
+        return self._run(budget=1) == 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock passes ``until``."""
         if until is None:
-            while self.step():
-                pass
-            return
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if head.time > until:
-                break
-            self.step()
-        self._now = max(self._now, until)
+            self._run()
+        else:
+            self._run(until=until)
+            self.now = max(self.now, until)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Spawn ``gen``, run the simulation to quiescence, return its result."""
@@ -455,49 +456,4 @@ class Simulator:
     def run_until_process(self, process: Process, limit: Optional[float] = None) -> None:
         """Run until ``process`` finishes (daemons would otherwise keep
         the loop alive forever).  ``limit`` bounds runaway simulations."""
-        while process.alive:
-            if limit is not None and self._now > limit:
-                break
-            if not self.step():
-                break
-
-
-def first_of(sim: Simulator, events: Iterable[Event], name: str = "first") -> Event:
-    """An event that fires when the first of ``events`` fires.
-
-    Its value is ``(index, value)`` of the winning event.  Failures win
-    too: the combined event fails with the same exception.
-    """
-    events = list(events)
-    combined = sim.event(name=name)
-
-    def make_callback(index: int) -> Callable[[Event], None]:
-        def callback(ev: Event) -> None:
-            if combined.triggered:
-                return
-            if ev._exception is not None:
-                combined.fail(ev._exception)
-            else:
-                combined.trigger((index, ev._value))
-
-        return callback
-
-    for i, event in enumerate(events):
-        event.subscribe(make_callback(i))
-    return combined
-
-
-def wait_with_timeout(sim: Simulator, event: Event, timeout: float):
-    """Wait for ``event`` or ``timeout`` ms, whichever comes first.
-
-    A generator for use with ``yield from``; returns the event's value or
-    raises :class:`SimTimeoutError`.
-    """
-    timer = sim.event(name="timeout")
-    handle = sim.call_later(timeout, lambda: timer.trigger(None) if not timer.triggered else None)
-    winner = first_of(sim, [event, timer])
-    index, value = yield winner
-    handle.cancel()
-    if index == 1:
-        raise SimTimeoutError(f"timed out after {timeout} ms")
-    return value
+        self._run(process=process, limit=_NEVER if limit is None else limit)

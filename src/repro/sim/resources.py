@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 from typing import Any, Optional
 
-from repro.sim.kernel import Event, SimError, Simulator
+from repro.sim.kernel import Event, SimError, SimTimeoutError, Simulator
 
 
 class StoreClosed(SimError):
@@ -24,7 +24,8 @@ class StoreClosed(SimError):
 
 
 class _Ticket:
-    """A cancellable waiting slot in a resource/lock/store queue."""
+    """A cancellable waiting slot in a resource/lock/store queue.  Its
+    event carries the owner's name: nothing is formatted per wait."""
 
     __slots__ = ("event", "cancelled")
 
@@ -67,12 +68,20 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._queue)
 
-    def acquire(self):
-        """Wait for a free slot (generator; use with ``yield from``)."""
+    def try_acquire(self) -> bool:
+        """Take a slot if one is free, without waiting; ``False`` (and
+        nothing taken) when all are busy.  Not a generator: the usual
+        uncontended charge costs no ``acquire()`` generator."""
         if self._in_use < self.capacity:
             self._grant()
+            return True
+        return False
+
+    def acquire(self):
+        """Wait for a free slot (generator; use with ``yield from``)."""
+        if self.try_acquire():
             return
-        ticket = _Ticket(self.sim.event(name=f"{self.name}.acquire"))
+        ticket = _Ticket(Event(self.sim, self.name))
         self._queue.append(ticket)
         consumed = False
         try:
@@ -153,7 +162,7 @@ class Store:
             return self._items.popleft()
         if self._closed:
             raise StoreClosed(f"store {self.name!r} is closed")
-        ticket = _Ticket(self.sim.event(name=f"{self.name}.get"))
+        ticket = _Ticket(Event(self.sim, self.name))
         self._getters.append(ticket)
         consumed = False
         try:
@@ -188,13 +197,11 @@ class Store:
     def get_with_timeout(self, timeout: float):
         """Like :meth:`get`, but raises
         :class:`~repro.sim.kernel.SimTimeoutError` after ``timeout`` ms."""
-        from repro.sim.kernel import SimTimeoutError
-
         if self._items:
             return self._items.popleft()
         if self._closed:
             raise StoreClosed(f"store {self.name!r} is closed")
-        ticket = _Ticket(self.sim.event(name=f"{self.name}.get"))
+        ticket = _Ticket(Event(self.sim, self.name))
         self._getters.append(ticket)
 
         def expire() -> None:
@@ -259,7 +266,7 @@ class RWLock:
         if not self._writer and not self._waiters:
             self._readers += 1
             return
-        ticket = _Ticket(self.sim.event(name=f"{self.name}.read"))
+        ticket = _Ticket(Event(self.sim, self.name))
         self._waiters.append(("r", ticket))
         consumed = False
         try:
@@ -276,7 +283,7 @@ class RWLock:
         if not self._writer and self._readers == 0 and not self._waiters:
             self._writer = True
             return
-        ticket = _Ticket(self.sim.event(name=f"{self.name}.write"))
+        ticket = _Ticket(Event(self.sim, self.name))
         self._waiters.append(("w", ticket))
         consumed = False
         try:

@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.sim import (
-    Event,
-    ProcessGroup,
-    ProcessKilled,
-    SimTimeoutError,
-    Simulator,
-    first_of,
-    wait_with_timeout,
-)
+from repro.sim import ProcessGroup, ProcessKilled, Simulator
+from repro.sim.kernel import SimError
 
 
 def test_timeout_advances_clock():
@@ -220,60 +213,6 @@ def test_deterministic_tie_breaking():
     assert build_and_run() == build_and_run()
 
 
-def test_first_of_returns_winner():
-    sim = Simulator()
-    e1, e2 = sim.event(), sim.event()
-
-    def waiter():
-        index, value = yield first_of(sim, [e1, e2])
-        return index, value
-
-    def firer():
-        yield 2.0
-        e2.trigger("second")
-        yield 1.0
-        e1.trigger("first")
-
-    p = sim.spawn(waiter())
-    sim.spawn(firer())
-    sim.run()
-    assert p.result == (1, "second")
-
-
-def test_wait_with_timeout_success():
-    sim = Simulator()
-    ev = sim.event()
-
-    def waiter():
-        value = yield from wait_with_timeout(sim, ev, 10.0)
-        return value
-
-    def firer():
-        yield 5.0
-        ev.trigger("ok")
-
-    p = sim.spawn(waiter())
-    sim.spawn(firer())
-    sim.run()
-    assert p.result == "ok"
-
-
-def test_wait_with_timeout_expires():
-    sim = Simulator()
-    ev = sim.event()
-
-    def waiter():
-        try:
-            yield from wait_with_timeout(sim, ev, 10.0)
-        except SimTimeoutError:
-            return "timed out"
-
-    p = sim.spawn(waiter())
-    sim.run()
-    assert p.result == "timed out"
-    assert sim.now == 10.0
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
 
@@ -309,3 +248,43 @@ def test_subscribe_after_trigger_fires_immediately():
     p = sim.spawn(waiter())
     sim.run()
     assert p.result == "early"
+
+
+def test_call_at_nan_raises():
+    """NaN is not a time: ``nan < now`` is False, so a past-time check
+    written that way lets it through, and a NaN key silently breaks the
+    heap's order."""
+    sim = Simulator()
+    with pytest.raises(SimError):
+        sim.call_at(float("nan"), lambda: None)
+    with pytest.raises(SimError):
+        sim.call_later(float("nan"), lambda: None)
+    assert not sim.step()
+
+
+@pytest.mark.parametrize("bad_delay", [float("nan"), -1.0, -1])
+def test_bad_delay_is_thrown_into_the_offending_process(bad_delay):
+    sim = Simulator()
+    clock = []
+
+    def offender():
+        yield 1.5
+        try:
+            yield bad_delay
+        except SimError:
+            clock.append(("caught", sim.now))
+        yield 1.0
+        clock.append(("offender", sim.now))
+
+    def sibling():
+        for _ in range(3):
+            yield 1.0
+            clock.append(("sibling", sim.now))
+
+    sim.spawn(offender())
+    sim.spawn(sibling())
+    sim.run()
+    assert clock == [
+        ("sibling", 1.0), ("caught", 1.5), ("sibling", 2.0), ("offender", 2.5), ("sibling", 3.0),
+    ]
+    assert sim.now == 3.0

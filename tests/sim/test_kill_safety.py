@@ -7,9 +7,12 @@ every future acquirer; this is exactly how a second crash during MSP
 recovery once wedged the disk forever.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.sim import Resource, RWLock, Simulator, Store
+from repro.core.msp import MiddlewareServer
+from repro.sim import ProcessGroup, ProcessKilled, Resource, RWLock, Simulator, Store
 
 
 def test_resource_grant_to_killed_waiter_is_handed_on():
@@ -220,3 +223,82 @@ def test_store_item_requeued_preserves_order():
     sim.run_process(driver())
     # "a" was re-queued at the front, so order is preserved.
     assert got == [("late1", "a"), ("late2", "b")]
+
+
+@pytest.mark.parametrize("kill_at", ["mid-charge", "handoff"])
+def test_group_killed_on_the_cpu_fast_path_leaves_the_core_free(kill_at):
+    """``MiddlewareServer.cpu`` takes a free core through
+    ``Resource.try_acquire`` — no ``acquire()`` generator — and queues
+    through ``acquire()`` only when the core is busy.  Kill a group whose
+    members hold the core the first way and queue for it the second:
+    nothing may stay held."""
+    sim = Simulator()
+    core = Resource(sim, capacity=1, name="cpu")
+    server = SimpleNamespace(_cpu=core)  # all that cpu() reads of its server
+    group = ProcessGroup("msp")
+    charged = []
+
+    def worker(name):
+        while True:
+            yield from MiddlewareServer.cpu(server, 1.0)
+            charged.append(name)
+
+    # "first" finds the core free (the fast path) and holds it until
+    # t=1; the other two find it busy and queue behind it.
+    for name in ("first", "second", "third"):
+        sim.spawn(worker(name), group=group)
+    if kill_at == "mid-charge":
+        sim.run(until=0.5)
+        assert (core.in_use, core.queue_length, charged) == (1, 2, [])
+    else:
+        # Stop right after "first" released at t=1: the core is granted
+        # to "second", whose resumption is scheduled but has not run.
+        while not charged:
+            assert sim.step()
+        assert (sim.now, core.in_use, charged) == (1.0, 1, ["first"])
+    group.kill_all()
+    assert core.in_use == 0 and len(group) == 0
+    sim.run()
+    assert charged == ([] if kill_at == "mid-charge" else ["first"])
+
+    def survivor():
+        assert core.try_acquire()  # free: taken without waiting
+        assert not core.try_acquire()  # busy: nothing taken, nothing queued
+        assert (core.in_use, core.queue_length) == (1, 0)
+        core.release()
+        yield from MiddlewareServer.cpu(server, 1.0)
+        return sim.now
+
+    started = sim.now
+    assert sim.run_process(survivor()) == started + 1.0
+    assert core.in_use == 0
+
+
+def test_kill_between_trigger_and_resumption_never_resumes():
+    sim = Simulator()
+    event = sim.event()
+    resumed = []
+
+    def waiter():
+        try:
+            yield event
+            resumed.append("resumed")
+        finally:
+            resumed.append("closed")
+
+    victim = sim.spawn(waiter())
+    sim.run()  # the victim now waits on the event
+    steps = sim.steps
+
+    event.trigger("value")  # its resumption is scheduled, not yet run
+    victim.kill()
+    assert resumed == ["closed"]  # the generator was closed at once
+    victim.kill()  # a second kill is a no-op
+    assert resumed == ["closed"] and victim.killed and not victim.alive
+
+    sim.run()
+    # The scheduled dispatch still ran, as a counted no-op.
+    assert resumed == ["closed"]
+    assert sim.steps == steps + 1
+    with pytest.raises(ProcessKilled):
+        _ = victim.result
