@@ -34,12 +34,17 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.core.plsn import make_plsn, plsn_offset, plsn_partition
-from repro.core.records import KIND_FILLER, FillerRecord, LogRecord, decode_record
+from repro.core.records import (
+    KIND_FILLER,
+    FillerRecord,
+    LogRecord,
+    MspCheckpointRecord,
+    decode_record,
+)
 from repro.sim import ProcessGroup, Simulator, Store
 from repro.storage import Disk, LogTruncatedError, StableStore
 from repro.storage.disk import SECTOR_BYTES
@@ -71,6 +76,8 @@ class LogStats:
     flushed_sectors: int = 0
     wasted_bytes: int = 0
     read_chunks: int = 0
+    #: A hit is a ``record_at`` answered from the analysis scan's
+    #: decode; a miss is a record decoded, by the scan or ``record_at``.
     decode_cache_hits: int = 0
     decode_cache_misses: int = 0
     #: Log-space reclamation (checkpoint-driven truncation).
@@ -106,21 +113,30 @@ class LogStats:
         return max(0, self.flush_requests - self.physical_flushes)
 
 
-class _LogPartition:
-    """One partition's store, disk, flush queue and decode-cache shard."""
+#: What the scan image does not retain: no read after the analysis scan
+#: asks for these, and they are the bulk of what it decodes — fillers
+#: (every second frame under calibrated overhead) and MSP checkpoints
+#: (a per-session dict each; recovery reads only the anchored one,
+#: before the scan).
+_NOT_RETAINED = (FillerRecord, MspCheckpointRecord)
 
-    __slots__ = ("index", "store", "disk", "queue", "cache", "cache_crash_count")
+
+class _LogPartition:
+    """One partition's store, disk, flush queue and scan image."""
+
+    __slots__ = ("index", "store", "disk", "queue", "scanned")
 
     def __init__(self, index: int, store: StableStore, disk: Disk, queue: Store):
         self.index = index
         self.store = store
         self.disk = disk
         self.queue = queue
-        #: Bounded LRU shard of decoded records: ``plsn -> (record,
-        #: next_plsn)``.  Shards are per partition so one hot
-        #: partition's scan cannot evict another partition's entries.
-        self.cache: OrderedDict[int, tuple[LogRecord, int]] = OrderedDict()
-        self.cache_crash_count = store.crash_count
+        #: The scan image, ``offset -> record``: what the analysis scan
+        #: decoded from this partition's CRC-checked durable prefix.
+        #: Only ``scan_durable`` fills it; ``rewind`` and truncation
+        #: evict, so an entry always equals a fresh decode of the bytes
+        #: at its offset (DESIGN.md §9).
+        self.scanned: dict[int, LogRecord] = {}
 
 
 class LogManager:
@@ -138,7 +154,6 @@ class LogManager:
         cpu=None,
         flush_cpu_ms: float = 0.0,
         record_overhead_bytes: int = 0,
-        decode_cache_records: int = 4096,
         owner: Optional[str] = None,
     ):
         self.sim = sim
@@ -164,6 +179,8 @@ class LogManager:
         self._cpu = cpu
         self.flush_cpu_ms = flush_cpu_ms
         self.record_overhead_bytes = record_overhead_bytes
+        #: The filler frame appended after every non-filler record.
+        self._filler_frame = frame(FillerRecord(record_overhead_bytes).encode())
         self.stats = LogStats()
         self.partitions = [
             _LogPartition(
@@ -180,8 +197,6 @@ class LogManager:
         self.store = stores[0]
         self.disk = disks[0]
         self._flushers: list = []
-        #: Total decode-cache budget, split evenly across the shards.
-        self.decode_cache_records = decode_cache_records
 
     def start(self, group: Optional[ProcessGroup] = None) -> None:
         """Spawn the flusher daemons (kill them via ``group`` on crash)."""
@@ -229,9 +244,8 @@ class LogManager:
         offset = unit.store.append(framed)
         size = len(framed)
         if self.record_overhead_bytes > 0 and not isinstance(record, FillerRecord):
-            filler = frame(FillerRecord(self.record_overhead_bytes).encode())
-            unit.store.append(filler)
-            size += len(filler)
+            unit.store.append(self._filler_frame)
+            size += len(self._filler_frame)
         self.stats.appended_records += 1
         self.stats.appended_bytes += size
         pstats = self.stats.partition(unit.index)
@@ -261,40 +275,6 @@ class LogManager:
     def _frame_end_off(self, unit: _LogPartition, offset: int) -> int:
         (length, _crc) = _HEADER.unpack_from(unit.store.view(offset, _HEADER.size))
         return offset + _HEADER.size + length
-
-    # -- the decode cache ------------------------------------------------------
-
-    @property
-    def _decode_cache(self) -> OrderedDict:
-        """The control partition's cache shard (single-partition compat)."""
-        return self.partitions[0].cache
-
-    @property
-    def _cache_shard_records(self) -> int:
-        """Per-shard LRU capacity: the total budget split evenly."""
-        return max(1, self.decode_cache_records // self.nparts)
-
-    def _cache_sync(self, unit: _LogPartition) -> None:
-        if unit.cache_crash_count != unit.store.crash_count:
-            unit.cache.clear()
-            unit.cache_crash_count = unit.store.crash_count
-
-    def _cache_get(self, unit: _LogPartition, lsn: int) -> Optional[tuple[LogRecord, int]]:
-        self._cache_sync(unit)
-        entry = unit.cache.get(lsn)
-        if entry is not None:
-            unit.cache.move_to_end(lsn)
-        return entry
-
-    def _cache_put(
-        self, unit: _LogPartition, lsn: int, record: LogRecord, next_lsn: int
-    ) -> None:
-        self._cache_sync(unit)
-        cache = unit.cache
-        cache[lsn] = (record, next_lsn)
-        cache.move_to_end(lsn)
-        while len(cache) > self._cache_shard_records:
-            cache.popitem(last=False)
 
     # -- flushing --------------------------------------------------------------
 
@@ -456,28 +436,28 @@ class LogManager:
 
         Returns ``(record, next_lsn)``.  Timing is charged separately by
         the read helpers below, which model the 64 KB chunked I/O.
-        Decoded records come from the bounded LRU cache when the LSN was
-        already parsed this crash epoch (e.g. by the analysis scan).
-        Callers that already parsed the frame header (the window reader
-        does, for its window check) pass ``frame_end`` — the *offset*
-        just past the frame within the lsn's partition — so the header
-        is unpacked once per fetch, not twice.
+        The frame header always comes from the store (below the
+        truncation floor that raises :class:`LogTruncatedError`); the
+        record is the analysis scan's decode when the scan image has one
+        (a hit), else it is CRC-checked and decoded here (a miss) and
+        not kept.  Callers that already parsed the frame header (the
+        window reader does, for its window check) pass ``frame_end`` —
+        the *offset* just past the frame within the lsn's partition — so
+        the header is unpacked once per fetch, not twice.
         """
         unit = self.partitions[plsn_partition(lsn)]
-        cached = self._cache_get(unit, lsn)
-        if cached is not None:
-            self.stats.decode_cache_hits += 1
-            return cached
-        self.stats.decode_cache_misses += 1
         offset = plsn_offset(lsn)
         end = frame_end if frame_end is not None else self._frame_end_off(unit, offset)
-        payload, consumed = unframe(unit.store.view(offset, end - offset), 0)
-        if payload is None:
-            raise ValueError(f"{self.name}: no complete record at LSN {lsn}")
-        record = decode_record(payload)
-        next_lsn = make_plsn(unit.index, offset + consumed)
-        self._cache_put(unit, lsn, record, next_lsn)
-        return record, next_lsn
+        record = unit.scanned.get(offset)
+        if record is not None:
+            self.stats.decode_cache_hits += 1
+        else:
+            self.stats.decode_cache_misses += 1
+            payload, _consumed = unframe(unit.store.view(offset, end - offset), 0)
+            if payload is None:
+                raise ValueError(f"{self.name}: no complete record at LSN {lsn}")
+            record = decode_record(payload)
+        return record, make_plsn(unit.index, end)
 
     def scan_durable(self, start: int):
         """Timed sequential scan of one partition's durable log (generator).
@@ -492,9 +472,9 @@ class LogManager:
         span of the segmented store, frames and payloads sliced out of
         it without intermediate ``bytes`` materialization.  A frame that
         straddles a segment boundary is stitched individually — the only
-        copies the scan ever makes.  Decoded records are entered into
-        the decode cache so the per-session replay fetches that follow
-        the scan do not decode them again.
+        copies the scan ever makes.  Each record decoded here enters
+        the partition's scan image (except ``_NOT_RETAINED``), so the
+        replay and rollback reads that follow do not decode it again.
 
         A ``start`` below the truncation floor raises
         :class:`LogTruncatedError`: recovery computes its scan start
@@ -555,20 +535,12 @@ class LogManager:
     def _scan_emit(
         self, records: list, unit: _LogPartition, offset: int, payload
     ) -> None:
-        """Decode (or cache-hit) one scanned frame payload into ``records``."""
-        lsn = make_plsn(unit.index, offset)
-        cached = self._cache_get(unit, lsn)
-        if cached is not None:
-            self.stats.decode_cache_hits += 1
-            record = cached[0]
-        else:
-            self.stats.decode_cache_misses += 1
-            record = decode_record(payload)
-            self._cache_put(
-                unit, lsn, record,
-                make_plsn(unit.index, offset + _HEADER.size + len(payload)),
-            )
-        records.append((lsn, record))
+        """Decode one scanned frame payload into ``records`` and the image."""
+        self.stats.decode_cache_misses += 1
+        record = decode_record(payload)
+        if not isinstance(record, _NOT_RETAINED):
+            unit.scanned[offset] = record
+        records.append((make_plsn(unit.index, offset), record))
 
     # -- truncation ---------------------------------------------------------
 
@@ -590,10 +562,11 @@ class LogManager:
             store = unit.store
             if cut < store.end:
                 store.rewind(cut)
-                self._cache_sync(unit)
-                cache = unit.cache
-                for lsn in [k for k in cache if plsn_offset(k) >= cut]:
-                    del cache[lsn]
+                # A scanned decode must not outlive its bytes: evict
+                # before any append can reuse the offsets.
+                scanned = unit.scanned
+                for offset in [k for k in scanned if k >= cut]:
+                    del scanned[offset]
         self.stats.live_bytes = sum(u.store.live_bytes for u in self.partitions)
         for unit in self.partitions:
             self.stats.partition(unit.index)["live_bytes"] = unit.store.live_bytes
@@ -640,12 +613,10 @@ class LogManager:
             unit.disk.trim(recycled * store.segment_bytes)
         floor = store.truncate_lsn
         if floor > before:
-            # Evict truncated entries: a cached decode below the floor
-            # must not outlive the bytes it was decoded from.
-            self._cache_sync(unit)
-            cache = unit.cache
-            for lsn in [k for k in cache if plsn_offset(k) < floor]:
-                del cache[lsn]
+            # The scan image shrinks with the live log.
+            scanned = unit.scanned
+            for offset in [k for k in scanned if k < floor]:
+                del scanned[offset]
         self.stats.truncations += 1
         self.stats.truncated_bytes = sum(
             u.store.truncated_bytes for u in self.partitions

@@ -164,6 +164,12 @@ class MiddlewareServer:
         self.group: Optional[ProcessGroup] = None
         self.running = False
         self.stats = MspStats()
+        #: Invariant counter — session replays that ended in an error (a
+        #: log read failed, the log and the method diverged); such a
+        #: session stays RECOVERING until a restart rebuilds it.  Must
+        #: stay 0.  Not an ``MspStats`` field: fleet reports serialize
+        #: that dataclass whole, and their bytes are fingerprinted.
+        self.failed_replays = 0
         #: Lazy recovery mode (DESIGN.md §15): after a crash, leave the
         #: rebuilt sessions pending and replay each on demand.  Cached —
         #: the mode is fixed per run (and was validated above, like

@@ -562,12 +562,6 @@ LogRecord = (
 )
 
 
-def _encode_optional_dv(enc: Encoder, dv: Optional[DependencyVector]) -> None:
-    enc.boolean(dv is not None)
-    if dv is not None:
-        dv.encode_into(enc)
-
-
 def _decode_optional_dv(dec: Decoder) -> Optional[DependencyVector]:
     if dec.boolean():
         return DependencyVector.decode_from(dec)
@@ -650,6 +644,8 @@ def _decode_sv_update(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
 def _decode_filler(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     # Skip the padding without materializing it — fillers dominate the
     # log volume when record_overhead_bytes is calibrated to the paper.
+    # The analysis scan counts and charges every filler it decodes here
+    # but keeps none of them (``log_manager._NOT_RETAINED``).
     size, pos = read_uvarint(buf, pos)
     end = pos + size
     if end > len(buf):
@@ -795,14 +791,3 @@ def _decode_record_general(payload: Buffer) -> LogRecord:
         raise ValueError(f"unknown log record kind {kind}")
     dec.expect_end()
     return record
-
-
-def session_of(record: LogRecord) -> Optional[str]:
-    """The owning session for records that belong to a position stream."""
-    if isinstance(
-        record,
-        (RequestRecord, CommandRecord, ReplyRecord, SvReadRecord, SvWriteRecord,
-         SvUpdateRecord),
-    ):
-        return record.session_id
-    return None

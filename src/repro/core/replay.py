@@ -26,7 +26,7 @@ from repro.core.context import (
     write_eos,
 )
 from repro.core.dv import StateId
-from repro.core.errors import SessionProtocolError
+from repro.core.errors import FlushFailed, OrphanDetected, SessionProtocolError
 from repro.core.log_manager import LogWindowReader
 from repro.core.records import CommandRecord, RequestRecord, SessionCheckpointRecord
 from repro.core.session import Session, SessionStatus
@@ -54,25 +54,50 @@ def run_session_recovery(msp: "MiddlewareServer", session: Session, orphan: bool
             "recovery.session", owner=msp.name, session=session.id, orphan=orphan
         )
     passes = 0
+    opened = True
     try:
         while True:
             passes += 1
+            cursor = None
             try:
-                yield from _replay_pass(msp, session)
+                yield from _restore_checkpoint(msp, session)
+                cursor = ReplayCursor(msp, list(session.position_stream.positions()))
+                yield from _replay_stream(msp, session, cursor)
                 break
             except _RestartReplay:
                 continue
+    except (OrphanDetected, FlushFailed):
+        # The live tail of the last replayed request found the session
+        # an orphan again: it opens as it is, and the next interception
+        # point starts orphan recovery.
+        raise
+    except Exception as exc:
+        # Only a completed replay opens the session: a half-replayed one
+        # stays RECOVERING (its clients get busy replies) until a restart
+        # rebuilds it from the log.  A kill is GeneratorExit, not this.
+        opened = False
+        msp.failed_replays += 1
+        at = None  # the checkpoint fetch failed, or the stream was exhausted
+        if cursor is not None and cursor.has_next():
+            at = cursor.positions[cursor.index]
+        # Same exception, same traceback; the message says whose replay.
+        exc.args = (
+            f"{msp.name}: replay of session {session.id} from checkpoint "
+            f"{session.last_ckpt_lsn} failed at stream LSN {at}: {exc}",
+        ) + exc.args[1:]
+        raise
     finally:
         if span is not None:
             span.end(passes=passes)
-        session.status = SessionStatus.NORMAL
-        session.recovery_pending = False
+        if opened:
+            session.status = SessionStatus.NORMAL
+            session.recovery_pending = False
     if orphan:
         msp.stats.orphan_recoveries += 1
 
 
-def _replay_pass(msp: "MiddlewareServer", session: Session):
-    # 1. Re-initialize from the most recent session checkpoint.
+def _restore_checkpoint(msp: "MiddlewareServer", session: Session):
+    """Pass step 1: re-initialize from the most recent session checkpoint."""
     if session.last_ckpt_lsn is not None:
         reader = LogWindowReader(msp.log, durable_only=False)
         record = yield from reader.fetch(session.last_ckpt_lsn)
@@ -84,8 +109,10 @@ def _replay_pass(msp: "MiddlewareServer", session: Session):
     else:
         session.reset_fresh()
 
-    # 2. Redo recovery: replay logged requests along the position stream.
-    cursor = ReplayCursor(msp, list(session.position_stream.positions()))
+
+def _replay_stream(msp: "MiddlewareServer", session: Session, cursor: ReplayCursor):
+    """Pass step 2, redo recovery: replay logged requests along the
+    position stream."""
     ctx = ReplayContext(msp, session, cursor)
     while cursor.has_next() and not ctx.switched:
         try:

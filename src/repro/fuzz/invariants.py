@@ -294,6 +294,17 @@ def check_lazy_recovery(msp: "MiddlewareServer") -> list[str]:
     return []
 
 
+def check_replays_completed(msp: "MiddlewareServer") -> list[str]:
+    """No session replay may have ended in an error: such a session is
+    never opened, and nothing else reports why."""
+    if msp.failed_replays:
+        return [
+            f"replay: {msp.name} has {msp.failed_replays} session "
+            "replay(s) that failed and left their session unrecovered"
+        ]
+    return []
+
+
 def check_msp(msp: "MiddlewareServer") -> list[str]:
     """The full per-MSP battery."""
     violations = check_running(msp)
@@ -301,6 +312,7 @@ def check_msp(msp: "MiddlewareServer") -> list[str]:
     violations += check_sv_chains(msp)
     violations += check_durable_log(msp)
     violations += check_lazy_recovery(msp)
+    violations += check_replays_completed(msp)
     return violations
 
 

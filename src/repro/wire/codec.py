@@ -10,9 +10,9 @@ Two API layers share the same byte format:
 - :class:`Encoder` / :class:`Decoder` — the general chained interface
   every record type supports;
 - the module-level ``encode_uvarint`` / ``read_uvarint`` /
-  ``read_bytes`` / ``read_text`` functions — the allocation-light fast
-  path used by the compiled codecs of the high-frequency record kinds
-  (see :mod:`repro.core.records`).  They operate on any buffer object
+  ``read_bytes`` / ``read_text_interned`` functions — the
+  allocation-light fast path used by the compiled codecs of the
+  high-frequency record kinds (see :mod:`repro.core.records`).  They operate on any buffer object
   (``bytes`` or ``memoryview``), which is what makes the zero-copy log
   scan possible.
 """
@@ -91,15 +91,6 @@ def read_bytes(buf: Buffer, pos: int) -> tuple[bytes, int]:
     return bytes(buf[pos:end]), end
 
 
-def read_text(buf: Buffer, pos: int) -> tuple[str, int]:
-    """Parse a length-prefixed UTF-8 string; returns ``(text, next_pos)``."""
-    length, pos = read_uvarint(buf, pos)
-    end = pos + length
-    if end > len(buf):
-        raise CodecError(f"truncated text field (need {length}, have {len(buf) - pos})")
-    return str(buf[pos:end], "utf-8"), end
-
-
 #: Bounded intern table for identifier-like text fields (session ids,
 #: variable and MSP names repeat on nearly every record of a log).
 _TEXT_INTERN: dict[bytes, str] = {}
@@ -107,7 +98,8 @@ _TEXT_INTERN_MAX = 8192
 
 
 def read_text_interned(buf: Buffer, pos: int) -> tuple[str, int]:
-    """Like :func:`read_text`, but memoizes the decoded string.
+    """Parse a length-prefixed UTF-8 string, memoizing the decoded
+    text; returns ``(text, next_pos)``.
 
     Meant for identifier fields with heavy repetition; do not use for
     payload-like text.  The table is dropped wholesale when full —

@@ -61,11 +61,6 @@ def unframe(data: _Data, offset: int = 0) -> tuple[Optional[_Data], int]:
     return payload, end
 
 
-def framed_size(payload_length: int) -> int:
-    """Total on-log size of a frame holding ``payload_length`` bytes."""
-    return _HEADER.size + payload_length
-
-
 class FrameReader:
     """Iterates complete frames over a byte string (the recovery scan)."""
 

@@ -558,23 +558,3 @@ def test_decode_cache_invalidated_by_crash():
 
     record = sim.run_process(run())
     assert record == rec(99)
-
-
-def test_decode_cache_is_bounded():
-    sim, log, _ = make_log()
-    log.decode_cache_records = 8
-
-    def run():
-        lsns = []
-        for i in range(50):
-            lsn, _ = log.append(rec(i))
-            lsns.append(lsn)
-        yield from log.flush()
-        for lsn in lsns:
-            log.record_at(lsn)
-        return lsns
-
-    lsns = sim.run_process(run())
-    assert len(log._decode_cache) == 8
-    # The most recently parsed records are the ones retained.
-    assert set(log._decode_cache) == set(lsns[-8:])

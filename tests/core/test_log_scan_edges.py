@@ -79,18 +79,3 @@ def test_scan_stops_at_torn_tail_and_restarts():
     log.store.mark_durable(lsn2 + size2)
     second = run_scan(sim, log, lsn2)
     assert [(lsn, r) for lsn, r in second] == [(lsn2, rec(2))]
-
-
-def test_restarted_scan_hits_decode_cache():
-    sim, log = make_log()
-    lsns = []
-    for i in range(8):
-        lsn, size = log.append(rec(i))
-        lsns.append(lsn)
-    flush(sim, log, lsns[-1])
-    run_scan(sim, log, 0)
-    misses_after_first = log.stats.decode_cache_misses
-    assert misses_after_first >= 8
-    run_scan(sim, log, 0)
-    assert log.stats.decode_cache_misses == misses_after_first
-    assert log.stats.decode_cache_hits >= 8

@@ -66,39 +66,42 @@ def test_truncate_to_caps_at_durable_end():
     assert log.truncate_lsn == durable
 
 
+def scan(sim, log, start=0):
+    return sim.run_process(log.scan_durable(start))
+
+
 def test_record_at_below_floor_raises():
     sim, log = make_log(segment_bytes=64)
     lsns = fill(sim, log, 10)
+    scan(sim, log)  # every record is in the scan image ...
     truncate(sim, log, lsns[5])
-    log._decode_cache.clear()
     with pytest.raises(LogTruncatedError):
-        log.record_at(lsns[0])
+        log.record_at(lsns[0])  # ... and a read below the floor still raises
 
 
 def test_truncation_evicts_cached_decodes_below_floor():
     sim, log = make_log(segment_bytes=64)
     lsns = fill(sim, log, 10)
-    for lsn in lsns:
-        log.record_at(lsn)  # populate the decode cache
-    assert set(log._decode_cache) == set(lsns)
+    scan(sim, log)
+    scanned = log.partitions[0].scanned
+    assert set(scanned) == set(lsns)
     truncate(sim, log, lsns[5])
-    # Entries below the floor are gone — a cached decode must not
+    # Entries below the floor are gone — a scanned decode must not
     # outlive the bytes it was decoded from.
-    assert set(log._decode_cache) == set(lsns[5:])
+    assert set(scanned) == set(lsns[5:])
     with pytest.raises(LogTruncatedError):
         log.record_at(lsns[2])
 
 
 def test_cache_eviction_without_segment_recycling():
-    # The floor can advance within a segment (nothing recycled); cached
+    # The floor can advance within a segment (nothing recycled); scanned
     # decodes below it must still be dropped.
     sim, log = make_log(segment_bytes=1 << 20)
     lsns = fill(sim, log, 10)
-    for lsn in lsns:
-        log.record_at(lsn)
+    scan(sim, log)
     recycled = truncate(sim, log, lsns[5])
     assert recycled == 0
-    assert set(log._decode_cache) == set(lsns[5:])
+    assert set(log.partitions[0].scanned) == set(lsns[5:])
     with pytest.raises(LogTruncatedError):
         log.record_at(lsns[2])
 

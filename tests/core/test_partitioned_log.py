@@ -263,38 +263,6 @@ def test_scan_stops_at_each_partitions_torn_tail():
         assert unit.store.durable_end >= whole_end
 
 
-def test_decode_cache_shards_are_isolated():
-    """A hot partition's scan churn must not evict another partition's
-    cached decodes: shards are per partition with a split budget."""
-    sim, log = make_partitioned_log(4, decode_cache_records=8)
-    assert log._cache_shard_records == 2
-    # 'bench/session-0' routes to partition 1, 'bench/session-7' to 2.
-    hot, cold = "bench/session-0", "bench/session-7"
-    assert log.partition_of_session(hot) == 1
-    assert log.partition_of_session(cold) == 2
-    cold_lsns = []
-    for i in range(2):
-        lsn, _size = log.append(
-            RequestRecord(cold, i, "m", b"", DependencyVector())
-        )
-        cold_lsns.append(lsn)
-    for i in range(20):
-        log.append(RequestRecord(hot, i, "m", b"", DependencyVector()))
-    _run(sim, log.flush(None))
-    _run(sim, log.scan_durable(make_plsn(2, 0)))
-    cached_cold = dict(log.partitions[2].cache)
-    assert set(cached_cold) == set(cold_lsns)
-    # Churn the hot shard far past its capacity...
-    for _ in range(3):
-        _run(sim, log.scan_durable(make_plsn(1, 0)))
-    assert len(log.partitions[1].cache) <= 2
-    # ...and the cold shard is untouched: a re-scan hits every entry.
-    assert dict(log.partitions[2].cache) == cached_cold
-    hits_before = log.stats.decode_cache_hits
-    _run(sim, log.scan_durable(make_plsn(2, 0)))
-    assert log.stats.decode_cache_hits == hits_before + len(cold_lsns)
-
-
 # -- rewind: recovery's consistent cut leaves no durable residue ------------
 
 
@@ -347,16 +315,21 @@ def test_log_manager_rewind_trims_caches_and_stats():
         )
         lsns.append(lsn)
     _run(sim, log.flush(None))
-    _run(sim, log.scan_durable(make_plsn(1, 0)))  # warm partition 1's cache
-    assert log.partitions[1].cache
+    for p in range(4):
+        _run(sim, log.scan_durable(make_plsn(p, 0)))
+    images = [dict(unit.scanned) for unit in log.partitions]
+    assert all(images)
     cuts = [unit.store.durable_end for unit in log.partitions]
     cuts[1] = 0
     log.rewind(cuts)
     assert log.partitions[1].store.end == 0
     assert log.partitions[1].store.durable_end == 0
-    assert not log.partitions[1].cache
+    # The cut partition's scan image goes with its bytes (the offsets
+    # are about to be reused); the others keep theirs.
+    assert not log.partitions[1].scanned
     for p in (0, 2, 3):
         assert log.partitions[p].store.durable_end == cuts[p]
+        assert log.partitions[p].scanned == images[p]
     assert log.stats.live_bytes == sum(
         unit.store.live_bytes for unit in log.partitions
     )

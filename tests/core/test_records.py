@@ -21,7 +21,6 @@ from repro.core.records import (
     SvWriteRecord,
     _decode_record_general,
     decode_record,
-    session_of,
 )
 from repro.wire import Encoder
 from repro.wire.codec import CodecError, encode_uvarint
@@ -186,16 +185,6 @@ def test_retired_checkpoint_chain_heads_are_rejected(decoder, ends):
     retired = record.encode() + (b"" if ends else encode_uvarint(0)) + heads
     with pytest.raises(CodecError, match="trailing bytes after decode"):
         decoder(retired)
-
-
-def test_session_of():
-    dv = DependencyVector()
-    assert session_of(RequestRecord("s", 1, "m", b"", None)) == "s"
-    assert session_of(ReplyRecord("s", "o", 1, b"", None)) == "s"
-    assert session_of(SvReadRecord("s", "v", b"", dv)) == "s"
-    assert session_of(SvWriteRecord("s", "v", b"", dv)) == "s"
-    assert session_of(SvCheckpointRecord("v", b"")) is None
-    assert session_of(AnnouncementRecord("m", 0, 0)) is None
 
 
 @given(

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.wire import CorruptRecordError, FrameReader, frame, unframe
-from repro.wire.framing import framed_size
 
 
 def test_frame_unframe_roundtrip():
@@ -13,10 +12,6 @@ def test_frame_unframe_roundtrip():
     payload, end = unframe(data)
     assert payload == b"payload"
     assert end == len(data)
-
-
-def test_framed_size():
-    assert len(frame(b"abc")) == framed_size(3)
 
 
 def test_unframe_truncated_header():
