@@ -3,17 +3,15 @@
 Commands:
 
 - ``list`` — list the available experiments;
-- ``run <experiment> [--scale S] [--seed N] [--jobs N]`` — regenerate
-  one of the paper's tables/figures (or an ablation) and print it;
-- ``all [--scale S] [--jobs N]`` — regenerate everything;
+- ``run <experiment> [--scale S] [--seed N] [--jobs N]`` — run one
+  experiment — a table or figure of the paper, an ablation, or one of
+  the later headline results (partition scaling, instant restart, log
+  volume, log space, fleet scaling, trace overhead) — print its rows
+  and check its claims; exit 1 if a claim fails, which is the gate;
+- ``all [--scale S] [--jobs N]`` — run every experiment;
 - ``workload <configuration> [--requests N] [--clients N] [--m N]
   [--crash-every N] [--batch MS]`` — run one paper workload and print
   the measurements;
-- ``bench [--scale S] [--repeat N] [--smoke] [--jobs N] [--out PATH]
-  [--baseline PATH]`` — run the wall-clock log-pipeline benchmarks and
-  emit a machine-readable ``BENCH_*.json`` report; ``--fanout`` instead
-  measures the parallel runner itself (sequential vs ``--jobs N`` wall
-  time plus verdict-identity checks, the ``BENCH_PR3.json`` artifact);
 - ``fuzz [--mode exhaustive|random] [--seeds N] [--replay SEED] ...`` —
   the deterministic crash-schedule explorer (see :mod:`repro.fuzz.cli`):
   systematically kill an MSP at every enumerated crash site (or at
@@ -38,7 +36,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.harness import (
@@ -52,6 +49,7 @@ from repro.harness import (
     fig16_max_response_table,
     fig16_optimal_threshold,
     fig17_multiclient,
+    headlines,
     render_result,
 )
 from repro.workloads import CONFIGURATIONS, PaperWorkload, WorkloadParams
@@ -67,6 +65,12 @@ EXPERIMENTS = {
     "analysis-flush": analysis_flush_accounting,
     "ablation-parallel-recovery": ablation_parallel_recovery,
     "ablation-dv-granularity": ablation_dv_granularity,
+    "partition-scaling": headlines.partition_scaling,
+    "instant-restart": headlines.instant_restart,
+    "log-volume": headlines.log_volume,
+    "log-space": headlines.log_space,
+    "fleet-scaling": headlines.fleet_scaling,
+    "trace-overhead": headlines.trace_overhead,
 }
 
 
@@ -114,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--no-truncation", action="store_true",
         help="disable checkpoint-driven log truncation (the log then "
-        "grows without bound — the PR 4 log_space benchmark's off mode)",
+        "grows without bound — the log-space experiment's off rows)",
     )
     workload.add_argument(
         "--segment-bytes", type=int, default=None,
@@ -146,39 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "vs estimated replay cost",
     )
     workload.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser("bench", help="run the log-pipeline perf benchmarks")
-    bench.add_argument("--scale", type=float, default=1.0, help="iteration-count multiplier")
-    bench.add_argument("--repeat", type=int, default=3, help="runs per benchmark (best kept)")
-    bench.add_argument(
-        "--only", action="append", default=None, metavar="NAME",
-        help="run only the named benchmark cell (repeatable); "
-        "see repro.perf.bench.BENCHMARKS for the cell names",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny single iteration, completion check only (CI mode)",
-    )
-    bench.add_argument(
-        "--logging-mode", choices=("value", "command", "adaptive"), default=None,
-        help="restrict the log_volume spectrum cell to one logging mode "
-        "(default: run the full value/adaptive/command spectrum)",
-    )
-    add_jobs_argument(bench)
-    bench.add_argument(
-        "--fanout", action="store_true",
-        help="measure the parallel runner: sequential vs --jobs wall time "
-        "with verdict-identity checks (writes BENCH_PR3.json by default)",
-    )
-    bench.add_argument(
-        "--out", default=None,
-        help="JSON report path (default BENCH_PR1.json, "
-        "or BENCH_PR3.json with --fanout)",
-    )
-    bench.add_argument(
-        "--baseline", default=None,
-        help="earlier BENCH json to embed and compute speedups against",
-    )
 
     fuzz = sub.add_parser("fuzz", help="run the crash-schedule explorer")
     from repro.fuzz.cli import add_fuzz_arguments
@@ -253,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the canonical (timing-free) report JSON "
-        "(the perf_gate --scenario-matrix input)",
+        "(what the CI job compares across --jobs values)",
     )
     scenarios.add_argument(
         "--timeout", type=float, default=None, metavar="S",
@@ -310,65 +281,6 @@ def _progress(label: str):
     # The key is deliberately unreported: rate-limited count/ETA lines
     # only, details stay on the fuzz front end where they mark failures.
     return lambda done, total, key: reporter.update(done, total)
-
-
-def _run_fanout(args: argparse.Namespace, out: str) -> int:
-    from repro.perf import write_report
-    from repro.perf.fanout import format_fanout_report, run_fanout_report
-
-    if args.smoke:
-        report = run_fanout_report(
-            jobs=args.jobs, fuzz_stride=64, pair_schedules=8, random_cases=4,
-            bench_scale=0.002, sweep_scale=0.01,
-            progress=_progress("fanout (smoke)"),
-        )
-    else:
-        report = run_fanout_report(jobs=args.jobs, progress=_progress("fanout"))
-    write_report(report, out)
-    print(format_fanout_report(report))
-    print(f"wrote {out}")
-    return 0 if report["all_identical"] else 1
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.perf import run_benchmarks, write_report
-    from repro.perf.bench import attach_baseline, format_report
-
-    out = args.out or ("BENCH_PR3.json" if args.fanout else "BENCH_PR1.json")
-    if args.fanout:
-        return _run_fanout(args, out)
-    baseline = None
-    if args.baseline:
-        # Validate up front so a bad path fails before the timed runs.
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-    if args.only:
-        from repro.perf.bench import BENCHMARKS
-
-        unknown = [name for name in args.only if name not in BENCHMARKS]
-        if unknown:
-            print(
-                f"error: unknown benchmark cell(s) {', '.join(unknown)}; "
-                f"available: {', '.join(BENCHMARKS)}",
-                file=sys.stderr,
-            )
-            return 2
-    scale = 0.002 if args.smoke else args.scale
-    repeat = 1 if args.smoke else args.repeat
-    report = run_benchmarks(
-        scale=scale, repeat=repeat, only=args.only, jobs=args.jobs,
-        progress=_progress("bench"), logging_mode=args.logging_mode,
-    )
-    if baseline is not None:
-        attach_baseline(report, baseline)
-    write_report(report, out)
-    print(format_report(report))
-    print(f"wrote {out}")
-    return 0
 
 
 def _run_workload(args: argparse.Namespace) -> int:
@@ -712,8 +624,6 @@ def main(argv: list[str] | None = None) -> int:
         return min(failures, 1)
     if args.command == "workload":
         return _run_workload(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "fuzz":
         from repro.fuzz.cli import run_fuzz
 

@@ -154,6 +154,14 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
         )
         yield from msp.cpu(msp.config.costs.log_append_ms)
         lsn, _size = msp.log.append(record)
+        if msp.log.nparts > 1:
+            # The next write chains back to this record from the
+            # *writer's* partition and no DV names it, so nothing would
+            # ever flush the control partition on its behalf: the write
+            # lock is held until the record is durable (DESIGN.md §14,
+            # "what a record may chain to").  The single log's prefix
+            # durability gives the same guarantee for free.
+            yield from msp.log.flush(lsn)
         sv.apply_checkpoint(lsn)
         msp.stats.sv_checkpoints += 1
         msp.sim.probe("ckpt.sv.logged", owner=msp.name)

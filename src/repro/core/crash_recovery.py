@@ -33,7 +33,13 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.checkpoint import perform_msp_checkpoint
 from repro.core.dv import PKEY_BITS, RecoveryTable
 from repro.core.errors import LogTruncatedError, RecoveryMergeError
-from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, encode_frontier, make_plsn
+from repro.core.plsn import (
+    OFFSET_BITS,
+    OFFSET_MASK,
+    decode_frontier,
+    encode_frontier,
+    make_plsn,
+)
 from repro.core.records import (
     NO_LSN,
     AnnouncementRecord,
@@ -72,9 +78,14 @@ class AnalysisState:
     ended: set[str] = field(default_factory=set)
 
     #: LSN of the anchored MSP checkpoint (None: never anchored) and
-    #: the epoch it recorded.
+    #: the epoch being recovered: the anchor's, unless the scan holds an
+    #: interrupted recovery's checkpoint (:func:`find_incarnation_boundary`).
     anchor: Optional[int] = None
     old_epoch: int = 0
+    #: variable -> per-partition live-chain floors as of the anchored
+    #: checkpoint; a scanned write below its floor was superseded by a
+    #: shared-variable checkpoint and is not the variable's value.
+    sv_floors: dict[str, list[int]] = field(default_factory=dict)
     #: Per-partition scan start offsets.
     scan_starts: list[int] = field(default_factory=list)
     #: partition -> scanned ``(offset, record)`` pairs, below the cut
@@ -96,8 +107,8 @@ class AnalysisState:
 # hottest CPU path of recovery.  Dispatch is a single dict lookup on the
 # record's concrete class (``decode_record`` always produces leaf
 # types), replacing the old chain of up to ~10 sequential ``isinstance``
-# checks per record; the ``recovery_scan`` benchmark tracks the
-# per-record cost.  Each handler does *all* the work for its kind,
+# checks per record; the benchmark's ``core_recovery.analyze_us_per_rec``
+# tracks the per-record cost.  Each handler does *all* the work for its kind,
 # including position-stream membership.
 
 
@@ -105,16 +116,29 @@ def _scan_position(msp, state: AnalysisState, lsn: int, record) -> None:
     state.positions.setdefault(record.session_id, []).append(lsn)
 
 
+def _live_write(msp, state: AnalysisState, lsn: int, record):
+    """The variable a scanned write installs into, or None: an
+    unregistered variable, or a write below the variable's live-chain
+    floor in the anchored checkpoint.  Such a write is still a replay
+    position of its session, but a checkpoint superseded it, and with
+    several partitions nothing orders it before that checkpoint in the
+    merge (DESIGN.md §14, "what the analysis pass may install")."""
+    floors = state.sv_floors.get(record.variable)
+    if floors is not None and (lsn & OFFSET_MASK) < floors[lsn >> OFFSET_BITS]:
+        return None
+    return msp.shared.get(record.variable)
+
+
 def _scan_sv_write(msp, state: AnalysisState, lsn: int, record) -> None:
     state.positions.setdefault(record.session_id, []).append(lsn)
-    sv = msp.shared.get(record.variable)
+    sv = _live_write(msp, state, lsn, record)
     if sv is not None:
         sv.apply_write(lsn, record.value, record.writer_dv)
 
 
 def _scan_sv_update(msp, state: AnalysisState, lsn: int, record) -> None:
     state.positions.setdefault(record.session_id, []).append(lsn)
-    sv = msp.shared.get(record.variable)
+    sv = _live_write(msp, state, lsn, record)
     if sv is not None:
         sv.apply_write(lsn, record.new_value, record.writer_dv)
 
@@ -191,8 +215,8 @@ def analyze_scan(
     """The analysis pass over scanned ``(lsn, record)`` pairs (§4.3 step 2).
 
     Pure CPU — no simulated time; callers charge scan cost separately.
-    Fills ``state`` (a fresh one when omitted, so the ``recovery_scan``
-    benchmark can measure the pass against log length in isolation).
+    Fills ``state`` (a fresh one when omitted, so tests can drive the
+    pass over a hand-built record list).
     """
     if state is None:
         state = AnalysisState()
@@ -411,7 +435,7 @@ def assert_merge_order(
 
 # -- the restart pipeline (§4.3, Fig. 12; DESIGN.md §14) ----------------------
 #
-# ``recover_msp`` drives eight phases over one ``AnalysisState``.  Every
+# ``recover_msp`` drives nine phases over one ``AnalysisState``.  Every
 # per-partition quantity is a vector of length ``log.nparts``; a single
 # log is the one-partition case and keeps its historical bytes through
 # the encoders (``make_plsn(0, off) == off``, ``encode_frontier((x,))
@@ -445,6 +469,14 @@ def read_anchor(msp: "MiddlewareServer", state: AnalysisState):
         msp.table = RecoveryTable.from_snapshot(ckpt.recovered_snapshot)
         state.old_epoch = ckpt.epoch
         state.scan_starts = ckpt.partition_floors(state.anchor)
+        # A partition the variable's chain did not touch is pinned at
+        # the offset maximum; everything of the variable's below that
+        # partition's captured end is then stale.
+        for name, start in ckpt.sv_start_lsns.items():
+            state.sv_floors[name] = [
+                ckpt.partition_ends[partition] if offset == OFFSET_MASK else offset
+                for partition, offset in enumerate(decode_frontier(start))
+            ]
         if len(state.scan_starts) != log.nparts:
             raise ValueError(
                 f"{msp.name}: anchored checkpoint covers "
@@ -476,8 +508,25 @@ def scan_partitions(msp: "MiddlewareServer", state: AnalysisState):
         ]
 
 
+def find_incarnation_boundary(state: AnalysisState) -> None:
+    """Step 2b: an own MSP checkpoint in the scan whose epoch exceeds
+    the anchor's was written by a recovery that died between making it
+    durable and anchoring it.  That recovery already announced the
+    anchor epoch's frontier (it is in the checkpoint's snapshot) and
+    then appended, as the next epoch, at offsets the lost incarnation
+    had used; recovering the anchor's epoch again would announce a wider
+    frontier for it and un-orphan peers that depend on the lost records.
+    An announced frontier never grows: recover the checkpoint's epoch.
+
+    MSP checkpoints carry no session id, so they live on partition 0.
+    """
+    for _offset, record in state.partition_records[0]:
+        if record.__class__ is MspCheckpointRecord and record.epoch > state.old_epoch:
+            state.old_epoch = record.epoch
+
+
 def cut_and_merge(msp: "MiddlewareServer", state: AnalysisState) -> None:
-    """Step 2b: lower the durable ends to a consistent cut, drop what it
+    """Step 2c: lower the durable ends to a consistent cut, drop what it
     excises from disk and scan alike, and linearize the rest in
     dependency order (DESIGN.md §14) for the analysis pass."""
     log = msp.log
@@ -510,7 +559,7 @@ def cut_and_merge(msp: "MiddlewareServer", state: AnalysisState) -> None:
 
 
 def analyze(msp: "MiddlewareServer", state: AnalysisState):
-    """Step 2c: the single-threaded analysis pass over the merged scan,
+    """Step 2d: the single-threaded analysis pass over the merged scan,
     then fix what we recovered to (generator, charges scan CPU)."""
     records = state.records
     yield from msp.cpu(len(records) * msp.config.costs.scan_record_cpu_ms)
@@ -624,6 +673,7 @@ def recover_msp(msp: "MiddlewareServer"):
 
     step = _span(msp, "recovery.scan", lsn=state.scan_starts[0])
     yield from scan_partitions(msp, state)
+    find_incarnation_boundary(state)
     cut_and_merge(msp, state)
     _end(step, records=len(state.records))
 

@@ -1,10 +1,14 @@
-"""Experiment harness: regenerate every table and figure of §5.
+"""Experiment harness: every table and figure of §5, the ablations, and
+the headline results earned since.
 
-Each ``fig*`` function in :mod:`repro.harness.experiments` runs the
-corresponding experiment at a configurable scale and returns an
+Each ``fig*`` function in :mod:`repro.harness.experiments` (and each
+function of :mod:`repro.harness.ablations` and
+:mod:`repro.harness.headlines`) runs one experiment at a configurable
+scale and returns an
 :class:`~repro.harness.experiments.ExperimentResult` carrying the
-measured rows, the paper's reference numbers, and the checked shape
-claims.  :mod:`repro.harness.report` renders them as text tables.
+measured rows, the paper's reference numbers where it prints them, and
+the checked claims.  :mod:`repro.harness.report` renders them as text
+tables.
 """
 
 from repro.harness.ablations import (

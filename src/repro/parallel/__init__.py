@@ -11,7 +11,7 @@ cores without changing a single result byte:
   its spec, never silently dropped), ``jobs=1`` falling back to today's
   in-process path for debugging;
 - :mod:`repro.parallel.progress` — the shared progress/ETA reporter the
-  fuzz, bench and harness front ends print through;
+  fuzz and harness front ends print through;
 - :mod:`repro.parallel.tasks` — the module-level worker entry points
   (they must be importable by name in a spawned interpreter) that
   rebuild a ``Simulator`` world from a spec and run it.

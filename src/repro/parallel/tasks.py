@@ -53,35 +53,6 @@ def minimize_fuzz_failure(spec: FuzzTaskSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# bench: one benchmark cell per task
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchCellSpec:
-    """One named benchmark with its iteration scale and repeat count."""
-
-    name: str
-    scale: float = 1.0
-    repeat: int = 3
-    #: Restrict the ``log_volume`` spectrum cell to one logging mode
-    #: (``repro bench --logging-mode``); other cells ignore it.
-    logging_mode: Optional[str] = None
-
-
-def run_bench_cell(spec: BenchCellSpec) -> dict:
-    """Warm up and run one benchmark cell; returns its best-run dict."""
-    from repro.perf.bench import run_benchmark_cell
-
-    return run_benchmark_cell(
-        spec.name,
-        scale=spec.scale,
-        repeat=spec.repeat,
-        logging_mode=spec.logging_mode,
-    )
-
-
-# ---------------------------------------------------------------------------
 # harness: one workload sweep point per task
 # ---------------------------------------------------------------------------
 

@@ -97,6 +97,8 @@ def render_markdown(report: dict) -> str:
         f"- cells: {len(report['cells'])}",
         f"- fault families: {', '.join(report['families'])}",
         f"- all cells clean: {'yes' if verdicts['all_clean'] else 'NO'}",
+        "- every invariant checked in every cell: "
+        + ("yes" if verdicts["every_invariant_checked"] else "NO"),
         "- failover beats cold restart: "
         + ("yes" if verdicts["failover_beats_cold"] else "NO"),
         f"- fingerprint: `{report['fingerprint']}`",

@@ -139,10 +139,15 @@ def build_report(spec: ScenarioSpec, records: list[dict]) -> dict:
             slot["passed"] += int(bool(ok))
 
     failing = [r["cell"] for r in records if not r["verdicts"]["clean"]]
-    regressions = [
-        check for check in failover_checks
-        if check["cold_restart_ms"] is not None and not check["faster"]
-    ]
+    # A struck MSP with no cold-restart sample, or a disaster cell with
+    # no pairing at all, proves nothing about failover: that is a
+    # failed verdict, not a skipped one (``faster`` is false without a
+    # cold sample).
+    disasters = {r["cell"] for r in records if r["family"] == "disaster"}
+    paired = {check["cell"] for check in failover_checks}
+    failover_wins = disasters <= paired and all(
+        check["faster"] for check in failover_checks
+    )
     report = {
         "matrix": spec.name,
         "cells": records,
@@ -152,7 +157,10 @@ def build_report(spec: ScenarioSpec, records: list[dict]) -> dict:
         "invariants": invariants,
         "verdicts": {
             "all_clean": not failing,
-            "failover_beats_cold": not regressions,
+            "every_invariant_checked": all(
+                slot["checked"] == len(records) for slot in invariants.values()
+            ),
+            "failover_beats_cold": failover_wins,
         },
         "failing_cells": failing,
     }

@@ -1,0 +1,12 @@
+"""Tier-1 runs the same Hypothesis examples every time.
+
+``.hypothesis/`` is git-ignored, so an example found by chance is
+neither reproducible nor recorded: tier-1 must not depend on one.
+Random exploration is the ``fuzz-smoke`` CI job's business; a schedule
+worth keeping becomes an ``@example`` or a pinned regression.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")

@@ -8,11 +8,10 @@ values — must be byte-identical.  Timings and LSNs legitimately differ
 (lazy opens earlier and replays in a different order); what a client or
 a service method can observe must not.
 
-The companion property — the backward chain walk visits exactly the
-records the analysis scan attributes to the session — is checked
-*inside* every lazy recovery: ``recover_session`` cross-checks the
-walked positions against the scan-derived stream and raises on any
-difference, so each example exercises it once per recovered session.
+Both modes replay a session along the position stream the analysis
+scan built for it (the lazy backward chain and its cross-check against
+that stream were deleted in PR 17), so the only thing the modes can
+disagree on is *when* a session is replayed.
 """
 
 from hypothesis import HealthCheck, given, settings

@@ -9,7 +9,7 @@ hand-picked ones.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RecoveryConfig, ServiceDomainConfig
@@ -120,6 +120,9 @@ def test_exactly_once_random_backend_crashes(seed, crash_times):
         st.tuples(st.floats(5.0, 400.0), st.booleans()), min_size=1, max_size=3
     ).map(lambda ts: sorted(ts)),
 )
+# A second kill between recovery's checkpoint becoming durable and its
+# anchor write (test_exactly_once_regressions.py has the trace).
+@example(seed=0, crash_times=[(203.0, True), (278.0, True)])
 def test_exactly_once_random_crashes_either_msp(seed, crash_times):
     """Crashes of either MSP (or both) never break exactly-once."""
     run_schedule(seed, crash_times, crash_front=True, faults=False)

@@ -136,11 +136,7 @@ def test_hung_pool_fails_unfinished_tasks():
 
 def test_task_specs_are_picklable():
     from repro.fuzz.explorer import FuzzParams
-    from repro.parallel.tasks import (
-        BenchCellSpec,
-        FuzzTaskSpec,
-        WorkloadPointSpec,
-    )
+    from repro.parallel.tasks import FuzzTaskSpec, WorkloadPointSpec
     from repro.workloads import WorkloadParams
 
     specs = [
@@ -148,7 +144,6 @@ def test_task_specs_are_picklable():
             schedule={"target": "msp1", "kills": [3], "seed": 0},
             params=FuzzParams(),
         ),
-        BenchCellSpec("scan", scale=0.5, repeat=2),
         WorkloadPointSpec(key=("fig", 1), params=WorkloadParams(seed=1)),
     ]
     for spec in specs:

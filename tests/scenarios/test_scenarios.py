@@ -1,6 +1,5 @@
 """Scenario-matrix grammar, execution and report determinism."""
 
-import importlib.util
 import pathlib
 
 import pytest
@@ -15,12 +14,6 @@ from repro.scenarios import (
 )
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-
-_spec = importlib.util.spec_from_file_location(
-    "perf_gate", REPO / "scripts" / "perf_gate.py"
-)
-perf_gate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perf_gate)
 
 
 TINY = {
@@ -145,8 +138,8 @@ def test_matrix_runs_clean_and_is_jobs_invariant():
     assert again["fingerprint"] == report["fingerprint"]
     assert render_markdown(again) == render_markdown(report)
     assert render_html(again) == render_html(report)
-    # The scenario gate accepts a clean matrix.
-    assert perf_gate.gate_scenarios(report, min_families=4) == []
+    # Every verdict holds on a clean matrix: `repro scenarios` exits 0.
+    assert all(report["verdicts"].values()), report["verdicts"]
 
 
 def test_report_aggregates_recovery_and_coverage():
@@ -168,25 +161,40 @@ def test_report_aggregates_recovery_and_coverage():
 
 
 def test_gate_rejects_unclean_and_slow_failover():
-    report = run_tiny(jobs=1)
-    # Tamper: one cell unclean.
-    broken = {**report, "failing_cells": [report["cells"][0]["cell"]]}
-    assert any(
-        "unclean" in p for p in perf_gate.gate_scenarios(broken, 4)
-    )
-    # Tamper: failover slower than the cold restart.
-    slow = {
-        **report,
-        "failover_vs_cold": [
-            {**c, "faster": False} for c in report["failover_vs_cold"]
-        ],
-    }
-    assert any(
-        "did not beat" in p for p in perf_gate.gate_scenarios(slow, 4)
-    )
-    assert any(
-        "families" in p for p in perf_gate.gate_scenarios(report, 7)
-    )
+    spec = ScenarioSpec.from_dict(TINY)
+    records = run_matrix(spec, jobs=1)["cells"]
+
+    def verdicts(tampered):
+        return build_report(spec, tampered)["verdicts"]
+
+    assert all(verdicts(records).values())
+    # One cell unclean.
+    first = {**records[0], "verdicts": {**records[0]["verdicts"], "clean": False}}
+    assert not verdicts([first, *records[1:]])["all_clean"]
+    # One cell skipped an invariant the others checked.
+    name = next(k for k in records[0]["verdicts"] if k != "clean")
+    partial = {k: v for k, v in records[0]["verdicts"].items() if k != name}
+    assert not verdicts([{**records[0], "verdicts": partial}, *records[1:]])[
+        "every_invariant_checked"
+    ]
+    # Failover slower than the paired cold restart.
+    slow = [
+        {**r, "recovery_events": [
+            {**e, "duration_ms": 0.0} for e in r["recovery_events"]
+        ]}
+        if r["family"] == "disaster-baseline" else r
+        for r in records
+    ]
+    assert not verdicts(slow)["failover_beats_cold"]
+    # A struck MSP without a cold-restart sample is not a win...
+    unsampled = [
+        {**r, "recovery_events": []} if r["family"] == "disaster-baseline" else r
+        for r in records
+    ]
+    assert not verdicts(unsampled)["failover_beats_cold"]
+    # ...and neither is a disaster cell nothing was paired with.
+    unpaired = [r for r in records if r["family"] != "disaster-baseline"]
+    assert not verdicts(unpaired)["failover_beats_cold"]
 
 
 def test_build_report_is_a_pure_function_of_records():

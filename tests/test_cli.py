@@ -110,17 +110,16 @@ def test_run_experiment_with_jobs(capsys):
     assert "[PASS]" in out
 
 
-def test_bench_fanout_smoke(capsys, tmp_path, monkeypatch):
-    import json
+def test_run_headline_experiment_exit_code(capsys, monkeypatch):
+    # The claims are the gate: exit 0 while they hold...
+    assert main(["run", "partition-scaling", "--scale", "0.05", "--jobs", "1"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    # ...and exit 1, naming the claim, once one does not.
+    import repro.harness.headlines as headlines
 
-    monkeypatch.chdir(tmp_path)
-    code = main(["bench", "--fanout", "--smoke", "--jobs", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "all verdicts identical" in out
-    report = json.loads((tmp_path / "BENCH_PR3.json").read_text())
-    assert report["all_identical"] is True
-    assert report["meta"]["jobs"] == 2
+    monkeypatch.setattr(headlines, "PARTITION_MIN_SPEEDUP", 100.0)
+    assert main(["run", "partition-scaling", "--scale", "0.05", "--jobs", "1"]) == 1
+    assert "[FAIL] simulated append throughput at P=4" in capsys.readouterr().out
 
 
 def test_fuzz_replay_case_seed(capsys):
