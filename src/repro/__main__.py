@@ -53,6 +53,7 @@ from repro.harness import (
     render_result,
 )
 from repro.workloads import CONFIGURATIONS, PaperWorkload, WorkloadParams
+from repro.workloads.paper import add_mode_arguments, mode_overrides
 
 EXPERIMENTS = {
     "fig14-table": fig14_response_table,
@@ -125,30 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="log segment size in bytes (default 64 KiB); truncation "
         "recycles whole segments below the checkpoint floor",
     )
-    workload.add_argument(
-        "--partitions", type=int, default=1,
-        help="log partitions (default 1 = classical single log); sessions "
-        "hash to partitions, each with its own group-commit flusher",
-    )
-    workload.add_argument(
-        "--recovery-mode", choices=("eager", "lazy"), default="eager",
-        help="crash-recovery mode: eager starts every session's replay "
-        "at restart (the paper's restart); lazy opens after the analysis "
-        "scan and replays each session on demand (same log format)",
-    )
-    workload.add_argument(
-        "--pump-concurrency", type=int, default=4,
-        help="lazy mode: background recovery workers draining "
-        "not-yet-recovered sessions in session-id order (>= 1, default 4)",
-    )
-    workload.add_argument(
-        "--logging-mode", choices=("value", "command", "adaptive"),
-        default="value",
-        help="request logging mode: value logs per-variable deltas "
-        "(paper §3.3); command logs the request and re-executes it at "
-        "replay; adaptive switches per session from observed log volume "
-        "vs estimated replay cost",
-    )
+    add_mode_arguments(workload)
     workload.add_argument("--seed", type=int, default=0)
 
     fuzz = sub.add_parser("fuzz", help="run the crash-schedule explorer")
@@ -246,18 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "timeline contains recoveries (0 disables crashes)",
     )
     trace.add_argument("--batch", type=float, default=0.0, help="batch flush ms")
-    trace.add_argument(
-        "--recovery-mode", choices=("eager", "lazy"), default="eager",
-        help="crash-recovery mode for the traced workload; lazy replays "
-        "each session on demand (inline or by the background pump)",
-    )
-    trace.add_argument(
-        "--logging-mode", choices=("value", "command", "adaptive"),
-        default="value",
-        help="request logging mode for the traced workload; command and "
-        "adaptive add the per-mode append counters and mode-switch "
-        "instants to the timeline",
-    )
+    add_mode_arguments(trace)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--max-events", type=int, default=1_000_000,
@@ -294,11 +261,8 @@ def _run_workload(args: argparse.Namespace) -> int:
         atomic_sv_updates=args.atomic_sv,
         log_truncation=not args.no_truncation,
         log_segment_bytes=args.segment_bytes,
-        log_partitions=args.partitions,
-        recovery_mode=args.recovery_mode,
-        recovery_pump_concurrency=args.pump_concurrency,
-        logging_mode=args.logging_mode,
         seed=args.seed,
+        **mode_overrides(args),
     )
     workload = PaperWorkload(params)
     result = workload.run()
@@ -308,16 +272,14 @@ def _run_workload(args: argparse.Namespace) -> int:
     print(f"max response:       {result.max_response_ms:.1f} ms")
     print(f"throughput:         {result.throughput_rps:.2f} req/s")
     print(f"crashes:            {result.crashes}")
-    if args.recovery_mode == "lazy":
-        stats = [workload.msp1.stats, workload.msp2.stats]
-        print(
-            f"lazy recoveries:    "
-            f"{sum(s.lazy_recoveries for s in stats)} "
-            f"({sum(s.inline_recoveries for s in stats)} inline, "
-            f"{sum(s.pump_recoveries for s in stats)} pump)"
-        )
-    if args.logging_mode != "value":
-        stats = [workload.msp1.stats, workload.msp2.stats]
+    stats = [workload.msp1.stats, workload.msp2.stats]
+    inline = sum(s.inline_recoveries for s in stats)
+    pump = sum(s.pump_recoveries for s in stats)
+    print(
+        f"session replays:    {inline + pump} "
+        f"({inline} inline, {pump} by drain workers; {params.recovery_mode})"
+    )
+    if params.logging_mode != "value":
         print(
             f"command logging:    "
             f"{sum(s.command_requests for s in stats)} command requests, "
@@ -522,9 +484,8 @@ def _run_trace(args: argparse.Namespace) -> int:
         calls_to_sm2=args.m,
         crash_every_n=args.crash_every or None,
         batch_flush_timeout_ms=args.batch,
-        recovery_mode=args.recovery_mode,
-        logging_mode=args.logging_mode,
         seed=args.seed,
+        **mode_overrides(args),
     )
     workload = PaperWorkload(params)
     tracer = Tracer(workload.sim, max_events=args.max_events).attach()

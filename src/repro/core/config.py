@@ -181,16 +181,17 @@ class RecoveryConfig:
     cpu_cores: int = 1
 
     # -- lazy recovery (DESIGN.md §15) --------------------------------------
-    #: Who replays a rebuilt session after the analysis scan, and when
-    #: — a drain policy only; the log format is the same in both modes.
-    #: Either way the MSP opens for traffic as soon as ``drain`` returns.
-    #: ``eager`` spawns every session's replay at once (the paper's §4
-    #: restart).  ``lazy`` leaves the sessions pending: each is replayed
-    #: on demand when its next request arrives, and a background pump
-    #: drains the rest in session-id order.
+    #: How many drain workers replay the rebuilt sessions after the
+    #: analysis scan — nothing else; the log format and the code path
+    #: are the same in both modes, and either way the MSP opens for
+    #: traffic as soon as ``drain`` returns.  ``eager`` starts one
+    #: worker per session, so every replay begins at once (the paper's
+    #: §4 restart).  ``lazy`` starts ``recovery_pump_concurrency``
+    #: workers draining in session-id order, and a session whose next
+    #: request arrives first is replayed inline, ahead of the queue.
     recovery_mode: str = "eager"
-    #: How many sessions the background recovery pump replays
-    #: concurrently in lazy mode (an integer >= 1).
+    #: Lazy mode's drain worker count (an integer >= 1); 1 is strictly
+    #: sequential replay, one session at a time.
     recovery_pump_concurrency: int = 4
 
     # -- command/value logging (DESIGN.md §16) -------------------------------
@@ -215,9 +216,6 @@ class RecoveryConfig:
     adaptive_hysteresis_margin: float = 1.5
 
     # -- ablations (paper design choices, for the ablation benches) ---------
-    #: Recover sessions in parallel after a crash (paper Fig. 12) or one
-    #: at a time ("replaying all activities sequentially in log order").
-    parallel_recovery: bool = True
     #: Track one DV per session (paper S3.2) instead of a single DV for
     #: the whole MSP.  With a per-MSP DV, one remote crash orphans
     #: every session at once -- "all its sessions will roll back,

@@ -15,14 +15,15 @@ The sequence after a restart:
 5. recover all sessions **in parallel** along their reconstructed
    position streams while already accepting new sessions.
 
-Lazy mode (``recovery_mode: lazy``, DESIGN.md §15) changes only step 5:
-the MSP opens for traffic right after the analysis scan with every
-surviving session marked ``lazy_pending``; a session is replayed along
-its scan-built position stream on demand — inline when its next request
-arrives (:func:`recover_session`), or by a background pump draining the
-rest in session-id order under a concurrency budget.
-Time-to-first-served-request drops from O(total log replay) to
-O(analysis + one session's stream).
+Step 5 is one drain (DESIGN.md §15): every rebuilt session is marked
+``lazy_pending`` and replayed along its scan-built position stream by
+whoever claims it first (:func:`recover_session`) — a drain worker, or
+the session's next request inline.  ``recovery_mode`` only sets the
+worker count: ``eager`` starts one worker per session, so every session
+is claimed the instant the MSP opens (the paper's restart); ``lazy``
+starts ``recovery_pump_concurrency`` of them, so time-to-first-served-
+request drops from O(total log replay) to O(analysis + one session's
+stream).
 """
 
 from __future__ import annotations
@@ -577,8 +578,8 @@ def analyze(msp: "MiddlewareServer", state: AnalysisState):
 
 def rebuild_sessions(msp: "MiddlewareServer", state: AnalysisState) -> None:
     """Rebuild the session objects (state itself is rebuilt by replay
-    along the position stream installed here); lazy mode marks each one
-    ``lazy_pending`` until :func:`recover_session` claims it."""
+    along the position stream installed here), each ``lazy_pending``
+    until :func:`recover_session` claims it."""
     positions, session_ckpts = state.positions, state.session_ckpts
     for session_id in sorted(positions.keys() | session_ckpts.keys()):
         if session_id in state.ended:
@@ -596,7 +597,7 @@ def rebuild_sessions(msp: "MiddlewareServer", state: AnalysisState) -> None:
         stream = positions.get(session_id, [])
         session.position_stream.replace(stream)
         session.first_lsn = stream[0] if stream else session.last_ckpt_lsn
-        session.lazy_pending = msp.lazy_mode
+        session.lazy_pending = True
         state.to_recover.append(session)
 
 
@@ -622,32 +623,24 @@ def checkpoint(msp: "MiddlewareServer", state: AnalysisState):
 
 
 def drain(msp: "MiddlewareServer", state: AnalysisState) -> None:
-    """Step 5: start session replay; the caller opens for business
+    """Step 5: start the drain workers; the caller opens for business
     immediately, so new sessions are accepted while these replay.
 
-    Eager recovers every session in parallel (the sequential mode
-    exists only for the ablation benchmark — the paper's design point is
-    that parallel recovery shortens outages).  Lazy replays nothing
-    here: requests trigger their session's replay inline, and a
-    background pump drains the rest (DESIGN.md §15).
+    The workers share one pass over the pending sessions in session-id
+    order.  Eager starts one per session — the paper's all-at-once
+    restart: each worker's first step claims its session before any
+    request can run, so nothing is ever replayed inline.  Lazy starts
+    ``recovery_pump_concurrency`` of them and lets arriving requests
+    claim their own session ahead of the queue (DESIGN.md §15).
     """
+    msp.sim.probe("recovery.drain", owner=msp.name)
+    workers = len(state.to_recover)
     if msp.lazy_mode:
-        msp.sim.probe("recovery.lazy.analyze", owner=msp.name)
-        spawn_recovery_pump(msp)
-    elif msp.config.parallel_recovery:
-        for session in state.to_recover:
-            msp.sim.spawn(
-                run_session_recovery(msp, session, orphan=False),
-                name=f"{msp.name}.sessionrec.{session.id}",
-                group=msp.group,
-            )
-    else:
-        def _sequential():
-            for session in state.to_recover:
-                yield from run_session_recovery(msp, session, orphan=False)
-
+        workers = min(msp.config.recovery_pump_concurrency, workers)
+    queue = iter(state.to_recover)
+    for i in range(workers):
         msp.sim.spawn(
-            _sequential(), name=f"{msp.name}.sessionrec.seq", group=msp.group
+            _recovery_pump(msp, queue), name=f"{msp.name}.recpump{i}", group=msp.group
         )
 
 
@@ -704,26 +697,25 @@ def recover_msp(msp: "MiddlewareServer"):
     msp.sim.probe("recovery.end", owner=msp.name)
 
 
-# -- lazy on-demand session recovery (DESIGN.md §15) --------------------------
+# -- per-session replay: the drain workers and inline claims (DESIGN.md §15) --
 
 
 def recover_session(msp: "MiddlewareServer", session):
-    """Replay one lazy-pending session on demand (generator), along the
-    position stream the analysis scan built for it.
+    """Replay one pending session (generator), along the position
+    stream the analysis scan built for it.
 
     Idempotent under races: the claim (clearing ``lazy_pending``) is
-    synchronous, so of an arriving request and a pump worker targeting
+    synchronous, so of an arriving request and a drain worker targeting
     the same session, exactly one replays it and the other sees status
-    RECOVERING (busy reply / next pump pick).
+    RECOVERING (busy reply / next worker pick).
     """
     if not session.lazy_pending:
         return
     session.lazy_pending = False
     session.status = SessionStatus.RECOVERING
-    msp.stats.lazy_recoveries += 1
     msp.sim.probe("recovery.session.begin", owner=msp.name)
     yield from run_session_recovery(msp, session, orphan=False)
-    # The replay may run long after the restart (pump backlog): the
+    # The replay may run long after the restart (drain backlog): the
     # idle-expiry clock restarts at the moment the session is actually
     # recovered, so it gets a full idle window to be contacted again.
     session.last_active_ms = msp.sim.now
@@ -731,29 +723,13 @@ def recover_session(msp: "MiddlewareServer", session):
 
 
 def _recovery_pump(msp: "MiddlewareServer", pending):
-    """One background pump worker: claim and replay sessions from the
-    iterator it shares with its siblings until that runs dry.  Picking
-    and claiming are synchronous (no yield between them), so concurrent
-    workers never double-replay a session."""
+    """One drain worker: claim and replay sessions from the iterator it
+    shares with its siblings until that runs dry.  Picking and claiming
+    are synchronous (no yield between them), so concurrent workers
+    never double-replay a session."""
     for session in pending:
         if not session.lazy_pending:
             continue  # an arriving request claimed it inline meanwhile
         msp.stats.pump_recoveries += 1
         msp.sim.probe("recovery.pump.step", owner=msp.name)
         yield from recover_session(msp, session)
-
-
-def spawn_recovery_pump(msp: "MiddlewareServer") -> None:
-    """Start the background drain under the configured concurrency
-    budget (lazy mode step 5): the workers share one pass over the
-    pending sessions in session-id order."""
-    pending = [
-        session
-        for _id, session in sorted(msp.sessions.items())
-        if session.lazy_pending
-    ]
-    queue = iter(pending)
-    for i in range(min(msp.config.recovery_pump_concurrency, len(pending))):
-        msp.sim.spawn(
-            _recovery_pump(msp, queue), name=f"{msp.name}.recpump{i}", group=msp.group
-        )

@@ -85,9 +85,9 @@ class MspStats:
     replayed_requests: int = 0
     recovery_scan_records: int = 0
     recovery_scan_ms: float = 0.0
-    #: Lazy recovery (DESIGN.md §15): sessions replayed on demand,
-    #: split by trigger (an arriving request vs the background pump).
-    lazy_recoveries: int = 0
+    #: Session replays after a restart (DESIGN.md §15), by who claimed
+    #: the session: its next request inline, or a drain worker.  Their
+    #: sum is the number of sessions replayed, in either recovery mode.
     inline_recoveries: int = 0
     pump_recoveries: int = 0
     #: Invariant counter — a request entering normal processing while
@@ -170,10 +170,10 @@ class MiddlewareServer:
         #: stay 0.  Not an ``MspStats`` field: fleet reports serialize
         #: that dataclass whole, and their bytes are fingerprinted.
         self.failed_replays = 0
-        #: Lazy recovery mode (DESIGN.md §15): after a crash, leave the
-        #: rebuilt sessions pending and replay each on demand.  Cached —
-        #: the mode is fixed per run (and was validated above, like
-        #: ``logging_mode``).
+        #: Lazy recovery mode (DESIGN.md §15): after a crash, drain the
+        #: rebuilt sessions with ``recovery_pump_concurrency`` workers
+        #: instead of one per session.  Cached — the mode is fixed per
+        #: run (and was validated above, like ``logging_mode``).
         self.lazy_mode = self.config.recovery_mode == "lazy"
         #: Command/value adaptive logging (DESIGN.md §16), cached like
         #: ``lazy_mode``: ``command_mode`` fixes every session to
@@ -503,11 +503,13 @@ class MiddlewareServer:
         session.last_active_ms = self.sim.now
 
         if session.lazy_pending:
-            # Lazy restart (DESIGN.md §15): first contact with an
-            # unrecovered session replays it inline, then falls
-            # through — duplicate detection below runs against the
-            # restored exactly-once state.  A concurrent request for the
-            # same session sees RECOVERING and gets a busy reply.
+            # After a restart (DESIGN.md §15): first contact with a
+            # session no drain worker has reached yet replays it inline,
+            # then falls through — duplicate detection below runs
+            # against the restored exactly-once state.  A concurrent
+            # request for the same session sees RECOVERING and gets a
+            # busy reply.  (Never taken in eager mode: a worker per
+            # session claims them all before any request runs.)
             self.stats.inline_recoveries += 1
             yield from recover_session(self, session)
 
@@ -585,8 +587,8 @@ class MiddlewareServer:
 
     def _process_new_request(self, request: Request, session: Session):
         if session.lazy_pending:
-            # Never reached if the lazy machinery is correct: a request
-            # must not execute against a not-yet-replayed session.
+            # Never reached if the drain is correct: a request must not
+            # execute against a not-yet-replayed session.
             self.stats.served_before_recovery += 1
         costs = self.config.costs
         # Fig. 7 "after receive" actions.

@@ -42,6 +42,7 @@ from repro.fuzz.explorer import (
 from repro.fuzz.minimize import minimize_recorded_failure
 from repro.parallel import ProgressReporter, resolve_jobs, run_tasks
 from repro.parallel.tasks import FuzzTaskSpec, minimize_fuzz_failure
+from repro.workloads.paper import add_mode_arguments, mode_overrides
 
 #: Pairs mode samples this many two-crash schedules when no explicit
 #: ``--max-schedules`` bounds the (quadratic) pair product.
@@ -104,21 +105,7 @@ def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-schedules", type=int, default=None)
     parser.add_argument("--requests", type=int, default=None)
     parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument(
-        "--partitions", type=int, default=None, metavar="N",
-        help="log partitions (default 1 = classical single log)",
-    )
-    parser.add_argument(
-        "--recovery-mode", choices=("eager", "lazy"), default=None,
-        help="crash-recovery mode (default eager; lazy adds on-demand "
-        "session-replay crash sites to the enumeration)",
-    )
-    parser.add_argument(
-        "--logging-mode", choices=("value", "command", "adaptive"), default=None,
-        help="request logging mode (default value; command logs the "
-        "request instead of per-variable deltas, adaptive switches per "
-        "session at runtime)",
-    )
+    add_mode_arguments(parser)
     parser.add_argument(
         "--minimize", action="store_true", help="shrink failures before reporting"
     )
@@ -140,18 +127,22 @@ def _params(args: argparse.Namespace) -> FuzzParams:
         if getattr(args, "fleet_sessions", None) is not None:
             overrides["fleet_sessions"] = args.fleet_sessions
         params = fleet_fuzz_params(**overrides)
+        if args.recovery_pump_concurrency is not None:
+            # FleetSpec has no such field; ignoring the flag would
+            # report a run that was never configured.
+            raise SystemExit(
+                "repro fuzz: --pump-concurrency applies to --topology paper "
+                "only (fleet MSPs drain with the RecoveryConfig default)"
+            )
     else:
         params = FuzzParams()
     if args.requests is not None:
         params.requests_per_client = args.requests
     if args.clients is not None:
         params.num_clients = args.clients
-    if getattr(args, "partitions", None) is not None:
-        params.log_partitions = args.partitions
-    if getattr(args, "recovery_mode", None) is not None:
-        params.recovery_mode = args.recovery_mode
-    if getattr(args, "logging_mode", None) is not None:
-        params.logging_mode = args.logging_mode
+    # FuzzParams names the mode fields as WorkloadParams does.
+    for name, value in mode_overrides(args).items():
+        setattr(params, name, value)
     return params
 
 

@@ -133,12 +133,17 @@ class FuzzParams:
     #: Log partition count (1 = classical single log); >1 exercises the
     #: per-partition group commit and DV-ordered recovery merge.
     log_partitions: int = 1
-    #: Crash-recovery mode: ``eager`` (historical, byte-identical) or
-    #: ``lazy`` (on-demand session replay, DESIGN.md §15).  Lazy mode
-    #: adds crash sites inside the lazy machinery (analysis hand-off,
-    #: session replays, pump steps), so the exhaustive battery enumerates
-    #: crash-during-lazy-replay and crash-while-partially-recovered.
+    #: Crash-recovery mode (DESIGN.md §15): ``eager`` drains a restart
+    #: with one worker per session, ``lazy`` with
+    #: ``recovery_pump_concurrency`` workers plus inline replays.  The
+    #: drain's crash sites (hand-off, worker steps, session replays)
+    #: fire in both, so the exhaustive battery enumerates
+    #: crash-during-replay and crash-while-partially-recovered; only
+    #: lazy reaches a request racing a not-yet-claimed session.
     recovery_mode: str = "eager"
+    #: Lazy mode's drain worker count (paper topology only: a fleet
+    #: drains with the ``RecoveryConfig`` default).
+    recovery_pump_concurrency: int = 4
     #: Request logging mode: ``value`` (historical, byte-identical),
     #: ``command`` (log the request, not the deltas — DESIGN.md §16) or
     #: ``adaptive`` (the runtime policy switching per session).  The
@@ -173,6 +178,7 @@ class FuzzParams:
             forced_ckpt_msp_count=self.forced_ckpt_msp_count,
             log_partitions=self.log_partitions,
             recovery_mode=self.recovery_mode,
+            recovery_pump_concurrency=self.recovery_pump_concurrency,
             logging_mode=self.logging_mode,
             # Atomic RMW counters: with the paper's separate read + write
             # accesses, two concurrent clients can interleave and lose an

@@ -95,8 +95,8 @@ def check_no_orphans(msp: "MiddlewareServer") -> list[str]:
             )
         if session.lazy_pending:
             violations.append(
-                f"lazy: {msp.name} session {session.id} still awaiting "
-                "its on-demand replay after quiesce (pump stalled)"
+                f"drain: {msp.name} session {session.id} still awaiting "
+                "its replay after quiesce (drain stalled)"
             )
     for sv in msp.shared.values():
         if sv.is_orphan(msp.table):
@@ -284,11 +284,11 @@ def check_running(msp: "MiddlewareServer") -> list[str]:
 
 
 def check_lazy_recovery(msp: "MiddlewareServer") -> list[str]:
-    """Lazy mode (DESIGN.md §15): no request may ever have executed
-    against a session that was still unreplayed."""
+    """In either recovery mode (DESIGN.md §15): no request may ever
+    have executed against a session that was still unreplayed."""
     if msp.stats.served_before_recovery:
         return [
-            f"lazy: {msp.name} executed {msp.stats.served_before_recovery} "
+            f"drain: {msp.name} executed {msp.stats.served_before_recovery} "
             "request(s) against not-yet-replayed sessions"
         ]
     return []

@@ -3,9 +3,10 @@
 The paper argues for several design points without measuring them
 directly; these experiments quantify each one on our substrate:
 
-- **parallel session recovery** (Fig. 12 step 5) versus replaying
-  sessions one at a time — "this results in faster recovery than
-  replaying all activities sequentially in log order";
+- **parallel session recovery** (Fig. 12 step 5: one drain worker per
+  session) versus replaying sessions one at a time (a single worker) —
+  "this results in faster recovery than replaying all activities
+  sequentially in log order";
 - **per-session dependency vectors** (§3.2) versus one DV for the whole
   MSP — "if only one DV is maintained ... all its sessions will roll
   back, possibly unnecessarily".
@@ -18,37 +19,9 @@ from repro.core.config import RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
 from repro.core.msp import MiddlewareServer
 from repro.core.session import SessionStatus
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import ExperimentResult, sweep
 from repro.net import Network
-from repro.parallel import resolve_jobs, run_tasks
 from repro.sim import RngRegistry, Simulator
-
-
-def _ablation_sweep(worker, specs, jobs=None, progress=None) -> list:
-    """Run an ablation's measurement points; results in spec order.
-
-    The ablation twin of :func:`repro.harness.experiments._sweep`: specs
-    are plain tuples, workers are the module-level ``_*_point``
-    functions below, and ``jobs=1`` stays in-process.
-    """
-    if resolve_jobs(jobs) == 1 or len(specs) <= 1:
-        results = []
-        for i, spec in enumerate(specs):
-            results.append(worker(spec))
-            if progress is not None:
-                progress(i + 1, len(specs), spec)
-        return results
-    outcomes = run_tasks(
-        worker,
-        specs,
-        jobs=jobs,
-        progress=(
-            None
-            if progress is None
-            else lambda done, total, outcome: progress(done, total, outcome.spec)
-        ),
-    )
-    return [outcome.unwrap() for outcome in outcomes]
 
 
 def _counter_method(ctx, argument):
@@ -69,7 +42,12 @@ def _measure_recovery_time(parallel: bool, sessions: int, requests: int, seed: i
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng=rng)
-    config = RecoveryConfig(parallel_recovery=parallel)
+    # Sequential replay is the drain with a single worker (DESIGN.md §15).
+    config = (
+        RecoveryConfig()
+        if parallel
+        else RecoveryConfig(recovery_mode="lazy", recovery_pump_concurrency=1)
+    )
     msp = MiddlewareServer(sim, network, "server", ServiceDomainConfig(), config=config, rng=rng)
     msp.register_service("counter", _counter_method)
     msp.register_shared("total", (0).to_bytes(8, "big"))
@@ -126,7 +104,7 @@ def ablation_parallel_recovery(
     )
     times = {}
     specs = [(parallel, sessions, requests, seed) for parallel in (True, False)]
-    points = _ablation_sweep(_recovery_point, specs, jobs=jobs, progress=progress)
+    points = sweep(_recovery_point, specs, jobs=jobs, progress=progress)
     for spec, (recovery_ms, replayed) in zip(specs, points):
         parallel = spec[0]
         times[parallel] = recovery_ms
@@ -281,7 +259,7 @@ def ablation_dv_granularity(
     rollbacks = {}
     backend_writes = {}
     specs = [(per_session, remote, local, seed) for per_session in (True, False)]
-    points = _ablation_sweep(_dv_point, specs, jobs=jobs, progress=progress)
+    points = sweep(_dv_point, specs, jobs=jobs, progress=progress)
     for spec, (count, messages) in zip(specs, points):
         per_session = spec[0]
         rollbacks[per_session] = count

@@ -12,7 +12,7 @@ lengths (20 K requests for Fig. 14), smaller values keep CI fast.
 
 Each experiment is a *sweep*: it first enumerates its independent
 workload points (one seeded simulation each), runs them through
-:func:`_sweep` — in-process for ``jobs=1``, fanned across worker
+:func:`sweep` — in-process for ``jobs=1``, fanned across worker
 processes otherwise, with results merged back in point order either way
 — and only then derives rows and claims.  More cores therefore buy more
 measurement points per wall-second without changing a single number.
@@ -21,6 +21,8 @@ measurement points per wall-second without changing a single number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from repro.harness.metrics import ResponseStats
@@ -62,41 +64,46 @@ def _run(params: WorkloadParams) -> tuple[PaperWorkload, "object"]:
     return workload, result
 
 
-def _sweep(points: list[WorkloadPointSpec], jobs=None, progress=None) -> list:
-    """Run a sweep's independent points; results come back in point order.
+def sweep(worker, specs, jobs=None, progress=None, key=lambda spec: spec) -> list:
+    """Run a sweep's independent points; results come back in spec order.
 
     ``jobs=1`` (the default resolution on a single core) is the
-    in-process reference path; otherwise points fan across spawn
+    in-process reference path; otherwise specs fan across spawn
     workers.  A point whose worker raises (including a failed
     ``verify_exactly_once``) aborts the experiment with the point's key
-    in the error, matching the sequential behaviour.
-    ``progress(done, total, key)`` reports completions in either mode.
+    in the error, matching the sequential behaviour.  ``key(spec)``
+    names a point — in that error and in ``progress(done, total, key)``,
+    which reports completions in either mode.
     """
-    if resolve_jobs(jobs) == 1 or len(points) <= 1:
+    if resolve_jobs(jobs) == 1 or len(specs) <= 1:
         results = []
-        for i, spec in enumerate(points):
-            results.append(run_workload_point(spec))
+        for i, spec in enumerate(specs):
+            results.append(worker(spec))
             if progress is not None:
-                progress(i + 1, len(points), spec.key)
+                progress(i + 1, len(specs), key(spec))
         return results
     outcomes = run_tasks(
-        run_workload_point,
-        points,
+        worker,
+        specs,
         jobs=jobs,
         progress=(
             None
             if progress is None
-            else lambda done, total, outcome: progress(done, total, outcome.spec.key)
+            else lambda done, total, outcome: progress(done, total, key(outcome.spec))
         ),
     )
     failed = [o for o in outcomes if not o.ok]
     if failed:
         first = failed[0]
         raise WorkerFailure(
-            f"sweep point {first.spec.key} failed "
+            f"sweep point {key(first.spec)} failed "
             f"({len(failed)}/{len(outcomes)} points): {first.error}"
         )
     return [outcome.result for outcome in outcomes]
+
+
+#: :func:`sweep` over paper-workload points, each named by its key.
+_sweep = partial(sweep, run_workload_point, key=attrgetter("key"))
 
 
 # ---------------------------------------------------------------------------

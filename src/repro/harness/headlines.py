@@ -30,8 +30,7 @@ from repro.core.records import (
     SvReadRecord,
     SvWriteRecord,
 )
-from repro.harness.ablations import _ablation_sweep
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import ExperimentResult, sweep
 from repro.sim import ProcessGroup, Simulator
 from repro.storage import Disk, StableStore
 
@@ -139,7 +138,7 @@ def partition_scaling(
         description=f"Append + group commit of {n} records on P log partitions",
     )
     specs = [(nparts, n, seed) for nparts in (1, 2, 4, 8)]
-    result.rows = _ablation_sweep(_partition_cell, specs, jobs=jobs, progress=progress)
+    result.rows = sweep(_partition_cell, specs, jobs=jobs, progress=progress)
     p1, p4 = result.row_by("partitions", 1), result.row_by("partitions", 4)
     speedup = p4["sim_records_per_s"] / p1["sim_records_per_s"]
     result.claim(
@@ -273,7 +272,6 @@ def _instant_restart_cell(spec) -> dict:
         "sessions": n_sessions,
         "ttfr_ms": ttfr_box[0],
         "full_recovery_ms": sim.now - t0,
-        "lazy_recoveries": msp.stats.lazy_recoveries,
         "inline_recoveries": msp.stats.inline_recoveries,
         "pump_recoveries": msp.stats.pump_recoveries,
         "served_before_recovery": msp.stats.served_before_recovery,
@@ -297,7 +295,7 @@ def instant_restart(
         description=f"Restart of one MSP holding {n} live sessions (sim ms)",
     )
     specs = [(mode, P, n, seed) for P in (1, 4) for mode in ("eager", "lazy")]
-    result.rows = _ablation_sweep(
+    result.rows = sweep(
         _instant_restart_cell, specs, jobs=jobs, progress=progress
     )
     ttfr = {(row["mode"], row["partitions"]): row["ttfr_ms"] for row in result.rows}
@@ -312,18 +310,21 @@ def instant_restart(
         "no session was served before it was replayed",
         all(row["served_before_recovery"] == 0 for row in result.rows),
     )
-    lazy = [row for row in result.rows if row["mode"] == "lazy"]
     result.claim(
-        "lazy cells recovered every session exactly once, inline or by the pump",
+        "every cell replayed every session exactly once, inline or by a "
+        "drain worker",
         all(
-            row["lazy_recoveries"] == row["sessions"]
-            == row["inline_recoveries"] + row["pump_recoveries"]
-            for row in lazy
+            row["inline_recoveries"] + row["pump_recoveries"] == row["sessions"]
+            for row in result.rows
         ),
     )
     result.claim(
-        "eager cells recovered nothing lazily",
-        all(row["lazy_recoveries"] == 0 for row in result.rows if row not in lazy),
+        "eager cells replayed none inline",
+        all(
+            row["inline_recoveries"] == 0
+            for row in result.rows
+            if row["mode"] == "eager"
+        ),
     )
     return result
 
@@ -430,7 +431,7 @@ def log_volume(
         for P in (1, 4)
         for rmode in ("eager", "lazy")
     ]
-    result.rows = _ablation_sweep(_log_volume_cell, specs, jobs=jobs, progress=progress)
+    result.rows = sweep(_log_volume_cell, specs, jobs=jobs, progress=progress)
     bpr = {
         (row["logging_mode"], row["partitions"], row["recovery_mode"]):
             row["log_bytes_per_request"]
@@ -575,7 +576,7 @@ def log_space(
         ),
     )
     specs = [(truncation, n, seed) for truncation in (True, False)]
-    on, off = _ablation_sweep(_log_space_cell, specs, jobs=jobs, progress=progress)
+    on, off = sweep(_log_space_cell, specs, jobs=jobs, progress=progress)
     partitioned = _partitioned_space_row(max(100, int(1_200 * scale)), seed)
     result.rows = on + off + [partitioned]
     bound = (
@@ -688,7 +689,7 @@ def fleet_scaling(
     if scale >= 1.0:
         specs.append((4, 1, int(100_000 * scale), seed, True))
     # Wall-timed cells: one after another whatever ``jobs`` says.
-    result.rows = _ablation_sweep(_fleet_cell, specs, jobs=1, progress=progress)
+    result.rows = sweep(_fleet_cell, specs, jobs=1, progress=progress)
     s1, _s2, s4, pool = result.rows[:4]
     floor = (
         FLEET_MIN_SPEEDUP if sessions >= FLEET_WIDE_SESSIONS
@@ -770,7 +771,7 @@ def trace_overhead(
     )
     specs = [(traced, requests, seed) for traced in (False, True)]
     # Wall-timed cells: one after another whatever ``jobs`` says.
-    result.rows = _ablation_sweep(_trace_cell, specs, jobs=1, progress=progress)
+    result.rows = sweep(_trace_cell, specs, jobs=1, progress=progress)
     plain, traced = result.rows
     ratio = traced["seconds"] / max(plain["seconds"], 1e-9)
     result.claim(

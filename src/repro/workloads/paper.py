@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro.baselines import PsessionServer, StateServerNode, StateServerServer
 from repro.core.client import EndClient
-from repro.core.config import LoggingMode, RecoveryConfig
+from repro.core.config import LOGGING_MODES, RECOVERY_MODES, LoggingMode, RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
 from repro.core.msp import MiddlewareServer
 from repro.net import Network
@@ -92,11 +92,13 @@ class WorkloadParams:
     sv_ckpt_write_threshold: Optional[int] = None
     #: Forced-checkpoint staleness limit override (None = default).
     forced_ckpt_msp_count: Optional[int] = None
-    #: Crash-recovery mode: ``eager`` (the paper's recover-everything
-    #: restart) or ``lazy`` (on-demand per-session replay,
-    #: DESIGN.md §15).
+    #: Crash-recovery mode, i.e. the drain's worker count (DESIGN.md
+    #: §15): ``eager`` starts one worker per session (the paper's
+    #: recover-everything restart), ``lazy`` starts
+    #: ``recovery_pump_concurrency`` and replays a session inline when
+    #: its next request beats the workers to it.
     recovery_mode: str = "eager"
-    #: Lazy mode: background recovery pump concurrency budget.
+    #: Lazy mode's drain worker count (1 = sequential replay).
     recovery_pump_concurrency: int = 4
     #: What sessions log: ``value`` (the paper's §3.3 per-SV records),
     #: ``command`` (one command record per request, replay re-executes)
@@ -115,6 +117,53 @@ class WorkloadParams:
                 f"unknown configuration {self.configuration!r}; "
                 f"choose from {CONFIGURATIONS}"
             )
+
+
+#: The :class:`WorkloadParams` fields the mode flags set (their ``dest``).
+_MODE_FIELDS = (
+    "log_partitions", "recovery_mode", "recovery_pump_concurrency", "logging_mode",
+)
+
+
+def add_mode_arguments(parser) -> None:
+    """Declare the mode flags, once for every subcommand that builds a
+    workload (``workload``, ``trace``, ``fuzz``).  An unset flag is
+    ``None`` (argparse's default): the :class:`WorkloadParams` default."""
+    defaults = WorkloadParams()
+    parser.add_argument(
+        "--partitions", dest="log_partitions", type=int, metavar="N",
+        help=f"log partitions (default {defaults.log_partitions} = the "
+        "classical single log); sessions hash to partitions, each with "
+        "its own group-commit flusher",
+    )
+    parser.add_argument(
+        "--recovery-mode", choices=RECOVERY_MODES,
+        help="how many drain workers replay the rebuilt sessions after a "
+        "restart, nothing else (same log, same code; the MSP reopens at "
+        "once either way): eager starts one per session (the paper's "
+        "restart), lazy starts --pump-concurrency and replays a session "
+        "inline when its next request comes first "
+        f"(default {defaults.recovery_mode})",
+    )
+    parser.add_argument(
+        "--pump-concurrency", dest="recovery_pump_concurrency", type=int, metavar="N",
+        help="lazy mode's drain worker count, >= 1, taking sessions in id "
+        "order; 1 is sequential replay "
+        f"(default {defaults.recovery_pump_concurrency})",
+    )
+    parser.add_argument(
+        "--logging-mode", choices=LOGGING_MODES,
+        help="request logging mode: value logs per-variable deltas "
+        "(paper §3.3); command logs the request and re-executes it at "
+        "replay; adaptive switches per session from observed log volume "
+        f"vs estimated replay cost (default {defaults.logging_mode})",
+    )
+
+
+def mode_overrides(args) -> dict:
+    """The mode fields given on the command line, by field name."""
+    given = {name: getattr(args, name) for name in _MODE_FIELDS}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 @dataclass

@@ -89,3 +89,10 @@ def test_partition_count_bounds_are_legal(partitions):
         config=RecoveryConfig(log_partitions=partitions),
     )
     assert len(msp.stores) == len(msp.disks) == partitions
+
+
+def test_parallel_recovery_knob_is_gone():
+    # Sequential replay is ``recovery_mode="lazy",
+    # recovery_pump_concurrency=1`` (DESIGN.md §15), not a third switch.
+    with pytest.raises(TypeError, match="parallel_recovery"):
+        RecoveryConfig(parallel_recovery=False)

@@ -105,8 +105,8 @@ def test_failed_replay_leaves_the_session_closed_until_a_clean_restart(mode, mon
 
 
 def test_failed_inline_replay_names_the_session_and_answers_busy(monkeypatch):
-    # No pump: only an arriving request can claim a pending session.
-    monkeypatch.setattr(crash_recovery, "spawn_recovery_pump", lambda msp: None)
+    # No drain: only an arriving request can claim a pending session.
+    monkeypatch.setattr(crash_recovery, "drain", lambda msp, state: None)
     workload = served_workload(recovery_mode="lazy")
     sim, msp = workload.sim, workload.msp1
     msp.crash()

@@ -12,7 +12,14 @@ Both modes replay a session along the position stream the analysis
 scan built for it (the lazy backward chain and its cross-check against
 that stream were deleted in PR 17), so the only thing the modes can
 disagree on is *when* a session is replayed.
+
+And since both modes run one drain that differs only in its worker
+count, a lazy run with at least as many workers as sessions is not
+merely equivalent to the eager run but *is* it: same simulated clock,
+same kernel step count, same ``MspStats`` to the last counter.
 """
+
+from dataclasses import asdict
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,12 +48,18 @@ def mixed_method(ctx, argument):
     return encode(n)
 
 
-def run_mode(mode, seed, crash_times, n_clients, n_calls, logging_mode="value"):
-    """Run the workload in one recovery mode; return its semantic state."""
+def run_mode(
+    mode, seed, crash_times, n_clients, n_calls, logging_mode="value",
+    pump_concurrency=None, with_kernel=False,
+):
+    """Run the workload in one recovery mode; return its semantic state
+    (``with_kernel``: plus the clock, step count and ``MspStats``)."""
     sim = Simulator()
     rng = RngRegistry(seed)
     net = Network(sim, rng=rng)
     config = RecoveryConfig(recovery_mode=mode, logging_mode=logging_mode)
+    if pump_concurrency is not None:
+        config.recovery_pump_concurrency = pump_concurrency
     msp = MiddlewareServer(
         sim, net, "msp1", ServiceDomainConfig(), config=config, rng=rng
     )
@@ -98,7 +111,7 @@ def run_mode(mode, seed, crash_times, n_clients, n_calls, logging_mode="value"):
         assert results[idx] == list(range(1, n_calls + 1)), (
             mode, idx, results[idx]
         )
-    return {
+    state = {
         "sessions": {
             sid: (
                 dict(s.variables),
@@ -111,6 +124,9 @@ def run_mode(mode, seed, crash_times, n_clients, n_calls, logging_mode="value"):
         },
         "shared": {name: sv.value for name, sv in sorted(msp.shared.items())},
     }
+    if with_kernel:
+        state["kernel"] = (sim.now, sim.steps, asdict(msp.stats))
+    return state
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -166,3 +182,29 @@ def test_lazy_equals_eager_multi_session(seed, crash_times):
     eager = run_mode("eager", seed, crash_times, n_clients=3, n_calls=6)
     lazy = run_mode("lazy", seed, crash_times, n_clients=3, n_calls=6)
     assert lazy == eager
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 1000),
+    crash_times=st.lists(
+        st.floats(5.0, 250.0), min_size=1, max_size=2
+    ).map(sorted),
+    spare_workers=st.integers(0, 2),
+)
+def test_lazy_with_a_worker_per_session_is_eager(seed, crash_times, spare_workers):
+    """Eager is the degenerate lazy: with ``recovery_pump_concurrency >=
+    sessions`` the two runs are the same run — equal not just on
+    observable state but on ``sim.now``, ``Simulator.steps`` and the
+    whole ``MspStats`` (no inline replay: every session is claimed by a
+    worker the instant the MSP opens)."""
+    n_clients = 3
+    eager = run_mode(
+        "eager", seed, crash_times, n_clients, n_calls=6, with_kernel=True
+    )
+    lazy = run_mode(
+        "lazy", seed, crash_times, n_clients, n_calls=6, with_kernel=True,
+        pump_concurrency=n_clients + spare_workers,
+    )
+    assert lazy == eager
+    assert eager["kernel"][2]["inline_recoveries"] == 0

@@ -6,8 +6,8 @@ session still being recovered inline, and a position stream lying below
 the truncation floor (which must raise, never serve stale state).  The
 broad schedule space is covered by the fuzz battery and the hypothesis
 equivalence tests; these pin the specific races — and what ``lazy`` is
-since the per-session backward chain left: a drain policy over the
-eager pipeline's own index, not a log format.
+since the per-session backward chain left: a worker count for the one
+drain both modes run, not a log format and not a second code path.
 """
 
 import pytest
@@ -105,7 +105,7 @@ def test_lazy_crash_restart_is_exactly_once():
     assert results[0] == list(range(1, 11))
     total = int.from_bytes(msp.shared["total"].value, "big")
     assert total == 10
-    assert msp.stats.lazy_recoveries >= 1
+    assert msp.stats.inline_recoveries + msp.stats.pump_recoveries >= 1
     assert msp.stats.served_before_recovery == 0
 
 
@@ -121,7 +121,7 @@ def test_lazy_multi_session_pump_drains_all():
     )
     # Four sessions were pending; the pump (or an arriving request)
     # recovered each exactly once.
-    assert msp.stats.lazy_recoveries >= 4
+    assert msp.stats.inline_recoveries + msp.stats.pump_recoveries >= 4
     assert msp.stats.served_before_recovery == 0
 
 
@@ -129,12 +129,12 @@ def test_lazy_multi_session_pump_drains_all():
 
 
 def test_request_for_unrecovered_session_recovers_inline(monkeypatch):
-    """With the pump stubbed out, the only path back to NORMAL is the
+    """With the drain stubbed out, the only path back to NORMAL is the
     inline hook in ``_handle_request`` — the arriving resend must
     trigger the replay and then answer exactly-once."""
     import repro.core.crash_recovery as cr
 
-    monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
+    monkeypatch.setattr(cr, "drain", lambda msp, state: None)
     sim, _net, msp, clients = build_world()
     results = drive(sim, msp, clients, 8, crash_after_calls={4})
     assert results[0] == list(range(1, 9))
@@ -149,7 +149,7 @@ def test_duplicate_request_during_inline_replay_gets_busy(monkeypatch):
     request) sees RECOVERING and is answered busy, then retried."""
     import repro.core.crash_recovery as cr
 
-    monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
+    monkeypatch.setattr(cr, "drain", lambda msp, state: None)
     # Make the replayed stream long (no session checkpoints) and the
     # client impatient, so resends land mid-replay.
     config = lazy_config(session_ckpt_threshold_bytes=None)
@@ -174,7 +174,7 @@ def test_request_during_pump_replay_is_busy_then_served():
     busy_before = msp.stats.busy_replies
     results = drive(sim, msp, clients, 40, crash_after_calls={35})
     assert results[0] == list(range(1, 41))
-    assert msp.stats.lazy_recoveries >= 1
+    assert msp.stats.pump_recoveries >= 1
     assert msp.stats.served_before_recovery == 0
     # The claim raced with live traffic at least once: some request hit
     # a RECOVERING session and was turned away rather than served early.
@@ -193,7 +193,7 @@ def test_chain_below_truncation_floor_raises(monkeypatch):
     caller."""
     import repro.core.crash_recovery as cr
 
-    monkeypatch.setattr(cr, "spawn_recovery_pump", lambda msp: None)
+    monkeypatch.setattr(cr, "drain", lambda msp, state: None)
     sim, _net, msp, clients = build_world()
     results = drive(sim, msp, clients, 6)
     assert results[0] == list(range(1, 7))
@@ -308,7 +308,6 @@ def test_pump_skips_a_session_claimed_inline_meanwhile():
     assert [sid for sid in order if sid != ids[4]] == ids[:4]
     stats = msp.stats
     assert (stats.inline_recoveries, stats.pump_recoveries) == (1, 4)
-    assert stats.lazy_recoveries == stats.inline_recoveries + stats.pump_recoveries
     assert stats.served_before_recovery == 0
 
 
@@ -393,18 +392,57 @@ def test_lazy_restart_reads_what_an_eager_restart_reads(nparts):
 
 
 def test_lazy_stats_partition_into_inline_and_pump():
+    """Every claim is counted once, as inline or as a drain worker's."""
     sim, _net, msp, clients = build_world(n_clients=3)
+    begun = []
+    sim.add_probe_listener(
+        lambda site, owner: site == "recovery.session.begin" and begun.append(site)
+    )
     drive(sim, msp, clients, 6, crash_after_calls={2, 4})
     settle(sim, msp)
     stats = msp.stats
-    assert stats.lazy_recoveries == stats.inline_recoveries + stats.pump_recoveries
+    assert begun
+    assert stats.inline_recoveries + stats.pump_recoveries == len(begun)
     assert stats.served_before_recovery == 0
 
 
-def test_eager_mode_never_counts_lazy_recoveries():
-    sim, _net, msp, clients = build_world(config=RecoveryConfig())
-    results = drive(sim, msp, clients, 8, crash_after_calls={4})
-    assert results[0] == list(range(1, 9))
-    assert msp.stats.lazy_recoveries == 0
+def test_eager_mode_replays_every_session_by_a_drain_worker():
+    """Eager is the drain with one worker per session: each worker's
+    first step claims its session, so none is left for a request."""
+    sim, _net, msp, clients = build_world(config=RecoveryConfig(), n_clients=3)
+    claims = record_claims(sim, msp)
+    quiesced_crash(sim, msp, clients, [4, 4, 4])
+    settle(sim, msp)
+    assert msp.stats.pump_recoveries == len(msp.sessions) == 3
     assert msp.stats.inline_recoveries == 0
-    assert msp.stats.pump_recoveries == 0
+    # All three were claimed in the same instant, in session-id order.
+    assert [sid for sid, _at in claims] == sorted(msp.sessions)
+    assert len({at for _sid, at in claims}) == 1
+
+
+def test_eager_restart_opens_for_traffic_while_sessions_still_replay():
+    """Fig. 12 step 5: "while already accepting new sessions".  Eager
+    means one drain worker per session, not drain-then-open: the MSP
+    handles requests while a session is still ``recovery_pending``, and
+    the request racing that session's replay is turned away busy —
+    never replayed inline, never served early.  Fails if eager is ever
+    made to wait for the drain before opening."""
+    config = RecoveryConfig(session_ckpt_threshold_bytes=None)
+    sim, _net, msp, clients = build_world(config=config)
+    clients[0].resend_timeout_ms = 5.0
+    open_while_replaying = []
+
+    def listener(site, owner):
+        if site == "msp.request" and msp.stats.crashes:
+            open_while_replaying.append(
+                msp.running
+                and any(s.recovery_pending for s in msp.sessions.values())
+            )
+
+    sim.add_probe_listener(listener)
+    results = drive(sim, msp, clients, 40, crash_after_calls={35})
+    assert results[0] == list(range(1, 41))
+    assert any(open_while_replaying)
+    assert msp.stats.busy_replies > 0
+    assert (msp.stats.inline_recoveries, msp.stats.pump_recoveries) == (0, 1)
+    assert msp.stats.served_before_recovery == 0

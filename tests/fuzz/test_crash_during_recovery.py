@@ -18,6 +18,7 @@ RECOVERY_SITES = (
     "recovery.analyzed",
     "recovery.announced",
     "recovery.checkpointed",
+    "recovery.drain",
     "recovery.end",
 )
 

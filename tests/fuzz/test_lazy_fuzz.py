@@ -1,15 +1,16 @@
 """Satellite: the invariant battery under ``recovery_mode: lazy``.
 
-Lazy mode adds its own probe sites (``recovery.lazy.analyze``,
-``recovery.session.begin``/``end``, ``recovery.pump.step``) that only
-fire while a lazy restart is in flight — so, as with the eager
-``recovery.*`` sites, a first kill mid-run opens the window and a
-second kill ordinal lands *inside* the lazy recovery: during the
-analysis scan, during one session's on-demand chain replay, or between
-pump steps while the MSP is serving traffic partially recovered.  The
-battery checks that every such crash still recovers to exactly-once
-(including the lazy invariants: no session served before its chain is
-replayed, no session left pending after quiesce).
+The drain's probe sites (``recovery.drain``,
+``recovery.session.begin``/``end``, ``recovery.pump.step``) fire in
+both recovery modes, but only while a restart is in flight — so, as
+with the other ``recovery.*`` sites, a first kill mid-run opens the
+window and a second kill ordinal lands *inside* the recovery.  Lazy is
+where they spread out in time: with fewer workers than sessions a kill
+can land during one session's on-demand replay or between worker steps
+while the MSP is serving traffic partially recovered.  The battery
+checks that every such crash still recovers to exactly-once (including
+the drain invariants: no session served before it is replayed, no
+session left pending after quiesce).
 """
 
 from repro.fuzz import CrashSchedule, FuzzParams, explore_exhaustive, fuzz_random, run_schedule
@@ -17,7 +18,7 @@ from repro.fuzz.explorer import build_world, _crash_and_restart
 from repro.fuzz.sites import CrashInjector, TraceRecorder
 
 LAZY_SITES = (
-    "recovery.lazy.analyze",
+    "recovery.drain",
     "recovery.session.begin",
     "recovery.session.end",
     "recovery.pump.step",
@@ -25,7 +26,7 @@ LAZY_SITES = (
 
 #: Mid-run first kill; its lazy recovery runs against live traffic.
 #: (An earlier kill finds no live sessions — the pump then has nothing
-#: to drain and only ``recovery.lazy.analyze`` fires.)
+#: to drain and only ``recovery.drain`` fires.)
 FIRST_KILL = 150
 
 _lazy = FuzzParams(recovery_mode="lazy")

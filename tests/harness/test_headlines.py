@@ -21,7 +21,8 @@ SHAPES = {
     ),
     headlines.instant_restart: (
         4, {"mode", "partitions", "sessions", "ttfr_ms", "full_recovery_ms",
-            "lazy_recoveries", "served_before_recovery"}, None,
+            "inline_recoveries", "pump_recoveries", "served_before_recovery"},
+        None,
     ),
     headlines.log_volume: (
         12, {"logging_mode", "partitions", "recovery_mode", "crashes",

@@ -3,7 +3,7 @@ numbers exactly, and a failed point must abort with its key."""
 
 import pytest
 
-from repro.harness.experiments import _sweep
+from repro.harness.experiments import _sweep, sweep
 from repro.parallel import WorkerFailure
 from repro.parallel.tasks import WorkloadPointSpec
 from repro.workloads import WorkloadParams
@@ -58,6 +58,26 @@ def test_failed_point_aborts_with_key():
     ]
     with pytest.raises(WorkerFailure, match=r"\('test', 'bad'\)"):
         _sweep(bad, jobs=2)
+
+
+def _fail_on_odd(spec):
+    if spec[1] % 2:
+        raise RuntimeError("odd")
+    return spec[1]
+
+
+def test_default_key_is_the_spec_itself():
+    # Ablation and headline cells are plain tuples: progress reports and
+    # the failure message name the tuple.
+    specs = [("cell", 0), ("cell", 2)]
+    seen = []
+    assert sweep(
+        _fail_on_odd, specs, jobs=1,
+        progress=lambda done, total, key: seen.append(key),
+    ) == [0, 2]
+    assert seen == specs
+    with pytest.raises(WorkerFailure, match=r"sweep point \('cell', 1\) failed"):
+        sweep(_fail_on_odd, [("cell", 0), ("cell", 1)], jobs=2)
 
 
 def test_experiment_jobs_kwarg_is_uniform():

@@ -8,7 +8,10 @@ takes 30 s per workload and runs on one Python; these three small
 seeded runs take seconds and run on every CI Python version.
 
 ``RECORDED`` was taken at commit ``710c7fd``, before the PR 18 kernel
-fast path touched ``repro.sim``.  Regenerating it is legitimate only in
+fast path touched ``repro.sim``; PR 21 replaced the fleet fingerprint
+string only (it hashes ``asdict(MspStats)``: the inline + pump sum
+field left the dataclass and ``pump_recoveries`` now counts eager
+replays too — every other pinned value stood).  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -30,7 +33,7 @@ RECORDED = {
         "steps": 5665,
         "completed": 58,
         "log_bytes": 47777,
-        "fingerprint": "50423da83cc198824ff052c237b752526300853154fc2430b6daaf0f617e37ab",
+        "fingerprint": "dd387a44568ab36cd5977e8b919ec613690a188df9c64b59dba1c8c798772405",
     },
 }
 

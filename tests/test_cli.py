@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import EXPERIMENTS, _build_parser, main
+from repro.workloads.paper import mode_overrides
 
 
 def test_list_prints_experiments(capsys):
@@ -62,6 +63,24 @@ def test_workload_crashing_partitioned_in_each_recovery_mode(capsys, recovery_mo
     out = capsys.readouterr().out
     assert code == 0
     assert "exactly-once:       verified" in out
+
+
+@pytest.mark.parametrize(
+    "subcommand", [["workload", "LoOptimistic"], ["trace"], ["fuzz"]],
+    ids=["workload", "trace", "fuzz"],
+)
+def test_mode_flags_are_the_same_on_every_workload_subcommand(subcommand):
+    parser = _build_parser()
+    # Unset means "the WorkloadParams default": nothing is overridden.
+    assert mode_overrides(parser.parse_args(subcommand)) == {}
+    flags = ["--partitions", "3", "--recovery-mode", "lazy",
+             "--pump-concurrency", "1", "--logging-mode", "command"]
+    assert mode_overrides(parser.parse_args(subcommand + flags)) == {
+        "log_partitions": 3, "recovery_mode": "lazy",
+        "recovery_pump_concurrency": 1, "logging_mode": "command",
+    }
+    with pytest.raises(SystemExit):
+        parser.parse_args(subcommand + ["--recovery-mode", "sideways"])
 
 
 def test_fuzz_exhaustive_smoke(capsys, tmp_path, monkeypatch):
