@@ -6,7 +6,7 @@ claims against the measured rows, and prints the full table.
 
 Scale can be raised for a paper-fidelity run::
 
-    REPRO_BENCH_SCALE=1.0 pytest benchmarks/ --benchmark-only -s
+    REPRO_BENCH_SCALE=1.0 pytest benchmarks/ -s
 """
 
 import os

@@ -10,12 +10,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import analysis_flush_accounting
 
 
-def test_analysis_flush_accounting(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        analysis_flush_accounting,
-        kwargs={"scale": 0.25 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_analysis_flush_accounting(bench_scale):
+    result = analysis_flush_accounting(scale=0.25 * bench_scale)
     report(result)
     assert_claims(result)

@@ -11,12 +11,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig14_calls_chart
 
 
-def test_fig14_calls_chart(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig14_calls_chart,
-        kwargs={"scale": 0.04 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig14_calls_chart(bench_scale):
+    result = fig14_calls_chart(scale=0.04 * bench_scale)
     report(result)
     assert_claims(result)

@@ -11,12 +11,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig14_response_table
 
 
-def test_fig14_response_table(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig14_response_table,
-        kwargs={"scale": 0.05 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig14_response_table(bench_scale):
+    result = fig14_response_table(scale=0.05 * bench_scale)
     report(result)
     assert_claims(result)

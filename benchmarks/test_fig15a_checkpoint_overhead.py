@@ -9,12 +9,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig15a_checkpoint_overhead
 
 
-def test_fig15a_checkpoint_overhead(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig15a_checkpoint_overhead,
-        kwargs={"scale": 0.2 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig15a_checkpoint_overhead(bench_scale):
+    result = fig15a_checkpoint_overhead(scale=0.2 * bench_scale)
     report(result)
     assert_claims(result)

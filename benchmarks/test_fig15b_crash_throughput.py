@@ -13,12 +13,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig15b_crash_throughput
 
 
-def test_fig15b_crash_throughput(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig15b_crash_throughput,
-        kwargs={"scale": 0.08 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig15b_crash_throughput(bench_scale):
+    result = fig15b_crash_throughput(scale=0.08 * bench_scale)
     report(result)
     assert_claims(result)

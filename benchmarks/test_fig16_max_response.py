@@ -12,12 +12,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig16_max_response_table
 
 
-def test_fig16_max_response(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig16_max_response_table,
-        kwargs={"scale": 0.08 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig16_max_response(bench_scale):
+    result = fig16_max_response_table(scale=0.08 * bench_scale)
     report(result)
     assert_claims(result)

@@ -9,12 +9,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig16_optimal_threshold
 
 
-def test_fig16_optimal_threshold(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig16_optimal_threshold,
-        kwargs={"scale": 0.15 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig16_optimal_threshold(bench_scale):
+    result = fig16_optimal_threshold(scale=0.15 * bench_scale)
     report(result)
     assert_claims(result)

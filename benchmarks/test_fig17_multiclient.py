@@ -11,12 +11,7 @@ from benchmarks.conftest import assert_claims, report
 from repro.harness import fig17_multiclient
 
 
-def test_fig17_multiclient(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        fig17_multiclient,
-        kwargs={"scale": 0.06 * bench_scale},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig17_multiclient(bench_scale):
+    result = fig17_multiclient(scale=0.06 * bench_scale)
     report(result)
     assert_claims(result)

@@ -139,17 +139,15 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
             yield from sv.roll_back(msp.log, msp.table)
             return
         msp.sim.probe("ckpt.sv.flushed", owner=msp.name)
-        # Partitioned logs record which write this checkpoint seals: the
-        # ckpt lands on the control partition while the writes live in
-        # session partitions, so the recovery merge needs this edge to
-        # order them.  The single-partition log's scan order already
-        # does, and omitting the field keeps its bytes identical.
-        prev_write = sv.last_write_lsn if msp.log.nparts > 1 else None
         record = SvCheckpointRecord(
-            variable=sv.name, value=sv.value, prev_write_lsn=prev_write,
+            variable=sv.name,
+            value=sv.value,
+            # The write this checkpoint seals: the edge that orders the
+            # record (control partition) after the writes it covers
+            # (session partitions) in the recovery merge.
+            prev_write_lsn=sv.last_write_lsn,
             # Command effects included in the checkpointed value
-            # (DESIGN.md §16); empty for value logging, keeping the
-            # record's bytes identical.
+            # (DESIGN.md §16); empty under value logging.
             command_frontier=dict(sv.command_frontier),
         )
         yield from msp.cpu(msp.config.costs.log_append_ms)
@@ -159,8 +157,9 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
             # *writer's* partition and no DV names it, so nothing would
             # ever flush the control partition on its behalf: the write
             # lock is held until the record is durable (DESIGN.md §14,
-            # "what a record may chain to").  The single log's prefix
-            # durability gives the same guarantee for free.
+            # "what a record may chain to").  A durability rule, not a
+            # format rule: one log is durable as a prefix, so whatever
+            # flushes the next write has flushed this record.
             yield from msp.log.flush(lsn)
         sv.apply_checkpoint(lsn)
         msp.stats.sv_checkpoints += 1
@@ -224,7 +223,6 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
             yield from sv_checkpoint(msp, sv)
 
     msp.sim.probe("ckpt.msp.forced", owner=msp.name)
-    partitioned = msp.log.nparts > 1
     record = MspCheckpointRecord(
         recovered_snapshot=msp.table.snapshot(),
         session_start_lsns={
@@ -240,10 +238,10 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         epoch=msp.epoch,
         # Captured in the same no-yield step as the start lsns: every
         # partition's end bounds (from above) all start lsns that hash
-        # to it, so a partition nothing names still gets a valid scan
-        # start and truncation floor.  The single log's format has no
-        # ends block; its one floor is the minimal LSN.
-        partition_ends=msp.log.partition_ends() if partitioned else (),
+        # to it, so a partition nothing names — and a session whose
+        # first record lands during the yield below — still gets a
+        # valid scan start and truncation floor.
+        partition_ends=msp.log.partition_ends(),
     )
     yield from msp.cpu(msp.config.costs.log_append_ms)
     lsn, _size = msp.log.append(record)
@@ -254,16 +252,13 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
     msp.sim.probe("ckpt.msp.logged", owner=msp.name)
     # The anchor must point at a durable checkpoint.
     yield from msp.cpu(msp.config.costs.flush_issue_ms)
-    if partitioned:
-        # Every partition must be durable through its captured end
-        # before the anchor moves: analysis scans start at the captured
-        # floors, so bytes below them can never be re-read.
-        yield from msp.log.flush(None)
-    else:
-        # The single log flushes through the record, not through its
-        # end: an append landing during the flush_issue_ms yield above
-        # must stay volatile, as it always has (DESIGN.md §14).
-        yield from msp.log.flush(lsn)
+    # Analysis scans start at the captured floors, so bytes below the
+    # captured ends can never be re-read: every partition is flushed
+    # through its end, except the control partition, whose captured end
+    # lies below the record — through the record is enough there.
+    yield from msp.log.flush(lsn)
+    for partition in range(1, msp.log.nparts):
+        yield from msp.log.flush_partition(partition)
     msp.sim.probe("ckpt.msp.flushed", owner=msp.name)
     yield from msp.log.write_anchor(lsn)
     msp.stats.msp_checkpoints += 1

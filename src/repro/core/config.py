@@ -196,7 +196,7 @@ class RecoveryConfig:
 
     # -- command/value logging (DESIGN.md §16) -------------------------------
     #: What a session's execution logs: ``value`` (the paper's §3.3
-    #: per-SV value records, byte-identical to previous releases),
+    #: per-SV value records),
     #: ``command`` (one CommandRecord per request, replay re-executes the
     #: handler deterministically), or ``adaptive`` (per-session runtime
     #: choice between the two driven by the live metrics, with

@@ -438,10 +438,8 @@ def assert_merge_order(
 #
 # ``recover_msp`` drives nine phases over one ``AnalysisState``.  Every
 # per-partition quantity is a vector of length ``log.nparts``; a single
-# log is the one-partition case and keeps its historical bytes through
-# the encoders (``make_plsn(0, off) == off``, ``encode_frontier((x,))
-# == x``, no ``partition_ends`` block => ``partition_floors() ==
-# [min_lsn]``), not through a second code path.
+# log is the one-partition case, in its records' bytes too
+# (``make_plsn(0, off) == off``, ``encode_frontier((x,)) == x``).
 
 
 def _span(msp: "MiddlewareServer", name: str, **fields):

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, decode_frontier, encode_frontier
-from repro.wire import Decoder, Encoder
 from repro.wire.codec import Buffer, encode_uvarint, read_text_interned, read_uvarint
 
 #: Bits of the internal DV entry key reserved for the partition index:
@@ -58,13 +57,6 @@ class StateId:
 
     epoch: int
     lsn: int
-
-    def encode_into(self, enc: Encoder) -> None:
-        enc.uint(self.epoch).uint(self.lsn)
-
-    @staticmethod
-    def decode_from(dec: Decoder) -> "StateId":
-        return StateId(epoch=dec.uint(), lsn=dec.uint())
 
 
 def _entry_key(epoch: int, lsn: int) -> int:
@@ -199,22 +191,12 @@ class DependencyVector:
 
     # -- serialization -------------------------------------------------------
 
-    def encode_into(self, enc: Encoder) -> None:
-        enc.uint(len(self._entries))
-        for msp in sorted(self._entries):
-            enc.text(msp)
-            keys = self._entries[msp]
-            enc.uint(len(keys))
-            for key in sorted(keys):
-                enc.uint(key >> PKEY_BITS).uint(keys[key])
-
     def encode_bytes(self) -> bytes:
-        """Byte-identical to :meth:`encode_into`, without Encoder chaining.
+        """The DV as it appears inside a log record: count-prefixed
+        ``msp -> (epoch, lsn)*`` in sorted order, all varints.
 
-        Used by the compiled record codecs on the logging hot path.
         The partition index is never written — it is recoverable from
-        the lsn — so the wire format is unchanged from the flat
-        per-epoch encoding.
+        the lsn — so the format is the flat per-epoch encoding.
         """
         entries = self._entries
         parts = [encode_uvarint(len(entries))]
@@ -230,18 +212,9 @@ class DependencyVector:
         return b"".join(parts)
 
     @staticmethod
-    def decode_from(dec: Decoder) -> "DependencyVector":
-        dv = DependencyVector()
-        for _ in range(dec.uint()):
-            msp = dec.text()
-            for _ in range(dec.uint()):
-                epoch = dec.uint()
-                dv.observe(msp, StateId(epoch, dec.uint()))
-        return dv
-
-    @staticmethod
     def decode_from_buffer(buf: Buffer, pos: int) -> tuple["DependencyVector", int]:
-        """Fast-path mirror of :meth:`decode_from` over a raw buffer.
+        """Inverse of :meth:`encode_bytes` at ``buf[pos:]``; returns
+        ``(dv, next_pos)``.
 
         Single-byte varints (entry counts, epochs, short LSNs) are read
         inline; only multi-byte values fall back to ``read_uvarint``.
@@ -297,8 +270,7 @@ class RecoveryTable:
     beyond its partition's frontier is lost forever; dependencies on
     such records are orphans.  Frontiers cross the wire as packed ints
     (:func:`repro.core.plsn.encode_frontier`) — a raw scalar offset in
-    the single-partition case, keeping old announcement and checkpoint
-    bytes valid.
+    the single-partition case.
     """
 
     def __init__(self) -> None:
@@ -405,23 +377,4 @@ class RecoveryTable:
         for msp, epochs in snapshot.items():
             for epoch, lsn in epochs.items():
                 table.record(msp, int(epoch), int(lsn))
-        return table
-
-    def encode_into(self, enc: Encoder) -> None:
-        enc.uint(len(self._recovered))
-        for msp in sorted(self._recovered):
-            enc.text(msp)
-            epochs = self._recovered[msp]
-            enc.uint(len(epochs))
-            for epoch in sorted(epochs):
-                enc.uint(epoch).uint(encode_frontier(epochs[epoch]))
-
-    @staticmethod
-    def decode_from(dec: Decoder) -> "RecoveryTable":
-        table = RecoveryTable()
-        for _ in range(dec.uint()):
-            msp = dec.text()
-            for _ in range(dec.uint()):
-                epoch = dec.uint()
-                table.record(msp, epoch, dec.uint())
         return table

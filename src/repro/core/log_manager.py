@@ -576,8 +576,7 @@ class LogManager:
 
         Called by the MSP checkpoint daemon once the log anchor is
         durable, with the per-partition floor vector from
-        ``MspCheckpointRecord.partition_floors`` (for a single log,
-        the one-element ``[min_lsn]``).  Safety: the floors
+        ``MspCheckpointRecord.partition_floors``.  Safety: the floors
         lower-bound every LSN recovery can touch — session scan starts,
         shared-variable scan starts (backward write chains break at sv
         checkpoints at or above them), EOS back-pointers are only

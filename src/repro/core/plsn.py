@@ -5,23 +5,20 @@ pair packed into a single int::
 
     plsn = (partition << OFFSET_BITS) | offset
 
-Partition 0 plsns are numerically identical to raw byte offsets, which
-is what keeps a ``--partitions 1`` run bit-identical to the historical
-single-log format: every lsn the codec ever wrote was a partition-0
-plsn all along.  ``NO_LSN`` (``2**48 - 1``) decodes as partition 0 and
+Partition 0 plsns are numerically identical to raw byte offsets, so a
+one-partition log's lsns are plain offsets.  ``NO_LSN`` (``2**48 - 1``) decodes as partition 0 and
 stays a safe sentinel — all code checks for it before treating an lsn
 as an address.
 
 Recovered-state *frontiers* generalise the scalar ``recovered_lsn`` of
 the single-log design to a per-partition vector of end offsets.  The
-encoding is self-describing and backward compatible on the wire:
+encoding is self-describing:
 
 * a single-partition frontier is the raw offset int (offsets are far
-  below ``2**59``), so partitions=1 announcements are byte-identical
-  to the historical scalar;
+  below ``2**59``), the classical scalar;
 * a multi-partition frontier packs the per-partition ends into one
-  int above a tag bit at ``2**59`` so old scalars and new vectors
-  never collide.
+  int above a tag bit at ``2**59`` so scalars and vectors never
+  collide.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ def plsn_offset(plsn: int) -> int:
 def encode_frontier(ends: Sequence[int]) -> int:
     """Pack per-partition end offsets into one wire int.
 
-    Single-partition frontiers stay raw scalars for backward
-    compatibility; vectors are tagged above ``2**59``.
+    Single-partition frontiers are raw scalars; vectors are tagged
+    above ``2**59``.
     """
     if len(ends) == 1:
         return ends[0]
@@ -70,12 +67,6 @@ def encode_frontier(ends: Sequence[int]) -> int:
         packed |= end << (OFFSET_BITS * i)
     payload = (packed << 8) | len(ends)
     return _FRONTIER_TAG | (payload << 60)
-
-
-def is_frontier(value: int) -> bool:
-    """True when ``value`` is a tagged multi-partition frontier (as
-    opposed to a scalar offset or plsn, which stay below the tag)."""
-    return value >= _FRONTIER_TAG
 
 
 def decode_frontier(value: int) -> tuple[int, ...]:

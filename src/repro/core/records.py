@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.dv import DependencyVector
-from repro.wire import Decoder, Encoder
+from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, decode_frontier
+from repro.wire import Encoder
 from repro.wire.codec import (
     Buffer,
     CodecError,
@@ -48,19 +49,18 @@ KIND_COMMAND = 14
 #: Sentinel "no previous write" value for backward chains.
 NO_LSN = 0xFFFFFFFFFFFF
 
-#: Per-session logging-mode codes for the session checkpoint's optional
-#: trailing field (omitted for "value", keeping those bytes identical).
+#: Per-session logging-mode codes for the session checkpoint's last field.
 LOGGING_MODE_CODES = {"value": 0, "command": 1}
 LOGGING_MODE_NAMES = {code: name for name, code in LOGGING_MODE_CODES.items()}
 
 # -- compiled-codec helpers ---------------------------------------------------
 #
 # The high-frequency record kinds (request, reply, SV read/write/update
-# and filler) bypass the chained Encoder/Decoder with precompiled
-# ``struct.Struct`` packers and the module-level varint fast paths of
-# :mod:`repro.wire.codec`.  The byte format is *identical* to the
-# general path — asserted by the golden-bytes tests — only the Python
-# overhead (one Encoder object plus a method call per field) is gone.
+# and filler) encode with precompiled ``struct.Struct`` packers and the
+# module-level varint fast paths of :mod:`repro.wire.codec` instead of
+# the chained Encoder; the bytes are the ones the Encoder would write —
+# pinned by the golden-bytes tests — only the Python overhead (one
+# Encoder object plus a method call per field) is gone.
 
 _PACK_KIND_LEN = struct.Struct("<BB").pack
 _FALSE = b"\x00"
@@ -297,32 +297,23 @@ class SvCheckpointRecord:
 
     Written after a distributed log flush covered the variable's DV, so
     no DV needs to be stored and the backward chain breaks here.
-    ``version`` is the variable's write-version counter at checkpoint
-    time (always 0 under value logging; kept for the record's bytes).
 
-    ``prev_write_lsn`` is an optional trailing field written only by
-    partitioned logs (DESIGN.md §14): the lsn of the write this
-    checkpoint seals.  The recovery merge needs that edge to order the
-    checkpoint (control partition) after the writes it covers (session
-    partitions); in a single-partition log the scan order already says
-    so and the field is omitted, keeping the bytes identical.
+    ``prev_write_lsn`` is the lsn of the write this checkpoint seals
+    (``NO_LSN``: none).  The checkpoint lands on the control partition
+    while the writes live in session partitions, so the recovery merge
+    needs that edge to order them (DESIGN.md §14); within one partition
+    the edge only restates the scan order.
 
-    ``command_frontier`` is a second optional trailing field written
-    only when the variable carries command-mode RMW effects (DESIGN.md
-    §16): per command session, the ``(lsn, ordinal)`` of the most recent
-    command RMW whose effect is included in the checkpointed value.
-    Recovery restores it so a re-executed command re-applies its RMW
-    exactly when its pair lies beyond the frontier.  When present, the
-    ``prev_write_lsn`` block is always written first (``NO_LSN`` for a
-    single-partition log) so the two exhaustion-gated trailing fields
-    decode unambiguously.  Value logging leaves the frontier empty and
-    the encoding byte-identical.
+    ``command_frontier`` holds, per command session, the ``(lsn,
+    ordinal)`` of the most recent command RMW whose effect is included
+    in the checkpointed value (DESIGN.md §16; empty under value
+    logging).  Recovery restores it so a re-executed command re-applies
+    its RMW exactly when its pair lies beyond the frontier.
     """
 
     variable: str
     value: bytes
-    version: int = 0
-    prev_write_lsn: Optional[int] = None
+    prev_write_lsn: int = NO_LSN
     command_frontier: dict[str, tuple[int, int]] = field(default_factory=dict)
     kind: int = field(default=KIND_SV_CHECKPOINT, init=False)
 
@@ -332,15 +323,12 @@ class SvCheckpointRecord:
             .uint(self.kind)
             .text(self.variable)
             .raw(self.value)
-            .uint(self.version)
+            .uint(self.prev_write_lsn)
+            .uint(len(self.command_frontier))
         )
-        if self.prev_write_lsn is not None or self.command_frontier:
-            enc.uint(self.prev_write_lsn if self.prev_write_lsn is not None else NO_LSN)
-        if self.command_frontier:
-            enc.uint(len(self.command_frontier))
-            for sid in sorted(self.command_frontier):
-                lsn, ordinal = self.command_frontier[sid]
-                enc.text(sid).uint(lsn).uint(ordinal)
+        for sid in sorted(self.command_frontier):
+            lsn, ordinal = self.command_frontier[sid]
+            enc.text(sid).uint(lsn).uint(ordinal)
         return enc.finish()
 
 
@@ -354,11 +342,9 @@ class SessionCheckpointRecord:
     (stacks, program counters), because checkpoints are only taken
     between requests.
 
-    ``logging_mode`` is an optional trailing field written only when the
-    session is not value-logging (DESIGN.md §16): recovery must know how
-    to interpret the log suffix after this checkpoint — value records to
-    reinstall, or command records to re-execute.  Value mode omits it,
-    keeping the bytes identical to previous releases.
+    ``logging_mode`` tells recovery how to interpret the log suffix
+    after this checkpoint (DESIGN.md §16): value records to reinstall,
+    or command records to re-execute.
     """
 
     session_id: str
@@ -385,8 +371,7 @@ class SessionCheckpointRecord:
         for target in sorted(self.outgoing_next_seq):
             enc.text(target).uint(self.outgoing_next_seq[target])
         enc.boolean(self.buffered_reply_error)
-        if self.logging_mode != "value":
-            enc.uint(LOGGING_MODE_CODES[self.logging_mode])
+        enc.uint(LOGGING_MODE_CODES[self.logging_mode])
         return enc.finish()
 
 
@@ -401,26 +386,19 @@ class MspCheckpointRecord:
     their first log record instead, so the minimal LSN still bounds the
     recovery scan.
 
-    ``partition_ends`` is an optional trailing field written only by
-    partitioned logs: the end offset of every partition at checkpoint
-    time.  A partition none of the start-lsns name still needs a scan
-    start and truncation floor — its end at the anchor point.  The
-    single-partition log omits it (byte-identical encoding).
+    ``partition_ends`` is the end offset of every log partition,
+    captured in the same step as the start lsns: a partition none of
+    them name — or a session whose first record is appended while the
+    checkpoint record is still being written — still needs a scan start
+    and truncation floor, and its end at the capture is that.
     """
 
     recovered_snapshot: dict[str, dict[int, int]]
     session_start_lsns: dict[str, int]  #: session id -> scan-start LSN
-    sv_start_lsns: dict[str, int]  #: variable -> scan-start LSN
+    sv_start_lsns: dict[str, int]  #: variable -> scan-start frontier
+    partition_ends: tuple[int, ...]
     epoch: int = 0
-    partition_ends: tuple[int, ...] = ()
     kind: int = field(default=KIND_MSP_CHECKPOINT, init=False)
-
-    def min_lsn(self, own_lsn: int) -> int:
-        """Start point of the crash-recovery log scan."""
-        candidates = [own_lsn]
-        candidates.extend(self.session_start_lsns.values())
-        candidates.extend(self.sv_start_lsns.values())
-        return min(candidates)
 
     def partition_floors(self, own_lsn: int) -> list[int]:
         """Per-partition scan starts / truncation floors.
@@ -432,26 +410,15 @@ class MspCheckpointRecord:
         session, one partition); shared-variable starts are packed
         frontiers (the chain spans the writers' partitions — see
         ``SharedVariable.scan_start_frontier``).
-
-        A checkpoint that wrote no ``partition_ends`` block is a
-        single log's: its one floor is the minimal LSN.
         """
-        from repro.core.plsn import decode_frontier, is_frontier
-
-        if not self.partition_ends:
-            return [self.min_lsn(own_lsn)]
         floors = list(self.partition_ends)
-        candidates = [own_lsn]
-        candidates.extend(self.session_start_lsns.values())
-        candidates.extend(self.sv_start_lsns.values())
-        for lsn in candidates:
-            if is_frontier(lsn):
-                for partition, offset in enumerate(decode_frontier(lsn)):
-                    if partition < len(floors) and offset < floors[partition]:
-                        floors[partition] = offset
-                continue
-            partition = lsn >> 48
-            offset = lsn & ((1 << 48) - 1)
+        starts = [
+            (lsn >> OFFSET_BITS, lsn & OFFSET_MASK)
+            for lsn in (own_lsn, *self.session_start_lsns.values())
+        ]
+        for frontier in self.sv_start_lsns.values():
+            starts.extend(enumerate(decode_frontier(frontier)))
+        for partition, offset in starts:
             if partition < len(floors) and offset < floors[partition]:
                 floors[partition] = offset
         return floors
@@ -471,10 +438,9 @@ class MspCheckpointRecord:
         enc.uint(len(self.sv_start_lsns))
         for name in sorted(self.sv_start_lsns):
             enc.text(name).uint(self.sv_start_lsns[name])
-        if self.partition_ends:
-            enc.uint(len(self.partition_ends))
-            for end in self.partition_ends:
-                enc.uint(end)
+        enc.uint(len(self.partition_ends))
+        for end in self.partition_ends:
+            enc.uint(end)
         return enc.finish()
 
 
@@ -562,21 +528,24 @@ LogRecord = (
 )
 
 
-def _decode_optional_dv(dec: Decoder) -> Optional[DependencyVector]:
-    if dec.boolean():
-        return DependencyVector.decode_from(dec)
-    return None
+# -- decoders: one position-threaded function per kind ------------------------
+#
+# Each takes the payload and the position just past the kind byte and
+# returns ``(record, next_pos)``.  Identifier fields go through the
+# intern table; single-byte varints are read inline by the DV decoder.
 
 
-# -- compiled decoders for the high-frequency kinds ---------------------------
+def _read_flag(buf: Buffer, pos: int) -> tuple[bool, int]:
+    flag, pos = read_uvarint(buf, pos)
+    if flag > 1:
+        raise CodecError(f"bad boolean value {flag}")
+    return flag == 1, pos
 
 
 def _read_optional_dv(buf: Buffer, pos: int) -> tuple[Optional[DependencyVector], int]:
-    flag, pos = read_uvarint(buf, pos)
-    if flag == 0:
+    present, pos = _read_flag(buf, pos)
+    if not present:
         return None, pos
-    if flag != 1:
-        raise CodecError(f"bad boolean value {flag}")
     return DependencyVector.decode_from_buffer(buf, pos)
 
 
@@ -653,141 +622,138 @@ def _decode_filler(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     return FillerRecord(size), end
 
 
-_FAST_DECODERS: dict[int, Callable[[Buffer, int], tuple[LogRecord, int]]] = {
+def _decode_sv_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    variable, pos = read_text_interned(buf, pos)
+    value, pos = read_bytes(buf, pos)
+    prev_write_lsn, pos = read_uvarint(buf, pos)
+    count, pos = read_uvarint(buf, pos)
+    frontier: dict[str, tuple[int, int]] = {}
+    for _ in range(count):
+        sid, pos = read_text_interned(buf, pos)
+        lsn, pos = read_uvarint(buf, pos)
+        ordinal, pos = read_uvarint(buf, pos)
+        frontier[sid] = (lsn, ordinal)
+    return SvCheckpointRecord(variable, value, prev_write_lsn, frontier), pos
+
+
+def _read_uint_map(buf: Buffer, pos: int) -> tuple[dict[str, int], int]:
+    """A count-prefixed ``identifier -> uint`` map."""
+    count, pos = read_uvarint(buf, pos)
+    out: dict[str, int] = {}
+    for _ in range(count):
+        key, pos = read_text_interned(buf, pos)
+        out[key], pos = read_uvarint(buf, pos)
+    return out, pos
+
+
+def _decode_session_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    session_id, pos = read_text_interned(buf, pos)
+    count, pos = read_uvarint(buf, pos)
+    variables: dict[str, bytes] = {}
+    for _ in range(count):
+        name, pos = read_text_interned(buf, pos)
+        variables[name], pos = read_bytes(buf, pos)
+    buffered_reply = None
+    has_reply, pos = _read_flag(buf, pos)
+    if has_reply:
+        buffered_reply, pos = read_bytes(buf, pos)
+    buffered_reply_seq, pos = read_uvarint(buf, pos)
+    next_expected_seq, pos = read_uvarint(buf, pos)
+    outgoing_next_seq, pos = _read_uint_map(buf, pos)
+    buffered_reply_error, pos = _read_flag(buf, pos)
+    code, pos = read_uvarint(buf, pos)
+    logging_mode = LOGGING_MODE_NAMES.get(code)
+    if logging_mode is None:
+        raise CodecError(f"unknown logging-mode code {code}")
+    return (
+        SessionCheckpointRecord(
+            session_id, variables, buffered_reply, buffered_reply_seq,
+            next_expected_seq, outgoing_next_seq, buffered_reply_error,
+            logging_mode,
+        ),
+        pos,
+    )
+
+
+def _decode_msp_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    epoch, pos = read_uvarint(buf, pos)
+    count, pos = read_uvarint(buf, pos)
+    recovered: dict[str, dict[int, int]] = {}
+    for _ in range(count):
+        msp, pos = read_text_interned(buf, pos)
+        nepochs, pos = read_uvarint(buf, pos)
+        epochs = recovered[msp] = {}
+        for _ in range(nepochs):
+            ep, pos = read_uvarint(buf, pos)
+            epochs[ep], pos = read_uvarint(buf, pos)
+    session_start, pos = _read_uint_map(buf, pos)
+    sv_start, pos = _read_uint_map(buf, pos)
+    count, pos = read_uvarint(buf, pos)
+    ends = []
+    for _ in range(count):
+        end, pos = read_uvarint(buf, pos)
+        ends.append(end)
+    return (
+        MspCheckpointRecord(recovered, session_start, sv_start, tuple(ends), epoch),
+        pos,
+    )
+
+
+def _decode_eos(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    session_id, pos = read_text_interned(buf, pos)
+    orphan_lsn, pos = read_uvarint(buf, pos)
+    return EosRecord(session_id, orphan_lsn), pos
+
+
+def _decode_announcement(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    msp, pos = read_text_interned(buf, pos)
+    epoch, pos = read_uvarint(buf, pos)
+    recovered_lsn, pos = read_uvarint(buf, pos)
+    return AnnouncementRecord(msp, epoch, recovered_lsn), pos
+
+
+def _decode_session_end(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    session_id, pos = read_text_interned(buf, pos)
+    return SessionEndRecord(session_id), pos
+
+
+_DECODERS: dict[int, Callable[[Buffer, int], tuple[LogRecord, int]]] = {
     KIND_REQUEST: _decode_request,
     KIND_COMMAND: _decode_command,
     KIND_REPLY: _decode_reply,
     KIND_SV_READ: _decode_sv_read,
     KIND_SV_WRITE: _decode_sv_write,
     KIND_SV_UPDATE: _decode_sv_update,
+    KIND_SV_CHECKPOINT: _decode_sv_checkpoint,
+    KIND_SESSION_CHECKPOINT: _decode_session_checkpoint,
+    KIND_MSP_CHECKPOINT: _decode_msp_checkpoint,
+    KIND_EOS: _decode_eos,
+    KIND_ANNOUNCEMENT: _decode_announcement,
+    KIND_SESSION_END: _decode_session_end,
     KIND_FILLER: _decode_filler,
 }
 
 
 def decode_record(payload: Buffer) -> LogRecord:
-    """Parse one log record from its encoded payload (bytes or view)."""
-    if len(payload) > 0 and payload[0] < 0x80:
-        fast = _FAST_DECODERS.get(payload[0])
-        if fast is not None:
-            try:
-                record, pos = fast(payload, 1)
-            except IndexError:
-                # Inlined varint reads index past the end on truncated
-                # input; report it like the chained Decoder would.
-                raise CodecError("truncated varint") from None
-            if pos != len(payload):
-                raise CodecError(f"{len(payload) - pos} trailing bytes after decode")
-            return record
-    return _decode_record_general(payload)
+    """Parse one log record from its encoded payload (bytes or view).
 
-
-def _decode_record_general(payload: Buffer) -> LogRecord:
-    """General chained-Decoder path (checkpoints and rare kinds)."""
-    dec = Decoder(payload)
-    kind = dec.uint()
-    if kind == KIND_REQUEST:
-        record: LogRecord = RequestRecord(
-            session_id=dec.text(),
-            seq=dec.uint(),
-            method=dec.text(),
-            argument=dec.raw(),
-            sender_dv=_decode_optional_dv(dec),
-        )
-    elif kind == KIND_COMMAND:
-        record = CommandRecord(
-            session_id=dec.text(),
-            seq=dec.uint(),
-            method=dec.text(),
-            argument=dec.raw(),
-            sender_dv=_decode_optional_dv(dec),
-        )
-    elif kind == KIND_REPLY:
-        record = ReplyRecord(
-            session_id=dec.text(),
-            outgoing_session_id=dec.text(),
-            seq=dec.uint(),
-            payload=dec.raw(),
-            sender_dv=_decode_optional_dv(dec),
-        )
-    elif kind == KIND_SV_READ:
-        record = SvReadRecord(
-            session_id=dec.text(),
-            variable=dec.text(),
-            value=dec.raw(),
-            variable_dv=DependencyVector.decode_from(dec),
-        )
-    elif kind == KIND_SV_WRITE:
-        record = SvWriteRecord(
-            session_id=dec.text(),
-            variable=dec.text(),
-            value=dec.raw(),
-            writer_dv=DependencyVector.decode_from(dec),
-            prev_write_lsn=dec.uint(),
-        )
-    elif kind == KIND_SV_CHECKPOINT:
-        record = SvCheckpointRecord(variable=dec.text(), value=dec.raw(), version=dec.uint())
-        if not dec.exhausted:
-            prev = dec.uint()
-            record.prev_write_lsn = None if prev == NO_LSN else prev
-        if not dec.exhausted:
-            for _ in range(dec.uint()):
-                sid = dec.text()
-                record.command_frontier[sid] = (dec.uint(), dec.uint())
-    elif kind == KIND_SESSION_CHECKPOINT:
-        session_id = dec.text()
-        variables = {}
-        for _ in range(dec.uint()):
-            name = dec.text()
-            variables[name] = dec.raw()
-        buffered_reply = dec.raw() if dec.boolean() else None
-        record = SessionCheckpointRecord(
-            session_id=session_id,
-            variables=variables,
-            buffered_reply=buffered_reply,
-            buffered_reply_seq=dec.uint(),
-            next_expected_seq=dec.uint(),
-            outgoing_next_seq={dec.text(): dec.uint() for _ in range(dec.uint())},
-            buffered_reply_error=dec.boolean(),
-        )
-        if not dec.exhausted:
-            record.logging_mode = LOGGING_MODE_NAMES[dec.uint()]
-    elif kind == KIND_MSP_CHECKPOINT:
-        epoch = dec.uint()
-        recovered: dict[str, dict[int, int]] = {}
-        for _ in range(dec.uint()):
-            msp = dec.text()
-            recovered[msp] = {dec.uint(): dec.uint() for _ in range(dec.uint())}
-        session_start = {dec.text(): dec.uint() for _ in range(dec.uint())}
-        sv_start = {dec.text(): dec.uint() for _ in range(dec.uint())}
-        ends: tuple[int, ...] = ()
-        if not dec.exhausted:
-            ends = tuple(dec.uint() for _ in range(dec.uint()))
-        record = MspCheckpointRecord(
-            recovered_snapshot=recovered,
-            session_start_lsns=session_start,
-            sv_start_lsns=sv_start,
-            epoch=epoch,
-            partition_ends=ends,
-        )
-    elif kind == KIND_EOS:
-        record = EosRecord(session_id=dec.text(), orphan_lsn=dec.uint())
-    elif kind == KIND_ANNOUNCEMENT:
-        record = AnnouncementRecord(msp=dec.text(), epoch=dec.uint(), recovered_lsn=dec.uint())
-    elif kind == KIND_SESSION_END:
-        record = SessionEndRecord(session_id=dec.text())
-    elif kind == KIND_FILLER:
-        record = FillerRecord(size=len(dec.raw()))
-    elif kind == KIND_SV_UPDATE:
-        record = SvUpdateRecord(
-            session_id=dec.text(),
-            variable=dec.text(),
-            old_value=dec.raw(),
-            new_value=dec.raw(),
-            variable_dv=DependencyVector.decode_from(dec),
-            writer_dv=DependencyVector.decode_from(dec),
-            prev_write_lsn=dec.uint(),
-        )
-    else:
-        raise ValueError(f"unknown log record kind {kind}")
-    dec.expect_end()
+    Whatever is wrong with the payload — truncation, an unknown kind or
+    mode code, a damaged identifier, trailing bytes — it fails here, as
+    :class:`CodecError`.
+    """
+    if not len(payload):
+        raise CodecError("empty log record payload")
+    decoder = _DECODERS.get(payload[0])
+    if decoder is None:
+        raise CodecError(f"unknown log record kind byte {payload[0]}")
+    try:
+        record, pos = decoder(payload, 1)
+    except IndexError:
+        # The DV decoder's inlined varint reads index past the end on
+        # truncated input.
+        raise CodecError("truncated varint") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"identifier is not UTF-8: {exc}") from None
+    if pos != len(payload):
+        raise CodecError(f"{len(payload) - pos} trailing bytes after decode")
     return record

@@ -53,16 +53,12 @@ class SharedVariable:
         self.writes_since_ckpt = 0
         #: LSN of the most recent checkpoint record (None if never).
         self.last_ckpt_lsn: Optional[int] = None
-        #: LSN of the first write ever (scan start when no checkpoint).
-        self.first_write_lsn: Optional[int] = None
-        #: Partitioned logs: the lowest live chain offset per partition.
-        #: A single log orders the chain by LSN, so "everything at or
-        #: above the scan start" covers it; split across partitions, the
-        #: chain hops between the writers' session partitions and the
-        #: checkpoints' control partition, and truncation must keep each
-        #: partition's piece of it.  Offsets only grow within one
-        #: partition, so the first chain record per partition since the
-        #: last checkpoint is that partition's floor.
+        #: The lowest live chain offset per partition.  The chain hops
+        #: between the writers' session partitions and the checkpoints'
+        #: control partition, and truncation must keep each partition's
+        #: piece of it.  Offsets only grow within one partition, so the
+        #: first chain record per partition since the last checkpoint is
+        #: that partition's floor.
         self.live_chain_floors: dict[int, int] = {}
         #: Checkpoint-staleness counter for forced checkpoints (§3.4).
         self.msp_ckpts_since_own_ckpt = 0
@@ -113,8 +109,6 @@ class SharedVariable:
         self.value = bytes(value)
         self.last_write_lsn = lsn
         self.writes_since_ckpt += 1
-        if self.first_write_lsn is None:
-            self.first_write_lsn = lsn
         self.live_chain_floors.setdefault(plsn_partition(lsn), plsn_offset(lsn))
         # A value record captures the current value wholesale, command
         # effects included — from here on the log recovers them.
@@ -174,32 +168,18 @@ class SharedVariable:
         self._frontier_floor = dict(self.command_frontier)
         self.history.clear()
 
-    def scan_start_lsn(self) -> Optional[int]:
-        """Where the crash-recovery scan must start for this variable."""
-        if self.last_ckpt_lsn is not None:
-            return self.last_ckpt_lsn
-        return self.first_write_lsn
-
     def scan_start_frontier(self, nparts: int) -> Optional[int]:
-        """The scan start as recorded in MSP checkpoints.
-
-        Partitioned: the per-partition chain floors packed as a
-        frontier, with unconstrained partitions pinned at the offset
-        maximum so they do not hold truncation back.  Single log: the
-        scalar LSN of the classical format.  That is the one-element
-        frontier except after a rollback exhausted the chain of a
-        never-checkpointed variable — the scalar still names its first
-        write, the floors are empty — so the single log's checkpoint
-        bytes need this branch (DESIGN.md §14).
+        """Where the crash-recovery scan must start for this variable,
+        as recorded in MSP checkpoints: the per-partition chain floors
+        packed as a frontier, with unconstrained partitions pinned at
+        the offset maximum so they do not hold truncation back.  None
+        while the value is the initial one (nothing to scan for).
         """
-        if nparts == 1:
-            return self.scan_start_lsn()
         if not self.live_chain_floors:
             return None
         starts = [OFFSET_MASK] * nparts
         for partition, offset in self.live_chain_floors.items():
-            if partition < nparts:
-                starts[partition] = min(starts[partition], offset)
+            starts[partition] = offset
         return encode_frontier(tuple(starts))
 
     def is_orphan(self, table: RecoveryTable) -> bool:

@@ -494,9 +494,6 @@ def _log_space_cell(spec) -> list[dict]:
     log = LogManager(sim, store, disk)
     log.start(group=ProcessGroup("bench"))
     records = _sample_records()
-    ckpt = MspCheckpointRecord(
-        recovered_snapshot={}, session_start_lsns={}, sv_start_lsns={}, epoch=0
-    )
     marks = (n // 4, n // 2, n)
     rows: list[dict] = []
     peak = 0
@@ -506,14 +503,18 @@ def _log_space_cell(spec) -> list[dict]:
         for i in range(n):
             log.append(records[i & 3])
             if (i + 1) % _CKPT_EVERY == 0:
+                # Empty position maps: the floor is the log's end at
+                # the checkpoint, the most aggressive legal one.
+                ckpt = MspCheckpointRecord(
+                    recovered_snapshot={}, session_start_lsns={},
+                    sv_start_lsns={}, partition_ends=log.partition_ends(),
+                )
                 clsn, _size = log.append(ckpt)
                 yield from log.flush(clsn)
                 yield from log.write_anchor(clsn)
                 # Live bytes peak right before the recycle.
                 peak = max(peak, store.live_bytes)
                 if truncation:
-                    # Empty position maps: min_lsn is the checkpoint's
-                    # own LSN, the most aggressive legal floor.
                     yield from log.truncate_to(ckpt.partition_floors(clsn))
             if i + 1 in marks:
                 rows.append(

@@ -337,8 +337,15 @@ class StableStore:
                 f"{self.name}: cannot rewind below the truncation floor "
                 f"({boundary} < {self._floor})"
             )
-        size = self.segment_bytes
-        first_dead, keep = divmod(boundary, size)
+        self._drop_suffix(boundary)
+        if self._durable_end > boundary:
+            self._durable_end = boundary
+        for observer in self._observers:
+            observer.rewound(self, boundary)
+
+    def _drop_suffix(self, boundary: int) -> None:
+        """Free every byte at or past ``boundary`` and end the log there."""
+        first_dead, keep = divmod(boundary, self.segment_bytes)
         for index in [i for i in self._segments if i > first_dead]:
             del self._segments[index]
         tail = self._segments.get(first_dead)
@@ -348,11 +355,7 @@ class StableStore:
             else:
                 del tail[keep:]
         self._end = boundary
-        if self._durable_end > boundary:
-            self._durable_end = boundary
         self._reset_tail()
-        for observer in self._observers:
-            observer.rewound(self, boundary)
 
     # -- crashes ----------------------------------------------------------
 
@@ -363,18 +366,6 @@ class StableStore:
         facts about the log — they survive a crash exactly like the
         durable prefix does.
         """
-        boundary = self._durable_end
-        size = self.segment_bytes
-        first_dead, keep = divmod(boundary, size)
-        for index in [i for i in self._segments if i > first_dead]:
-            del self._segments[index]
-        tail = self._segments.get(first_dead)
-        if tail is not None:
-            if keep == 0:
-                del self._segments[first_dead]
-            else:
-                del tail[keep:]
-        self._end = boundary
-        self._reset_tail()
+        self._drop_suffix(self._durable_end)
         self._anchor_volatile = self._anchor_durable
         self.crash_count += 1

@@ -172,7 +172,7 @@ def test_checkpoint_truncates_log_to_anchored_min_lsn():
     assert anchor is not None
     record, _ = msp.log.record_at(anchor)
     assert isinstance(record, MspCheckpointRecord)
-    assert store.truncate_lsn == record.min_lsn(anchor)
+    assert [store.truncate_lsn] == record.partition_floors(anchor)
     assert store.recycled_segments > 0
     assert store.live_bytes < store.end
 
@@ -198,7 +198,7 @@ def test_truncation_disabled_keeps_whole_log():
 def test_crash_before_anchor_flush_keeps_previous_floor():
     """A checkpoint whose anchor was staged but not yet durable must not
     advance the floor past what the *previous* durable anchor justifies:
-    recovery reads the old anchor, so the old min_lsn must be readable."""
+    recovery reads the old anchor, so the old minimal LSN must be readable."""
     config = RecoveryConfig(
         session_ckpt_threshold_bytes=4096,
         msp_ckpt_interval_ms=50.0,
@@ -217,7 +217,7 @@ def test_crash_before_anchor_flush_keeps_previous_floor():
     sim.run_until_process(boot, limit=600_000)
     anchor = msp.log.read_anchor()
     record, _ = msp.log.record_at(anchor)
-    assert record.min_lsn(anchor) >= floor_before
+    assert record.partition_floors(anchor)[0] >= floor_before
 
 
 def test_recovery_from_checkpoint_equals_full_replay():

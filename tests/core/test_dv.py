@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
-from repro.wire import Decoder, Encoder
+from repro.core.records import MspCheckpointRecord, decode_record
 
 
 def dv_of(*entries):
@@ -96,9 +96,9 @@ def test_recovery_table_roundtrip():
     table.record("p1", 0, 100)
     table.record("p1", 1, 250)
     table.record("p2", 0, 7)
-    enc = Encoder()
-    table.encode_into(enc)
-    back = RecoveryTable.decode_from(Decoder(enc.finish()))
+    # The table's one wire form: the snapshot inside an MSP checkpoint.
+    ckpt = MspCheckpointRecord(table.snapshot(), {}, {}, partition_ends=(0,))
+    back = RecoveryTable.from_snapshot(decode_record(ckpt.encode()).recovered_snapshot)
     assert back.snapshot() == table.snapshot()
 
 
@@ -182,8 +182,5 @@ def test_merge_monotone_orphanhood(e1, e2):
 @given(st.lists(entry_strategy))
 def test_dv_codec_roundtrip(entries):
     dv = build_dv(entries)
-    enc = Encoder()
-    dv.encode_into(enc)
-    dec = Decoder(enc.finish())
-    assert DependencyVector.decode_from(dec) == dv
-    dec.expect_end()
+    payload = dv.encode_bytes()
+    assert DependencyVector.decode_from_buffer(payload, 0) == (dv, len(payload))

@@ -83,11 +83,11 @@ def test_analysis_never_installs_a_write_below_the_chain_floor(
 
 
 def test_an_announced_frontier_never_grows(monkeypatch):
-    """``front`` dies at 203 ms with durable end 1976 (``backend``
+    """``front`` dies at 203 ms with durable end 1978 (``backend``
     applied bump 6 for the request lost above it), recovers, announces
-    ``(epoch 0, 1976)``, makes its step-4 checkpoint durable at 2087 and
+    ``(epoch 0, 1978)``, makes its step-4 checkpoint durable at 2092 and
     is killed at 278 ms before anchoring it.  The second recovery read
-    the old anchor and used to announce ``(epoch 0, 2087)`` — covering
+    the old anchor and used to announce ``(epoch 0, 2092)`` — covering
     offsets the lost incarnation had used — so ``backend``'s counter was
     no longer an orphan and ended at 13 for 12 requests."""
     announced, tables = [], []
@@ -101,7 +101,7 @@ def test_an_announced_frontier_never_grows(monkeypatch):
     monkeypatch.setattr(MiddlewareServer, "broadcast_recovery", spy)
     # Asserts the client saw 1..12 and both counters ended at 12.
     run_schedule(0, [(203.0, True), (278.0, True)], True, False)
-    assert announced == [("front", 0, 1976), ("front", 1, 2087)]
+    assert announced == [("front", 0, 1978), ("front", 1, 2092)]
     # The second announcement still carries epoch 0's frontier, from the
     # interrupted recovery's checkpoint snapshot, unchanged.
-    assert tables == [{0: 1976}, {0: 1976, 1: 2087}]
+    assert tables == [{0: 1978}, {0: 1978, 1: 2092}]

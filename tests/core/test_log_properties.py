@@ -33,7 +33,7 @@ def sample_record(i: int):
         return AnnouncementRecord(f"m{i}", epoch=i % 4, recovered_lsn=i * 7)
     if kind == 1:
         return EosRecord(f"s{i % 5}", orphan_lsn=i * 3)
-    return SvCheckpointRecord(f"v{i % 3}", bytes([i % 256]) * (i % 50 + 1), version=i)
+    return SvCheckpointRecord(f"v{i % 3}", bytes([i % 256]) * (i % 50 + 1), prev_write_lsn=i)
 
 
 # Operations: ("append",) | ("flush",) | ("crash",)

@@ -19,11 +19,12 @@ from repro.core.records import (
     SvReadRecord,
     SvUpdateRecord,
     SvWriteRecord,
-    _decode_record_general,
     decode_record,
 )
 from repro.wire import Encoder
 from repro.wire.codec import CodecError, encode_uvarint
+
+from tests.core.test_golden_records import decode_view
 
 
 def sample_dv():
@@ -103,21 +104,23 @@ def test_msp_checkpoint_roundtrip():
         recovered_snapshot={"msp2": {0: 100, 1: 200}},
         session_start_lsns={"c1:0": 50, "c2:0": 75},
         sv_start_lsns={"SV0": 10},
+        partition_ends=(300,),
         epoch=2,
     )
     assert roundtrip(rec) == rec
 
 
 def test_msp_checkpoint_min_lsn():
+    """The minimal LSN (§3.4) is the one-partition floor."""
     rec = MspCheckpointRecord(
         recovered_snapshot={},
         session_start_lsns={"a": 50},
         sv_start_lsns={"v": 10},
-        epoch=0,
+        partition_ends=(90,),
     )
-    assert rec.min_lsn(own_lsn=99) == 10
-    empty = MspCheckpointRecord({}, {}, {}, 0)
-    assert empty.min_lsn(own_lsn=99) == 99
+    assert rec.partition_floors(own_lsn=99) == [10]
+    empty = MspCheckpointRecord({}, {}, {}, partition_ends=(99,))
+    assert empty.partition_floors(own_lsn=99) == [99]
 
 
 def test_eos_record_roundtrip():
@@ -136,7 +139,7 @@ def test_session_end_roundtrip():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(CodecError, match="unknown log record kind"):
         decode_record(Encoder().uint(99).finish())
 
 
@@ -155,7 +158,7 @@ def _session_records():
     ]
 
 
-@pytest.mark.parametrize("decoder", [decode_record, _decode_record_general])
+@pytest.mark.parametrize("decoder", [decode_record, decode_view])
 @pytest.mark.parametrize("link", [0, 4096, (3 << 48) | 12345, NO_LSN])
 def test_retired_session_chain_link_is_rejected(decoder, link):
     """The lazy backward chain's trailing ``prev_lsn`` uvarint is
@@ -167,12 +170,11 @@ def test_retired_session_chain_link_is_rejected(decoder, link):
             decoder(record.encode() + encode_uvarint(link))
 
 
-@pytest.mark.parametrize("decoder", [decode_record, _decode_record_general])
+@pytest.mark.parametrize("decoder", [decode_record, decode_view])
 @pytest.mark.parametrize("ends", [(), (512, 0, 77, 4096)])
 def test_retired_checkpoint_chain_heads_are_rejected(decoder, ends):
-    """Likewise the MSP checkpoint's trailing heads block — written
-    after an ends block, which a one-partition log then wrote as
-    zero-length."""
+    """Likewise the MSP checkpoint's trailing heads block, written
+    after the ends block."""
     record = MspCheckpointRecord(
         recovered_snapshot={"msp1": {0: 3}},
         session_start_lsns={"s-1": 100, "s-2": 220},
@@ -182,7 +184,7 @@ def test_retired_checkpoint_chain_heads_are_rejected(decoder, ends):
     )
     assert decoder(record.encode()) == record
     heads = Encoder().uint(1).text("s-1").uint(480).finish()
-    retired = record.encode() + (b"" if ends else encode_uvarint(0)) + heads
+    retired = record.encode() + heads
     with pytest.raises(CodecError, match="trailing bytes after decode"):
         decoder(retired)
 
@@ -213,12 +215,6 @@ def test_session_checkpoint_roundtrip_property(variables, reply, seq):
         outgoing_next_seq={},
     )
     assert roundtrip(rec) == rec
-
-
-def test_sv_checkpoint_version_roundtrip():
-    rec = SvCheckpointRecord("v", b"value", version=42)
-    back = roundtrip(rec)
-    assert back.version == 42
 
 
 def test_session_checkpoint_error_flag_roundtrip():

@@ -1,13 +1,19 @@
 """One recorded single-log crash/restart, pinned across the refactor of
 ``recover_msp`` into phases (DESIGN.md §4.3).
 
-The expected values were recorded at commit ``92fdbba`` — the last one
-with a dedicated single-partition recovery path — by running this same
-world there.  A single log now runs the N-partition pipeline with N=1;
-it must reach the same ``AnalysisState``, announce the same recovered
-frontier (the raw scalar ``encode_frontier((x,)) == x``), make the peer
-log the same announcement bytes, and take the same number of simulator
-steps getting there.
+The expected values were first recorded at commit ``92fdbba`` — the
+last one with a dedicated single-partition recovery path — by running
+this same world there, and stood while a single log kept that commit's
+checkpoint bytes.  They were re-recorded once, when the three
+checkpoint kinds got one layout for every partition count (a session
+checkpoint is 1 byte longer, an MSP checkpoint carries its ends block,
+a shared-variable checkpoint names the write it seals): every offset
+below moved by those bytes, the sessions, checkpoints, ended set and
+``SV0`` did not, and the run takes 2018 steps for 2017.  A single log
+runs the N-partition pipeline with N=1; it must reach this
+``AnalysisState``, announce the recovered frontier as the raw scalar
+(``encode_frontier((x,)) == x``) and make the peer log these
+announcement bytes.
 """
 
 import repro.core.crash_recovery as crash_recovery
@@ -20,14 +26,14 @@ from repro.sim import RngRegistry, Simulator
 
 RECORDED = {
     "positions": {
-        "s0": [14606, 14933, 15305, 15549, 15667, 15884, 16081, 16308, 16432, 16532],
-        "s2": [14409, 14803, 15063, 15187, 15429],
+        "s0": [14641, 14968, 15340, 15584, 15702, 15921, 16118, 16347, 16471, 16571],
+        "s2": [14444, 14838, 15098, 15222, 15464],
     },
-    "session_ckpts": {"s0": 14284, "s2": 14159},
+    "session_ckpts": {"s0": 14318, "s2": 14192},
     "ended": {"s1"},
-    "recovered_frontier": {0: 16653},
-    "announcement_hex": ["09046d737031008d8201"],
-    "steps": 2017,
+    "recovered_frontier": {0: 16692},
+    "announcement_hex": ["09046d73703100b48201"],
+    "steps": 2018,
 }
 
 

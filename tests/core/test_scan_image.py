@@ -66,7 +66,7 @@ def sample_record(serial: int, pick: int):
         )
     if kind == 2:
         return AnnouncementRecord("peer", epoch=serial % 100, recovered_lsn=serial % 100)
-    return MspCheckpointRecord({}, {"s": serial % 100}, {}, epoch=serial % 100)
+    return MspCheckpointRecord({}, {"s": serial % 100}, {}, (0,), epoch=serial % 100)
 
 
 def frame_starts(store: StableStore) -> list[int]:

@@ -48,7 +48,7 @@ def test_initial_state():
     assert sv.value == b"init"
     assert sv.last_write_lsn == NO_LSN
     assert sv.state_lsn is None
-    assert sv.scan_start_lsn() is None
+    assert sv.scan_start_frontier(1) is None
 
 
 def test_apply_write_bookkeeping():
@@ -59,7 +59,7 @@ def test_apply_write_bookkeeping():
     assert sv.value == b"one"
     assert sv.state_lsn == lsn
     assert sv.last_write_lsn == lsn
-    assert sv.first_write_lsn == lsn
+    assert sv.scan_start_frontier(1) == lsn
     assert sv.writes_since_ckpt == 1
     assert sv.dv == dv
     # The DV is replaced by a copy: mutating the source must not leak.
@@ -77,7 +77,7 @@ def test_apply_checkpoint_breaks_chain():
     assert sv.last_ckpt_lsn == ckpt_lsn
     assert sv.last_write_lsn == ckpt_lsn
     assert not sv.dv
-    assert sv.scan_start_lsn() == ckpt_lsn
+    assert sv.scan_start_frontier(1) == ckpt_lsn
 
 
 def test_orphan_detection_uses_table():

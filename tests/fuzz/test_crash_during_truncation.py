@@ -79,4 +79,4 @@ def test_floor_never_passes_anchor_after_truncate_crash(phase):
     anchor = int.from_bytes(anchor_raw, "big")
     assert floor <= anchor
     record, _next = workload.msp2.log.record_at(anchor)
-    assert record.min_lsn(anchor) >= floor
+    assert record.partition_floors(anchor)[0] >= floor

@@ -11,7 +11,11 @@ seeded runs take seconds and run on every CI Python version.
 fast path touched ``repro.sim``; PR 21 replaced the fleet fingerprint
 string only (it hashes ``asdict(MspStats)``: the inline + pump sum
 field left the dataclass and ``pump_recoveries`` now counts eager
-replays too — every other pinned value stood).  Regenerating it is legitimate only in
+replays too — every other pinned value stood); PR 22 (one checkpoint
+layout for every partition count) replaced ``log_bytes`` of
+``p1_eager`` (271248 -> 271252) and of the fleet (47777 -> 47788) and
+the fleet fingerprint, with all three step counts, completed counts
+and ``p4_lazy_crashing`` standing.  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -27,13 +31,13 @@ from repro.fleet.runner import fleet_fingerprint
 from repro.workloads.paper import PaperWorkload, WorkloadParams
 
 RECORDED = {
-    "p1_eager": {"steps": 9995, "completed": 120, "crashes": 0, "log_bytes": 271248},
+    "p1_eager": {"steps": 9995, "completed": 120, "crashes": 0, "log_bytes": 271252},
     "p4_lazy_crashing": {"steps": 32400, "completed": 160, "crashes": 3, "log_bytes": 430469},
     "fleet": {
         "steps": 5665,
         "completed": 58,
-        "log_bytes": 47777,
-        "fingerprint": "dd387a44568ab36cd5977e8b919ec613690a188df9c64b59dba1c8c798772405",
+        "log_bytes": 47788,
+        "fingerprint": "61e60008a6200d96ccfab6f4f96ba2abaa7c560e652f1805b8fea2686a26645c",
     },
 }
 
