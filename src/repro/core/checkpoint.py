@@ -8,8 +8,8 @@ recovery time:
   log flush first makes the checkpointed state orphan-proof, then the
   position stream is truncated;
 - **shared-variable checkpoints** are taken every N writes; after the
-  flush the logged value can never be an orphan, so the backward write
-  chain breaks there;
+  flush the logged value can never be an orphan, so it becomes the
+  base of the variable's undo stack;
 - **fuzzy MSP checkpoints** (a daemon) record only *positions* — the
   recovered-state-number table and each session's/variable's scan-start
   LSN — without blocking ongoing activity, and advance the log anchor.
@@ -118,6 +118,19 @@ def _seal_command_effects(msp: "MiddlewareServer", session: Session):
     yield from msp.distributed_flush(seal_dv, f"session {session.id} ckpt seal")
 
 
+def roll_back_sv(msp: "MiddlewareServer", sv: SharedVariable) -> None:
+    """Undo an orphan variable (§4.2) from its undo stack, inline in
+    whoever found it; the caller holds the variable's write lock."""
+    msp.stats.sv_rollbacks += 1
+    sv.roll_back(msp.table)
+
+
+def maybe_sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
+    """Checkpoint the variable if the write threshold was reached."""
+    if sv.writes_since_ckpt >= msp.config.sv_ckpt_write_threshold:
+        yield from sv_checkpoint(msp, sv)
+
+
 def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
     """The §3.3 shared-variable checkpoint procedure (generator).
 
@@ -135,8 +148,7 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
         try:
             yield from msp.distributed_flush(sv.dv, f"shared variable {sv.name} ckpt")
         except FlushFailed:
-            msp.stats.sv_rollbacks += 1
-            yield from sv.roll_back(msp.log, msp.table)
+            roll_back_sv(msp, sv)
             return
         msp.sim.probe("ckpt.sv.flushed", owner=msp.name)
         record = SvCheckpointRecord(
@@ -153,11 +165,11 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
         yield from msp.cpu(msp.config.costs.log_append_ms)
         lsn, _size = msp.log.append(record)
         if msp.log.nparts > 1:
-            # The next write chains back to this record from the
-            # *writer's* partition and no DV names it, so nothing would
-            # ever flush the control partition on its behalf: the write
-            # lock is held until the record is durable (DESIGN.md §14,
-            # "what a record may chain to").  A durability rule, not a
+            # The next write names this record from the *writer's*
+            # partition and no DV names it, so nothing would ever flush
+            # the control partition on its behalf: the write lock is
+            # held until the record is durable (DESIGN.md §14,
+            # "what the write edge orders").  A durability rule, not a
             # format rule: one log is durable as a prefix, so whatever
             # flushes the next write has flushed this record.
             yield from msp.log.flush(lsn)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.checkpoint import maybe_sv_checkpoint, roll_back_sv, sv_checkpoint
 from repro.core.log_manager import LogWindowReader
 from repro.core.errors import OrphanDetected, SessionProtocolError
 from repro.core.messages import Reply, Request
@@ -111,8 +112,7 @@ class NormalContext:
                 yield from sv.lock.acquire_write()
                 write_locked = True
                 if sv.is_orphan(msp.table):
-                    msp.stats.sv_rollbacks += 1
-                    yield from sv.roll_back(msp.log, msp.table)
+                    roll_back_sv(msp, sv)
             record = SvReadRecord(
                 session_id=session.id,
                 variable=name,
@@ -155,13 +155,7 @@ class NormalContext:
             sv.apply_write(lsn, value, session.dv)
         finally:
             sv.lock.release_write()
-        if (
-            msp.recoverable
-            and sv.writes_since_ckpt >= msp.config.sv_ckpt_write_threshold
-        ):
-            from repro.core.checkpoint import sv_checkpoint
-
-            yield from sv_checkpoint(msp, sv)
+        yield from maybe_sv_checkpoint(msp, sv)
         msp.check_session_orphan(session)
 
     def _acquire_sealed(self, sv):
@@ -179,8 +173,6 @@ class NormalContext:
             if not (msp.recoverable and sv.uncaptured_commands):
                 return
             sv.lock.release_write()
-            from repro.core.checkpoint import sv_checkpoint
-
             yield from sv_checkpoint(msp, sv)
 
     def update_shared(self, name: str, update):
@@ -205,14 +197,13 @@ class NormalContext:
                 sv.value = bytes(update(sv.value))
                 return sv.value
             if sv.is_orphan(msp.table):
-                msp.stats.sv_rollbacks += 1
-                yield from sv.roll_back(msp.log, msp.table)
+                roll_back_sv(msp, sv)
             old_value = sv.value
             variable_dv = sv.dv.copy()
             new_value = bytes(update(old_value))
             # One combined record: the read part (old value + the
             # variable's DV, the RMW's nondeterministic input) and the
-            # write part (new value, chain link).  The writer DV stored
+            # write part (new value, merge edge).  The writer DV stored
             # is the session DV *after* merging the variable's — exactly
             # the dependency set the new value carries.
             merged_dv = session.dv.copy()
@@ -236,13 +227,7 @@ class NormalContext:
             sv.apply_write(lsn, new_value, session.dv)
         finally:
             sv.lock.release_write()
-        if (
-            msp.recoverable
-            and sv.writes_since_ckpt >= msp.config.sv_ckpt_write_threshold
-        ):
-            from repro.core.checkpoint import sv_checkpoint
-
-            yield from sv_checkpoint(msp, sv)
+        yield from maybe_sv_checkpoint(msp, sv)
         msp.check_session_orphan(session)
         return new_value
 
@@ -265,8 +250,7 @@ class NormalContext:
         yield from sv.lock.acquire_write()
         try:
             if sv.is_orphan(msp.table):
-                msp.stats.sv_rollbacks += 1
-                yield from sv.roll_back(msp.log, msp.table)
+                roll_back_sv(msp, sv)
             new_value = bytes(update(sv.value))
             yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
             session.dv.merge(sv.dv)
@@ -275,10 +259,7 @@ class NormalContext:
             )
         finally:
             sv.lock.release_write()
-        if sv.writes_since_ckpt >= msp.config.sv_ckpt_write_threshold:
-            from repro.core.checkpoint import sv_checkpoint
-
-            yield from sv_checkpoint(msp, sv)
+        yield from maybe_sv_checkpoint(msp, sv)
         msp.check_session_orphan(session)
         return new_value
 
@@ -387,7 +368,7 @@ class ReplayCursor:
         self.msp = msp
         self.positions = positions
         self.index = 0
-        self._reader = LogWindowReader(msp.log, durable_only=False)
+        self._reader = LogWindowReader(msp.log)
 
     def has_next(self) -> bool:
         return self.index < len(self.positions)
@@ -573,8 +554,7 @@ class ReplayContext:
         yield from sv.lock.acquire_write()
         try:
             if sv.is_orphan(msp.table):
-                msp.stats.sv_rollbacks += 1
-                yield from sv.roll_back(msp.log, msp.table)
+                roll_back_sv(msp, sv)
             yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
             session.dv.merge(sv.dv)
             lsn = session.command_lsn

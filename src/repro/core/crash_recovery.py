@@ -148,12 +148,13 @@ def _scan_sv_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
     sv = msp.shared.get(record.variable)
     if sv is not None:
         sv.value = record.value
-        sv.apply_checkpoint(lsn)
         # Command/value adaptive logging (DESIGN.md §16): the frontier
         # says which command effects the checkpointed value already
         # includes, so replayed commands at or below it skip re-apply.
         sv.command_frontier = dict(record.command_frontier)
-        sv._frontier_floor = dict(record.command_frontier)
+        # The new base of the undo stack: the writes the merge orders
+        # after this record rebuild the stack on top of it.
+        sv.apply_checkpoint(lsn)
 
 
 def _scan_session_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
@@ -183,10 +184,11 @@ def _scan_session_end(msp, state: AnalysisState, lsn: int, record) -> None:
     state.positions.pop(record.session_id, None)
     state.session_ckpts.pop(record.session_id, None)
     # An ended session's command effects can never replay again; drop
-    # its frontier entries so they cannot pin variables' state.
+    # its frontier entries so they cannot pin variables' state.  In
+    # place: the scan applies no command write, so the undo stack's
+    # base and entries all share the live dict and forget it too.
     for sv in msp.shared.values():
         sv.command_frontier.pop(record.session_id, None)
-        sv._frontier_floor.pop(record.session_id, None)
 
 
 #: Type-keyed dispatch table of the analysis scan.  Kinds not listed
@@ -236,9 +238,10 @@ def analyze_scan(
 # recorded.  Zhou et al.'s partially-constrained-log result says that is
 # fine: only the dependency-constrained partial order matters for
 # recoverability, and this repo materializes exactly those constraints —
-# per-record intra-MSP DV entries and the shared-variable backward write
-# chains.  Recovery therefore (a) lowers each partition's durable end to
-# a *consistent cut* in which no surviving record depends on a lost one,
+# per-record intra-MSP DV entries and the shared-variable
+# ``prev_write_lsn`` edges.  Recovery therefore (a) lowers each
+# partition's durable end to a *consistent cut* in which no surviving
+# record depends on a lost one,
 # then (b) linearizes the cut by a dependency-respecting merge that the
 # analysis pass consumes exactly like a single-partition scan.
 
@@ -248,9 +251,12 @@ def _own_dependencies(msp_name: str, old_epoch: int, record) -> list[int]:
 
     Two edge kinds exist: DV entries naming our own MSP in the crashed
     epoch (entries for older epochs are resolved through the recovery
-    table, not the current scan), and the shared-variable backward
-    write chain (``prev_write_lsn``), including the partitioned sv
-    checkpoint's sealing edge.
+    table, not the current scan), and the shared-variable write
+    order (``prev_write_lsn``), including the sv checkpoint's sealing
+    edge.  A rollback makes that order a tree, not a chain: the write
+    after it names the restored record, beside the undone ones.  The
+    branches stay unordered here; only the live one holds non-orphans,
+    which is what the rebuilt undo stack pops down to (DESIGN.md §14).
     """
     deps: list[int] = []
     prev = getattr(record, "prev_write_lsn", None)

@@ -13,8 +13,8 @@ flush overhead but requires position streams for per-session extraction
   with a single write;
 - the log anchor (paper §3.4), a dedicated block on the control
   partition holding the LSN of the most recent MSP checkpoint;
-- timed reads for recovery (64 KB chunks, paper §5.4) and for normal-
-  execution rollbacks.
+- timed reads for recovery (64 KB chunks, paper §5.4) — the log is
+  only ever read forward; orphan rollback reads none of it.
 
 With ``partitions > 1`` the log is split across N segmented stores,
 each with its own disk and group-commit flusher: session streams hash
@@ -474,7 +474,7 @@ class LogManager:
         straddles a segment boundary is stitched individually — the only
         copies the scan ever makes.  Each record decoded here enters
         the partition's scan image (except ``_NOT_RETAINED``), so the
-        replay and rollback reads that follow do not decode it again.
+        replay reads that follow do not decode it again.
 
         A ``start`` below the truncation floor raises
         :class:`LogTruncatedError`: recovery computes its scan start
@@ -578,8 +578,8 @@ class LogManager:
         durable, with the per-partition floor vector from
         ``MspCheckpointRecord.partition_floors``.  Safety: the floors
         lower-bound every LSN recovery can touch — session scan starts,
-        shared-variable scan starts (backward write chains break at sv
-        checkpoints at or above them), EOS back-pointers are only
+        shared-variable scan starts (nothing below a variable's last
+        checkpoint is ever installed), EOS back-pointers are only
         compared, never read — so no read below a new floor can ever be
         issued by correct code.
 
@@ -640,15 +640,13 @@ class LogWindowReader:
     Session recovery follows the position stream; records are pulled
     through a 64 KB window so "log reads during recovery are larger and
     more efficient than log flushes" (paper §5.4).  A fetch outside the
-    current window costs one sequential chunk read.  The window tracks
-    one partition at a time — a session's stream lives entirely in its
-    own partition, so session replay never thrashes between partitions.
+    current window costs one sequential chunk read.  One reader serves
+    one partition — a session's stream and its checkpoint live entirely
+    on the session's own — so the window carries no partition tag.
     """
 
-    def __init__(self, log: LogManager, durable_only: bool = True):
+    def __init__(self, log: LogManager):
         self.log = log
-        self.durable_only = durable_only
-        self._window_partition = -1
         self._window_start = -1
         self._window_end = -1
 
@@ -656,7 +654,9 @@ class LogWindowReader:
         """Return the record at ``lsn`` (generator, charges disk time)."""
         unit = self.log.partitions[plsn_partition(lsn)]
         offset = plsn_offset(lsn)
-        limit = unit.store.durable_end if self.durable_only else unit.store.end
+        # Through the buffered end: replay during normal operation (an
+        # orphan session's) reads records no flush has covered yet.
+        limit = unit.store.end
         if offset >= limit:
             raise ValueError(f"fetch at {lsn} beyond readable end {limit}")
         floor = unit.store.truncate_lsn
@@ -665,9 +665,6 @@ class LogWindowReader:
                 f"{self.log.name}: fetch at {lsn} below the truncation "
                 f"floor {floor}"
             )
-        if self._window_partition != unit.index:
-            self._window_partition = unit.index
-            self._window_start = self._window_end = -1
         if -1 < self._window_start < floor:
             # The window's low end was recycled by a truncation; its
             # accounting must not pretend those bytes are still readable.
@@ -675,7 +672,7 @@ class LogWindowReader:
         frame_end = self.log._frame_end_off(unit, offset)
         # The window is invalid if the record *starts* outside it, or if
         # it starts inside but its frame straddles the window's end — a
-        # window capped at an earlier durable limit does not magically
+        # window capped at an earlier end of the log does not magically
         # cover bytes appended since, so re-read at the current limit
         # rather than parse from a short read.
         if not (self._window_start <= offset and frame_end <= self._window_end):

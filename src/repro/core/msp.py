@@ -238,12 +238,6 @@ class MiddlewareServer:
             name: SharedVariable(self.sim, name, value)
             for name, value in self._shared_registry.items()
         }
-        if self.recoverable and self.config.logging_mode != "value":
-            # Orphan rollback must be able to undo unlogged command
-            # effects; enable the in-memory history before any apply
-            # (including the recovery scan's) so every write is covered.
-            for sv in self.shared.values():
-                sv.track_history = True
         needs_recovery = self.recoverable and (
             any(store.durable_end > 0 for store in self.stores)
             or self.log.read_anchor() is not None

@@ -46,7 +46,7 @@ KIND_SV_UPDATE = 12
 # 13 is retired (last written at commit 92fdbba) and is never reused.
 KIND_COMMAND = 14
 
-#: Sentinel "no previous write" value for backward chains.
+#: Sentinel "no previous write" value of ``prev_write_lsn``.
 NO_LSN = 0xFFFFFFFFFFFF
 
 #: Per-session logging-mode codes for the session checkpoint's last field.
@@ -217,9 +217,10 @@ class SvReadRecord:
 class SvWriteRecord:
     """Value logging for a shared-variable write (paper Fig. 8, write).
 
-    ``prev_write_lsn`` chains write records backward so orphan rollback
-    can walk to the most recent non-orphan value; the chain breaks at
-    checkpoints.
+    ``prev_write_lsn`` names the write (or checkpoint) this one
+    replaced: the edge that orders one variable's records across
+    partitions in the recovery merge and cut (DESIGN.md §14).  Nothing
+    walks it — orphan rollback is in-memory (DESIGN.md §6).
     """
 
     session_id: str
@@ -255,7 +256,7 @@ class SvUpdateRecord:
     record captures both the value read (``old_value`` with the
     variable's DV at that moment — the nondeterministic input) and the
     value written (``new_value`` with the writer's resulting DV and the
-    backward chain link).  Replay consumes exactly one record per RMW,
+    ``prev_write_lsn`` merge edge).  Replay consumes exactly one record per RMW,
     so a lost record means the whole RMW re-executes live — atomicity is
     preserved across the replay/normal boundary.
     """
@@ -296,7 +297,7 @@ class SvCheckpointRecord:
     """A shared-variable checkpoint: a value that can never be an orphan.
 
     Written after a distributed log flush covered the variable's DV, so
-    no DV needs to be stored and the backward chain breaks here.
+    no DV needs to be stored and no rollback ever goes below it.
 
     ``prev_write_lsn`` is the lsn of the write this checkpoint seals
     (``NO_LSN``: none).  The checkpoint lands on the control partition
@@ -408,7 +409,7 @@ class MspCheckpointRecord:
         at checkpoint time.  ``own_lsn`` is the checkpoint record's own
         (control-partition) lsn.  Session starts are scalar plsns (one
         session, one partition); shared-variable starts are packed
-        frontiers (the chain spans the writers' partitions — see
+        frontiers (the writes span the writers' partitions — see
         ``SharedVariable.scan_start_frontier``).
         """
         floors = list(self.partition_ends)

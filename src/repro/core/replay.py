@@ -99,7 +99,7 @@ def run_session_recovery(msp: "MiddlewareServer", session: Session, orphan: bool
 def _restore_checkpoint(msp: "MiddlewareServer", session: Session):
     """Pass step 1: re-initialize from the most recent session checkpoint."""
     if session.last_ckpt_lsn is not None:
-        reader = LogWindowReader(msp.log, durable_only=False)
+        reader = LogWindowReader(msp.log)
         record = yield from reader.fetch(session.last_ckpt_lsn)
         if not isinstance(record, SessionCheckpointRecord) or record.session_id != session.id:
             raise SessionProtocolError(

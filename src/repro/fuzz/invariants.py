@@ -9,9 +9,9 @@ quiesced world.  Each checker returns a list of violation strings (empty
   finished its script (a stall is a liveness violation);
 - **no surviving orphans** — after quiesce, no session and no shared
   variable still depends on state lost in a crash;
-- **shared-variable undo chains** — each variable's backward write chain
-  walks through type-correct records with strictly decreasing LSNs down
-  to a checkpoint or the chain's start;
+- **shared-variable undo stacks** — each variable's live state is the
+  top of its undo stack (or the stack's base), and the record its next
+  write will name as predecessor is a write record of that variable;
 - **durable-log well-formedness** — the crash-proof prefix parses as
   complete, checksummed, decodable frames ending exactly at the durable
   boundary, and the durable anchor points at a complete, durable MSP
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.plsn import plsn_offset, plsn_partition
 from repro.core.records import (
     NO_LSN,
     MspCheckpointRecord,
@@ -44,6 +43,8 @@ from repro.wire.framing import CorruptRecordError, unframe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.msp import MiddlewareServer
+
+_SV_WRITE_KINDS = (SvWriteRecord, SvUpdateRecord, SvCheckpointRecord)
 
 
 def check_exactly_once(workload) -> list[str]:
@@ -107,68 +108,30 @@ def check_no_orphans(msp: "MiddlewareServer") -> list[str]:
     return violations
 
 
-def check_sv_chains(msp: "MiddlewareServer", max_hops: int = 100_000) -> list[str]:
-    """Undo chains must be type-correct and strictly backward.
-
-    "Backward" is per partition: a partitioned chain hops between the
-    writes' session partitions and the checkpoints' control partition,
-    whose offsets are mutually unordered — but within any one partition
-    the walk must strictly descend (that is what makes it terminate and
-    what roll-back relies on).
-    """
+def check_sv_undo(msp: "MiddlewareServer") -> list[str]:
+    """What rollback and the recovery merge rely on (DESIGN.md §6): the
+    undo stack's top (with an empty stack, its base) is the live state,
+    it holds no more than the writes since the base, and the merge edge
+    the next write will log names a write record of this variable."""
     violations: list[str] = []
     if not msp.running or msp.log is None:
         return violations
     for sv in msp.shared.values():
-        cursor = sv.last_write_lsn
-        previous_offsets: dict[int, int] = {}
-        hops = 0
-        while cursor != NO_LSN:
-            partition = plsn_partition(cursor)
-            offset = plsn_offset(cursor)
-            previous = previous_offsets.get(partition)
-            if previous is not None and offset >= previous:
-                violations.append(
-                    f"sv-chain: {msp.name}.{sv.name} chain not strictly "
-                    f"decreasing ({previous} -> {offset} in partition "
-                    f"{partition})"
-                )
-                break
-            if hops > max_hops:
-                violations.append(
-                    f"sv-chain: {msp.name}.{sv.name} chain exceeds {max_hops} hops"
-                )
-                break
-            try:
-                record, _next = msp.log.record_at(cursor)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                violations.append(
-                    f"sv-chain: {msp.name}.{sv.name} unreadable record at "
-                    f"LSN {cursor}: {exc}"
-                )
-                break
-            if isinstance(record, SvCheckpointRecord):
-                if record.variable != sv.name:
-                    violations.append(
-                        f"sv-chain: {msp.name}.{sv.name} chain ends at a "
-                        f"checkpoint of {record.variable!r}"
-                    )
-                break
-            if not isinstance(record, (SvWriteRecord, SvUpdateRecord)):
-                violations.append(
-                    f"sv-chain: {msp.name}.{sv.name} chain hit "
-                    f"{type(record).__name__} at LSN {cursor}"
-                )
-                break
-            if record.variable != sv.name:
-                violations.append(
-                    f"sv-chain: {msp.name}.{sv.name} chain hit a write of "
-                    f"{record.variable!r} at LSN {cursor}"
-                )
-                break
-            previous_offsets[partition] = offset
-            cursor = record.prev_write_lsn
-            hops += 1
+        where = f"sv-undo: {msp.name}.{sv.name}"
+        top = sv.history[-1] if sv.history else sv.base
+        if (top[0], top[2]) != (sv.value, sv.state_lsn):
+            violations.append(f"{where} live state is not the stack's top {top!r}")
+        if len(sv.history) > sv.writes_since_ckpt:
+            violations.append(f"{where} stack deeper than writes since checkpoint")
+        edge = sv.last_write_lsn
+        if edge == NO_LSN:
+            continue
+        try:
+            record, _next = msp.log.record_at(edge)
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            record = exc
+        if not isinstance(record, _SV_WRITE_KINDS) or record.variable != sv.name:
+            violations.append(f"{where} merge edge {edge} names {record!r}")
     return violations
 
 
@@ -309,7 +272,7 @@ def check_msp(msp: "MiddlewareServer") -> list[str]:
     """The full per-MSP battery."""
     violations = check_running(msp)
     violations += check_no_orphans(msp)
-    violations += check_sv_chains(msp)
+    violations += check_sv_undo(msp)
     violations += check_durable_log(msp)
     violations += check_lazy_recovery(msp)
     violations += check_replays_completed(msp)

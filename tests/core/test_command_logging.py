@@ -62,7 +62,6 @@ def drive(gen):
 def test_apply_command_write_tracks_frontier_not_chain():
     sim = Simulator()
     sv = SharedVariable(sim, "v", b"0")
-    sv.track_history = True
     dv = DependencyVector()
     dv.observe("MSP1", StateId(0, 10))
 
@@ -84,14 +83,13 @@ def test_apply_command_write_tracks_frontier_not_chain():
 def test_apply_checkpoint_seals_command_effects():
     sim = Simulator()
     sv = SharedVariable(sim, "v", b"0")
-    sv.track_history = True
     sv.apply_command_write(100, 0, b"1", DependencyVector(), "s")
 
     sv.apply_checkpoint(200)
     assert not sv.uncaptured_commands
     # The checkpoint captured the frontier: rollback past the history
     # reverts to it, not to empty.
-    assert sv._frontier_floor == {"s": (100, 0)}
+    assert sv.base[4] == {"s": (100, 0)}
     assert sv.command_frontier == {"s": (100, 0)}
     assert sv.history == []
     assert sv.last_ckpt_lsn == 200
@@ -100,7 +98,6 @@ def test_apply_checkpoint_seals_command_effects():
 def test_rollback_pops_orphan_history_tail():
     sim = Simulator()
     sv = SharedVariable(sim, "v", b"0")
-    sv.track_history = True
     clean_dv = DependencyVector()  # no dependencies: never an orphan
     orphan_dv = DependencyVector()
     orphan_dv.observe("OTHER", StateId(0, 500))
@@ -111,7 +108,7 @@ def test_rollback_pops_orphan_history_tail():
     table = RecoveryTable()
     table.record("OTHER", 0, 400)  # epoch 0 recovered to 400: LSN 500 lost
 
-    hops = drive(sv.roll_back(None, table))
+    hops = sv.roll_back(table)
     assert hops == 1
     assert sv.value == b"clean"
     assert sv.command_frontier == {"s": (100, 0)}
@@ -123,25 +120,26 @@ def test_rollback_pops_orphan_history_tail():
 def test_rollback_exhausted_history_reverts_to_frontier_floor():
     sim = Simulator()
     sv = SharedVariable(sim, "v", b"genesis")
-    sv.track_history = True
     sv.apply_command_write(90, 0, b"captured", DependencyVector(), "s")
     sv.apply_checkpoint(95)
-    floor = dict(sv.command_frontier)
 
     orphan_dv = DependencyVector()
     orphan_dv.observe("OTHER", StateId(0, 500))
     sv.apply_command_write(100, 0, b"poisoned", orphan_dv, "s2")
-    # Simulate the checkpoint record itself being lost with the chain:
-    # force the logged-chain fallback to the initial value.
-    sv.last_write_lsn = NO_LSN
+    sv.apply_command_write(100, 1, b"poisoned twice", orphan_dv, "s2")
+    assert sv.command_frontier == {"s": (90, 0), "s2": (100, 1)}
 
     table = RecoveryTable()
     table.record("OTHER", 0, 400)
 
-    drive(sv.roll_back(None, table))
-    assert sv.value == b"genesis"
-    assert sv.command_frontier == floor
+    # Every snapshot is an orphan: the base — the checkpoint's value
+    # *and* the frontier it captured — comes back, not the initial value.
+    assert sv.roll_back(table) == 2
+    assert sv.value == b"captured"
+    assert sv.command_frontier == {"s": (90, 0)}
+    assert sv.state_lsn == sv.last_write_lsn == 95
     assert not sv.uncaptured_commands
+    assert not sv.dv and sv.history == []
 
 
 # -- command replay ----------------------------------------------------------
@@ -332,4 +330,4 @@ def test_value_write_seals_uncaptured_commands_first():
     # The barrier forced an SV checkpoint before the value write, so the
     # command effect is captured under it, frontier and all.
     assert sv.last_ckpt_lsn is not None
-    assert sv._frontier_floor == {"cmd-sess": (5, 0)}
+    assert sv.base[4] == {"cmd-sess": (5, 0)}

@@ -276,15 +276,20 @@ def test_window_reader_fetches_with_chunked_io():
 
 
 def test_window_reader_rejects_beyond_durable():
+    """Readers read through the buffered end — an orphan session's
+    replay needs records no flush has covered — and no further."""
     sim, log, _ = make_log()
     lsn, _ = log.append(rec(1))
+    assert log.store.durable_end == 0
     reader = LogWindowReader(log)
 
     def run():
+        buffered = yield from reader.fetch(lsn)
         with pytest.raises(ValueError):
-            yield from reader.fetch(lsn)
+            yield from reader.fetch(log.store.end)
+        return buffered
 
-    sim.run_process(run())
+    assert sim.run_process(run()) == rec(1)
 
 
 def test_crash_loses_unflushed_records():
@@ -475,7 +480,7 @@ def test_window_reader_reextends_for_straddling_record():
         lsn1, _ = log.append(rec(1))
         yield from log.flush(lsn1)
         reader = LogWindowReader(log)
-        first = yield from reader.fetch(lsn1)  # window capped at old durable end
+        first = yield from reader.fetch(lsn1)  # window capped at the old end
         # Grow the log past the old window with a record straddling it.
         lsn2, _ = log.append(FillerRecord(70_000))  # > one 64 KB chunk
         lsn3, _ = log.append(rec(3))
@@ -492,8 +497,8 @@ def test_window_reader_reextends_for_straddling_record():
 
 
 def test_window_reader_window_reextends_to_new_durable_limit():
-    """A window capped at the durable limit seen at fetch time is
-    re-read at the *current* limit once the log has grown."""
+    """A window capped at the log's end as seen at fetch time is
+    re-read at the *current* end once the log has grown."""
     sim, log, _ = make_log()
 
     def run():

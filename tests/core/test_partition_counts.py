@@ -16,6 +16,8 @@ import pytest
 from repro.core import RecoveryConfig, ServiceDomainConfig
 from repro.core.client import EndClient
 from repro.core.msp import MiddlewareServer
+from repro.core.plsn import plsn_offset, plsn_partition
+from repro.core.shared_variable import SharedVariable
 from repro.net import Network
 from repro.sim import RngRegistry, Simulator
 from repro.workloads import PaperWorkload, WorkloadParams
@@ -123,3 +125,74 @@ def test_a_session_born_during_an_msp_checkpoint_survives_the_restart(partitions
         assert answer == 2, f"sent at {2007.9 + 0.02 * step:.2f} ms"
         hit += in_window
     assert hit, "the sweep no longer crosses the checkpoint's capture-to-append window"
+
+
+def _restart_on_a_forked_write(partitions, clients, seed, monkeypatch):
+    """The §5.1 workload with MSP2 killed every five requests, so MSP1's
+    variables keep being orphaned and rolled back.  A rollback that undid
+    writes makes the next write to the variable name the restored record
+    as its predecessor, beside the undone ones: the variable's records
+    fork.  When that write comes from a session on another partition, at
+    a smaller offset than the undone branch's head, the recovery merge
+    installs the undone head *after* it — so flush it, and if it is still
+    the variable's newest write, kill MSP1 right there.  Returns whether
+    the kill happened; the run must verify exactly-once either way."""
+    workload = PaperWorkload(
+        WorkloadParams(
+            configuration="LoOptimistic", num_clients=clients,
+            requests_per_client=10, crash_every_n=5, atomic_sv_updates=True,
+            seed=seed, log_partitions=partitions,
+        )
+    )
+    msp1 = workload.msp1
+    undone: dict[str, int] = {}
+    killed = []
+    roll_back, apply_write = SharedVariable.roll_back, SharedVariable.apply_write
+
+    def rolling_back(sv, table):
+        head = sv.last_write_lsn
+        popped = roll_back(sv, table)
+        if popped and msp1.shared.get(sv.name) is sv:
+            undone[sv.name] = head
+        return popped
+
+    def kill_when_durable(sv, lsn):
+        yield from msp1.log.flush(lsn)
+        if msp1.running and sv.last_write_lsn == lsn and not killed:
+            killed.append(lsn)
+            msp1.crash()
+            msp1.restart_process()
+
+    def applying(sv, lsn, value, writer_dv):
+        apply_write(sv, lsn, value, writer_dv)
+        head = undone.pop(sv.name, None)
+        if (
+            head is not None
+            and not killed
+            and msp1.running
+            and msp1.shared.get(sv.name) is sv
+            and plsn_partition(lsn) != plsn_partition(head)
+            and plsn_offset(lsn) < plsn_offset(head)
+        ):
+            workload.sim.spawn(kill_when_durable(sv, lsn), name="fork-kill")
+
+    monkeypatch.setattr(SharedVariable, "roll_back", rolling_back)
+    monkeypatch.setattr(SharedVariable, "apply_write", applying)
+    result = workload.run(limit_ms=120_000.0)
+    assert result.completed_requests == clients * 10, "a client is stuck"
+    workload.verify_exactly_once()
+    return bool(killed)
+
+
+@pytest.mark.parametrize("partitions, clients", ((2, 6), (3, 6), (4, 4)))
+def test_a_write_after_a_rollback_survives_the_restart(partitions, clients, monkeypatch):
+    """An undo that walked ``prev_write_lsn`` back from whatever the
+    scan installed last started on the undone branch and walked past the
+    committed write — a lost update on seeds 1 (P=2), 3 (P=3) and 1, 2
+    (P=4) at ``7bb5466``.  The undo stack the scan rebuilds holds the
+    write in application order and pops only orphans above it."""
+    hit = sum(
+        _restart_on_a_forked_write(partitions, clients, seed, monkeypatch)
+        for seed in range(4)
+    )
+    assert hit >= 2, "the runs no longer reach a forked write to restart on"

@@ -332,3 +332,37 @@ def test_log_manager_rewind_trims_caches_and_stats():
     assert log.stats.live_bytes == sum(
         unit.store.live_bytes for unit in log.partitions
     )
+
+
+def test_no_window_reader_ever_changes_partition(monkeypatch):
+    """``LogWindowReader`` keeps one window with no partition tag: a
+    session's replay stream and its checkpoint live on the session's own
+    partition, and nothing else reads through a window since orphan
+    rollback stopped walking the log.  Crashes, lazy recovery and orphan
+    replays at P=4 must never hand one reader two partitions."""
+    from repro.core.log_manager import LogWindowReader
+    from repro.workloads import PaperWorkload, WorkloadParams
+
+    seen: dict[int, set] = {}
+    readers = []  # keeps the readers alive so ids are not reused
+    fetch = LogWindowReader.fetch
+
+    def recording(self, lsn):
+        if id(self) not in seen:
+            readers.append(self)
+        seen.setdefault(id(self), set()).add(plsn_partition(lsn))
+        return fetch(self, lsn)
+
+    monkeypatch.setattr(LogWindowReader, "fetch", recording)
+    workload = PaperWorkload(
+        WorkloadParams(
+            configuration="LoOptimistic", num_clients=4, requests_per_client=30,
+            atomic_sv_updates=True, log_partitions=4, recovery_mode="lazy",
+            crash_every_n=25, seed=1,
+        )
+    )
+    workload.run(limit_ms=120_000.0)
+    workload.verify_exactly_once()
+    assert len(seen) > 4, "the run replayed too little to tell"
+    assert len(set().union(*seen.values())) > 1, "every reader sat on one partition"
+    assert all(len(partitions) == 1 for partitions in seen.values())

@@ -1,4 +1,4 @@
-"""Unit tests for shared variables: chains, rollback, bookkeeping."""
+"""Unit tests for shared variables: undo stack, rollback, bookkeeping."""
 
 import random
 
@@ -99,57 +99,50 @@ def test_rollback_to_most_recent_non_orphan_write():
     table = RecoveryTable()
     table.record("p", 0, 50)  # 60 and 80 lost; 10 survived
 
-    def run():
-        hops = yield from sv.roll_back(log, table)
-        return hops
-
-    hops = sim.run_process(run())
+    reads_before = log.disk.stats.reads
+    hops = sv.roll_back(table)  # a plain call: no log, no simulated time
     assert sv.value == b"good"
-    assert sv.last_write_lsn == good_lsn
-    assert hops == 2
+    assert sv.state_lsn == sv.last_write_lsn == good_lsn
+    assert hops == 2  # one per snapshot popped
+    assert len(sv.history) == 1  # the survivor stays for the next rollback
     assert not table.is_orphan(sv.dv)
+    assert log.disk.stats.reads == reads_before
 
 
 def test_rollback_stops_at_checkpoint():
     sim, log = make_env()
     sv = SharedVariable(sim, "v", b"init")
-    write(log, sv, b"old", dv_of(("p", 0, 10)))
-    ckpt_lsn, _ = log.append(SvCheckpointRecord(variable="v", value=b"checkpointed"))
+    write(log, sv, b"checkpointed", dv_of(("p", 0, 10)))
+    ckpt_lsn, _ = log.append(SvCheckpointRecord(variable="v", value=sv.value))
     sv.apply_checkpoint(ckpt_lsn)
-    sv.value = b"checkpointed"
     write(log, sv, b"orphaned", dv_of(("p", 0, 99)))
     table = RecoveryTable()
     table.record("p", 0, 50)
 
-    sim.run_process(sv.roll_back(log, table))
+    assert sv.roll_back(table) == 1
     assert sv.value == b"checkpointed"
-    assert sv.last_write_lsn == ckpt_lsn
+    assert sv.state_lsn == sv.last_write_lsn == ckpt_lsn
     assert not sv.dv
+    assert sv.scan_start_frontier(1) == ckpt_lsn
+    # Nothing below the checkpoint can come back, however often asked.
+    assert sv.roll_back(table) == 0
+    assert sv.value == b"checkpointed"
 
 
 def test_rollback_to_initial_value_when_chain_exhausted():
+    # "Exhausted": every write since the start is an orphan and no
+    # checkpoint was ever taken — the stack's base is the initial value.
     sim, log = make_env()
     sv = SharedVariable(sim, "v", b"init")
     write(log, sv, b"bad", dv_of(("p", 0, 99)))
     table = RecoveryTable()
     table.record("p", 0, 50)
 
-    sim.run_process(sv.roll_back(log, table))
+    assert sv.roll_back(table) == 1
     assert sv.value == b"init"
     assert sv.last_write_lsn == NO_LSN
     assert sv.state_lsn is None
-
-
-def test_rollback_charges_log_reads():
-    sim, log = make_env()
-    sv = SharedVariable(sim, "v", b"init")
-    for i in range(5):
-        write(log, sv, f"v{i}".encode(), dv_of(("p", 0, 90 + i)))
-    table = RecoveryTable()
-    table.record("p", 0, 50)
-    reads_before = log.disk.stats.reads
-    sim.run_process(sv.roll_back(log, table))
-    assert log.disk.stats.reads > reads_before
+    assert sv.scan_start_frontier(1) is None
 
 
 def test_rollback_keeps_new_epoch_writes():
@@ -160,5 +153,21 @@ def test_rollback_keeps_new_epoch_writes():
     table = RecoveryTable()
     table.record("p", 0, 50)
 
-    sim.run_process(sv.roll_back(log, table))
+    assert sv.roll_back(table) == 0
     assert sv.value == b"fresh"
+
+
+def test_undo_entry_shares_the_writes_one_dv_copy():
+    """A push must not copy the DV a second time: the variable's DV is
+    the single copy of the writer's, and the stack entry is that object."""
+    sim, log = make_env()
+    sv = SharedVariable(sim, "v", b"init")
+    writer_dv = dv_of(("p", 0, 5))
+    write(log, sv, b"one", writer_dv)
+    assert sv.dv is not writer_dv
+    assert sv.history[-1][1] is sv.dv
+    ckpt_lsn, _ = log.append(SvCheckpointRecord(variable="v", value=sv.value))
+    popped_dv = sv.dv
+    sv.apply_checkpoint(ckpt_lsn)
+    # Rebound, not cleared: the writer's copy is untouched.
+    assert not sv.dv and popped_dv == writer_dv and sv.history == []

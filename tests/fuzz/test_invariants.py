@@ -10,7 +10,7 @@ from repro.fuzz.invariants import (
     check_exactly_once,
     check_no_orphans,
     check_running,
-    check_sv_chains,
+    check_sv_undo,
 )
 
 
@@ -54,10 +54,35 @@ def test_detects_unserved_msp(world):
 
 
 def test_detects_broken_sv_chain(world):
+    # The edge the next write would log must name a write record of the
+    # variable: neither a hole past the log's end nor another kind.
     sv = world.msp1.shared["SV0"]
+    good = sv.last_write_lsn
     sv.last_write_lsn = world.msp1.store.end + 10_000
-    violations = check_sv_chains(world.msp1)
-    assert violations and "unreadable record" in violations[0]
+    violations = check_sv_undo(world.msp1)
+    assert len(violations) == 1 and "merge edge" in violations[0]
+    sv.last_write_lsn = world.msp1.log.read_anchor()
+    violations = check_sv_undo(world.msp1)
+    assert len(violations) == 1 and "MspCheckpointRecord" in violations[0]
+    sv.last_write_lsn = good
+    assert check_sv_undo(world.msp1) == []
+
+
+def test_detects_stale_sv_undo_stack(world):
+    # Rollback restores the stack's top: it must be the live state, and
+    # the stack holds no write from before its base.
+    sv = world.msp1.shared["SV1"]  # one write above its last checkpoint
+    assert len(sv.history) == 1 and sv.history[-1][0] == sv.value
+    sv.value = b"not what was pushed"
+    violations = check_sv_undo(world.msp1)
+    assert len(violations) == 1 and "live state" in violations[0]
+    sv.history.clear()  # now the base, the checkpoint, is the top
+    assert "live state" in check_sv_undo(world.msp1)[0]
+    sv.roll_back(world.msp1.table)
+    assert check_sv_undo(world.msp1) == []
+    sv.history += [sv.base] * (sv.writes_since_ckpt + 1)
+    violations = check_sv_undo(world.msp1)
+    assert len(violations) == 1 and "deeper" in violations[0]
 
 
 def test_detects_corrupt_durable_prefix(world):

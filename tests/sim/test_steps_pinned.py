@@ -15,7 +15,11 @@ replays too — every other pinned value stood); PR 22 (one checkpoint
 layout for every partition count) replaced ``log_bytes`` of
 ``p1_eager`` (271248 -> 271252) and of the fleet (47777 -> 47788) and
 the fleet fingerprint, with all three step counts, completed counts
-and ``p4_lazy_crashing`` standing.  Regenerating it is legitimate only in
+and ``p4_lazy_crashing`` standing; PR 23 (one undo: rollback reads no
+log, so the chunk reads it charged under the variable's write lock are
+gone and what waited behind them runs earlier) re-recorded
+``p4_lazy_crashing`` only (steps 32400 -> 32189, ``log_bytes`` 430469
+-> 430224).  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -32,7 +36,7 @@ from repro.workloads.paper import PaperWorkload, WorkloadParams
 
 RECORDED = {
     "p1_eager": {"steps": 9995, "completed": 120, "crashes": 0, "log_bytes": 271252},
-    "p4_lazy_crashing": {"steps": 32400, "completed": 160, "crashes": 3, "log_bytes": 430469},
+    "p4_lazy_crashing": {"steps": 32189, "completed": 160, "crashes": 3, "log_bytes": 430224},
     "fleet": {
         "steps": 5665,
         "completed": 58,
