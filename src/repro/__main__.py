@@ -379,9 +379,10 @@ def _run_fleet(args: argparse.Namespace) -> int:
     )
     print(
         f"latency (ms):       mean={result['latency_ms']['mean']:.3f} "
-        f"p50<={result['latency_ms']['p50']:g} "
-        f"p95<={result['latency_ms']['p95']:g} "
-        f"p99<={result['latency_ms']['p99']:g}"
+        f"p50={result['latency_ms']['p50']:g} "
+        f"p95={result['latency_ms']['p95']:g} "
+        f"p99={result['latency_ms']['p99']:g} "
+        f"max={result['latency_ms']['max']:g}"
     )
     print(
         f"sim time:           {result['sim_time_ms']:.0f} ms in "
@@ -537,7 +538,8 @@ def _run_trace(args: argparse.Namespace) -> int:
     if flush_wait is not None and flush_wait.count:
         print(
             f"flush latency:      n={flush_wait.count} "
-            f"mean={flush_wait.mean:.3f} ms p99<={flush_wait.quantile(0.99):g} ms"
+            f"mean={flush_wait.mean:.3f} ms p99={flush_wait.quantile(0.99):g} ms "
+            f"max={flush_wait.max:g} ms"
         )
     counters = tracer.metrics.counters
     stale = counters.get("flush.stale_acks")

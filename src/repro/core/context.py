@@ -150,9 +150,10 @@ class NormalContext:
                 writer_dv=session.dv.copy(),
                 prev_write_lsn=sv.last_write_lsn,
             )
-            lsn, _size = yield from msp.append_write_record(session, record)
+            yield from msp.append_write_record(
+                session, record, lambda lsn: sv.apply_write(lsn, value, session.dv)
+            )
             yield from msp.cpu(msp.config.costs.dv_track_ms)
-            sv.apply_write(lsn, value, session.dv)
         finally:
             sv.lock.release_write()
         yield from maybe_sv_checkpoint(msp, sv)
@@ -217,14 +218,17 @@ class NormalContext:
                 writer_dv=merged_dv,
                 prev_write_lsn=sv.last_write_lsn,
             )
-            lsn, size = yield from msp.append_session_record(session, record)
+
+            def apply(lsn):
+                session.dv.merge(variable_dv)
+                sv.apply_write(lsn, new_value, session.dv)
+
+            _lsn, size = yield from msp.append_session_record(session, record, apply)
             if msp.adaptive_mode:
                 # What command logging would have elided — the policy's
                 # log-volume upside for this session.
                 session.elidable_bytes_since_eval += size
             yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
-            session.dv.merge(variable_dv)
-            sv.apply_write(lsn, new_value, session.dv)
         finally:
             sv.lock.release_write()
         yield from maybe_sv_checkpoint(msp, sv)

@@ -350,31 +350,39 @@ class MiddlewareServer:
     def send(self, destination: str, port: str, payload) -> None:
         self.node.send(destination, port, payload, payload.wire_size())
 
-    def append_session_record(self, session: Session, record: LogRecord):
+    def append_session_record(self, session: Session, record: LogRecord, apply=None):
         """Log a record on behalf of ``session`` (generator).
 
         Charges the append CPU, updates the session's state number, DV
         self-entry, position stream and checkpoint accounting, and pays
-        the occasional position-buffer spill.
+        the occasional position-buffer spill.  ``apply(lsn)``, if given,
+        runs in the append's own step (see :meth:`append_write_record`).
         Returns ``(lsn, size)``.
         """
         yield from self.cpu(self.config.costs.log_append_ms)
         lsn, size = self.log.append(record)
         spill_due = session.account_record(lsn, size, self.epoch)
+        if apply is not None:
+            apply(lsn)
         if spill_due:
             yield from session.position_stream.spill(self.disk)
         return lsn, size
 
-    def append_write_record(self, session: Session, record: LogRecord):
+    def append_write_record(self, session: Session, record: LogRecord, apply):
         """Log a shared-variable write (generator).
 
         The record enters the session's position stream (replay skips
         it) and counts toward its checkpoint threshold, but does *not*
         advance the session's state number — a write changes the
         variable's state number, not the session's (paper Fig. 8).
+        ``apply(lsn)`` installs the write in the same step as the
+        append: an MSP checkpoint taken while the caller still yields
+        (spill, DV-tracking CPU) would otherwise capture its scan floors
+        with the record logged but the variable untouched.
         """
         yield from self.cpu(self.config.costs.log_append_ms)
         lsn, size = self.log.append(record)
+        apply(lsn)
         if session.first_lsn is None:
             session.first_lsn = lsn
         session.bytes_since_ckpt += size

@@ -33,8 +33,9 @@ import time
 import traceback
 from typing import Callable, Optional
 
-from repro.fleet.shard import FleetShard, LATENCY_BUCKETS_MS
+from repro.fleet.shard import FleetShard
 from repro.fleet.topology import FleetSpec, FleetTopology
+from repro.trace.metrics import nearest_rank
 
 #: How many epochs between progress callbacks.
 _PROGRESS_EVERY = 200
@@ -227,21 +228,6 @@ def _merge_outboxes(epoch_out) -> dict[int, list[tuple[float, object]]]:
     return merged
 
 
-def _latency_percentile(counts: list[int], q: float) -> float:
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    seen = 0
-    for i, n in enumerate(counts):
-        seen += n
-        if seen >= target:
-            if i < len(LATENCY_BUCKETS_MS):
-                return LATENCY_BUCKETS_MS[i]
-            return float("inf")
-    return float("inf")  # pragma: no cover
-
-
 def run_fleet(
     spec: FleetSpec,
     jobs: int = 1,
@@ -302,7 +288,7 @@ def run_fleet(
     shards = [shard_results[i] for i in range(spec.shards)]
     expected_hits: dict[str, int] = {}
     actual_hits: dict[str, int] = {}
-    latency_counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)
+    latencies: list[float] = []
     ledger_totals: dict[str, int] = {}
     violations: list[str] = []
     totals = {
@@ -314,7 +300,6 @@ def run_fleet(
         "steps": 0,
     }
     latency_total_ms = 0.0
-    latency_max_ms = 0.0
     recovery_events: list[dict] = []
     for shard in shards:
         for key in totals:
@@ -322,15 +307,17 @@ def run_fleet(
         for msp, n in shard["expected_hits"].items():
             expected_hits[msp] = expected_hits.get(msp, 0) + n
         actual_hits.update(shard["actual_hits"])
-        for i, n in enumerate(shard["latency"]["counts"]):
-            latency_counts[i] += n
+        latencies.extend(shard["latency"].pop("samples_ms"))
         latency_total_ms += shard["latency"]["total_ms"]
-        latency_max_ms = max(latency_max_ms, shard["latency"]["max_ms"])
         for key, value in shard["ledger"].items():
             ledger_totals[key] = ledger_totals.get(key, 0) + value
         recovery_events.extend(shard.get("recovery_events", ()))
         violations.extend(shard["violations"])
     recovery_events.sort(key=lambda e: (e["at_ms"], e["msp"], e["kind"]))
+    latencies.sort()
+
+    def percentile(q: float) -> float:
+        return round(nearest_rank(latencies, q), 6) if latencies else 0.0
 
     completed = (
         not timed_out
@@ -376,10 +363,10 @@ def run_fleet(
         "actual_hits": dict(sorted(actual_hits.items())),
         "latency_ms": {
             "mean": round(latency_total_ms / calls, 6) if calls else 0.0,
-            "p50": _latency_percentile(latency_counts, 0.50),
-            "p95": _latency_percentile(latency_counts, 0.95),
-            "p99": _latency_percentile(latency_counts, 0.99),
-            "max": round(latency_max_ms, 6),
+            "p50": percentile(0.50),
+            "p95": percentile(0.95),
+            "p99": percentile(0.99),
+            "max": percentile(1.0),
         },
         "ledger": ledger_totals,
         "recovery": recovery_events,

@@ -15,7 +15,6 @@ barrier inputs), which is what makes the fleet byte-identical at any
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import asdict
 
 from repro.core.client import EndClient
@@ -39,14 +38,6 @@ CHAIN_COMPUTE_MS = 0.25
 #: Arrivals are shifted this far into the run so the very first
 #: sessions do not race the MSPs' cold boot.
 BOOT_GRACE_MS = 50.0
-
-#: Upper edges of the latency histogram buckets (ms); the last bucket
-#: is open-ended.  Mergeable across shards, compact in results.
-LATENCY_BUCKETS_MS = (
-    1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0,
-    150.0, 200.0, 300.0, 500.0, 750.0, 1000.0, 1500.0, 2000.0, 3000.0,
-    5000.0, 7500.0, 10000.0,
-)
 
 
 def _incr8(value: bytes) -> bytes:
@@ -163,9 +154,10 @@ class FleetShard:
         self.call_errors = 0
         self.cross_domain_calls = 0
         self.expected_hits: dict[str, int] = {m: 0 for m in self.topology.msp_names}
-        self.latency_counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)
+        #: Every completed call's response time, in completion order;
+        #: the runner merges all shards' lists into exact quantiles.
+        self.latencies_ms: list[float] = []
         self.latency_total_ms = 0.0
-        self.latency_max_ms = 0.0
         traffic_rng = self.rng.stream("fleet.traffic")
         for plan in generate_session_plans(self.topology, traffic_rng):
             if plan.home not in local:
@@ -286,10 +278,8 @@ class FleetShard:
         self.completed_sessions += 1
 
     def _observe_latency(self, ms: float) -> None:
-        self.latency_counts[bisect_left(LATENCY_BUCKETS_MS, ms)] += 1
+        self.latencies_ms.append(ms)
         self.latency_total_ms += ms
-        if ms > self.latency_max_ms:
-            self.latency_max_ms = ms
 
     # -- the epoch-barrier surface ----------------------------------------
 
@@ -437,10 +427,11 @@ class FleetShard:
                 m: n for m, n in sorted(self.expected_hits.items()) if n
             },
             "actual_hits": actual_hits,
+            # ``samples_ms`` travels to the runner only: it pops the
+            # list before the result is serialised.
             "latency": {
-                "counts": list(self.latency_counts),
+                "samples_ms": list(self.latencies_ms),
                 "total_ms": round(self.latency_total_ms, 6),
-                "max_ms": round(self.latency_max_ms, 6),
             },
             "msp_stats": {
                 name: asdict(self.msps[name].stats) for name in self.local_names

@@ -26,12 +26,10 @@ from repro.harness.experiments import (
     fig16_optimal_threshold,
     fig17_multiclient,
 )
-from repro.harness.metrics import ResponseStats
 from repro.harness.report import render_result
 
 __all__ = [
     "ExperimentResult",
-    "ResponseStats",
     "ablation_dv_granularity",
     "ablation_parallel_recovery",
     "analysis_flush_accounting",

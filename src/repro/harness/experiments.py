@@ -25,7 +25,6 @@ from functools import partial
 from operator import attrgetter
 from typing import Optional
 
-from repro.harness.metrics import ResponseStats
 from repro.parallel import WorkerFailure, resolve_jobs, run_tasks
 from repro.parallel.tasks import WorkloadPointSpec, run_workload_point
 from repro.workloads import PaperWorkload, WorkloadParams

@@ -33,6 +33,7 @@ from repro.core.records import (
 from repro.harness.experiments import ExperimentResult, sweep
 from repro.sim import ProcessGroup, Simulator
 from repro.storage import Disk, StableStore
+from repro.trace.metrics import nearest_rank
 
 
 def _sample_dv() -> DependencyVector:
@@ -113,7 +114,7 @@ def _partition_cell(spec) -> dict:
         "records": total,
         "sim_records_per_s": total / (sim.now / 1000.0),
         "flush_wait_mean_ms": sum(waits) / len(waits),
-        "flush_wait_p99_ms": waits[min(len(waits) - 1, int(0.99 * len(waits)))],
+        "flush_wait_p99_ms": nearest_rank(waits, 0.99),
         "physical_flushes": log.stats.physical_flushes,
         "coalesced_flushes": log.stats.coalesced_flushes,
         "partitions_appended": sum(

@@ -18,17 +18,18 @@ from repro.fleet.runner import fleet_fingerprint, run_fleet
 from repro.parallel import run_tasks
 from repro.parallel.tasks import ScenarioCellSpec, run_scenario_cell
 from repro.scenarios.spec import ScenarioCell, ScenarioSpec
+from repro.trace.metrics import nearest_rank
 
 
 def _quantiles(samples: list[float]) -> dict:
-    """min/p50/max over a small sample list (nearest-rank p50)."""
+    """min/p50/max over a small sample list."""
     if not samples:
         return {"n": 0}
     ordered = sorted(samples)
     return {
         "n": len(ordered),
         "min_ms": ordered[0],
-        "p50_ms": ordered[(len(ordered) - 1) // 2],
+        "p50_ms": nearest_rank(ordered, 0.50),
         "max_ms": ordered[-1],
     }
 

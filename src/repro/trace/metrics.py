@@ -10,15 +10,15 @@ recovery-phase durations, per-kind log volume).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
-#: Default histogram bucket bounds in simulated milliseconds: flush
-#: latencies sit around 5-20 ms (one disk write), recovery phases reach
-#: seconds on long logs.
-DEFAULT_BOUNDS_MS = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
-)
+
+def nearest_rank(ordered: list, q: float) -> float:
+    """The exact nearest-rank ``q`` quantile of the non-empty sorted
+    ``ordered``: the smallest sample with at least ``ceil(q*n)`` samples
+    at or below it.  Every quantile the package reports comes from here."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 class Counter:
@@ -35,48 +35,38 @@ class Counter:
 
 
 class Histogram:
-    """Fixed-bound bucket histogram with exact count/sum/min/max."""
+    """Every observed sample, with exact count/sum/min/max and
+    nearest-rank quantiles."""
 
-    __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")
+    __slots__ = ("name", "samples", "total")
 
-    def __init__(self, name: str, bounds: Iterable[float] = DEFAULT_BOUNDS_MS):
+    def __init__(self, name: str):
         self.name = name
-        self.bounds = tuple(bounds)
-        # One bucket per bound plus the +inf overflow bucket.
-        self.buckets = [0] * (len(self.bounds) + 1)
-        self.count = 0
+        self.samples: list[float] = []
         self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        self.count += 1
+        self.samples.append(value)
         self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
+
+    @property
+    def min(self) -> float:
+        return min(self.samples, default=float("inf"))
+
+    @property
+    def max(self) -> float:
+        return max(self.samples, default=float("-inf"))
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q`` quantile from the buckets."""
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, bound in enumerate(self.bounds):
-            seen += self.buckets[i]
-            if seen >= rank:
-                return bound
-        return self.max
+        return nearest_rank(sorted(self.samples), q) if self.samples else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -85,12 +75,9 @@ class Histogram:
             "min": round(self.min, 6) if self.count else None,
             "max": round(self.max, 6) if self.count else None,
             "mean": round(self.mean, 6),
-            "p50": self.quantile(0.5),
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
-            "buckets": {
-                **{f"le_{b:g}": n for b, n in zip(self.bounds, self.buckets)},
-                "le_inf": self.buckets[-1],
-            },
         }
 
 
@@ -114,12 +101,10 @@ class MetricsRegistry:
         """Overwrite a counter with an externally tracked value."""
         self.counter(name).value = value
 
-    def histogram(
-        self, name: str, bounds: Iterable[float] = DEFAULT_BOUNDS_MS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = Histogram(name, bounds)
+            histogram = self.histograms[name] = Histogram(name)
         return histogram
 
     def observe(self, name: str, value: float) -> None:

@@ -14,6 +14,7 @@ from repro.fleet import (
     fleet_fingerprint,
     run_fleet,
 )
+from repro.trace.metrics import nearest_rank
 
 #: Small but non-trivial: two domains on two shards, cross-domain chains
 #: (the pessimistic flush path) and one mid-run crash + restart.
@@ -51,6 +52,23 @@ def test_jobs_invariance_byte_identical():
     assert canonical_result_bytes(serial) == canonical_result_bytes(pooled)
     assert fleet_fingerprint(serial) == fleet_fingerprint(pooled)
     assert serial["verdicts"]["clean"]
+
+
+def test_latency_quantiles_are_exact_over_all_shards():
+    """The reported p50/p95/p99 are nearest-rank values of every shard's
+    call latencies merged, the same at any jobs value, and the result
+    carries the three numbers, not the samples."""
+    shards = []
+    serial = run_fleet(SPEC, jobs=1, tracer_factory=shards.append)
+    pooled = run_fleet(SPEC, jobs=2)
+    merged = sorted(ms for shard in shards for ms in shard.latencies_ms)
+    assert len(shards) == 2 and len(merged) == serial["totals"]["completed_calls"]
+    latency = serial["latency_ms"]
+    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        assert latency[key] == round(nearest_rank(merged, q), 6)
+    assert latency["p95"] == pooled["latency_ms"]["p95"]
+    assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
+    assert all("samples_ms" not in shard["latency"] for shard in serial["shards"])
 
 
 def test_canonical_bytes_exclude_wall_clock():

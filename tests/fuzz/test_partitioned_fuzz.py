@@ -67,3 +67,15 @@ def test_cross_incarnation_aliasing_case33_regression():
     result = run_random_case(33, _params4)
     assert result.violations == [], result.violations
     assert result.crashes_injected == 3
+
+
+def test_scan_floor_hole_case2497_regression():
+    """Random case 2497 at P=3, 4 clients x 12 requests: an MSP
+    checkpoint used to capture its scan floors between a shared-variable
+    write's append and its apply, so the writer's partition looked
+    untouched and the restart lost the write (SV3 ended one short).  The
+    write now lands in the append's own step."""
+    params = FuzzParams(log_partitions=3, num_clients=4, requests_per_client=12)
+    result = run_random_case(2497, params)
+    assert result.violations == [], result.violations
+    assert result.crashes_injected == 1

@@ -2,30 +2,39 @@
 
 import pytest
 
-from repro.harness import ExperimentResult, ResponseStats, render_result
+from repro.harness import ExperimentResult, render_result
 from repro.harness.experiments import fig14_response_table
+from repro.trace import Histogram
+from repro.trace.metrics import nearest_rank
+
+
+def _response_stats(samples):
+    hist = Histogram("response_ms")
+    for value in samples:
+        hist.observe(value)
+    return hist
 
 
 def test_response_stats_empty():
-    stats = ResponseStats.from_samples([])
+    stats = _response_stats([])
     assert stats.count == 0
     assert stats.mean == 0.0
+    assert stats.quantile(0.5) == 0.0
 
 
 def test_response_stats_basic():
-    stats = ResponseStats.from_samples([1.0, 2.0, 3.0, 4.0])
+    stats = _response_stats([1.0, 2.0, 3.0, 4.0])
     assert stats.count == 4
     assert stats.mean == pytest.approx(2.5)
-    assert stats.median == 2.0
-    assert stats.maximum == 4.0
-    assert stats.minimum == 1.0
+    assert stats.quantile(0.5) == nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+    assert stats.max == 4.0
+    assert stats.min == 1.0
 
 
 def test_response_stats_percentiles():
-    samples = list(range(1, 101))
-    stats = ResponseStats.from_samples([float(v) for v in samples])
-    assert stats.p95 == 95.0
-    assert stats.p99 == 99.0
+    samples = [float(v) for v in range(1, 101)]
+    assert nearest_rank(samples, 0.95) == 95.0
+    assert nearest_rank(samples, 0.99) == 99.0
 
 
 def test_experiment_result_claims():

@@ -41,7 +41,7 @@ RECORDED = {
         "steps": 5665,
         "completed": 58,
         "log_bytes": 47788,
-        "fingerprint": "61e60008a6200d96ccfab6f4f96ba2abaa7c560e652f1805b8fea2686a26645c",
+        "fingerprint": "c11e51ce3c1fa51a611f4884574fa14b96153efea2ce0d59db585771be259dcb",
     },
 }
 

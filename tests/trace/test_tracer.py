@@ -105,19 +105,22 @@ def test_counter_and_registry():
 
 
 def test_histogram_quantiles_and_dict():
-    hist = Histogram("lat", bounds=(1.0, 10.0, 100.0))
-    for value in (0.5, 5.0, 50.0, 500.0):
+    hist = Histogram("lat")
+    for value in (500.0, 5.0, 0.5, 50.0):
         hist.observe(value)
     assert hist.count == 4
     assert hist.min == 0.5
     assert hist.max == 500.0
     assert hist.mean == sum((0.5, 5.0, 50.0, 500.0)) / 4
-    # Quantile estimates quote the bucket upper bound.
-    assert hist.quantile(0.25) == 1.0
-    assert hist.quantile(0.5) == 10.0
+    # Quantiles are observed samples, picked by nearest rank.
+    assert hist.quantile(0.25) == 0.5
+    assert hist.quantile(0.5) == 5.0
+    assert hist.quantile(1.0) == 500.0
     data = hist.to_dict()
     assert data["count"] == 4
-    assert data["p50"] == 10.0
+    assert data["p50"] == 5.0
+    assert data["p95"] == data["p99"] == 500.0
+    assert "buckets" not in data
 
 
 def test_empty_histogram_is_safe():
