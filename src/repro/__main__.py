@@ -38,41 +38,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness import (
-    ablation_dv_granularity,
-    ablation_parallel_recovery,
-    analysis_flush_accounting,
-    fig14_calls_chart,
-    fig14_response_table,
-    fig15a_checkpoint_overhead,
-    fig15b_crash_throughput,
-    fig16_max_response_table,
-    fig16_optimal_threshold,
-    fig17_multiclient,
-    headlines,
-    render_result,
-)
+from repro.harness import EXPERIMENTS as _DECLARED, render_result
 from repro.workloads import CONFIGURATIONS, PaperWorkload, WorkloadParams
 from repro.workloads.paper import add_mode_arguments, mode_overrides
 
-EXPERIMENTS = {
-    "fig14-table": fig14_response_table,
-    "fig14-chart": fig14_calls_chart,
-    "fig15a": fig15a_checkpoint_overhead,
-    "fig15b": fig15b_crash_throughput,
-    "fig16-table": fig16_max_response_table,
-    "fig16-chart": fig16_optimal_threshold,
-    "fig17": fig17_multiclient,
-    "analysis-flush": analysis_flush_accounting,
-    "ablation-parallel-recovery": ablation_parallel_recovery,
-    "ablation-dv-granularity": ablation_dv_granularity,
-    "partition-scaling": headlines.partition_scaling,
-    "instant-restart": headlines.instant_restart,
-    "log-volume": headlines.log_volume,
-    "log-space": headlines.log_space,
-    "fleet-scaling": headlines.fleet_scaling,
-    "trace-overhead": headlines.trace_overhead,
-}
+EXPERIMENTS = {experiment.name: experiment for experiment in _DECLARED}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run.add_argument("experiment", choices=list(EXPERIMENTS))
     run.add_argument("--scale", type=float, default=0.1)
     run.add_argument("--seed", type=int, default=0)
     add_jobs_argument(run)
@@ -244,9 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _progress(label: str):
     from repro.parallel import ProgressReporter
 
-    reporter = ProgressReporter(f"  {label}").start()
-    # The key is deliberately unreported: rate-limited count/ETA lines
-    # only, details stay on the fuzz front end where they mark failures.
+    # On stderr: stdout carries only what the experiment measured, so
+    # two runs of ``repro all`` can be diffed.  The key is deliberately
+    # unreported: rate-limited count/ETA lines only.
+    reporter = ProgressReporter(f"  {label}", stream=sys.stderr).start()
     return lambda done, total, key: reporter.update(done, total)
 
 
@@ -564,27 +535,22 @@ def _run_trace(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name in sorted(EXPERIMENTS):
+        for name in EXPERIMENTS:
             print(name)
         return 0
-    if args.command == "run":
-        result = EXPERIMENTS[args.experiment](
-            scale=args.scale, seed=args.seed, jobs=args.jobs,
-            progress=_progress(args.experiment),
-        )
-        print(render_result(result))
-        return 0 if result.all_claims_hold else 1
-    if args.command == "all":
-        failures = 0
-        for name in sorted(EXPERIMENTS):
+    if args.command in ("run", "all"):
+        names = [args.experiment] if args.command == "run" else list(EXPERIMENTS)
+        failed = False
+        for name in names:
             result = EXPERIMENTS[name](
                 scale=args.scale, seed=args.seed, jobs=args.jobs,
                 progress=_progress(name),
             )
             print(render_result(result))
-            print()
-            failures += 0 if result.all_claims_hold else 1
-        return min(failures, 1)
+            if args.command == "all":
+                print()
+            failed = failed or not result.all_claims_hold
+        return 1 if failed else 0
     if args.command == "workload":
         return _run_workload(args)
     if args.command == "fuzz":

@@ -45,25 +45,27 @@ class FleetWorkerError(RuntimeError):
     """A shard worker process died or raised."""
 
 
+def _step(shard: FleetShard, until: float, inbound, incarnations) -> tuple:
+    """One shard's epoch: its outbox, incarnations, whether it settled
+    and its cumulative ``Simulator.steps`` (the coordinator's work
+    measure)."""
+    shard.update_incarnations(incarnations)
+    shard.inject(inbound)
+    shard.run_until(until)
+    return shard.take_outbox(), shard.incarnations(), shard.settled(), shard.sim.steps
+
+
 class _SequentialExecutor:
     """jobs=1 reference path: every shard stepped in-process, in order.
 
-    Besides being the reference for byte-identity, this path measures
-    the decomposition quality: per epoch it records each shard's busy
-    wall time and accumulates the per-epoch maximum.  ``critical_s`` is
-    the wall time an idealized one-core-per-shard host would spend
-    inside shard stepping (workers barrier every epoch, so the slowest
-    shard of each epoch is the parallel critical path); ``busy_s`` over
-    ``critical_s`` is the achievable shard-scaling speedup, measurable
-    even on a single-core CI host.  Wall-clock never enters the shard
-    results themselves, so fingerprints stay jobs-invariant.
+    ``busy_s`` is the wall time spent inside shard stepping (the
+    benchmark reads it); wall-clock never enters the shard results, so
+    fingerprints stay jobs-invariant.
     """
 
     def __init__(self, spec: FleetSpec, tracer_factory=None):
         self.shards = [FleetShard(spec, i) for i in range(spec.shards)]
         self.busy_s = 0.0
-        self.critical_s = 0.0
-        self.shard_busy_s = [0.0] * spec.shards
         if tracer_factory is not None:
             # The factory receives each shard and attaches whatever
             # instrumentation it wants (e.g. Tracer(shard.sim).attach()).
@@ -71,34 +73,17 @@ class _SequentialExecutor:
                 tracer_factory(shard)
 
     def epoch(self, until, inbound_by_shard, incarnations):
-        out = {}
-        epoch_busy = []
-        for shard in self.shards:
-            started = time.perf_counter()
-            shard.update_incarnations(incarnations)
-            shard.inject(inbound_by_shard.get(shard.index, []))
-            shard.run_until(until)
-            out[shard.index] = (
-                shard.take_outbox(),
-                shard.incarnations(),
-                shard.settled(),
-            )
-            busy = time.perf_counter() - started
-            epoch_busy.append(busy)
-            self.shard_busy_s[shard.index] += busy
-        self.busy_s += sum(epoch_busy)
-        self.critical_s += max(epoch_busy)
+        started = time.perf_counter()
+        out = {
+            shard.index: _step(shard, until, inbound_by_shard.get(shard.index, []),
+                               incarnations)
+            for shard in self.shards
+        }
+        self.busy_s += time.perf_counter() - started
         return out
 
     def finalize(self):
-        timing = {
-            "busy_s": self.busy_s,
-            "critical_s": self.critical_s,
-            "shard_busy_s": {
-                str(i): round(b, 6) for i, b in enumerate(self.shard_busy_s)
-            },
-        }
-        return {s.index: s.finalize() for s in self.shards}, timing
+        return {s.index: s.finalize() for s in self.shards}, {"busy_s": self.busy_s}
 
     def close(self):
         pass
@@ -109,35 +94,18 @@ def _fleet_worker_main(conn, spec_bytes: bytes, shard_ids: list[int]) -> None:
     try:
         spec = pickle.loads(spec_bytes)
         shards = {sid: FleetShard(spec, sid) for sid in shard_ids}
-        barrier_wait_s = 0.0
-        barrier_count = 0
         while True:
-            waited_from = time.perf_counter()
             msg = conn.recv()
-            waited = time.perf_counter() - waited_from
             if msg[0] == "epoch":
-                barrier_wait_s += waited
-                barrier_count += 1
                 _, until, inbound_by_shard, incarnations = msg
-                out = {}
-                for sid in shard_ids:
-                    shard = shards[sid]
-                    shard.update_incarnations(incarnations)
-                    shard.inject(inbound_by_shard.get(sid, []))
-                    shard.run_until(until)
-                    out[sid] = (
-                        shard.take_outbox(),
-                        shard.incarnations(),
-                        shard.settled(),
-                    )
+                out = {
+                    sid: _step(shards[sid], until, inbound_by_shard.get(sid, []),
+                               incarnations)
+                    for sid in shard_ids
+                }
                 conn.send(("ok", out))
             elif msg[0] == "finalize":
-                results = {sid: shards[sid].finalize() for sid in shard_ids}
-                timing = {
-                    "barrier_wait_s": barrier_wait_s,
-                    "barriers": barrier_count,
-                }
-                conn.send(("done", results, timing))
+                conn.send(("done", {sid: shards[sid].finalize() for sid in shard_ids}))
                 return
             else:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unknown fleet worker command {msg[0]!r}")
@@ -198,12 +166,9 @@ class _PoolExecutor:
         for conn in self.conns:
             conn.send(("finalize",))
         results = {}
-        timing = {}
-        for w, conn in enumerate(self.conns):
-            _, worker_results, worker_timing = self._recv(conn)
-            results.update(worker_results)
-            timing[f"worker{w}"] = worker_timing
-        return results, timing
+        for conn in self.conns:
+            results.update(self._recv(conn)[1])
+        return results, {}
 
     def close(self):
         for conn in self.conns:
@@ -218,7 +183,7 @@ def _merge_outboxes(epoch_out) -> dict[int, list[tuple[float, object]]]:
     """Canonical cross-shard merge: (arrival, source shard, ordinal)."""
     routed: dict[int, list[tuple[float, int, int, object]]] = {}
     for src in sorted(epoch_out):
-        outbox, _inc, _settled = epoch_out[src]
+        outbox = epoch_out[src][0]
         for dest, arrival, ordinal, envelope in outbox:
             routed.setdefault(dest, []).append((arrival, src, ordinal, envelope))
     merged: dict[int, list[tuple[float, object]]] = {}
@@ -256,6 +221,11 @@ def run_fleet(
     pending: dict[int, list[tuple[float, object]]] = {}
     incarnations: dict[str, int] = {}
     cross_shard_messages = 0
+    # The parallel critical path in work: shards barrier every epoch, so
+    # the shard that ran the most kernel steps in an epoch is that
+    # epoch's share of it — host-independent, unlike wall seconds.
+    shard_steps = [0] * spec.shards
+    critical_steps = 0
     timed_out = False
     try:
         while True:
@@ -264,18 +234,20 @@ def run_fleet(
             epoch_out = executor.epoch(sim_t, pending, incarnations)
             pending = _merge_outboxes(epoch_out)
             cross_shard_messages += sum(len(v) for v in pending.values())
-            for _outbox, inc, _settled in epoch_out.values():
+            deltas = []
+            for index, (_outbox, inc, _settled, steps) in epoch_out.items():
                 incarnations.update(inc)
-            all_settled = all(settled for _o, _i, settled in epoch_out.values())
+                deltas.append(steps - shard_steps[index])
+                shard_steps[index] = steps
+            critical_steps += max(deltas)
+            all_settled = all(out[2] for out in epoch_out.values())
             if all_settled and not pending:
                 break
             if sim_t >= horizon_ms:
                 timed_out = True
                 break
             if progress is not None and epoch % _PROGRESS_EVERY == 0:
-                done = sum(
-                    1 for _o, _i, settled in epoch_out.values() if settled
-                )
+                done = sum(1 for out in epoch_out.values() if out[2])
                 progress(
                     f"epoch {epoch} (t={sim_t:.0f} ms, "
                     f"{done}/{spec.shards} shards settled)"
@@ -303,7 +275,7 @@ def run_fleet(
     recovery_events: list[dict] = []
     for shard in shards:
         for key in totals:
-            totals[key] += shard[key] if key != "steps" else shard["steps"]
+            totals[key] += shard[key]
         for msp, n in shard["expected_hits"].items():
             expected_hits[msp] = expected_hits.get(msp, 0) + n
         actual_hits.update(shard["actual_hits"])
@@ -313,6 +285,7 @@ def run_fleet(
             ledger_totals[key] = ledger_totals.get(key, 0) + value
         recovery_events.extend(shard.get("recovery_events", ()))
         violations.extend(shard["violations"])
+    totals["critical_steps"] = critical_steps
     recovery_events.sort(key=lambda e: (e["at_ms"], e["msp"], e["kind"]))
     latencies.sort()
 
@@ -387,9 +360,7 @@ def run_fleet(
             "jobs": jobs,
             "sim_req_per_s": (calls / (sim_t / 1000.0)) if sim_t else 0.0,
             "wall_req_per_s": (calls / wall_s) if wall_s > 0 else 0.0,
-            # jobs=1: per-shard busy seconds and the per-epoch-max
-            # critical path (see _SequentialExecutor); jobs>1: the
-            # per-worker barrier-wait breakdown.
+            # jobs=1: busy seconds inside shard stepping; jobs>1: empty.
             "workers": worker_timing,
         },
     }

@@ -19,7 +19,7 @@ from repro.core.config import RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
 from repro.core.msp import MiddlewareServer
 from repro.core.session import SessionStatus
-from repro.harness.experiments import ExperimentResult, sweep
+from repro.harness.experiments import Claim, Experiment
 from repro.net import Network
 from repro.sim import RngRegistry, Simulator
 
@@ -37,8 +37,13 @@ def _counter_method(ctx, argument):
     return n.to_bytes(4, "big")
 
 
-def _measure_recovery_time(parallel: bool, sessions: int, requests: int, seed: int):
+#: Sessions with logged history at the crashed MSP.
+RECOVERY_SESSIONS = 8
+
+
+def _recovery_cell(spec) -> dict:
     """Build one MSP with history, crash it, time the recovery."""
+    parallel, requests, seed = spec
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng=rng)
@@ -60,7 +65,7 @@ def _measure_recovery_time(parallel: bool, sessions: int, requests: int, seed: i
             yield from session.call("counter", b"x" * 100)
 
     drivers = [
-        sim.spawn(driver(client.open_session("server"))) for _ in range(sessions)
+        sim.spawn(driver(client.open_session("server"))) for _ in range(RECOVERY_SESSIONS)
     ]
     for process in drivers:
         sim.run_until_process(process, limit=600_000)
@@ -80,50 +85,45 @@ def _measure_recovery_time(parallel: bool, sessions: int, requests: int, seed: i
     sim.run_until_process(waiter, limit=sim.now + 600_000)
     recovery_ms = sim.now - crash_at - config.restart_delay_ms
     total = int.from_bytes(msp.shared["total"].value, "big")
-    assert total == sessions * requests, "exactly-once violated in ablation"
-    return recovery_ms, msp.stats.replayed_requests
+    assert total == RECOVERY_SESSIONS * requests, "exactly-once violated in ablation"
+    return {
+        "mode": "parallel" if parallel else "sequential",
+        "recovery_ms": recovery_ms,
+        "replayed_requests": msp.stats.replayed_requests,
+    }
 
 
-def _recovery_point(spec):
-    parallel, sessions, requests, seed = spec
-    return _measure_recovery_time(parallel, sessions, requests, seed)
+def _recovery_requests(scale: float) -> int:
+    return max(30, int(400 * scale))
 
 
-def ablation_parallel_recovery(
-    scale: float = 1.0, seed: int = 0, sessions: int = 8,
-    jobs=None, progress=None,
-) -> ExperimentResult:
-    """Parallel vs sequential session recovery after an MSP crash."""
-    requests = max(30, int(400 * scale))
-    result = ExperimentResult(
-        experiment="ablation-parallel-recovery",
-        description=(
-            f"Crash recovery time (ms) for {sessions} sessions x {requests} "
-            "logged requests, parallel vs sequential replay"
+def _recovery_claims(rows: list[dict]) -> list[Claim]:
+    times = {row["mode"]: row["recovery_ms"] for row in rows}
+    return [
+        (
+            "parallel session recovery is faster than sequential replay",
+            times["parallel"] < times["sequential"],
         ),
-    )
-    times = {}
-    specs = [(parallel, sessions, requests, seed) for parallel in (True, False)]
-    points = sweep(_recovery_point, specs, jobs=jobs, progress=progress)
-    for spec, (recovery_ms, replayed) in zip(specs, points):
-        parallel = spec[0]
-        times[parallel] = recovery_ms
-        result.rows.append(
-            {
-                "mode": "parallel" if parallel else "sequential",
-                "recovery_ms": recovery_ms,
-                "replayed_requests": replayed,
-            }
-        )
-    result.claim(
-        "parallel session recovery is faster than sequential replay",
-        times[True] < times[False],
-    )
-    result.claim(
-        "the speedup is material (>= 1.2x)",
-        times[False] / max(times[True], 1e-9) >= 1.2,
-    )
-    return result
+        (
+            "the speedup is material (>= 1.2x)",
+            times["sequential"] / max(times["parallel"], 1e-9) >= 1.2,
+        ),
+    ]
+
+
+#: Parallel vs sequential session recovery after an MSP crash.
+ablation_parallel_recovery = Experiment(
+    name="ablation-parallel-recovery",
+    description=lambda scale: (
+        f"Crash recovery time (ms) for {RECOVERY_SESSIONS} sessions x "
+        f"{_recovery_requests(scale)} logged requests, parallel vs sequential replay"
+    ),
+    specs=lambda scale, seed: [
+        (parallel, _recovery_requests(scale), seed) for parallel in (True, False)
+    ],
+    cell=_recovery_cell,
+    claims=_recovery_claims,
+)
 
 
 def _remote_method(ctx, argument):
@@ -184,7 +184,9 @@ class _OneShotCrash:
             self.backend.restart_process()
 
 
-def _measure_rollbacks(per_session_dv: bool, remote_sessions: int, local_sessions: int, seed: int):
+def _dv_cell(spec) -> dict:
+    """One backend crash under one DV granularity."""
+    per_session_dv, remote_sessions, local_sessions, seed = spec
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng=rng)
@@ -225,63 +227,59 @@ def _measure_rollbacks(per_session_dv: bool, remote_sessions: int, local_session
 
     waiter = sim.spawn(settle())
     sim.run_until_process(waiter, limit=sim.now + 10_000)
-    return front.stats.orphan_recoveries, network.messages_sent
+    return {
+        "dv_granularity": "per-session" if per_session_dv else "per-MSP",
+        "remote_sessions": remote_sessions,
+        "local_sessions": local_sessions,
+        "orphan_recoveries": front.stats.orphan_recoveries,
+        "network_messages": network.messages_sent,
+    }
 
 
-def _dv_point(spec):
-    per_session_dv, remote_sessions, local_sessions, seed = spec
-    return _measure_rollbacks(per_session_dv, remote_sessions, local_sessions, seed)
+def _dv_sessions(scale: float) -> int:
+    """Remote-calling sessions; as many purely local ones run beside them."""
+    return max(4, int(4 * scale))
 
 
-def ablation_dv_granularity(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Per-session DVs vs one MSP-wide DV.
-
-    Half the sessions only touch local state.  With one MSP-wide DV,
-    every session's pre-send flush carries the whole domain's
-    dependencies, so the backend is dragged into flushes by *local*
-    sessions too — the per-MSP DV either floods the backend with extra
-    flushes or (when a dependency is caught unflushed) rolls back every
-    session at once, the paper's §3.2 "all its sessions will roll back,
-    possibly unnecessarily".  Per-session DVs confine both costs to the
-    sessions that actually depend on the backend.
-    """
-    remote = max(2, int(4 * scale)) if scale >= 1 else 4
-    local = remote
-    result = ExperimentResult(
-        experiment="ablation-dv-granularity",
-        description=(
-            f"One backend crash; {remote} remote-calling + {local} purely "
-            "local sessions at the front MSP"
+def _dv_claims(rows: list[dict]) -> list[Claim]:
+    rollbacks = {row["dv_granularity"]: row["orphan_recoveries"] for row in rows}
+    remote, local = rows[0]["remote_sessions"], rows[0]["local_sessions"]
+    return [
+        (
+            "per-session DVs never roll back purely local sessions",
+            rollbacks["per-session"] <= remote,
         ),
-    )
-    rollbacks = {}
-    backend_writes = {}
-    specs = [(per_session, remote, local, seed) for per_session in (True, False)]
-    points = sweep(_dv_point, specs, jobs=jobs, progress=progress)
-    for spec, (count, messages) in zip(specs, points):
-        per_session = spec[0]
-        rollbacks[per_session] = count
-        backend_writes[per_session] = messages
-        result.rows.append(
-            {
-                "dv_granularity": "per-session" if per_session else "per-MSP",
-                "orphan_recoveries": count,
-                "network_messages": messages,
-            }
-        )
-    result.claim(
-        "per-session DVs never roll back purely local sessions",
-        rollbacks[True] <= remote,
-    )
-    result.claim(
-        "a per-MSP DV rolls back more sessions (including purely local "
-        "ones) than per-session DVs",
-        rollbacks[False] > rollbacks[True],
-    )
-    result.claim(
-        "a per-MSP DV rolls back (nearly) every session",
-        rollbacks[False] >= remote + local - 1,
-    )
-    return result
+        (
+            "a per-MSP DV rolls back more sessions (including purely local "
+            "ones) than per-session DVs",
+            rollbacks["per-MSP"] > rollbacks["per-session"],
+        ),
+        (
+            "a per-MSP DV rolls back (nearly) every session",
+            rollbacks["per-MSP"] >= remote + local - 1,
+        ),
+    ]
+
+
+#: Per-session DVs vs one MSP-wide DV.  Half the sessions only touch
+#: local state.  With one MSP-wide DV, every session's pre-send flush
+#: carries the whole domain's dependencies, so the backend is dragged
+#: into flushes by *local* sessions too — the per-MSP DV either floods
+#: the backend with extra flushes or (when a dependency is caught
+#: unflushed) rolls back every session at once, the paper's §3.2 "all
+#: its sessions will roll back, possibly unnecessarily".  Per-session
+#: DVs confine both costs to the sessions that actually depend on the
+#: backend.
+ablation_dv_granularity = Experiment(
+    name="ablation-dv-granularity",
+    description=lambda scale: (
+        f"One backend crash; {_dv_sessions(scale)} remote-calling + "
+        f"{_dv_sessions(scale)} purely local sessions at the front MSP"
+    ),
+    specs=lambda scale, seed: [
+        (per_session, _dv_sessions(scale), _dv_sessions(scale), seed)
+        for per_session in (True, False)
+    ],
+    cell=_dv_cell,
+    claims=_dv_claims,
+)

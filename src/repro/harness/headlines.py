@@ -1,7 +1,7 @@
 """Headline results beyond the paper's figures, as gated experiments.
 
-Each function here is one entry of ``repro.__main__.EXPERIMENTS``, in
-the same shape as the §5 figure experiments next door: its rows are the
+Each is an :class:`~repro.harness.experiments.Experiment` declaration
+in the shape of the §5 figure experiments next door: its rows are the
 measured cells, its claims are the bounds, and ``python -m repro run
 <name>`` exiting 1 on a failed claim is the gate (CI runs them through
 ``benchmarks/test_headline_results.py``).  A threshold is a constant
@@ -9,17 +9,14 @@ beside the claim that uses it, never a parameter; a claim whose bound
 depends on the size that ran derives it from the rows.
 
 Claims are on *simulated* quantities — properties of the seeded run,
-not of the host — except ``fleet-scaling`` and ``trace-overhead``, whose
-headline is a ratio of wall seconds measured inside one process; those
-two run their cells one after another at any ``jobs`` so the cells do
-not compete for cores.  ``seed`` offsets every fixed seed a cell uses;
+never of the host — so every row and claim is the same at any ``jobs``
+and on any machine.  ``seed`` offsets every fixed seed a cell uses;
 ``seed=0`` reproduces the numbers EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 from repro.core.dv import DependencyVector, StateId
 from repro.core.log_manager import LogManager
@@ -30,7 +27,7 @@ from repro.core.records import (
     SvReadRecord,
     SvWriteRecord,
 )
-from repro.harness.experiments import ExperimentResult, sweep
+from repro.harness.experiments import Claim, Experiment
 from repro.sim import ProcessGroup, Simulator
 from repro.storage import Disk, StableStore
 from repro.trace.metrics import nearest_rank
@@ -124,38 +121,49 @@ def _partition_cell(spec) -> dict:
     }
 
 
-def partition_scaling(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Eight concurrent session streams append and group-commit against
-    a log split P ways, each partition with its own disk and flusher.
-    Flushes on different partitions overlap instead of serializing on
-    one disk; simulated records/s is what that buys."""
+def _partition_records(scale: float) -> int:
     # Below ~50 records per stream a run is a handful of commit rounds
     # and the ratio measures their phase, not the disks.
-    n = max(400, int(8_000 * scale))
-    result = ExperimentResult(
-        experiment="partition-scaling",
-        description=f"Append + group commit of {n} records on P log partitions",
-    )
-    specs = [(nparts, n, seed) for nparts in (1, 2, 4, 8)]
-    result.rows = sweep(_partition_cell, specs, jobs=jobs, progress=progress)
-    p1, p4 = result.row_by("partitions", 1), result.row_by("partitions", 4)
+    return max(400, int(8_000 * scale))
+
+
+def _partition_claims(rows: list[dict]) -> list[Claim]:
+    by_partitions = {row["partitions"]: row for row in rows}
+    p1, p4 = by_partitions[1], by_partitions[4]
     speedup = p4["sim_records_per_s"] / p1["sim_records_per_s"]
-    result.claim(
-        f"simulated append throughput at P=4 is >= {PARTITION_MIN_SPEEDUP:g}x "
-        f"P=1 (measured {speedup:.2f}x)",
-        speedup >= PARTITION_MIN_SPEEDUP,
-    )
-    result.claim(
-        "the session streams spread over exactly P partitions in every cell",
-        all(row["partitions_appended"] == row["partitions"] for row in result.rows),
-    )
-    result.claim(
-        "mean flush wait falls from P=1 to P=4",
-        p4["flush_wait_mean_ms"] < p1["flush_wait_mean_ms"],
-    )
-    return result
+    return [
+        (
+            f"simulated append throughput at P=4 is >= {PARTITION_MIN_SPEEDUP:g}x "
+            f"P=1 (measured {speedup:.2f}x)",
+            speedup >= PARTITION_MIN_SPEEDUP,
+        ),
+        (
+            "the session streams spread over exactly P partitions in every cell",
+            all(row["partitions_appended"] == row["partitions"] for row in rows),
+        ),
+        (
+            "mean flush wait falls from P=1 to P=4",
+            p4["flush_wait_mean_ms"] < p1["flush_wait_mean_ms"],
+        ),
+    ]
+
+
+#: Eight concurrent session streams append and group-commit against a
+#: log split P ways, each partition with its own disk and flusher.
+#: Flushes on different partitions overlap instead of serializing on one
+#: disk; simulated records/s is what that buys.
+partition_scaling = Experiment(
+    name="partition-scaling",
+    description=lambda scale: (
+        f"Append + group commit of {_partition_records(scale)} records on P "
+        "log partitions"
+    ),
+    specs=lambda scale, seed: [
+        (nparts, _partition_records(scale), seed) for nparts in (1, 2, 4, 8)
+    ],
+    cell=_partition_cell,
+    claims=_partition_claims,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +183,14 @@ def _instant_restart_cell(spec) -> dict:
     measure sim-ms from the restart to the first served reply (TTFR)
     plus the time until every session is recovered.
 
-    Eager mode replays every session before opening — TTFR grows with
-    the session count.  Lazy mode opens after the analysis scan and
-    replays only the probed session inline; the pump drains the rest in
-    the background (``full_recovery_ms`` shows that tail).
+    Both modes open for traffic after the analysis scan and replay
+    through one drain whose worker count is the mode (DESIGN.md §15).
+    Eager starts one worker per session, so every replay contends for
+    the CPU and the log at once and the probed session finishes with the
+    crowd — TTFR grows with the session count.  Lazy runs a few workers,
+    and a request that finds its session pending replays it inline, so
+    the probe is served early and the rest drain in the background
+    (``full_recovery_ms`` shows that tail).
     """
     from repro.core import RecoveryConfig, ServiceDomainConfig
     from repro.core.client import EndClient
@@ -279,55 +291,61 @@ def _instant_restart_cell(spec) -> dict:
     }
 
 
-def instant_restart(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Time to first reply after a crash, lazy vs eager restart, on the
-    single log and on four partitions."""
+def _restart_sessions(scale: float) -> int:
     # Under 200 sessions eager replay is itself a few hundred ms and the
     # fixed restart delay hides the difference.
-    n = max(200, int(10_000 * scale))
+    return max(200, int(10_000 * scale))
+
+
+def _instant_restart_claims(rows: list[dict]) -> list[Claim]:
+    n = rows[0]["sessions"]
     bound = (
         INSTANT_RESTART_MAX_TTFR_RATIO if n >= INSTANT_RESTART_WIDE_SESSIONS
         else INSTANT_RESTART_MAX_TTFR_RATIO_NARROW
     )
-    result = ExperimentResult(
-        experiment="instant-restart",
-        description=f"Restart of one MSP holding {n} live sessions (sim ms)",
-    )
-    specs = [(mode, P, n, seed) for P in (1, 4) for mode in ("eager", "lazy")]
-    result.rows = sweep(
-        _instant_restart_cell, specs, jobs=jobs, progress=progress
-    )
-    ttfr = {(row["mode"], row["partitions"]): row["ttfr_ms"] for row in result.rows}
+    ttfr = {(row["mode"], row["partitions"]): row["ttfr_ms"] for row in rows}
     ratios = {P: ttfr["lazy", P] / ttfr["eager", P] for P in (1, 4)}
-    result.claim(
-        f"lazy TTFR <= {bound:g}x eager at every P with {n} sessions (measured "
-        + ", ".join(f"P={P}: {1 / r:.1f}x sooner" for P, r in ratios.items())
-        + ")",
-        all(ratio <= bound for ratio in ratios.values()),
-    )
-    result.claim(
-        "no session was served before it was replayed",
-        all(row["served_before_recovery"] == 0 for row in result.rows),
-    )
-    result.claim(
-        "every cell replayed every session exactly once, inline or by a "
-        "drain worker",
-        all(
-            row["inline_recoveries"] + row["pump_recoveries"] == row["sessions"]
-            for row in result.rows
+    return [
+        (
+            f"lazy TTFR <= {bound:g}x eager at every P with {n} sessions (measured "
+            + ", ".join(f"P={P}: {1 / r:.1f}x sooner" for P, r in ratios.items())
+            + ")",
+            all(ratio <= bound for ratio in ratios.values()),
         ),
-    )
-    result.claim(
-        "eager cells replayed none inline",
-        all(
-            row["inline_recoveries"] == 0
-            for row in result.rows
-            if row["mode"] == "eager"
+        (
+            "no session was served before it was replayed",
+            all(row["served_before_recovery"] == 0 for row in rows),
         ),
-    )
-    return result
+        (
+            "every cell replayed every session exactly once, inline or by a "
+            "drain worker",
+            all(
+                row["inline_recoveries"] + row["pump_recoveries"] == row["sessions"]
+                for row in rows
+            ),
+        ),
+        (
+            "eager cells replayed none inline",
+            all(row["inline_recoveries"] == 0 for row in rows if row["mode"] == "eager"),
+        ),
+    ]
+
+
+#: Time to first reply after a crash, lazy vs eager restart, on the
+#: single log and on four partitions.
+instant_restart = Experiment(
+    name="instant-restart",
+    description=lambda scale: (
+        f"Restart of one MSP holding {_restart_sessions(scale)} live sessions (sim ms)"
+    ),
+    specs=lambda scale, seed: [
+        (mode, P, _restart_sessions(scale), seed)
+        for P in (1, 4)
+        for mode in ("eager", "lazy")
+    ],
+    cell=_instant_restart_cell,
+    claims=_instant_restart_claims,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -412,64 +430,67 @@ def _log_volume_cell(spec) -> dict:
     }
 
 
-def log_volume(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Runtime log volume vs recovery time across the logging modes: the
-    adaptive-logging trade of Yao et al. on the §5.1 workload, two
-    clients, MSP2 killed twice, at P in {1, 4}, eager and lazy."""
-    requests = max(16, int(100 * scale))
-    result = ExperimentResult(
-        experiment="log-volume",
-        description=(
-            f"Log bytes per request and repair time, 2 clients x {requests} "
-            "requests with MSP2 crashes, each cell verified exactly-once"
-        ),
-    )
-    specs = [
-        (mode, P, rmode, requests, seed)
-        for mode in ("value", "adaptive", "command")
-        for P in (1, 4)
-        for rmode in ("eager", "lazy")
-    ]
-    result.rows = sweep(_log_volume_cell, specs, jobs=jobs, progress=progress)
+def _log_volume_requests(scale: float) -> int:
+    return max(16, int(100 * scale))
+
+
+def _log_volume_claims(rows: list[dict]) -> list[Claim]:
     bpr = {
         (row["logging_mode"], row["partitions"], row["recovery_mode"]):
             row["log_bytes_per_request"]
-        for row in result.rows
+        for row in rows
     }
     ratios = [
         bpr["command", P, rmode] / bpr["value", P, rmode]
         for P in (1, 4)
         for rmode in ("eager", "lazy")
     ]
-    result.claim(
-        f"command logging writes <= {LOG_VOLUME_MAX_BYTES_RATIO:g}x value "
-        "logging's bytes per request at every (P, recovery mode) (measured "
-        f"{min(ratios):.2f}-{max(ratios):.2f}x)",
-        max(ratios) <= LOG_VOLUME_MAX_BYTES_RATIO,
-    )
-    result.claim(
-        "value cells logged no command record and never switched mode",
-        all(
-            row["command_records"] == 0 and row["mode_switches"] == 0
-            for row in result.rows if row["logging_mode"] == "value"
+    return [
+        (
+            f"command logging writes <= {LOG_VOLUME_MAX_BYTES_RATIO:g}x value "
+            "logging's bytes per request at every (P, recovery mode) (measured "
+            f"{min(ratios):.2f}-{max(ratios):.2f}x)",
+            max(ratios) <= LOG_VOLUME_MAX_BYTES_RATIO,
         ),
-    )
-    result.claim(
-        "command cells logged no shared-variable update record and replayed "
-        "every request as a command",
-        all(
-            row["sv_update_records"] == 0
-            and row["replayed_commands"] == row["replayed_requests"]
-            for row in result.rows if row["logging_mode"] == "command"
+        (
+            "value cells logged no command record and never switched mode",
+            all(
+                row["command_records"] == 0 and row["mode_switches"] == 0
+                for row in rows if row["logging_mode"] == "value"
+            ),
         ),
-    )
-    result.claim(
-        "every cell crashed at least once",
-        all(row["crashes"] >= 1 for row in result.rows),
-    )
-    return result
+        (
+            "command cells logged no shared-variable update record and replayed "
+            "every request as a command",
+            all(
+                row["sv_update_records"] == 0
+                and row["replayed_commands"] == row["replayed_requests"]
+                for row in rows if row["logging_mode"] == "command"
+            ),
+        ),
+        ("every cell crashed at least once", all(row["crashes"] >= 1 for row in rows)),
+    ]
+
+
+#: Runtime log volume vs recovery time across the logging modes: the
+#: adaptive-logging trade of Yao et al. on the §5.1 workload, two
+#: clients, MSP2 killed twice, at P in {1, 4}, eager and lazy.
+log_volume = Experiment(
+    name="log-volume",
+    description=lambda scale: (
+        f"Log bytes per request and repair time, 2 clients x "
+        f"{_log_volume_requests(scale)} requests with MSP2 crashes, each cell "
+        "verified exactly-once"
+    ),
+    specs=lambda scale, seed: [
+        (mode, P, rmode, _log_volume_requests(scale), seed)
+        for mode in ("value", "adaptive", "command")
+        for P in (1, 4)
+        for rmode in ("eager", "lazy")
+    ],
+    cell=_log_volume_cell,
+    claims=_log_volume_claims,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +506,17 @@ LOG_SPACE_SLACK_SEGMENTS = 4
 
 
 def _log_space_cell(spec) -> list[dict]:
+    """One row per sample of a live log: the append run's at n/4, n/2
+    and n records, or the paper workload's at its end."""
+    workload, truncation, n, seed = spec
+    if workload == "append":
+        return _append_space_rows(truncation, n, seed)
+    return [_partitioned_space_row(n, seed)]
+
+
+def _append_space_rows(truncation: bool, n: int, seed: int) -> list[dict]:
     """Drive one long append run, checkpointing (and optionally
-    truncating) every ``_CKPT_EVERY`` appends; one row per sample of the
-    live log at n/4, n/2 and n records."""
-    truncation, n, seed = spec
+    truncating) every ``_CKPT_EVERY`` appends."""
     sim = Simulator()
     store = StableStore(segment_bytes=_SEGMENT_BYTES)
     disk = Disk(sim, rng=random.Random(1234 + seed))
@@ -561,82 +589,82 @@ def _partitioned_space_row(requests: int, seed: int) -> dict:
     }
 
 
-def log_space(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Long-run log space with truncation on vs off: live bytes stay
-    within one checkpoint interval (plus segment slack) when on and grow
-    with the appended volume when off."""
+def _log_space_appends(scale: float) -> int:
     # Four checkpoint intervals at least: fewer and the n/4 sample
     # precedes the first truncation, so flatness cannot be observed.
-    n = max(4 * _CKPT_EVERY, int(20_000 * scale))
-    result = ExperimentResult(
-        experiment="log-space",
-        description=(
-            f"Live log bytes over {n} appends, checkpoint every {_CKPT_EVERY}, "
-            f"{_SEGMENT_BYTES // 1024} KiB segments"
-        ),
-    )
-    specs = [(truncation, n, seed) for truncation in (True, False)]
-    on, off = sweep(_log_space_cell, specs, jobs=jobs, progress=progress)
-    partitioned = _partitioned_space_row(max(100, int(1_200 * scale)), seed)
-    result.rows = on + off + [partitioned]
+    return max(4 * _CKPT_EVERY, int(20_000 * scale))
+
+
+def _log_space_claims(rows: list[dict]) -> list[Claim]:
+    on, off, partitioned = rows[:3], rows[3:6], rows[6]
     bound = (
-        _CKPT_EVERY * on[-1]["appended_bytes"] / n
+        _CKPT_EVERY * on[-1]["appended_bytes"] / on[-1]["records"]
         + LOG_SPACE_SLACK_SEGMENTS * _SEGMENT_BYTES
     )
-    result.claim(
-        "with truncation, peak live bytes stay within one checkpoint interval "
-        f"+ {LOG_SPACE_SLACK_SEGMENTS} segments ({on[-1]['peak_live_bytes']} "
-        f"<= {bound:.0f})",
-        on[-1]["peak_live_bytes"] <= bound,
-    )
-    result.claim(
-        "with truncation, the final sample is within the same bound (flat)",
-        on[-1]["live_bytes"] <= bound,
-    )
-    result.claim(
-        "without truncation the log ends >= 2x larger and grew >= 2x from "
-        "the first sample to the last",
-        off[-1]["live_bytes"] >= 2 * on[-1]["live_bytes"]
-        and off[-1]["live_bytes"] >= 2 * off[0]["live_bytes"],
-    )
-    result.claim(
-        "truncation recycled at least one segment",
-        on[-1]["recycled_segments"] >= 1,
-    )
-    result.claim(
-        "four partitions under the paper workload: segments recycled and "
-        "live bytes under half the appended volume",
-        partitioned["recycled_segments"] > 0
-        and partitioned["live_bytes"] < partitioned["appended_bytes"] / 2,
-    )
-    return result
+    return [
+        (
+            "with truncation, peak live bytes stay within one checkpoint interval "
+            f"+ {LOG_SPACE_SLACK_SEGMENTS} segments ({on[-1]['peak_live_bytes']} "
+            f"<= {bound:.0f})",
+            on[-1]["peak_live_bytes"] <= bound,
+        ),
+        (
+            "with truncation, the final sample is within the same bound (flat)",
+            on[-1]["live_bytes"] <= bound,
+        ),
+        (
+            "without truncation the log ends >= 2x larger and grew >= 2x from "
+            "the first sample to the last",
+            off[-1]["live_bytes"] >= 2 * on[-1]["live_bytes"]
+            and off[-1]["live_bytes"] >= 2 * off[0]["live_bytes"],
+        ),
+        ("truncation recycled at least one segment", on[-1]["recycled_segments"] >= 1),
+        (
+            "four partitions under the paper workload: segments recycled and "
+            "live bytes under half the appended volume",
+            partitioned["recycled_segments"] > 0
+            and partitioned["live_bytes"] < partitioned["appended_bytes"] / 2,
+        ),
+    ]
+
+
+#: Long-run log space with truncation on vs off: live bytes stay within
+#: one checkpoint interval (plus segment slack) when on and grow with the
+#: appended volume when off.
+log_space = Experiment(
+    name="log-space",
+    description=lambda scale: (
+        f"Live log bytes over {_log_space_appends(scale)} appends, checkpoint "
+        f"every {_CKPT_EVERY}, {_SEGMENT_BYTES // 1024} KiB segments"
+    ),
+    specs=lambda scale, seed: [
+        ("append", truncation, _log_space_appends(scale), seed)
+        for truncation in (True, False)
+    ] + [("msp1, P=4", True, max(100, int(1_200 * scale)), seed)],
+    cell=_log_space_cell,
+    claims=_log_space_claims,
+)
 
 
 # ---------------------------------------------------------------------------
 # fleet-scaling: shard scaling of the fleet simulation (DESIGN.md §17)
 # ---------------------------------------------------------------------------
 
-#: Floor on the S=4 critical-path speedup, and the session count from
-#: which per-epoch work outweighs barrier accounting; smaller runs are
-#: held to the weaker floor.
+#: Floor on the S=4 critical-path speedup in simulator steps.
 FLEET_MIN_SPEEDUP = 1.8
-FLEET_WIDE_SESSIONS = 500
-FLEET_MIN_SPEEDUP_NARROW = 1.3
 #: The open-loop bounded-memory claim is about long runs.
 FLEET_OPEN_LOOP_MIN_SESSIONS = 100_000
 
 
 def _fleet_cell(spec) -> dict:
-    """One fleet run: busy and critical-path seconds (jobs=1 only), real
-    throughput, the truncation counters and the fingerprint."""
+    """One fleet run: total and critical-path simulator steps, the
+    truncation counters and the fingerprint."""
     from repro.fleet import FleetSpec, fleet_fingerprint, run_fleet
 
     shards, jobs, sessions, seed, open_loop = spec
     # Only ``shards`` varies between the scaling cells; the traffic plan
-    # is identical, so busy-time ratios compare the cost of simulating
-    # the *same* fleet.
+    # is identical, so step ratios compare the cost of simulating the
+    # *same* fleet.
     traffic = (
         dict(seed=23 + seed, duration_ms=600_000.0, cross_domain_fraction=0.25,
              max_requests_per_session=3)
@@ -650,15 +678,14 @@ def _fleet_cell(spec) -> dict:
     )
     result = run_fleet(fleet, jobs=jobs)
     logs = [stats for shard in result["shards"] for stats in shard["log"].values()]
-    workers = result["timing"]["workers"] if jobs == 1 else {}
+    totals = result["totals"]
     return {
         "shards": fleet.shards,
         "jobs": jobs,
-        "sessions": result["totals"]["completed_sessions"],
-        "calls": result["totals"]["completed_calls"],
-        "busy_s": workers.get("busy_s"),
-        "critical_s": workers.get("critical_s"),
-        "wall_req_per_s": result["timing"]["wall_req_per_s"],
+        "sessions": totals["completed_sessions"],
+        "calls": totals["completed_calls"],
+        "steps": totals["steps"],
+        "critical_steps": totals["critical_steps"],
         "recycled_segments": sum(stats["recycled_segments"] for stats in logs),
         "live_bytes": sum(stats["live_bytes"] for stats in logs),
         "clean": result["verdicts"]["clean"],
@@ -666,69 +693,72 @@ def _fleet_cell(spec) -> dict:
     }
 
 
-def fleet_scaling(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """The same 16-MSP / 8-domain open-loop workload (mixed intra- and
-    cross-domain chains, two mid-run crashes) simulated as S in {1, 2,
-    4} shards on the jobs=1 reference path, which times every shard's
-    stepping per epoch.  The headline is the *critical-path* speedup:
-    busy seconds of the unsharded run over the per-epoch-max busy
-    seconds of the S=4 run — the wall factor a host with one core per
-    shard achieves, which a single-core CI box can neither show nor
-    fake.  The S=4 spec reruns on a four-worker pool to compare
-    fingerprints, and at ``scale >= 1`` a >= 100k-session open-loop cell
-    reports the bounded-memory truncation counters."""
-    # Under ~200 sessions a cell is a tenth of a second of stepping and
-    # one scheduler hiccup decides the busy-time ratio.
-    sessions = max(240, int(1_200 * scale))
-    result = ExperimentResult(
-        experiment="fleet-scaling",
-        description=f"Sharded fleet simulation, {sessions} sessions per cell",
-    )
+def _fleet_sessions(scale: float) -> int:
+    return max(240, int(1_200 * scale))
+
+
+def _fleet_specs(scale: float, seed: int) -> list:
+    sessions = _fleet_sessions(scale)
     specs = [(S, 1, sessions, seed, False) for S in (1, 2, 4)]
     specs.append((4, 4, sessions, seed, False))
     if scale >= 1.0:
         specs.append((4, 1, int(100_000 * scale), seed, True))
-    # Wall-timed cells: one after another whatever ``jobs`` says.
-    result.rows = sweep(_fleet_cell, specs, jobs=1, progress=progress)
-    s1, _s2, s4, pool = result.rows[:4]
-    floor = (
-        FLEET_MIN_SPEEDUP if sessions >= FLEET_WIDE_SESSIONS
-        else FLEET_MIN_SPEEDUP_NARROW
-    )
-    speedup = s1["busy_s"] / max(s4["critical_s"], 1e-9)
-    result.claim(
-        f"critical-path speedup at S=4 is >= {floor:g}x with {sessions} "
-        f"sessions (measured {speedup:.2f}x)",
-        speedup >= floor,
-    )
-    result.claim(
-        "the S=4 run on a four-worker pool fingerprints identically to jobs=1",
-        pool["fingerprint"] == s4["fingerprint"],
-    )
-    result.claim("every cell finished clean", all(row["clean"] for row in result.rows))
-    result.claim(
-        "every shard count completed the same calls",
-        len({row["calls"] for row in result.rows[:4]}) == 1,
-    )
-    for big in result.rows[4:]:
-        result.claim(
+    return specs
+
+
+def _fleet_claims(rows: list[dict]) -> list[Claim]:
+    s1, _s2, s4, pool = rows[:4]
+    speedup = s1["steps"] / s4["critical_steps"]
+    claims = [
+        (
+            f"critical-path speedup at S=4 is >= {FLEET_MIN_SPEEDUP:g}x in simulator "
+            f"steps with {s1['sessions']} sessions (measured {speedup:.2f}x)",
+            speedup >= FLEET_MIN_SPEEDUP,
+        ),
+        (
+            "the S=4 run on a four-worker pool fingerprints identically to jobs=1",
+            pool["fingerprint"] == s4["fingerprint"],
+        ),
+        ("every cell finished clean", all(row["clean"] for row in rows)),
+        (
+            "every shard count completed the same calls",
+            len({row["calls"] for row in rows[:4]}) == 1,
+        ),
+    ]
+    for big in rows[4:]:
+        claims.append((
             f"open loop: >= {FLEET_OPEN_LOOP_MIN_SESSIONS:,} sessions completed, "
             "segments recycled, live log under 1 KiB per call",
             big["sessions"] >= FLEET_OPEN_LOOP_MIN_SESSIONS
             and big["recycled_segments"] > 0
             and big["live_bytes"] < big["calls"] * 1024,
-        )
-    return result
+        ))
+    return claims
+
+
+#: The same 16-MSP / 8-domain open-loop workload (mixed intra- and
+#: cross-domain chains, two mid-run crashes) simulated as S in {1, 2, 4}
+#: shards.  The headline is the *critical-path* speedup in work: the
+#: unsharded run's simulator steps over the S=4 run's sum, over epochs,
+#: of the busiest shard's steps — the load balance the decomposition
+#: achieves, exact and host-independent.  The S=4 spec reruns on a
+#: four-worker pool to compare fingerprints (which cover the step
+#: counts), and at ``scale >= 1`` a >= 100k-session open-loop cell
+#: reports the bounded-memory truncation counters.
+fleet_scaling = Experiment(
+    name="fleet-scaling",
+    description=lambda scale: (
+        f"Sharded fleet simulation, {_fleet_sessions(scale)} sessions per cell"
+    ),
+    specs=_fleet_specs,
+    cell=_fleet_cell,
+    claims=_fleet_claims,
+)
 
 
 # ---------------------------------------------------------------------------
 # trace-overhead: the structured tracer's cost contract (DESIGN.md §13)
 # ---------------------------------------------------------------------------
-
-#: Ceiling on traced over untraced wall seconds of the same workload.
-TRACE_MAX_OVERHEAD_RATIO = 5.0
 
 
 def _trace_cell(spec) -> dict:
@@ -746,44 +776,44 @@ def _trace_cell(spec) -> dict:
         )
     )
     tracer = Tracer(workload.sim).attach() if traced else None
-    start = time.perf_counter()
     run = workload.run()
-    seconds = time.perf_counter() - start
     if tracer is not None:
         tracer.finalize()
     return {
         "mode": "traced" if traced else "plain",
         "requests": run.completed_requests,
-        "seconds": seconds,
+        "steps": workload.sim.steps,
         "trace_events": len(tracer.events) if tracer is not None else 0,
     }
 
 
-def trace_overhead(
-    scale: float = 1.0, seed: int = 0, jobs=None, progress=None
-) -> ExperimentResult:
-    """Wall-time cost of the structured tracer, on vs off, as a ratio
-    within one process so the host's speed cancels out."""
-    # Fifty requests is ~25 ms of wall time; below that one collector
-    # pause decides the ratio.
-    requests = max(50, int(200 * scale))
-    result = ExperimentResult(
-        experiment="trace-overhead",
-        description=f"One client x {requests} requests, tracing off vs on (wall s)",
-    )
-    specs = [(traced, requests, seed) for traced in (False, True)]
-    # Wall-timed cells: one after another whatever ``jobs`` says.
-    result.rows = sweep(_trace_cell, specs, jobs=1, progress=progress)
-    plain, traced = result.rows
-    ratio = traced["seconds"] / max(plain["seconds"], 1e-9)
-    result.claim(
-        f"the traced run takes <= {TRACE_MAX_OVERHEAD_RATIO:g}x the untraced "
-        f"one (measured {ratio:.2f}x)",
-        ratio <= TRACE_MAX_OVERHEAD_RATIO,
-    )
-    result.claim("the traced run emitted events", traced["trace_events"] > 0)
-    result.claim(
-        "tracing did not change the completed requests",
-        traced["requests"] == plain["requests"],
-    )
-    return result
+def _trace_claims(rows: list[dict]) -> list[Claim]:
+    plain, traced = rows
+    return [
+        (
+            "traced and untraced runs take the same simulator steps",
+            traced["steps"] == plain["steps"],
+        ),
+        ("the traced run emitted events", traced["trace_events"] > 0),
+        (
+            "tracing did not change the completed requests",
+            traced["requests"] == plain["requests"],
+        ),
+    ]
+
+
+#: The structured tracer, on vs off: it observes the run without
+#: scheduling a callback of its own (DESIGN.md §13), so both runs take
+#: the same simulator steps.  Its wall-time cost is the benchmark's
+#: ``harness.trace_overhead_ratio``.
+trace_overhead = Experiment(
+    name="trace-overhead",
+    description=lambda scale: (
+        f"One client x {max(50, int(200 * scale))} requests, tracing off vs on"
+    ),
+    specs=lambda scale, seed: [
+        (traced, max(50, int(200 * scale)), seed) for traced in (False, True)
+    ],
+    cell=_trace_cell,
+    claims=_trace_claims,
+)

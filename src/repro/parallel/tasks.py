@@ -15,7 +15,7 @@ printed in an error report is directly replayable via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -50,38 +50,6 @@ def minimize_fuzz_failure(spec: FuzzTaskSpec) -> dict:
 
     minimized, attempts = minimize_recorded_failure(spec.schedule, spec.params)
     return {"schedule": minimized, "attempts": attempts}
-
-
-# ---------------------------------------------------------------------------
-# harness: one workload sweep point per task
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadPointSpec:
-    """One paper-workload run inside an experiment sweep.
-
-    ``key`` labels the point for error reports (e.g. ``("fig15a",
-    "64KB")``); ``verify_exactly_once`` runs the shared-counter oracle
-    in the worker, where the live workload still exists.
-    """
-
-    key: tuple
-    params: "object"  # repro.workloads.WorkloadParams (picklable dataclass)
-    verify_exactly_once: bool = False
-    limit_ms: float = 36_000_000.0
-    extra: dict = field(default_factory=dict)
-
-
-def run_workload_point(spec: WorkloadPointSpec):
-    """Build and run one paper workload; returns its ``PaperRunResult``."""
-    from repro.workloads import PaperWorkload
-
-    workload = PaperWorkload(spec.params)
-    result = workload.run(limit_ms=spec.limit_ms)
-    if spec.verify_exactly_once:
-        workload.verify_exactly_once()
-    return result
 
 
 # ---------------------------------------------------------------------------

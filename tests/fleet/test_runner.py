@@ -6,6 +6,8 @@ byte-identical at any jobs value — including runs with mid-flight
 crashes whose recovery traffic crosses the epoch barriers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.fleet import (
@@ -52,6 +54,18 @@ def test_jobs_invariance_byte_identical():
     assert canonical_result_bytes(serial) == canonical_result_bytes(pooled)
     assert fleet_fingerprint(serial) == fleet_fingerprint(pooled)
     assert serial["verdicts"]["clean"]
+
+
+def test_critical_steps_sum_the_busiest_shard_of_each_epoch():
+    """The scaling metric (DESIGN.md §17): each epoch adds its largest
+    per-shard step delta, so one shard's critical path is its whole run
+    and two shards' lies between the bigger shard's total and the sum."""
+    one = run_fleet(dataclasses.replace(SPEC, shards=1), jobs=1)["totals"]
+    two = run_fleet(SPEC, jobs=1)
+    per_shard = [shard["steps"] for shard in two["shards"]]
+    assert one["critical_steps"] == one["steps"]
+    assert two["totals"]["steps"] == sum(per_shard)
+    assert max(per_shard) <= two["totals"]["critical_steps"] < sum(per_shard)
 
 
 def test_latency_quantiles_are_exact_over_all_shards():

@@ -47,15 +47,6 @@ def test_experiment_result_claims():
     assert result2.all_claims_hold
 
 
-def test_experiment_result_row_by():
-    result = ExperimentResult(experiment="x", description="d")
-    result.rows.append({"k": "a", "v": 1})
-    result.rows.append({"k": "b", "v": 2})
-    assert result.row_by("k", "b")["v"] == 2
-    with pytest.raises(KeyError):
-        result.row_by("k", "zzz")
-
-
 def test_render_includes_rows_paper_and_claims():
     result = ExperimentResult(
         experiment="demo", description="demo table", paper={"ref": 42}

@@ -1,63 +1,55 @@
 """The experiment sweeps: parallel points must reproduce sequential
 numbers exactly, and a failed point must abort with its key."""
 
+from operator import attrgetter
+
 import pytest
 
-from repro.harness.experiments import _sweep, sweep
+from repro.harness.experiments import paper_cell, sweep
 from repro.parallel import WorkerFailure
-from repro.parallel.tasks import WorkloadPointSpec
 from repro.workloads import WorkloadParams
 
 
-def _points(n=3, **kwargs):
+def _points(n=3):
     return [
-        WorkloadPointSpec(
-            key=("test", i),
-            params=WorkloadParams(requests_per_client=20, seed=i),
-            **kwargs,
-        )
+        ({"point": i, "mean_response_ms": attrgetter("mean_response_ms")},
+         WorkloadParams(requests_per_client=20, seed=i), False)
         for i in range(n)
     ]
 
 
 def test_sweep_parity_and_order():
-    seq = _sweep(_points(), jobs=1)
-    par = _sweep(_points(), jobs=2)
+    seq = sweep(paper_cell, _points(), jobs=1)
+    par = sweep(paper_cell, _points(), jobs=2)
     assert len(seq) == 3
-    assert [r.completed_requests for r in seq] == [
-        r.completed_requests for r in par
-    ]
-    assert [r.mean_response_ms for r in seq] == [r.mean_response_ms for r in par]
+    assert seq == par
+    assert [row["point"] for row in seq] == [0, 1, 2]
     # Distinct seeds give distinct runs — order actually matters here.
-    assert seq[0].mean_response_ms != seq[1].mean_response_ms
+    assert seq[0]["mean_response_ms"] != seq[1]["mean_response_ms"]
 
 
 def test_sweep_progress_reports_keys():
     seen = []
-    _sweep(_points(2), jobs=1, progress=lambda done, total, key: seen.append(key))
-    assert seen == [("test", 0), ("test", 1)]
+    sweep(
+        paper_cell, _points(2), jobs=1, key=lambda spec: spec[0]["point"],
+        progress=lambda done, total, key: seen.append(key),
+    )
+    assert seen == [0, 1]
 
 
 def test_failed_point_aborts_with_key():
     # Two concurrent clients with the paper's non-atomic shared-variable
     # accesses lose counter updates across crashes, so the worker's
-    # exactly-once verification raises — the sweep must abort with the
-    # failing point's key, not return partial rows.
+    # exactly-once verification raises — the sweep must abort naming the
+    # failing point, not return partial rows.
     bad = [
-        WorkloadPointSpec(
-            key=("test", "bad"),
-            params=WorkloadParams(
-                num_clients=2, requests_per_client=8, crash_every_n=6
-            ),
-            verify_exactly_once=True,
-        ),
-        WorkloadPointSpec(
-            key=("test", "ok"),
-            params=WorkloadParams(requests_per_client=10),
-        ),
+        ({"point": "bad"},
+         WorkloadParams(num_clients=2, requests_per_client=8, crash_every_n=6),
+         True),
+        ({"point": "ok"}, WorkloadParams(requests_per_client=10), False),
     ]
-    with pytest.raises(WorkerFailure, match=r"\('test', 'bad'\)"):
-        _sweep(bad, jobs=2)
+    with pytest.raises(WorkerFailure, match=r"'point': 'bad'"):
+        sweep(paper_cell, bad, jobs=2)
 
 
 def _fail_on_odd(spec):
@@ -80,13 +72,15 @@ def test_default_key_is_the_spec_itself():
         sweep(_fail_on_odd, [("cell", 0), ("cell", 1)], jobs=2)
 
 
-def test_experiment_jobs_kwarg_is_uniform():
-    # Every registered experiment accepts jobs/progress, so the CLI can
-    # dispatch uniformly.
-    import inspect
+def test_declarations_are_one_list(capsys):
+    # The CLI table is the declaration list keyed by name: unique names,
+    # one ``repro list`` line each, every one an Experiment.
+    from repro.__main__ import EXPERIMENTS, main
+    from repro.harness import EXPERIMENTS as DECLARED, Experiment
 
-    from repro.__main__ import EXPERIMENTS
-
-    for name, fn in EXPERIMENTS.items():
-        parameters = inspect.signature(fn).parameters
-        assert "jobs" in parameters and "progress" in parameters, name
+    names = [experiment.name for experiment in DECLARED]
+    assert len(set(names)) == len(names) == 16
+    assert all(isinstance(experiment, Experiment) for experiment in DECLARED)
+    assert list(EXPERIMENTS) == names
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.splitlines() == names

@@ -136,15 +136,18 @@ def test_hung_pool_fails_unfinished_tasks():
 
 def test_task_specs_are_picklable():
     from repro.fuzz.explorer import FuzzParams
-    from repro.parallel.tasks import FuzzTaskSpec, WorkloadPointSpec
-    from repro.workloads import WorkloadParams
+    from repro.__main__ import EXPERIMENTS
+    from repro.parallel.tasks import FuzzTaskSpec
 
     specs = [
         FuzzTaskSpec(
             schedule={"target": "msp1", "kills": [3], "seed": 0},
             params=FuzzParams(),
         ),
-        WorkloadPointSpec(key=("fig", 1), params=WorkloadParams(seed=1)),
     ]
+    for experiment in EXPERIMENTS.values():
+        specs.extend(experiment.specs(0.0, 1))
     for spec in specs:
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        # Compared by repr: a paper cell's columns hold attrgetters,
+        # which pickle but do not compare equal.
+        assert repr(pickle.loads(pickle.dumps(spec))) == repr(spec)

@@ -19,7 +19,9 @@ and ``p4_lazy_crashing`` standing; PR 23 (one undo: rollback reads no
 log, so the chunk reads it charged under the variable's write lock are
 gone and what waited behind them runs earlier) re-recorded
 ``p4_lazy_crashing`` only (steps 32400 -> 32189, ``log_bytes`` 430469
--> 430224).  Regenerating it is legitimate only in
+-> 430224); the fleet result's ``totals`` gained ``critical_steps``
+(the per-epoch busiest shard's steps, summed), which replaced the fleet
+fingerprint string only.  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -41,7 +43,7 @@ RECORDED = {
         "steps": 5665,
         "completed": 58,
         "log_bytes": 47788,
-        "fingerprint": "c11e51ce3c1fa51a611f4884574fa14b96153efea2ce0d59db585771be259dcb",
+        "fingerprint": "b952fb29e81ebf3f6e20be2fc1c19e7621232446d1ce61a563011bc5cfd63e9d",
     },
 }
 

@@ -21,6 +21,15 @@ def test_run_single_experiment(capsys):
     assert "[PASS]" in out
 
 
+def test_run_progress_stays_off_stdout(capsys):
+    # stdout is the experiment's rows and claims only, so two runs diff
+    # clean; the rate/ETA lines are on stderr.
+    assert main(["run", "analysis-flush", "--scale", "0.05", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "ETA" not in captured.out
+    assert "ETA" in captured.err
+
+
 def test_workload_command(capsys):
     code = main(
         ["workload", "NoLog", "--requests", "10"]
