@@ -41,9 +41,9 @@ def _counter_method(ctx, argument):
 RECOVERY_SESSIONS = 8
 
 
-def _recovery_cell(spec) -> dict:
+def _recovery_cell(spec: dict) -> list[dict]:
     """Build one MSP with history, crash it, time the recovery."""
-    parallel, requests, seed = spec
+    parallel, requests, seed = spec["parallel"], spec["requests"], spec["seed"]
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng=rng)
@@ -86,15 +86,11 @@ def _recovery_cell(spec) -> dict:
     recovery_ms = sim.now - crash_at - config.restart_delay_ms
     total = int.from_bytes(msp.shared["total"].value, "big")
     assert total == RECOVERY_SESSIONS * requests, "exactly-once violated in ablation"
-    return {
+    return [{
         "mode": "parallel" if parallel else "sequential",
         "recovery_ms": recovery_ms,
         "replayed_requests": msp.stats.replayed_requests,
-    }
-
-
-def _recovery_requests(scale: float) -> int:
-    return max(30, int(400 * scale))
+    }]
 
 
 def _recovery_claims(rows: list[dict]) -> list[Claim]:
@@ -114,12 +110,13 @@ def _recovery_claims(rows: list[dict]) -> list[Claim]:
 #: Parallel vs sequential session recovery after an MSP crash.
 ablation_parallel_recovery = Experiment(
     name="ablation-parallel-recovery",
-    description=lambda scale: (
+    description=(
         f"Crash recovery time (ms) for {RECOVERY_SESSIONS} sessions x "
-        f"{_recovery_requests(scale)} logged requests, parallel vs sequential replay"
+        "{requests} logged requests, parallel vs sequential replay"
     ),
     specs=lambda scale, seed: [
-        (parallel, _recovery_requests(scale), seed) for parallel in (True, False)
+        dict(parallel=parallel, requests=max(30, int(400 * scale)), seed=seed)
+        for parallel in (True, False)
     ],
     cell=_recovery_cell,
     claims=_recovery_claims,
@@ -184,9 +181,12 @@ class _OneShotCrash:
             self.backend.restart_process()
 
 
-def _dv_cell(spec) -> dict:
+def _dv_cell(spec: dict) -> list[dict]:
     """One backend crash under one DV granularity."""
-    per_session_dv, remote_sessions, local_sessions, seed = spec
+    per_session_dv, remote_sessions, local_sessions, seed = (
+        spec["per_session_dv"], spec["remote_sessions"], spec["local_sessions"],
+        spec["seed"],
+    )
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng=rng)
@@ -227,18 +227,23 @@ def _dv_cell(spec) -> dict:
 
     waiter = sim.spawn(settle())
     sim.run_until_process(waiter, limit=sim.now + 10_000)
-    return {
+    return [{
         "dv_granularity": "per-session" if per_session_dv else "per-MSP",
         "remote_sessions": remote_sessions,
         "local_sessions": local_sessions,
         "orphan_recoveries": front.stats.orphan_recoveries,
         "network_messages": network.messages_sent,
-    }
+    }]
 
 
-def _dv_sessions(scale: float) -> int:
-    """Remote-calling sessions; as many purely local ones run beside them."""
-    return max(4, int(4 * scale))
+def _dv_specs(scale: float, seed: int) -> list[dict]:
+    # As many purely local sessions as remote-calling ones.
+    sessions = max(4, int(4 * scale))
+    return [
+        dict(per_session_dv=per_session, remote_sessions=sessions,
+             local_sessions=sessions, seed=seed)
+        for per_session in (True, False)
+    ]
 
 
 def _dv_claims(rows: list[dict]) -> list[Claim]:
@@ -272,14 +277,11 @@ def _dv_claims(rows: list[dict]) -> list[Claim]:
 #: backend.
 ablation_dv_granularity = Experiment(
     name="ablation-dv-granularity",
-    description=lambda scale: (
-        f"One backend crash; {_dv_sessions(scale)} remote-calling + "
-        f"{_dv_sessions(scale)} purely local sessions at the front MSP"
+    description=(
+        "One backend crash; {remote_sessions} remote-calling + {local_sessions} "
+        "purely local sessions at the front MSP"
     ),
-    specs=lambda scale, seed: [
-        (per_session, _dv_sessions(scale), _dv_sessions(scale), seed)
-        for per_session in (True, False)
-    ],
+    specs=_dv_specs,
     cell=_dv_cell,
     claims=_dv_claims,
 )

@@ -1,14 +1,13 @@
 """The experiment shape, and the paper's evaluation (§5) in it.
 
 An :class:`Experiment` is a declaration: ``specs(scale, seed)`` lists
-its independent cells (one picklable spec per seeded simulation),
-``cell(spec)`` — a module-level function — turns one spec into a row or
-a list of rows, and ``claims(rows)`` checks the *shape* statements made
-about the artifact — who wins, by roughly what factor, where crossovers
-fall — each with its threshold beside it.  ``paper`` carries the
-published reference numbers where the paper prints them.  Absolute
-parity is not expected (our substrate is a calibrated simulator); shape
-parity is.
+its independent cells (one picklable dict per seeded simulation),
+``cell(spec)`` — a module-level function — turns one spec into its
+rows, and ``claims(rows)`` checks the *shape* statements made about the
+artifact — who wins, by roughly what factor, where crossovers fall —
+each with its threshold beside it.  ``paper`` carries the published
+reference numbers where the paper prints them.  Absolute parity is not
+expected (our substrate is a calibrated simulator); shape parity is.
 
 Calling a declaration, ``experiment(scale, seed, jobs, progress)``, runs
 its cells through :func:`sweep` — in-process for ``jobs=1``, fanned
@@ -20,15 +19,14 @@ paper's run lengths (20 K requests for Fig. 14), smaller values keep CI
 fast.
 
 The paper-figure experiments share one cell, :func:`paper_cell`: one
-run of the §5.1 workload, its row the spec's labels plus what it
-measured.
+run of the §5.1 workload, its row the spec's labels plus the named
+attributes of what it measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Union
+from typing import Callable
 
 from repro.parallel import WorkerFailure, resolve_jobs, run_tasks
 from repro.workloads import PaperWorkload, WorkloadParams
@@ -54,27 +52,23 @@ class ExperimentResult:
     def all_claims_hold(self) -> bool:
         return all(ok for _claim, ok in self.claims)
 
-    def claim(self, text: str, ok: bool) -> None:
-        self.claims.append((text, ok))
 
-
-def sweep(worker, specs, jobs=None, progress=None, key=lambda spec: spec) -> list:
+def sweep(worker, specs, jobs=None, progress=None) -> list:
     """Run a sweep's independent points; results come back in spec order.
 
     ``jobs=1`` (the default resolution on a single core) is the
     in-process reference path; otherwise specs fan across spawn
     workers.  A point whose worker raises (including a failed
-    ``verify_exactly_once``) aborts the experiment with the point's key
-    in the error, matching the sequential behaviour.  ``key(spec)``
-    names a point — in that error and in ``progress(done, total, key)``,
-    which reports completions in either mode.
+    ``verify_exactly_once``) aborts the experiment with the point's
+    spec in the error, matching the sequential behaviour.
+    ``progress(done, total, spec)`` reports completions in either mode.
     """
     if resolve_jobs(jobs) == 1 or len(specs) <= 1:
         results = []
         for i, spec in enumerate(specs):
             results.append(worker(spec))
             if progress is not None:
-                progress(i + 1, len(specs), key(spec))
+                progress(i + 1, len(specs), spec)
         return results
     outcomes = run_tasks(
         worker,
@@ -83,14 +77,14 @@ def sweep(worker, specs, jobs=None, progress=None, key=lambda spec: spec) -> lis
         progress=(
             None
             if progress is None
-            else lambda done, total, outcome: progress(done, total, key(outcome.spec))
+            else lambda done, total, outcome: progress(done, total, outcome.spec)
         ),
     )
     failed = [o for o in outcomes if not o.ok]
     if failed:
         first = failed[0]
         raise WorkerFailure(
-            f"sweep point {key(first.spec)} failed "
+            f"sweep point {first.spec} failed "
             f"({len(failed)}/{len(outcomes)} points): {first.error}"
         )
     return [outcome.result for outcome in outcomes]
@@ -100,27 +94,30 @@ def sweep(worker, specs, jobs=None, progress=None, key=lambda spec: spec) -> lis
 class Experiment:
     """One ``repro run`` experiment, declared (see the module docstring).
 
-    ``description`` is a string or a function of ``scale`` (for the
-    ones that name their size).
+    ``description`` is formatted with the first spec's fields, so one
+    that names its size (``{sessions}``) reads it from where ``specs``
+    computed it.
     """
 
     name: str
-    description: Union[str, Callable[[float], str]]
-    specs: Callable[[float, int], list]
-    cell: Callable
+    description: str
+    specs: Callable[[float, int], list[dict]]
+    cell: Callable[[dict], list[dict]]
     claims: Callable[[list[dict]], list[Claim]]
     paper: dict = field(default_factory=dict)
 
     def __call__(
         self, scale: float = 1.0, seed: int = 0, jobs=None, progress=None
     ) -> ExperimentResult:
-        rows: list[dict] = []
-        for out in sweep(self.cell, self.specs(scale, seed), jobs=jobs, progress=progress):
-            rows.extend(out if isinstance(out, list) else [out])
-        description = self.description
+        specs = self.specs(scale, seed)
+        rows = [
+            row
+            for cell_rows in sweep(self.cell, specs, jobs=jobs, progress=progress)
+            for row in cell_rows
+        ]
         return ExperimentResult(
             experiment=self.name,
-            description=description(scale) if callable(description) else description,
+            description=self.description.format(**specs[0]),
             rows=rows,
             paper=dict(self.paper),
             claims=self.claims(rows),
@@ -132,32 +129,26 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-def paper_cell(spec) -> dict:
-    """Run one paper workload; its row is ``columns`` with every callable
-    value replaced by its value on the run's ``PaperRunResult``.
+def paper_cell(spec: dict) -> list[dict]:
+    """Run one paper workload; its row is the spec's ``labels`` followed
+    by the ``measured`` attributes of the run's ``PaperRunResult``.
 
     ``verify`` runs the shared-counter exactly-once oracle here, where
     the live workload still exists.
     """
-    columns, params, verify = spec
-    workload = PaperWorkload(params)
+    workload = PaperWorkload(spec["params"])
     run = workload.run()
-    if verify:
+    if spec["verify"]:
         workload.verify_exactly_once()
-    return {
-        column: value(run) if callable(value) else value
-        for column, value in columns.items()
-    }
+    return [{**spec["labels"], **{name: getattr(run, name) for name in spec["measured"]}}]
 
 
-def _point(columns: dict, verify: bool = False, **params) -> tuple:
-    """One :func:`paper_cell` spec: the row's columns and the workload."""
-    return columns, WorkloadParams(**params), verify
-
-
-def _measured(*names: str) -> dict:
-    """Row columns read off the run, by ``PaperRunResult`` attribute."""
-    return {name: attrgetter(name) for name in names}
+def _point(labels: dict, measured: tuple, verify: bool = False, **params) -> dict:
+    """One :func:`paper_cell` spec: the row's labels, the attributes it
+    measures, and the workload."""
+    return dict(
+        labels=labels, measured=measured, params=WorkloadParams(**params), verify=verify
+    )
 
 
 def _series(rows: list[dict], key, value: str) -> dict:
@@ -179,6 +170,11 @@ PAPER_FIG14_TABLE = {
     "Psession": 48.617,
     "StateServer": 16.658,
 }
+
+
+def _fig14_table_cell(spec: dict) -> list[dict]:
+    [row] = paper_cell(spec)
+    return [{**row, "paper_ms": PAPER_FIG14_TABLE[row["configuration"]]}]
 
 
 def _fig14_table_claims(rows: list[dict]) -> list[Claim]:
@@ -205,18 +201,15 @@ fig14_response_table = Experiment(
     description="Average response time (ms), 1 client, m=1",
     specs=lambda scale, seed: [
         _point(
-            {
-                "configuration": configuration,
-                **_measured("mean_response_ms"),
-                "paper_ms": PAPER_FIG14_TABLE[configuration],
-            },
+            {"configuration": configuration},
+            ("mean_response_ms",),
             configuration=configuration,
             requests_per_client=max(50, int(20_000 * scale)),
             seed=seed,
         )
         for configuration in PAPER_FIG14_TABLE
     ],
-    cell=paper_cell,
+    cell=_fig14_table_cell,
     claims=_fig14_table_claims,
     paper=PAPER_FIG14_TABLE,
 )
@@ -269,8 +262,8 @@ fig14_calls_chart = Experiment(
     description="Response time (ms) vs number of calls to ServiceMethod2",
     specs=lambda scale, seed: [
         _point(
-            {"configuration": configuration, "calls": m,
-             **_measured("mean_response_ms")},
+            {"configuration": configuration, "calls": m},
+            ("mean_response_ms",),
             configuration=configuration,
             requests_per_client=max(30, int(2_000 * scale)),
             calls_to_sm2=m,
@@ -312,10 +305,8 @@ fig15a_checkpoint_overhead = Experiment(
     description="Throughput (req/s) vs session checkpoint threshold, LoOptimistic",
     specs=lambda scale, seed: [
         _point(
-            {
-                "threshold": "none" if threshold is None else f"{threshold // KB}KB",
-                **_measured("throughput_rps", "session_checkpoints"),
-            },
+            {"threshold": "none" if threshold is None else f"{threshold // KB}KB"},
+            ("throughput_rps", "session_checkpoints"),
             configuration="LoOptimistic",
             requests_per_client=max(200, int(5_000 * scale)),
             session_ckpt_threshold=threshold,
@@ -338,18 +329,14 @@ fig15a_checkpoint_overhead = Experiment(
 FIG15B_CRASH_RATES = (None, 2000, 1500, 1000)
 
 
-def _fig15b_specs(scale: float, seed: int) -> list:
+def _fig15b_specs(scale: float, seed: int) -> list[dict]:
     specs = []
     for configuration in ("LoOptimistic", "Pessimistic"):
         for rate in FIG15B_CRASH_RATES:
             every = None if rate is None else max(20, int(rate * scale))
             specs.append(_point(
-                {
-                    "configuration": configuration,
-                    "crash_every_n": every,
-                    **_measured("throughput_rps", "crashes", "orphan_recoveries",
-                                "replayed_requests"),
-                },
+                {"configuration": configuration, "crash_every_n": every},
+                ("throughput_rps", "crashes", "orphan_recoveries", "replayed_requests"),
                 verify=True,
                 configuration=configuration,
                 requests_per_client=max(200, int(6_000 * scale)),
@@ -401,7 +388,7 @@ PAPER_FIG16_TABLE = {
 }
 
 
-def _fig16_table_specs(scale: float, seed: int) -> list:
+def _fig16_table_specs(scale: float, seed: int) -> list[dict]:
     requests = max(400, int(6_000 * scale))
     scenarios = {
         "Crash": dict(crash_every_n=max(50, int(1000 * scale))),
@@ -410,12 +397,8 @@ def _fig16_table_specs(scale: float, seed: int) -> list:
     }
     return [
         _point(
-            {
-                "configuration": configuration,
-                "scenario": scenario,
-                **_measured("max_response_ms", "mean_response_ms"),
-                "paper_max_ms": PAPER_FIG16_TABLE[(configuration, scenario)],
-            },
+            {"configuration": configuration, "scenario": scenario},
+            ("max_response_ms", "mean_response_ms"),
             configuration=configuration,
             requests_per_client=requests,
             seed=seed,
@@ -424,6 +407,12 @@ def _fig16_table_specs(scale: float, seed: int) -> list:
         for configuration in ("LoOptimistic", "Pessimistic")
         for scenario, overrides in scenarios.items()
     ]
+
+
+def _fig16_table_cell(spec: dict) -> list[dict]:
+    [row] = paper_cell(spec)
+    key = row["configuration"], row["scenario"]
+    return [{**row, "paper_max_ms": PAPER_FIG16_TABLE[key]}]
 
 
 def _fig16_table_claims(rows: list[dict]) -> list[Claim]:
@@ -451,7 +440,7 @@ fig16_max_response_table = Experiment(
     name="fig16-table",
     description="Maximum response time (ms)",
     specs=_fig16_table_specs,
-    cell=paper_cell,
+    cell=_fig16_table_cell,
     claims=_fig16_table_claims,
     paper={f"{cfg}/{col}": v for (cfg, col), v in PAPER_FIG16_TABLE.items()},
 )
@@ -464,17 +453,14 @@ fig16_max_response_table = Experiment(
 FIG16_THRESHOLDS = (64 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB)
 
 
-def _fig16_chart_specs(scale: float, seed: int) -> list:
+def _fig16_chart_specs(scale: float, seed: int) -> list[dict]:
     # Floors: with fewer than ~60 requests between crashes a recovery
     # replays too little for the threshold to show in the throughput
     # (the 400/50 cell has its best throughput at the largest threshold).
     return [
         _point(
-            {
-                "threshold": f"{threshold // KB}KB",
-                **_measured("throughput_rps", "replayed_requests",
-                            "session_checkpoints"),
-            },
+            {"threshold": f"{threshold // KB}KB"},
+            ("throughput_rps", "replayed_requests", "session_checkpoints"),
             verify=True,
             configuration="LoOptimistic",
             requests_per_client=max(480, int(8_000 * scale)),
@@ -568,13 +554,9 @@ fig17_multiclient = Experiment(
     description="Throughput and response time vs number of clients",
     specs=lambda scale, seed: [
         _point(
-            {
-                "configuration": configuration,
-                "batch": batch,
-                "clients": clients,
-                **_measured("throughput_rps", "mean_response_ms",
-                            "msp1_cpu_utilization", "msp1_disk_utilization"),
-            },
+            {"configuration": configuration, "batch": batch, "clients": clients},
+            ("throughput_rps", "mean_response_ms", "msp1_cpu_utilization",
+             "msp1_disk_utilization"),
             configuration=configuration,
             requests_per_client=max(40, int(1_500 * scale)),
             num_clients=clients,
@@ -593,14 +575,6 @@ fig17_multiclient = Experiment(
 # ---------------------------------------------------------------------------
 # §5.2 analysis: flush and sector accounting
 # ---------------------------------------------------------------------------
-
-
-def _flushes_per_request(run) -> float:
-    return (run.msp1_flushes + run.msp2_flushes) / run.completed_requests
-
-
-def _sectors_per_request(run) -> float:
-    return (run.msp1_flushed_sectors + run.msp2_flushed_sectors) / run.completed_requests
 
 
 def _analysis_flush_claims(rows: list[dict]) -> list[Claim]:
@@ -628,11 +602,8 @@ analysis_flush_accounting = Experiment(
     description="Flush and sector accounting per end-client request",
     specs=lambda scale, seed: [
         _point(
-            {
-                "configuration": configuration,
-                "flushes_per_request": _flushes_per_request,
-                "sectors_per_request": _sectors_per_request,
-            },
+            {"configuration": configuration},
+            ("flushes_per_request", "sectors_per_request"),
             configuration=configuration,
             requests_per_client=max(100, int(2_000 * scale)),
             seed=seed,

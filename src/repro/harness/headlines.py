@@ -60,10 +60,10 @@ def _sample_records() -> list:
 PARTITION_MIN_SPEEDUP = 1.8
 
 
-def _partition_cell(spec) -> dict:
+def _partition_cell(spec: dict) -> list[dict]:
     """One partition-count cell: concurrent session streams with group
     commit, on a log split across ``nparts`` stores/disks."""
-    nparts, n, seed = spec
+    nparts, n, seed = spec["partitions"], spec["records"], spec["seed"]
     sessions = 8
     sim = Simulator()
     stores = [
@@ -106,7 +106,7 @@ def _partition_cell(spec) -> dict:
     sim.run()
     total = per_session * sessions
     waits.sort()
-    return {
+    return [{
         "partitions": nparts,
         "records": total,
         "sim_records_per_s": total / (sim.now / 1000.0),
@@ -118,13 +118,14 @@ def _partition_cell(spec) -> dict:
             1 for unit in log.partitions
             if log.stats.partition(unit.index)["appends"]
         ),
-    }
+    }]
 
 
-def _partition_records(scale: float) -> int:
+def _partition_specs(scale: float, seed: int) -> list[dict]:
     # Below ~50 records per stream a run is a handful of commit rounds
     # and the ratio measures their phase, not the disks.
-    return max(400, int(8_000 * scale))
+    records = max(400, int(8_000 * scale))
+    return [dict(partitions=P, records=records, seed=seed) for P in (1, 2, 4, 8)]
 
 
 def _partition_claims(rows: list[dict]) -> list[Claim]:
@@ -154,13 +155,8 @@ def _partition_claims(rows: list[dict]) -> list[Claim]:
 #: disk; simulated records/s is what that buys.
 partition_scaling = Experiment(
     name="partition-scaling",
-    description=lambda scale: (
-        f"Append + group commit of {_partition_records(scale)} records on P "
-        "log partitions"
-    ),
-    specs=lambda scale, seed: [
-        (nparts, _partition_records(scale), seed) for nparts in (1, 2, 4, 8)
-    ],
+    description="Append + group commit of {records} records on P log partitions",
+    specs=_partition_specs,
     cell=_partition_cell,
     claims=_partition_claims,
 )
@@ -178,7 +174,7 @@ INSTANT_RESTART_WIDE_SESSIONS = 10_000
 INSTANT_RESTART_MAX_TTFR_RATIO_NARROW = 0.5
 
 
-def _instant_restart_cell(spec) -> dict:
+def _instant_restart_cell(spec: dict) -> list[dict]:
     """Build a server with ``n_sessions`` live sessions, crash it, and
     measure sim-ms from the restart to the first served reply (TTFR)
     plus the time until every session is recovered.
@@ -198,7 +194,9 @@ def _instant_restart_cell(spec) -> dict:
     from repro.net import Network
     from repro.sim import RngRegistry
 
-    mode, nparts, n_sessions, seed = spec
+    mode, nparts, n_sessions, seed = (
+        spec["mode"], spec["partitions"], spec["sessions"], spec["seed"]
+    )
     sim = Simulator()
     rng = RngRegistry(7 + seed)
     net = Network(sim, rng=rng)
@@ -279,7 +277,7 @@ def _instant_restart_cell(spec) -> dict:
             yield 500.0
 
     sim.run_until_process(sim.spawn(drain()), limit=36_000_000)
-    return {
+    return [{
         "mode": mode,
         "partitions": nparts,
         "sessions": n_sessions,
@@ -288,13 +286,18 @@ def _instant_restart_cell(spec) -> dict:
         "inline_recoveries": msp.stats.inline_recoveries,
         "pump_recoveries": msp.stats.pump_recoveries,
         "served_before_recovery": msp.stats.served_before_recovery,
-    }
+    }]
 
 
-def _restart_sessions(scale: float) -> int:
+def _instant_restart_specs(scale: float, seed: int) -> list[dict]:
     # Under 200 sessions eager replay is itself a few hundred ms and the
     # fixed restart delay hides the difference.
-    return max(200, int(10_000 * scale))
+    sessions = max(200, int(10_000 * scale))
+    return [
+        dict(mode=mode, partitions=P, sessions=sessions, seed=seed)
+        for P in (1, 4)
+        for mode in ("eager", "lazy")
+    ]
 
 
 def _instant_restart_claims(rows: list[dict]) -> list[Claim]:
@@ -335,14 +338,8 @@ def _instant_restart_claims(rows: list[dict]) -> list[Claim]:
 #: single log and on four partitions.
 instant_restart = Experiment(
     name="instant-restart",
-    description=lambda scale: (
-        f"Restart of one MSP holding {_restart_sessions(scale)} live sessions (sim ms)"
-    ),
-    specs=lambda scale, seed: [
-        (mode, P, _restart_sessions(scale), seed)
-        for P in (1, 4)
-        for mode in ("eager", "lazy")
-    ],
+    description="Restart of one MSP holding {sessions} live sessions (sim ms)",
+    specs=_instant_restart_specs,
     cell=_instant_restart_cell,
     claims=_instant_restart_claims,
 )
@@ -356,7 +353,7 @@ instant_restart = Experiment(
 LOG_VOLUME_MAX_BYTES_RATIO = 0.5
 
 
-def _log_volume_cell(spec) -> dict:
+def _log_volume_cell(spec: dict) -> list[dict]:
     """One §5.1 workload run under one (logging mode, P, recovery mode).
 
     The run is traced so the per-kind append counters and the recovery
@@ -367,7 +364,10 @@ def _log_volume_cell(spec) -> dict:
     from repro.trace import Tracer
     from repro.workloads import PaperWorkload, WorkloadParams
 
-    mode, nparts, recovery_mode, requests, seed = spec
+    mode, nparts, recovery_mode, requests, seed = (
+        spec["logging_mode"], spec["partitions"], spec["recovery_mode"],
+        spec["requests"], spec["seed"],
+    )
     workload = PaperWorkload(
         WorkloadParams(
             configuration="LoOptimistic",
@@ -412,7 +412,7 @@ def _log_volume_cell(spec) -> dict:
         if name in spans
     )
     stats = (workload.msp1.stats, workload.msp2.stats)
-    return {
+    return [{
         "logging_mode": mode,
         "partitions": nparts,
         "recovery_mode": recovery_mode,
@@ -427,11 +427,7 @@ def _log_volume_cell(spec) -> dict:
         "replayed_requests": sum(s.replayed_requests for s in stats),
         "replayed_commands": sum(s.replayed_commands for s in stats),
         "mode_switches": sum(s.mode_switches for s in stats),
-    }
-
-
-def _log_volume_requests(scale: float) -> int:
-    return max(16, int(100 * scale))
+    }]
 
 
 def _log_volume_claims(rows: list[dict]) -> list[Claim]:
@@ -477,13 +473,13 @@ def _log_volume_claims(rows: list[dict]) -> list[Claim]:
 #: clients, MSP2 killed twice, at P in {1, 4}, eager and lazy.
 log_volume = Experiment(
     name="log-volume",
-    description=lambda scale: (
-        f"Log bytes per request and repair time, 2 clients x "
-        f"{_log_volume_requests(scale)} requests with MSP2 crashes, each cell "
-        "verified exactly-once"
+    description=(
+        "Log bytes per request and repair time, 2 clients x {requests} requests "
+        "with MSP2 crashes, each cell verified exactly-once"
     ),
     specs=lambda scale, seed: [
-        (mode, P, rmode, _log_volume_requests(scale), seed)
+        dict(logging_mode=mode, partitions=P, recovery_mode=rmode,
+             requests=max(16, int(100 * scale)), seed=seed)
         for mode in ("value", "adaptive", "command")
         for P in (1, 4)
         for rmode in ("eager", "lazy")
@@ -505,13 +501,12 @@ _CKPT_EVERY = 512
 LOG_SPACE_SLACK_SEGMENTS = 4
 
 
-def _log_space_cell(spec) -> list[dict]:
+def _log_space_cell(spec: dict) -> list[dict]:
     """One row per sample of a live log: the append run's at n/4, n/2
     and n records, or the paper workload's at its end."""
-    workload, truncation, n, seed = spec
-    if workload == "append":
-        return _append_space_rows(truncation, n, seed)
-    return [_partitioned_space_row(n, seed)]
+    if spec["workload"] == "append":
+        return _append_space_rows(spec["truncation"], spec["appends"], spec["seed"])
+    return [_partitioned_space_row(spec["requests"], spec["seed"])]
 
 
 def _append_space_rows(truncation: bool, n: int, seed: int) -> list[dict]:
@@ -589,10 +584,14 @@ def _partitioned_space_row(requests: int, seed: int) -> dict:
     }
 
 
-def _log_space_appends(scale: float) -> int:
+def _log_space_specs(scale: float, seed: int) -> list[dict]:
     # Four checkpoint intervals at least: fewer and the n/4 sample
     # precedes the first truncation, so flatness cannot be observed.
-    return max(4 * _CKPT_EVERY, int(20_000 * scale))
+    appends = max(4 * _CKPT_EVERY, int(20_000 * scale))
+    return [
+        dict(workload="append", truncation=truncation, appends=appends, seed=seed)
+        for truncation in (True, False)
+    ] + [dict(workload="paper", requests=max(100, int(1_200 * scale)), seed=seed)]
 
 
 def _log_space_claims(rows: list[dict]) -> list[Claim]:
@@ -633,14 +632,11 @@ def _log_space_claims(rows: list[dict]) -> list[Claim]:
 #: appended volume when off.
 log_space = Experiment(
     name="log-space",
-    description=lambda scale: (
-        f"Live log bytes over {_log_space_appends(scale)} appends, checkpoint "
-        f"every {_CKPT_EVERY}, {_SEGMENT_BYTES // 1024} KiB segments"
+    description=(
+        "Live log bytes over {appends} appends, "
+        f"checkpoint every {_CKPT_EVERY}, {_SEGMENT_BYTES // 1024} KiB segments"
     ),
-    specs=lambda scale, seed: [
-        ("append", truncation, _log_space_appends(scale), seed)
-        for truncation in (True, False)
-    ] + [("msp1, P=4", True, max(100, int(1_200 * scale)), seed)],
+    specs=_log_space_specs,
     cell=_log_space_cell,
     claims=_log_space_claims,
 )
@@ -656,30 +652,30 @@ FLEET_MIN_SPEEDUP = 1.8
 FLEET_OPEN_LOOP_MIN_SESSIONS = 100_000
 
 
-def _fleet_cell(spec) -> dict:
+def _fleet_cell(spec: dict) -> list[dict]:
     """One fleet run: total and critical-path simulator steps, the
     truncation counters and the fingerprint."""
     from repro.fleet import FleetSpec, fleet_fingerprint, run_fleet
 
-    shards, jobs, sessions, seed, open_loop = spec
+    shards, jobs, seed = spec["shards"], spec["jobs"], spec["seed"]
     # Only ``shards`` varies between the scaling cells; the traffic plan
     # is identical, so step ratios compare the cost of simulating the
     # *same* fleet.
     traffic = (
         dict(seed=23 + seed, duration_ms=600_000.0, cross_domain_fraction=0.25,
              max_requests_per_session=3)
-        if open_loop else
+        if spec["open_loop"] else
         dict(seed=11 + seed, duration_ms=8_000.0, cross_domain_fraction=0.5,
              crash_plan=((1_500.0, "m001"), (4_500.0, "m004")))
     )
     fleet = FleetSpec(
-        msps=16, domains=8, shards=shards, sessions=sessions, chain_depth=1,
+        msps=16, domains=8, shards=shards, sessions=spec["sessions"], chain_depth=1,
         think_ms=2.0, epoch_ms=40.0, cross_latency_ms=40.0, **traffic,
     )
     result = run_fleet(fleet, jobs=jobs)
     logs = [stats for shard in result["shards"] for stats in shard["log"].values()]
     totals = result["totals"]
-    return {
+    return [{
         "shards": fleet.shards,
         "jobs": jobs,
         "sessions": totals["completed_sessions"],
@@ -690,19 +686,18 @@ def _fleet_cell(spec) -> dict:
         "live_bytes": sum(stats["live_bytes"] for stats in logs),
         "clean": result["verdicts"]["clean"],
         "fingerprint": fleet_fingerprint(result)[:16],
-    }
+    }]
 
 
-def _fleet_sessions(scale: float) -> int:
-    return max(240, int(1_200 * scale))
-
-
-def _fleet_specs(scale: float, seed: int) -> list:
-    sessions = _fleet_sessions(scale)
-    specs = [(S, 1, sessions, seed, False) for S in (1, 2, 4)]
-    specs.append((4, 4, sessions, seed, False))
+def _fleet_specs(scale: float, seed: int) -> list[dict]:
+    sessions = max(240, int(1_200 * scale))
+    specs = [
+        dict(shards=S, jobs=jobs, sessions=sessions, seed=seed, open_loop=False)
+        for S, jobs in ((1, 1), (2, 1), (4, 1), (4, 4))
+    ]
     if scale >= 1.0:
-        specs.append((4, 1, int(100_000 * scale), seed, True))
+        specs.append(dict(shards=4, jobs=1, sessions=int(100_000 * scale), seed=seed,
+                          open_loop=True))
     return specs
 
 
@@ -747,9 +742,7 @@ def _fleet_claims(rows: list[dict]) -> list[Claim]:
 #: reports the bounded-memory truncation counters.
 fleet_scaling = Experiment(
     name="fleet-scaling",
-    description=lambda scale: (
-        f"Sharded fleet simulation, {_fleet_sessions(scale)} sessions per cell"
-    ),
+    description="Sharded fleet simulation, {sessions} sessions per cell",
     specs=_fleet_specs,
     cell=_fleet_cell,
     claims=_fleet_claims,
@@ -761,30 +754,30 @@ fleet_scaling = Experiment(
 # ---------------------------------------------------------------------------
 
 
-def _trace_cell(spec) -> dict:
+def _trace_cell(spec: dict) -> list[dict]:
     """The seeded Fig. 14-shaped workload, plain (``sim.tracer`` is
     ``None``, the guard branch every instrumentation site takes) or with
     a :class:`repro.trace.Tracer` attached."""
     from repro.trace import Tracer
     from repro.workloads import PaperWorkload, WorkloadParams
 
-    traced, requests, seed = spec
+    traced = spec["traced"]
     workload = PaperWorkload(
         WorkloadParams(
-            configuration="LoOptimistic", requests_per_client=requests,
-            num_clients=1, calls_to_sm2=1, seed=seed,
+            configuration="LoOptimistic", requests_per_client=spec["requests"],
+            num_clients=1, calls_to_sm2=1, seed=spec["seed"],
         )
     )
     tracer = Tracer(workload.sim).attach() if traced else None
     run = workload.run()
     if tracer is not None:
         tracer.finalize()
-    return {
+    return [{
         "mode": "traced" if traced else "plain",
         "requests": run.completed_requests,
         "steps": workload.sim.steps,
         "trace_events": len(tracer.events) if tracer is not None else 0,
-    }
+    }]
 
 
 def _trace_claims(rows: list[dict]) -> list[Claim]:
@@ -808,11 +801,10 @@ def _trace_claims(rows: list[dict]) -> list[Claim]:
 #: ``harness.trace_overhead_ratio``.
 trace_overhead = Experiment(
     name="trace-overhead",
-    description=lambda scale: (
-        f"One client x {max(50, int(200 * scale))} requests, tracing off vs on"
-    ),
+    description="One client x {requests} requests, tracing off vs on",
     specs=lambda scale, seed: [
-        (traced, max(50, int(200 * scale)), seed) for traced in (False, True)
+        dict(traced=traced, requests=max(50, int(200 * scale)), seed=seed)
+        for traced in (False, True)
     ],
     cell=_trace_cell,
     claims=_trace_claims,

@@ -202,6 +202,16 @@ class PaperRunResult:
             return 0.0
         return self.completed_requests / self.elapsed_ms * 1000.0
 
+    @property
+    def flushes_per_request(self) -> float:
+        """Log flushes of both MSPs per completed end-client request."""
+        return (self.msp1_flushes + self.msp2_flushes) / self.completed_requests
+
+    @property
+    def sectors_per_request(self) -> float:
+        """Flushed sectors of both MSPs per completed end-client request."""
+        return (self.msp1_flushed_sectors + self.msp2_flushed_sectors) / self.completed_requests
+
 
 def _counter_value(raw: Optional[bytes]) -> int:
     if not raw:

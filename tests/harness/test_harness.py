@@ -38,22 +38,20 @@ def test_response_stats_percentiles():
 
 
 def test_experiment_result_claims():
-    result = ExperimentResult(experiment="x", description="d")
-    result.claim("good", True)
-    result.claim("bad", False)
+    result = ExperimentResult(
+        experiment="x", description="d", claims=[("good", True), ("bad", False)]
+    )
     assert not result.all_claims_hold
-    result2 = ExperimentResult(experiment="y", description="d")
-    result2.claim("good", True)
+    result2 = ExperimentResult(experiment="y", description="d", claims=[("good", True)])
     assert result2.all_claims_hold
 
 
 def test_render_includes_rows_paper_and_claims():
     result = ExperimentResult(
-        experiment="demo", description="demo table", paper={"ref": 42}
+        experiment="demo", description="demo table", paper={"ref": 42},
+        rows=[{"name": "row1", "value": 3.14159}],
+        claims=[("something holds", True), ("something fails", False)],
     )
-    result.rows.append({"name": "row1", "value": 3.14159})
-    result.claim("something holds", True)
-    result.claim("something fails", False)
     text = render_result(result)
     assert "demo table" in text
     assert "row1" in text

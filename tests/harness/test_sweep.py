@@ -1,8 +1,6 @@
 """The experiment sweeps: parallel points must reproduce sequential
 numbers exactly, and a failed point must abort with its key."""
 
-from operator import attrgetter
-
 import pytest
 
 from repro.harness.experiments import paper_cell, sweep
@@ -10,12 +8,15 @@ from repro.parallel import WorkerFailure
 from repro.workloads import WorkloadParams
 
 
+def _point(label, verify=False, **params):
+    return dict(
+        labels={"point": label}, measured=("mean_response_ms",),
+        params=WorkloadParams(**params), verify=verify,
+    )
+
+
 def _points(n=3):
-    return [
-        ({"point": i, "mean_response_ms": attrgetter("mean_response_ms")},
-         WorkloadParams(requests_per_client=20, seed=i), False)
-        for i in range(n)
-    ]
+    return [_point(i, requests_per_client=20, seed=i) for i in range(n)]
 
 
 def test_sweep_parity_and_order():
@@ -23,16 +24,16 @@ def test_sweep_parity_and_order():
     par = sweep(paper_cell, _points(), jobs=2)
     assert len(seq) == 3
     assert seq == par
-    assert [row["point"] for row in seq] == [0, 1, 2]
+    assert [row["point"] for [row] in seq] == [0, 1, 2]
     # Distinct seeds give distinct runs — order actually matters here.
-    assert seq[0]["mean_response_ms"] != seq[1]["mean_response_ms"]
+    assert seq[0][0]["mean_response_ms"] != seq[1][0]["mean_response_ms"]
 
 
 def test_sweep_progress_reports_keys():
     seen = []
     sweep(
-        paper_cell, _points(2), jobs=1, key=lambda spec: spec[0]["point"],
-        progress=lambda done, total, key: seen.append(key),
+        paper_cell, _points(2), jobs=1,
+        progress=lambda done, total, spec: seen.append(spec["labels"]["point"]),
     )
     assert seen == [0, 1]
 
@@ -43,10 +44,8 @@ def test_failed_point_aborts_with_key():
     # exactly-once verification raises — the sweep must abort naming the
     # failing point, not return partial rows.
     bad = [
-        ({"point": "bad"},
-         WorkloadParams(num_clients=2, requests_per_client=8, crash_every_n=6),
-         True),
-        ({"point": "ok"}, WorkloadParams(requests_per_client=10), False),
+        _point("bad", True, num_clients=2, requests_per_client=8, crash_every_n=6),
+        _point("ok", requests_per_client=10),
     ]
     with pytest.raises(WorkerFailure, match=r"'point': 'bad'"):
         sweep(paper_cell, bad, jobs=2)
@@ -59,8 +58,8 @@ def _fail_on_odd(spec):
 
 
 def test_default_key_is_the_spec_itself():
-    # Ablation and headline cells are plain tuples: progress reports and
-    # the failure message name the tuple.
+    # A point's key is its spec: progress reports and the failure
+    # message name it.
     specs = [("cell", 0), ("cell", 2)]
     seen = []
     assert sweep(

@@ -148,6 +148,4 @@ def test_task_specs_are_picklable():
     for experiment in EXPERIMENTS.values():
         specs.extend(experiment.specs(0.0, 1))
     for spec in specs:
-        # Compared by repr: a paper cell's columns hold attrgetters,
-        # which pickle but do not compare equal.
-        assert repr(pickle.loads(pickle.dumps(spec))) == repr(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
