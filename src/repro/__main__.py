@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "grows without bound — the log-space experiment's off rows)",
     )
     workload.add_argument(
-        "--segment-bytes", type=int, default=None,
+        "--segment-bytes", type=int, default=WorkloadParams.log_segment_bytes,
         help="log segment size in bytes (default 64 KiB); truncation "
         "recycles whole segments below the checkpoint floor",
     )

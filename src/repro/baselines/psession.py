@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import LoggingMode, RecoveryConfig
+from repro.core.config import COSTS, LoggingMode, RecoveryConfig
 from repro.core.msp import MiddlewareServer
 from repro.core.session import Session
 from repro.db import KVStore
@@ -57,7 +57,7 @@ class PsessionServer(MiddlewareServer):
             self.sim,
             self.disk,
             name=f"db.{self.name}",
-            txn_cpu_ms=self.config.costs.db_txn_cpu_ms,
+            txn_cpu_ms=COSTS.db_txn_cpu_ms,
             cpu=self._cpu,
             disk_reads=True,
         )

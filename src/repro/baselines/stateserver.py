@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.psession import decode_variables, encode_variables
-from repro.core.config import LoggingMode, RecoveryConfig
+from repro.core.config import COSTS, LoggingMode, RecoveryConfig
 from repro.core.msp import MiddlewareServer
 from repro.core.session import Session
 from repro.net import Network
@@ -141,20 +141,20 @@ class StateServerServer(MiddlewareServer):
         message = build_message(req_id, port)
         try:
             while True:
-                yield from self.cpu(self.config.costs.state_stack_ms)
+                yield from self.cpu(COSTS.state_stack_ms)
                 self.send(self.state_server, "state", message)
                 try:
                     envelope = yield from inbox.get_with_timeout(100.0)
                 except SimTimeoutError:
                     continue  # state server briefly unavailable: retry
-                yield from self.cpu(self.config.costs.state_stack_ms)
+                yield from self.cpu(COSTS.state_stack_ms)
                 return envelope.payload
         finally:
             self.node.unbind(port)
 
     def _before_method(self, session: Session):
         """Fetch the full session state from the state server."""
-        yield from self.cpu(self.config.costs.state_serialize_ms)
+        yield from self.cpu(COSTS.state_serialize_ms)
         reply = yield from self._state_rpc(
             lambda req_id, port: StateGet(
                 session_id=session.id, reply_to=self.name, reply_port=port, req_id=req_id
@@ -166,7 +166,7 @@ class StateServerServer(MiddlewareServer):
 
     def _after_method(self, session: Session):
         """Store the full session state back."""
-        yield from self.cpu(self.config.costs.state_serialize_ms)
+        yield from self.cpu(COSTS.state_serialize_ms)
         blob = encode_variables(session.variables)
         yield from self._state_rpc(
             lambda req_id, port: StatePut(

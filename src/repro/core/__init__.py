@@ -15,11 +15,11 @@ The top-level objects a user composes are:
   server process hosting service methods.
 - :class:`~repro.core.client.EndClient` — an end-client runtime with the
   resend-until-reply protocol.
-- :class:`~repro.core.config.RecoveryConfig` /
-  :class:`~repro.core.config.CostModel` — tuning knobs and CPU costs.
+- :class:`~repro.core.config.RecoveryConfig` — the per-MSP recovery
+  settings (:data:`~repro.core.config.COSTS` holds the CPU costs).
 """
 
-from repro.core.config import CostModel, LoggingMode, RecoveryConfig
+from repro.core.config import COSTS, CostModel, LoggingMode, RecoveryConfig
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
 from repro.core.errors import (
     OrphanDetected,
@@ -29,6 +29,7 @@ from repro.core.errors import (
 )
 
 __all__ = [
+    "COSTS",
     "CostModel",
     "DependencyVector",
     "EndClient",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.config import COSTS
 from repro.core.dv import DependencyVector, StateId
 from repro.core.errors import FlushFailed
 from repro.core.records import MspCheckpointRecord, SvCheckpointRecord
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def maybe_session_checkpoint(msp: "MiddlewareServer", session: Session):
     """Take a session checkpoint if the log threshold was reached."""
-    threshold = msp.config.session_ckpt_threshold_bytes
+    threshold = msp.config.session_ckpt_threshold
     if threshold is None or session.bytes_since_ckpt < threshold:
         return
     if session.status is not SessionStatus.NORMAL:
@@ -66,7 +67,7 @@ def take_session_checkpoint(msp: "MiddlewareServer", session: Session):
         yield from _seal_command_effects(msp, session)
         record = session.build_checkpoint()
         yield from msp.cpu(
-            msp.config.costs.session_ckpt_cpu_ms + msp.config.costs.log_append_ms
+            COSTS.session_ckpt_cpu_ms + COSTS.log_append_ms
         )
         lsn, _size = msp.log.append(record)
         session.account_checkpoint(lsn)
@@ -162,7 +163,7 @@ def sv_checkpoint(msp: "MiddlewareServer", sv: SharedVariable):
             # (DESIGN.md §16); empty under value logging.
             command_frontier=dict(sv.command_frontier),
         )
-        yield from msp.cpu(msp.config.costs.log_append_ms)
+        yield from msp.cpu(COSTS.log_append_ms)
         lsn, _size = msp.log.append(record)
         if msp.log.nparts > 1:
             # The next write names this record from the *writer's*
@@ -221,7 +222,7 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
             and session.bytes_since_ckpt > 0
             and not session.busy
             and session.status is SessionStatus.NORMAL
-            and msp.config.session_ckpt_threshold_bytes is not None
+            and msp.config.session_ckpt_threshold is not None
         ):
             msp.stats.forced_checkpoints += 1
             try:
@@ -255,7 +256,7 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
         # valid scan start and truncation floor.
         partition_ends=msp.log.partition_ends(),
     )
-    yield from msp.cpu(msp.config.costs.log_append_ms)
+    yield from msp.cpu(COSTS.log_append_ms)
     lsn, _size = msp.log.append(record)
     # A crash at any boundary below must leave the durable anchor
     # pointing at a *complete, durable* checkpoint record: the record is
@@ -263,7 +264,7 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
     # only at "anchored" does analysis start using it.
     msp.sim.probe("ckpt.msp.logged", owner=msp.name)
     # The anchor must point at a durable checkpoint.
-    yield from msp.cpu(msp.config.costs.flush_issue_ms)
+    yield from msp.cpu(COSTS.flush_issue_ms)
     # Analysis scans start at the captured floors, so bytes below the
     # captured ends can never be re-read: every partition is flushed
     # through its end, except the control partition, whose captured end

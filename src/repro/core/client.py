@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import CostModel
+from repro.core.config import COSTS
 from repro.core.messages import Reply, Request
 from repro.net import Network
 from repro.sim import Resource, SimTimeoutError, Simulator
@@ -58,7 +58,6 @@ class EndClient:
         sim: Simulator,
         network: Network,
         name: str,
-        costs: Optional[CostModel] = None,
         resend_timeout_ms: float = 100.0,
         busy_sleep_ms: float = 100.0,
     ):
@@ -66,7 +65,6 @@ class EndClient:
         self.network = network
         self.name = name
         self.node = network.node(name)
-        self.costs = costs or CostModel()
         self.resend_timeout_ms = resend_timeout_ms
         self.busy_sleep_ms = busy_sleep_ms
         self.cpu = Resource(sim, capacity=1, name=f"cpu.{name}")
@@ -128,7 +126,7 @@ class ClientSession:
         busy_retries = 0
         while True:
             attempts += 1
-            yield from client._spend_cpu(client.costs.client_stack_ms)
+            yield from client._spend_cpu(COSTS.client_stack_ms)
             client.node.send(
                 self.msp_name, "request", request, request.wire_size()
             )

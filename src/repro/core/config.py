@@ -10,7 +10,7 @@ NoLog end-to-end response near 8.7 ms for the Fig. 13 workload.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.core.plsn import MAX_PARTITIONS
@@ -19,30 +19,6 @@ from repro.core.plsn import MAX_PARTITIONS
 #: Legal values of the mode strings.
 RECOVERY_MODES = ("eager", "lazy")
 LOGGING_MODES = ("value", "command", "adaptive")
-
-
-def check_modes(recovery_mode: str, logging_mode: str, log_partitions: int) -> None:
-    """Reject an illegal mode string or partition count (``ValueError``).
-
-    The one check behind ``MiddlewareServer``, ``FleetTopology`` and
-    scenario expansion, so a bad configuration fails where it is
-    written down, before any simulator runs.
-    """
-    if recovery_mode not in RECOVERY_MODES:
-        raise ValueError(
-            f"unknown recovery_mode {recovery_mode!r}; "
-            f"choose one of {', '.join(RECOVERY_MODES)}"
-        )
-    if logging_mode not in LOGGING_MODES:
-        raise ValueError(
-            f"unknown logging_mode {logging_mode!r}; "
-            f"choose one of {', '.join(LOGGING_MODES)}"
-        )
-    if not isinstance(log_partitions, int) or not 1 <= log_partitions <= MAX_PARTITIONS:
-        raise ValueError(
-            f"log_partitions must be an integer in 1..{MAX_PARTITIONS}, "
-            f"got {log_partitions!r}"
-        )
 
 
 class LoggingMode(enum.Enum):
@@ -56,14 +32,17 @@ class LoggingMode(enum.Enum):
     RECOVERABLE = "recoverable"
 
 
-@dataclass
+
+
+@dataclass(frozen=True, init=False)
 class CostModel:
     """CPU costs (ms) charged to the server CPU for each operation.
 
     These model the ASP.NET/Web-services stack of the paper's prototype;
     the absolute values are calibration artifacts, but the *structure*
     (what is charged per message, per record, per flush) mirrors the
-    paper's analysis in §5.2.
+    paper's analysis in §5.2.  There is one instance, :data:`COSTS`:
+    no constructor arguments, no field to set.
     """
 
     #: Protocol-stack cost of sending or receiving one message
@@ -105,9 +84,33 @@ class CostModel:
     state_stack_ms: float = 0.30
 
 
+#: The cost model every MSP, client and analytic estimate charges.
+COSTS = CostModel()
+
+
+def same_named(target: type, source) -> dict:
+    """The values ``source`` (a dataclass instance or a dict) holds
+    under names that are fields of the dataclass ``target``.
+
+    The one translation from a world spec (``WorkloadParams``,
+    ``FleetSpec``, ``FuzzParams``) to what it configures: a setting
+    keeps its name end to end, and one the source does not carry keeps
+    ``target``'s default.
+    """
+    names = {f.name for f in fields(target)}
+    values = source if isinstance(source, dict) else vars(source)
+    return {name: value for name, value in values.items() if name in names}
+
+
 @dataclass
 class RecoveryConfig:
-    """Everything tunable about one MSP's recovery infrastructure."""
+    """What a caller may choose for one MSP's recovery infrastructure.
+
+    Every field is varied by some world (DESIGN.md "Configuration");
+    the fixed values — server sizing, timeouts, block and buffer sizes,
+    the adaptive policy's constants — live as module constants next to
+    their one reader, and the CPU costs are :data:`COSTS`.
+    """
 
     mode: LoggingMode = LoggingMode.RECOVERABLE
 
@@ -115,7 +118,7 @@ class RecoveryConfig:
     #: Take a session checkpoint once the session logged this many bytes
     #: since its previous checkpoint (paper §3.2; None disables session
     #: checkpointing — the paper's "NoCp" configuration).
-    session_ckpt_threshold_bytes: int | None = 1024 * 1024
+    session_ckpt_threshold: int | None = 1024 * 1024
     #: Take a shared-variable checkpoint every N writes (paper §3.3).
     sv_ckpt_write_threshold: int = 200
     #: Period of the fuzzy MSP checkpoint daemon, in ms (paper §3.4).
@@ -133,31 +136,11 @@ class RecoveryConfig:
     #: expiry (the historical behaviour).  Evaluated at MSP-checkpoint
     #: cadence; pick a timeout far above any legitimate think time.
     session_idle_timeout_ms: Optional[float] = None
-    #: When a session ends (client end or expiry), its implicit
-    #: downstream hop sessions are sent explicit end requests so they
-    #: stop pinning the downstream truncation floor immediately instead
-    #: of lingering until idle expiry.  Each end is resent until
-    #: acknowledged, at most this many attempts (a dead downstream must
-    #: not be retried forever — expiry is the backstop).
-    end_propagation_attempts: int = 20
 
     # -- log management ----------------------------------------------------
     #: Batch (group) flushing timeout in ms; 0 disables batching
     #: (paper §5.5 uses 8 ms).
     batch_flush_timeout_ms: float = 0.0
-    #: Largest log block written in one disk operation, in sectors
-    #: (paper §5.2: blocks vary from 1 to 128 sectors).
-    max_block_sectors: int = 128
-    #: Recovery log reads are issued in chunks of this many sectors
-    #: (paper §5.4: 64 KB = 128 sectors).
-    read_chunk_sectors: int = 128
-    #: Position-stream buffer capacity, in positions (flushed to disk
-    #: when full; paper §3.2 says this cost is low).
-    position_buffer_capacity: int = 512
-    #: Per-record storage overhead (bytes) materialized as filler, so
-    #: log volume matches the paper's fatter .NET serialization
-    #: (calibrated to ~1.5 KB logged per request at MSP1).
-    log_record_overhead_bytes: int = 64
     #: Checkpoint-driven log truncation: once the log anchor is durable,
     #: advance the store's truncation floor to the anchored checkpoint's
     #: minimal LSN and recycle every segment wholly below it.  Off keeps
@@ -175,10 +158,6 @@ class RecoveryConfig:
     #: order.  1 is the one-partition case of the same code and keeps
     #: the historical single log's bytes.
     log_partitions: int = 1
-
-    # -- server sizing -----------------------------------------------------
-    thread_pool_size: int = 16
-    cpu_cores: int = 1
 
     # -- lazy recovery (DESIGN.md §15) --------------------------------------
     #: How many drain workers replay the rebuilt sessions after the
@@ -202,18 +181,6 @@ class RecoveryConfig:
     #: choice between the two driven by the live metrics, with
     #: hysteresis; mode switches land at session-checkpoint boundaries).
     logging_mode: str = "value"
-    #: Adaptive mode re-evaluates a session's choice after this many
-    #: completed requests since the last evaluation.
-    adaptive_eval_requests: int = 8
-    #: Adaptive mode prefers command logging while the estimated replay
-    #: cost of a command suffix stays below this many ms per request
-    #: (replay re-executes the method; value replay only reinstalls).
-    adaptive_replay_budget_ms: float = 5.0
-    #: Hysteresis: the observed value-mode bytes/request must exceed the
-    #: command-mode estimate by this factor to switch to command, and
-    #: fall below ``1/margin`` of it to switch back — so the mode cannot
-    #: flap on noise.
-    adaptive_hysteresis_margin: float = 1.5
 
     # -- ablations (paper design choices, for the ablation benches) ---------
     #: Track one DV per session (paper S3.2) instead of a single DV for
@@ -222,26 +189,38 @@ class RecoveryConfig:
     #: possibly unnecessarily".
     per_session_dv: bool = True
 
-    # -- timeouts ------------------------------------------------------------
-    #: How long an outgoing call waits for a reply before resending.
-    call_resend_timeout_ms: float = 100.0
-    #: How long a distributed-flush participant request waits for an ack
-    #: before retrying (covers the target MSP being down).
-    flush_retry_timeout_ms: float = 50.0
-    #: Server restart delay after a crash before recovery begins
-    #: (process re-spawn, runtime init).
-    restart_delay_ms: float = 50.0
-
-    costs: CostModel = field(default_factory=CostModel)
+    @classmethod
+    def of(cls, spec) -> "RecoveryConfig":
+        """The config one MSP of a world gets: every setting the world
+        spec ``spec`` carries, by name; the rest keep their defaults."""
+        return cls(**same_named(cls, spec))
 
     @property
     def recoverable(self) -> bool:
         return self.mode is LoggingMode.RECOVERABLE
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for an illegal mode, partition count or
-        pump concurrency."""
-        check_modes(self.recovery_mode, self.logging_mode, self.log_partitions)
+        """Raise ``ValueError`` for an illegal mode string, partition
+        count or pump concurrency — the one check behind
+        ``MiddlewareServer``, ``FleetTopology`` and scenario expansion,
+        so a bad configuration fails where it is written down, before
+        any simulator runs."""
+        if self.recovery_mode not in RECOVERY_MODES:
+            raise ValueError(
+                f"unknown recovery_mode {self.recovery_mode!r}; "
+                f"choose one of {', '.join(RECOVERY_MODES)}"
+            )
+        if self.logging_mode not in LOGGING_MODES:
+            raise ValueError(
+                f"unknown logging_mode {self.logging_mode!r}; "
+                f"choose one of {', '.join(LOGGING_MODES)}"
+            )
+        parts = self.log_partitions
+        if not isinstance(parts, int) or not 1 <= parts <= MAX_PARTITIONS:
+            raise ValueError(
+                f"log_partitions must be an integer in 1..{MAX_PARTITIONS}, "
+                f"got {parts!r}"
+            )
         pump = self.recovery_pump_concurrency
         if not isinstance(pump, int) or pump < 1:
             raise ValueError(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.checkpoint import maybe_sv_checkpoint, roll_back_sv, sv_checkpoint
+from repro.core.config import COSTS
 from repro.core.log_manager import LogWindowReader
 from repro.core.errors import OrphanDetected, SessionProtocolError
 from repro.core.messages import Reply, Request
@@ -46,6 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: How long a client/session sleeps after a busy reply (paper §5.4).
 BUSY_RETRY_SLEEP_MS = 100.0
+#: How long an outgoing call waits for a reply before resending.
+CALL_RESEND_TIMEOUT_MS = 100.0
 
 
 class NormalContext:
@@ -78,12 +81,12 @@ class NormalContext:
 
     def get_session_var(self, name: str):
         """Read a session variable (generator; returns bytes or None)."""
-        yield from self.msp.cpu(self.msp.config.costs.session_var_ms)
+        yield from self.msp.cpu(COSTS.session_var_ms)
         return self.session.variables.get(name)
 
     def set_session_var(self, name: str, value: bytes):
         """Write a session variable (generator)."""
-        yield from self.msp.cpu(self.msp.config.costs.session_var_ms)
+        yield from self.msp.cpu(COSTS.session_var_ms)
         self.session.variables[name] = bytes(value)
 
     # -- shared variables (paper Fig. 8) ------------------------------------------
@@ -95,7 +98,7 @@ class NormalContext:
         if not msp.recoverable:
             yield from sv.lock.acquire_read()
             try:
-                yield from msp.cpu(msp.config.costs.session_var_ms)
+                yield from msp.cpu(COSTS.session_var_ms)
                 return sv.value
             finally:
                 sv.lock.release_read()
@@ -120,7 +123,7 @@ class NormalContext:
                 variable_dv=sv.dv.copy(),
             )
             yield from msp.append_session_record(session, record)
-            yield from msp.cpu(msp.config.costs.dv_track_ms)
+            yield from msp.cpu(COSTS.dv_track_ms)
             session.dv.merge(sv.dv)
             value = sv.value
         finally:
@@ -138,7 +141,7 @@ class NormalContext:
         yield from self._acquire_sealed(sv)
         try:
             if not msp.recoverable:
-                yield from msp.cpu(msp.config.costs.session_var_ms)
+                yield from msp.cpu(COSTS.session_var_ms)
                 sv.value = bytes(value)
                 return
             # No orphan check of the existing value: it is being
@@ -153,7 +156,7 @@ class NormalContext:
             yield from msp.append_write_record(
                 session, record, lambda lsn: sv.apply_write(lsn, value, session.dv)
             )
-            yield from msp.cpu(msp.config.costs.dv_track_ms)
+            yield from msp.cpu(COSTS.dv_track_ms)
         finally:
             sv.lock.release_write()
         yield from maybe_sv_checkpoint(msp, sv)
@@ -194,7 +197,7 @@ class NormalContext:
         yield from self._acquire_sealed(sv)
         try:
             if not msp.recoverable:
-                yield from msp.cpu(msp.config.costs.session_var_ms)
+                yield from msp.cpu(COSTS.session_var_ms)
                 sv.value = bytes(update(sv.value))
                 return sv.value
             if sv.is_orphan(msp.table):
@@ -228,7 +231,7 @@ class NormalContext:
                 # What command logging would have elided — the policy's
                 # log-volume upside for this session.
                 session.elidable_bytes_since_eval += size
-            yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
+            yield from msp.cpu(2 * COSTS.dv_track_ms)
         finally:
             sv.lock.release_write()
         yield from maybe_sv_checkpoint(msp, sv)
@@ -256,7 +259,7 @@ class NormalContext:
             if sv.is_orphan(msp.table):
                 roll_back_sv(msp, sv)
             new_value = bytes(update(sv.value))
-            yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
+            yield from msp.cpu(2 * COSTS.dv_track_ms)
             session.dv.merge(sv.dv)
             sv.apply_command_write(
                 session.command_lsn, ordinal, new_value, session.dv, session.id
@@ -294,17 +297,17 @@ class NormalContext:
             # Fig. 7 "before send".
             if msp.recoverable:
                 if msp.domains.same_domain(msp.name, target_msp):
-                    yield from msp.cpu(msp.config.costs.dv_track_ms)
+                    yield from msp.cpu(COSTS.dv_track_ms)
                     request.sender_dv = session.dv.copy()
                 else:
                     yield from msp.distributed_flush(session.dv, f"session {session.id}")
                     request.sender_dv = None
-            yield from msp.cpu(msp.config.costs.message_stack_ms)
+            yield from msp.cpu(COSTS.message_stack_ms)
             msp.send(target_msp, "request", request)
             reply = yield from _await_reply(msp, inbox, seq)
             if reply is None:
                 continue  # lost request/reply or crashed server: resend
-            yield from msp.cpu(msp.config.costs.message_stack_ms)
+            yield from msp.cpu(COSTS.message_stack_ms)
             if reply.busy:
                 yield BUSY_RETRY_SLEEP_MS
                 continue
@@ -328,7 +331,7 @@ class NormalContext:
                 )
                 yield from msp.append_session_record(session, record)
                 if reply.sender_dv is not None:
-                    yield from msp.cpu(msp.config.costs.dv_track_ms)
+                    yield from msp.cpu(COSTS.dv_track_ms)
                     session.dv.merge(reply.sender_dv)
                 msp.check_session_orphan(session)
             out.next_seq = seq + 1
@@ -342,7 +345,7 @@ class NormalContext:
 def _await_reply(msp: "MiddlewareServer", inbox, seq: int):
     """Wait one resend-timeout window for the reply to ``seq``,
     draining stale duplicate replies; returns the reply or None."""
-    deadline = msp.sim.now + msp.config.call_resend_timeout_ms
+    deadline = msp.sim.now + CALL_RESEND_TIMEOUT_MS
     while True:
         remaining = deadline - msp.sim.now
         if remaining <= 0:
@@ -466,14 +469,14 @@ class ReplayContext:
     def get_session_var(self, name: str):
         if self._normal is not None:
             return (yield from self._normal.get_session_var(name))
-        yield from self.msp.cpu(self.msp.config.costs.session_var_ms)
+        yield from self.msp.cpu(COSTS.session_var_ms)
         return self.session.variables.get(name)
 
     def set_session_var(self, name: str, value: bytes):
         if self._normal is not None:
             yield from self._normal.set_session_var(name, value)
             return
-        yield from self.msp.cpu(self.msp.config.costs.session_var_ms)
+        yield from self.msp.cpu(COSTS.session_var_ms)
         self.session.variables[name] = bytes(value)
 
     def read_shared(self, name: str):
@@ -489,7 +492,7 @@ class ReplayContext:
             )
         # "Reading a shared variable gets its value from the log" —
         # without touching the live variable or other sessions.
-        yield from self.msp.cpu(self.msp.config.costs.dv_track_ms)
+        yield from self.msp.cpu(COSTS.dv_track_ms)
         self.session.state_lsn = lsn
         self.session.dv.observe(self.msp.name, StateId(self.msp.epoch, lsn))
         self.session.dv.merge(record.variable_dv)
@@ -532,7 +535,7 @@ class ReplayContext:
             raise SessionProtocolError(
                 f"replay divergence: expected update of {name!r}, log has {record!r}"
             )
-        yield from self.msp.cpu(2 * self.msp.config.costs.dv_track_ms)
+        yield from self.msp.cpu(2 * COSTS.dv_track_ms)
         self.session.state_lsn = lsn
         self.session.dv.observe(self.msp.name, StateId(self.msp.epoch, lsn))
         self.session.dv.merge(record.variable_dv)
@@ -559,7 +562,7 @@ class ReplayContext:
         try:
             if sv.is_orphan(msp.table):
                 roll_back_sv(msp, sv)
-            yield from msp.cpu(2 * msp.config.costs.dv_track_ms)
+            yield from msp.cpu(2 * COSTS.dv_track_ms)
             session.dv.merge(sv.dv)
             lsn = session.command_lsn
             if (lsn, ordinal) <= sv.command_frontier.get(session.id, (-1, -1)):
@@ -592,7 +595,7 @@ class ReplayContext:
             )
         # "Requests to other MSPs are not sent, and their reply is read
         # from the log."  Sequence numbers advance exactly as live.
-        yield from self.msp.cpu(self.msp.config.costs.dv_track_ms)
+        yield from self.msp.cpu(COSTS.dv_track_ms)
         self.session.state_lsn = lsn
         self.session.dv.observe(self.msp.name, StateId(self.msp.epoch, lsn))
         if record.sender_dv is not None:
@@ -610,6 +613,6 @@ def write_eos(msp: "MiddlewareServer", session: "Session", orphan_lsn: int):
     """
     session.position_stream.remove_from(orphan_lsn)
     record = EosRecord(session_id=session.id, orphan_lsn=orphan_lsn)
-    yield from msp.cpu(msp.config.costs.log_append_ms)
+    yield from msp.cpu(COSTS.log_append_ms)
     _lsn, size = msp.log.append(record)
     session.bytes_since_ckpt += size

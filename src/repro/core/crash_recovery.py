@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.checkpoint import perform_msp_checkpoint
+from repro.core.config import COSTS
 from repro.core.dv import PKEY_BITS, RecoveryTable
 from repro.core.errors import LogTruncatedError, RecoveryMergeError
 from repro.core.plsn import (
@@ -567,7 +568,7 @@ def analyze(msp: "MiddlewareServer", state: AnalysisState):
     """Step 2d: the single-threaded analysis pass over the merged scan,
     then fix what we recovered to (generator, charges scan CPU)."""
     records = state.records
-    yield from msp.cpu(len(records) * msp.config.costs.scan_record_cpu_ms)
+    yield from msp.cpu(len(records) * COSTS.scan_record_cpu_ms)
     analyze_scan(msp, records, state)
     msp.stats.recovery_scan_records += len(records)
     msp.sim.probe("recovery.analyzed", owner=msp.name)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
+from repro.core.config import COSTS
 from repro.core.dv import DependencyVector, StateId
 from repro.core.errors import FlushFailed
 from repro.core.messages import FlushReply, FlushRequest
@@ -26,6 +27,10 @@ from repro.sim import SimTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.msp import MiddlewareServer
+
+#: How long a distributed-flush participant request waits for an ack
+#: before retrying (covers the target MSP being down).
+FLUSH_RETRY_TIMEOUT_MS = 50.0
 
 _port_ids = itertools.count(1)
 
@@ -103,7 +108,7 @@ def _local_leg(msp: "MiddlewareServer", state: StateId):
 
 def _local_leg_body(msp: "MiddlewareServer", state: StateId):
     if state.epoch == msp.epoch:
-        yield from msp.cpu(msp.config.costs.flush_issue_ms)
+        yield from msp.cpu(COSTS.flush_issue_ms)
         # Flush the whole buffer of the partition the DV entry names,
         # not only up to the entry (classical pessimistic logging
         # "flushes the buffer").  Covering the tail matters: a
@@ -132,9 +137,7 @@ def _await_matching_ack(msp: "MiddlewareServer", inbox, request: FlushRequest):
     stale ack proves the target is alive and responding.
     """
     while True:
-        envelope = yield from inbox.get_with_timeout(
-            msp.config.flush_retry_timeout_ms
-        )
+        envelope = yield from inbox.get_with_timeout(FLUSH_RETRY_TIMEOUT_MS)
         reply: FlushReply = envelope.payload
         if reply.req_id == request.req_id:
             return reply
@@ -169,7 +172,7 @@ def _remote_leg(msp: "MiddlewareServer", target: str, state: StateId):
         )
     try:
         while True:  # one iteration per (re)send
-            yield from msp.cpu(msp.config.costs.message_stack_ms)
+            yield from msp.cpu(COSTS.message_stack_ms)
             msp.send(target, "flush", request)
             try:
                 reply = yield from _await_matching_ack(msp, inbox, request)
@@ -233,12 +236,12 @@ def _serve_flush(msp: "MiddlewareServer", request: FlushRequest):
 
 
 def _serve_flush_body(msp: "MiddlewareServer", request: FlushRequest):
-    yield from msp.cpu(msp.config.costs.message_stack_ms)
+    yield from msp.cpu(COSTS.message_stack_ms)
     if request.epoch == msp.epoch:
         partition = plsn_partition(request.lsn)
         ok = plsn_offset(request.lsn) < msp.log.partition_end(partition)
         if ok:
-            yield from msp.cpu(msp.config.costs.flush_issue_ms)
+            yield from msp.cpu(COSTS.flush_issue_ms)
             # Flush the whole buffer of the named partition (see
             # _local_leg): a strict superset of the requested range at
             # essentially the same disk cost.
@@ -247,7 +250,7 @@ def _serve_flush_body(msp: "MiddlewareServer", request: FlushRequest):
         ok = bool(msp.table.covers(msp.name, request.epoch, request.lsn))
     else:
         ok = False
-    yield from msp.cpu(msp.config.costs.message_stack_ms)
+    yield from msp.cpu(COSTS.message_stack_ms)
     reply = FlushReply(
         req_id=request.req_id, ok=ok, table_snapshot=msp.table.snapshot()
     )

@@ -51,6 +51,13 @@ from repro.storage.disk import SECTOR_BYTES
 from repro.wire import frame, unframe
 from repro.wire.framing import _HEADER
 
+#: Largest log block written in one disk operation, in sectors (paper
+#: §5.2: blocks vary from 1 to 128 sectors).
+MAX_BLOCK_SECTORS = 128
+#: Recovery log reads are issued in chunks of this many sectors (paper
+#: §5.4: 64 KB = 128 sectors).
+READ_CHUNK_SECTORS = 128
+
 #: The per-partition counter names tracked in ``LogStats.partitions``.
 PARTITION_STAT_FIELDS = (
     "appends",
@@ -149,8 +156,6 @@ class LogManager:
         disk: Union[Disk, Sequence[Disk]],
         name: str = "log",
         batch_flush_timeout_ms: float = 0.0,
-        max_block_sectors: int = 128,
-        read_chunk_sectors: int = 128,
         cpu=None,
         flush_cpu_ms: float = 0.0,
         record_overhead_bytes: int = 0,
@@ -168,8 +173,6 @@ class LogManager:
         #: this is (``repro.fuzz`` kills that MSP at probe firings).
         self.owner = owner
         self.batch_flush_timeout_ms = batch_flush_timeout_ms
-        self.max_block_sectors = max_block_sectors
-        self.read_chunk_sectors = read_chunk_sectors
         #: Optional CPU-charging hook ``cpu(ms) -> generator`` and the
         #: CPU cost of formatting/issuing one physical log write.  With
         #: batch flushing, several flush requests share one write and
@@ -394,7 +397,7 @@ class LogManager:
         pstats["flushed_bytes"] += nbytes
         remaining = sectors
         while remaining > 0:
-            block = min(remaining, self.max_block_sectors)
+            block = min(remaining, MAX_BLOCK_SECTORS)
             yield from unit.disk.write(block)
             self.sim.probe("log.flush.block", owner=self.owner)
             remaining -= block
@@ -463,7 +466,7 @@ class LogManager:
         """Timed sequential scan of one partition's durable log (generator).
 
         Reads [start, durable_end) of the partition ``start`` addresses
-        in ``read_chunk_sectors`` chunks, charging disk time, then
+        in ``READ_CHUNK_SECTORS`` chunks, charging disk time, then
         returns the parsed ``(lsn, record)`` list.  This is the
         single-threaded analysis scan of §4.3; partitioned recovery
         calls it once per partition and merges by dependency order.
@@ -492,7 +495,7 @@ class LogManager:
                 f"floor {floor}"
             )
         end = store.durable_end
-        chunk_bytes = self.read_chunk_sectors * SECTOR_BYTES
+        chunk_bytes = READ_CHUNK_SECTORS * SECTOR_BYTES
         position = start_off
         while position < end:
             size = min(chunk_bytes, end - position)
@@ -676,7 +679,7 @@ class LogWindowReader:
         # cover bytes appended since, so re-read at the current limit
         # rather than parse from a short read.
         if not (self._window_start <= offset and frame_end <= self._window_end):
-            chunk = self.log.read_chunk_sectors * SECTOR_BYTES
+            chunk = READ_CHUNK_SECTORS * SECTOR_BYTES
             size = min(chunk, limit - offset)
             yield from unit.disk.read_bytes(size, sequential=True)
             self.log.stats.read_chunks += 1

@@ -25,7 +25,7 @@ from repro.core.checkpoint import (
     msp_checkpoint_daemon,
     perform_msp_checkpoint,
 )
-from repro.core.config import LoggingMode, RecoveryConfig
+from repro.core.config import COSTS, LoggingMode, RecoveryConfig
 from repro.core.context import BUSY_RETRY_SLEEP_MS, NormalContext, _await_reply
 from repro.core.crash_recovery import recover_msp, recover_session
 from repro.core.domain import ServiceDomainConfig
@@ -54,6 +54,40 @@ from repro.sim import ProcessGroup, Resource, RngRegistry, Simulator
 from repro.storage import Disk, DiskModel, StableStore
 
 ServiceMethod = Callable[..., Generator]
+
+# -- server sizing ---------------------------------------------------------
+#: Worker threads serving the request queue.
+THREAD_POOL_SIZE = 16
+#: CPU cores of the server machine.
+CPU_CORES = 1
+#: Server restart delay after a crash before recovery begins (process
+#: re-spawn, runtime init).
+RESTART_DELAY_MS = 50.0
+#: Per-record storage overhead (bytes) materialized as filler, so log
+#: volume matches the paper's fatter .NET serialization (calibrated to
+#: ~1.5 KB logged per request at MSP1).
+LOG_RECORD_OVERHEAD_BYTES = 64
+#: When a session ends (client end or expiry), its implicit downstream
+#: hop sessions are sent explicit end requests so they stop pinning the
+#: downstream truncation floor immediately instead of lingering until
+#: idle expiry.  Each end is resent until acknowledged, at most this
+#: many attempts (a dead downstream must not be retried forever —
+#: expiry is the backstop).
+END_PROPAGATION_ATTEMPTS = 20
+
+# -- the adaptive logging policy (DESIGN.md §16) -----------------------------
+#: Re-evaluate a session's choice after this many completed requests
+#: since the last evaluation.
+ADAPTIVE_EVAL_REQUESTS = 8
+#: Prefer command logging while the estimated replay cost of a command
+#: suffix stays below this many ms per request (replay re-executes the
+#: method; value replay only reinstalls).
+ADAPTIVE_REPLAY_BUDGET_MS = 5.0
+#: Hysteresis: the observed value-mode bytes/request must exceed the
+#: command-mode estimate by this factor to switch to command, and fall
+#: below ``1/margin`` of it to switch back — so the mode cannot flap on
+#: noise.
+ADAPTIVE_HYSTERESIS_MARGIN = 1.5
 
 
 @dataclass
@@ -153,7 +187,7 @@ class MiddlewareServer:
         ]
         self.disk = self.disks[0]
         self.store = self.stores[0]
-        self._cpu = Resource(sim, capacity=self.config.cpu_cores, name=f"cpu.{name}")
+        self._cpu = Resource(sim, capacity=CPU_CORES, name=f"cpu.{name}")
         self.table = RecoveryTable()
         self.epoch = 0
         self.sessions: dict[str, Session] = {}
@@ -206,6 +240,16 @@ class MiddlewareServer:
     def recoverable(self) -> bool:
         return self.config.mode is LoggingMode.RECOVERABLE
 
+    def recovery_pending(self) -> bool:
+        """Whether a session still awaits its replay: rebuilt by a
+        restart and not yet drained, or an orphan mid-recovery.
+
+        ``lazy_pending`` needs no check of its own: it implies
+        ``recovery_pending`` (``rebuild_sessions`` sets both, and
+        ``recover_session`` clears ``lazy_pending`` first).
+        """
+        return any(session.recovery_pending for session in self.sessions.values())
+
     def start(self):
         """Boot the server (generator).  A cold boot on an empty log; if
         the log holds durable state, runs full crash recovery instead.
@@ -225,11 +269,9 @@ class MiddlewareServer:
             self.disks,
             name=f"log.{self.name}",
             batch_flush_timeout_ms=self.config.batch_flush_timeout_ms,
-            max_block_sectors=self.config.max_block_sectors,
-            read_chunk_sectors=self.config.read_chunk_sectors,
             cpu=self.cpu,
-            flush_cpu_ms=self.config.costs.flush_cpu_ms,
-            record_overhead_bytes=self.config.log_record_overhead_bytes,
+            flush_cpu_ms=COSTS.flush_cpu_ms,
+            record_overhead_bytes=LOG_RECORD_OVERHEAD_BYTES,
             owner=self.name,
         )
         self.log.start(group=self.group)
@@ -264,7 +306,7 @@ class MiddlewareServer:
     def _open_for_business(self) -> None:
         """Bind ports and spawn daemons + the worker pool."""
         inbox = self.node.bind("request")
-        for i in range(self.config.thread_pool_size):
+        for i in range(THREAD_POOL_SIZE):
             self.sim.spawn(
                 self._worker(inbox), name=f"{self.name}.worker{i}", group=self.group
             )
@@ -309,7 +351,7 @@ class MiddlewareServer:
 
     def restart(self):
         """Boot after a crash (generator): runs Fig. 12 crash recovery."""
-        yield self.config.restart_delay_ms
+        yield RESTART_DELAY_MS
         yield from self.start()
 
     def restart_process(self):
@@ -359,7 +401,7 @@ class MiddlewareServer:
         runs in the append's own step (see :meth:`append_write_record`).
         Returns ``(lsn, size)``.
         """
-        yield from self.cpu(self.config.costs.log_append_ms)
+        yield from self.cpu(COSTS.log_append_ms)
         lsn, size = self.log.append(record)
         spill_due = session.account_record(lsn, size, self.epoch)
         if apply is not None:
@@ -380,7 +422,7 @@ class MiddlewareServer:
         (spill, DV-tracking CPU) would otherwise capture its scan floors
         with the record logged but the variable untouched.
         """
-        yield from self.cpu(self.config.costs.log_append_ms)
+        yield from self.cpu(COSTS.log_append_ms)
         lsn, size = self.log.append(record)
         apply(lsn)
         if session.first_lsn is None:
@@ -419,11 +461,7 @@ class MiddlewareServer:
     def session_for(self, session_id: str, create: bool = True) -> Optional[Session]:
         session = self.sessions.get(session_id)
         if session is None and create:
-            session = Session(
-                session_id,
-                self.name,
-                buffer_capacity=self.config.position_buffer_capacity,
-            )
+            session = Session(session_id, self.name)
             if not self.config.per_session_dv:
                 # Ablation: one DV shared by every session.  A remote
                 # crash then orphans all sessions together ("all its
@@ -480,9 +518,8 @@ class MiddlewareServer:
                     span.end()
 
     def _handle_request(self, request: Request):
-        costs = self.config.costs
         self.sim.probe("msp.request", owner=self.name)
-        yield from self.cpu(costs.message_stack_ms + costs.request_dispatch_ms)
+        yield from self.cpu(COSTS.message_stack_ms + COSTS.request_dispatch_ms)
         if (
             request.end_session
             and request.seq > 0
@@ -592,7 +629,6 @@ class MiddlewareServer:
             # Never reached if the drain is correct: a request must not
             # execute against a not-yet-replayed session.
             self.stats.served_before_recovery += 1
-        costs = self.config.costs
         # Fig. 7 "after receive" actions.
         if self.recoverable:
             if request.sender_dv is not None:
@@ -622,7 +658,7 @@ class MiddlewareServer:
             else:
                 session.command_lsn = None
             if request.sender_dv is not None:
-                yield from self.cpu(costs.dv_track_ms)
+                yield from self.cpu(COSTS.dv_track_ms)
                 session.dv.merge(request.sender_dv)
 
         if request.end_session:
@@ -677,7 +713,7 @@ class MiddlewareServer:
         # Fig. 7 "before send" actions for the reply.
         if self.recoverable:
             if self.domains.same_domain(self.name, request.reply_to):
-                yield from self.cpu(costs.dv_track_ms)
+                yield from self.cpu(COSTS.dv_track_ms)
                 reply.sender_dv = session.dv.copy()
             else:
                 yield from self.distributed_flush(session.dv, f"session {session.id}")
@@ -693,7 +729,7 @@ class MiddlewareServer:
         """The adaptive logging policy (DESIGN.md §16), run between
         requests.
 
-        Every ``adaptive_eval_requests`` completed requests, compare the
+        Every ``ADAPTIVE_EVAL_REQUESTS`` completed requests, compare the
         observed log volume against what command logging would keep
         (value mode tracks the elidable SvUpdate share) and the
         estimated re-execution cost against the replay budget.  Both
@@ -704,10 +740,10 @@ class MiddlewareServer:
         """
         if not self.adaptive_mode or session.status is not SessionStatus.NORMAL:
             return
-        if session.requests_since_eval < self.config.adaptive_eval_requests:
+        if session.requests_since_eval < ADAPTIVE_EVAL_REQUESTS:
             return
-        margin = self.config.adaptive_hysteresis_margin
-        budget = self.config.adaptive_replay_budget_ms
+        margin = ADAPTIVE_HYSTERESIS_MARGIN
+        budget = ADAPTIVE_REPLAY_BUDGET_MS
         old_mode = session.logging_mode
         if old_mode == "value":
             kept = session.bytes_since_eval - session.elidable_bytes_since_eval
@@ -749,7 +785,7 @@ class MiddlewareServer:
             # The session's durable footprint must not outlive it
             # inconsistently; flush its dependencies, then mark the end.
             yield from self.distributed_flush(session.dv, f"session {session.id}")
-            yield from self.cpu(self.config.costs.log_append_ms)
+            yield from self.cpu(COSTS.log_append_ms)
             self.log.append(SessionEndRecord(session_id=session.id))
         self.sessions.pop(session.id, None)
         self._propagate_session_end(session)
@@ -767,7 +803,7 @@ class MiddlewareServer:
                 yield from self.distributed_flush(
                     session.dv, f"session {session.id}"
                 )
-                yield from self.cpu(self.config.costs.log_append_ms)
+                yield from self.cpu(COSTS.log_append_ms)
                 self.log.append(SessionEndRecord(session_id=session.id))
         except (FlushFailed, OrphanDetected):
             self._ensure_recovery(session)
@@ -812,8 +848,8 @@ class MiddlewareServer:
             reply_port=reply_port,
             end_session=True,
         )
-        for _attempt in range(self.config.end_propagation_attempts):
-            yield from self.cpu(self.config.costs.message_stack_ms)
+        for _attempt in range(END_PROPAGATION_ATTEMPTS):
+            yield from self.cpu(COSTS.message_stack_ms)
             self.send(out.target_msp, "request", request)
             reply = yield from _await_reply(self, inbox, request.seq)
             if reply is None:
@@ -843,7 +879,7 @@ class MiddlewareServer:
 
     def _send_reply(self, request: Request, reply: Reply):
         self.sim.probe("msp.reply", owner=self.name)
-        yield from self.cpu(self.config.costs.message_stack_ms)
+        yield from self.cpu(COSTS.message_stack_ms)
         self.send(request.reply_to, request.reply_port, reply)
 
     # ------------------------------------------------------------------
@@ -886,12 +922,12 @@ class MiddlewareServer:
                 epoch=ann.epoch,
                 lsn=ann.recovered_lsn,
             )
-        yield from self.cpu(self.config.costs.message_stack_ms)
+        yield from self.cpu(COSTS.message_stack_ms)
         fresh = self.table.record(ann.msp, ann.epoch, ann.recovered_lsn)
         self.learn_recovery_knowledge(ann.table_snapshot)
         if fresh:
             # Log the knowledge so it survives our own crashes.
-            yield from self.cpu(self.config.costs.log_append_ms)
+            yield from self.cpu(COSTS.log_append_ms)
             self.log.append(
                 AnnouncementRecord(
                     msp=ann.msp, epoch=ann.epoch, recovered_lsn=ann.recovered_lsn

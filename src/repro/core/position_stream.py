@@ -18,11 +18,15 @@ from typing import Iterable, Iterator, Optional
 
 from repro.storage import Disk
 
+#: Position-buffer capacity, in positions (spilled to disk when full;
+#: paper §3.2 says this cost is low).
+POSITION_BUFFER_CAPACITY = 512
+
 
 class PositionStream:
     """LSN positions of one session's log records since its checkpoint."""
 
-    def __init__(self, session_id: str, buffer_capacity: int = 512):
+    def __init__(self, session_id: str, buffer_capacity: int = POSITION_BUFFER_CAPACITY):
         self.session_id = session_id
         self.buffer_capacity = buffer_capacity
         #: Positions already spilled to the position stream's disk area.

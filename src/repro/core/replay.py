@@ -25,6 +25,7 @@ from repro.core.context import (
     ReplayCursor,
     write_eos,
 )
+from repro.core.config import COSTS
 from repro.core.dv import StateId
 from repro.core.errors import FlushFailed, OrphanDetected, SessionProtocolError
 from repro.core.log_manager import LogWindowReader
@@ -144,8 +145,7 @@ def _replay_request(
     record: "RequestRecord | CommandRecord",
 ):
     """Re-execute one logged request (paper §4.1 replay rules)."""
-    costs = msp.config.costs
-    yield from msp.cpu(costs.replay_dispatch_ms)
+    yield from msp.cpu(COSTS.replay_dispatch_ms)
     # Command logging (DESIGN.md §16): dispatch per record kind, so a
     # mixed-mode suffix (the adaptive policy switching between requests)
     # replays each request under the regime it was logged with.  The
@@ -161,7 +161,7 @@ def _replay_request(
     session.state_lsn = lsn
     session.dv.observe(msp.name, StateId(msp.epoch, lsn))
     if record.sender_dv is not None:
-        yield from msp.cpu(costs.dv_track_ms)
+        yield from msp.cpu(COSTS.dv_track_ms)
         session.dv.merge(record.sender_dv)
 
     if record.method not in msp._services:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
-from repro.core.position_stream import PositionStream
+from repro.core.position_stream import POSITION_BUFFER_CAPACITY, PositionStream
 from repro.core.records import SessionCheckpointRecord
 
 
@@ -37,7 +37,9 @@ class OutgoingSession:
 class Session:
     """One client's session at an MSP."""
 
-    def __init__(self, session_id: str, msp_name: str, buffer_capacity: int = 512):
+    def __init__(
+        self, session_id: str, msp_name: str, buffer_capacity: int = POSITION_BUFFER_CAPACITY
+    ):
         self.id = session_id
         self.msp_name = msp_name
         #: Private session variables (name -> bytes); never logged.

@@ -9,7 +9,7 @@ the primary's durable prefix at all times.  On disaster the standby
 *promotes* — it recovers from its shipped copy exactly as the primary
 would have recovered from its own disk — and because the standby
 process is already booted, the failover skips the primary's
-``restart_delay_ms`` cold-start.
+``RESTART_DELAY_MS`` cold-start.
 
 Shipping here is synchronous with the flush: the primary's disk write
 and the standby transfer complete together (real deployments overlap
@@ -185,7 +185,7 @@ class WarmStandby:
         recovery process).
 
         Unlike :meth:`~repro.core.msp.MiddlewareServer.restart_process`,
-        no ``restart_delay_ms`` is paid: the standby process is already
+        no ``RESTART_DELAY_MS`` is paid: the standby process is already
         up — that head start is exactly the failover-time win the
         scenario matrix measures.  ``takeover_delay_ms`` models failure
         detection / virtual-IP switch time.

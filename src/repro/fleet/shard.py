@@ -76,7 +76,6 @@ class FleetShard:
 
         self.local_names = self.topology.local_msps(index)
         local = set(self.local_names)
-        config_proto = self._recovery_config()
         self.msps: dict[str, MiddlewareServer] = {}
         for name in self.local_names:
             msp = MiddlewareServer(
@@ -84,7 +83,7 @@ class FleetShard:
                 self.network,
                 name,
                 domains=self.topology.domains,
-                config=self._recovery_config(),
+                config=RecoveryConfig.of(spec),
                 rng=self.rng,
             )
             msp.register_service("chain", chain_service)
@@ -117,7 +116,6 @@ class FleetShard:
                 self.sim,
                 self.network,
                 f"c.{name}",
-                costs=config_proto.costs,
                 resend_timeout_ms=spec.resend_timeout_ms,
             )
             client.cpu = Resource(self.sim, capacity=1 << 20, name=f"cpu.c.{name}")
@@ -186,20 +184,6 @@ class FleetShard:
                     self.sim.call_at(
                         when, lambda m=self.msps[target]: self._disaster(m)
                     )
-
-    def _recovery_config(self) -> RecoveryConfig:
-        spec = self.spec
-        return RecoveryConfig(
-            session_ckpt_threshold_bytes=spec.session_ckpt_threshold,
-            sv_ckpt_write_threshold=spec.sv_ckpt_write_threshold,
-            msp_ckpt_interval_ms=spec.msp_ckpt_interval_ms,
-            session_idle_timeout_ms=spec.session_idle_timeout_ms,
-            batch_flush_timeout_ms=spec.batch_flush_timeout_ms,
-            log_segment_bytes=spec.log_segment_bytes,
-            log_partitions=spec.log_partitions,
-            recovery_mode=spec.recovery_mode,
-            logging_mode=spec.logging_mode,
-        )
 
     def _crash_restart(self, msp: MiddlewareServer) -> None:
         struck_at = self.sim.now
@@ -337,15 +321,10 @@ class FleetShard:
         if self.sim.now <= self._last_crash_ms:
             return False
         for msp in self.msps.values():
-            if not msp.running:
+            if not msp.running or msp.recovery_pending():
                 return False
-            for session in msp.sessions.values():
-                if (
-                    session.lazy_pending
-                    or session.recovery_pending
-                    or session.status is not SessionStatus.NORMAL
-                ):
-                    return False
+            if any(s.status is not SessionStatus.NORMAL for s in msp.sessions.values()):
+                return False
         return True
 
     # -- results -----------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-from repro.core.config import check_modes
+from repro.core.config import RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
 
 
@@ -100,7 +100,7 @@ class FleetSpec:
     disaster_plan: tuple = ()
     #: Attach a :class:`~repro.core.standby.WarmStandby` to every MSP:
     #: flushed log frames ship synchronously to a standby store, and a
-    #: disaster fails over to it (skipping the cold ``restart_delay_ms``).
+    #: disaster fails over to it (skipping the cold ``RESTART_DELAY_MS``).
     warm_standby: bool = False
     #: Failure-detection / takeover delay a disaster failover pays
     #: before the standby starts recovering.
@@ -154,7 +154,7 @@ class FleetTopology:
                 f"shards must be in [1, domains]: {spec.shards} vs "
                 f"{spec.domains} domains (whole domains live on one shard)"
             )
-        check_modes(spec.recovery_mode, spec.logging_mode, spec.log_partitions)
+        RecoveryConfig.of(spec).validate()
         if spec.epoch_ms <= 0:
             raise ValueError(f"epoch_ms must be positive, got {spec.epoch_ms}")
         if spec.shards > 1 and spec.cross_latency_ms < spec.epoch_ms:

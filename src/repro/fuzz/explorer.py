@@ -34,6 +34,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.config import same_named
 from repro.core.session import SessionStatus
 from repro.fuzz.invariants import check_world
 from repro.fuzz.sites import CrashInjector, TraceRecorder
@@ -103,33 +104,46 @@ class CrashSchedule:
         )
 
 
+#: Simulated-time budget; a schedule that exceeds it is a liveness
+#: failure (clients stalled), not a hang of the explorer.
+LIMIT_MS = 60_000.0
+#: Extra simulated time after the run for in-flight recoveries.
+QUIESCE_MS = 2_000.0
+#: Random mode samples kill ordinals from ``[0, KILL_HORIZON)``.
+KILL_HORIZON = 600
+#: Recovery settings of every fuzzed world: small thresholds and
+#: periods so checkpoint phases appear in traces, and log segments small
+#: enough — and sv/forced checkpoints frequent enough that the minimal
+#: LSN actually advances — that the short fuzz workloads recycle real
+#: segments, so the truncate-step crash probes guard genuine recycling,
+#: not no-op truncations.  A fleet world takes the ones ``FleetSpec``
+#: carries.
+FUZZ_RECOVERY = {
+    "session_ckpt_threshold": 4 * 1024,
+    "msp_ckpt_interval_ms": 40.0,
+    "log_segment_bytes": 2048,
+    "sv_ckpt_write_threshold": 6,
+    "forced_ckpt_msp_count": 2,
+}
+#: The fleet world's arrival window, request-chain depth and share of
+#: hops that cross a domain boundary.
+FLEET_DURATION_MS = 400.0
+FLEET_CHAIN_DEPTH = 2
+FLEET_CROSS_DOMAIN_FRACTION = 0.75
+
+
 @dataclass
 class FuzzParams:
-    """Shape of the fuzzed workload and execution bounds."""
+    """Shape of the fuzzed workload: what the CLI and tests choose.
+
+    A field named like a ``WorkloadParams`` or ``FleetSpec`` field is
+    that setting of the world (the mode fields are ``RecoveryConfig``
+    settings, as there).
+    """
 
     num_clients: int = 2
     requests_per_client: int = 6
-    calls_to_sm2: int = 1
-    #: Small thresholds/periods so checkpoint phases appear in traces.
-    session_ckpt_threshold: int = 4 * 1024
-    msp_ckpt_interval_ms: float = 40.0
-    #: Simulated-time budget; a schedule that exceeds it is a liveness
-    #: failure (clients stalled), not a hang of the explorer.
-    limit_ms: float = 60_000.0
-    #: Extra simulated time after the run for in-flight recoveries.
-    quiesce_ms: float = 2_000.0
-    #: Random mode samples kill ordinals from ``[0, kill_horizon)``.
-    kill_horizon: int = 600
     targets: tuple[str, ...] = ("msp1", "msp2")
-    #: Checkpoint-driven log truncation, with segments small enough —
-    #: and sv/forced checkpoints frequent enough that the minimal LSN
-    #: actually advances — that the short fuzz workloads recycle real
-    #: segments, so the truncate-step crash probes guard genuine
-    #: recycling, not no-op truncations.
-    log_truncation: bool = True
-    log_segment_bytes: int = 2048
-    sv_ckpt_write_threshold: int = 6
-    forced_ckpt_msp_count: int = 2
     #: Log partition count (1 = classical single log); >1 exercises the
     #: per-partition group commit and DV-ordered recovery merge.
     log_partitions: int = 1
@@ -160,32 +174,18 @@ class FuzzParams:
     fleet_msps: int = 4
     fleet_domains: int = 2
     fleet_sessions: int = 10
-    fleet_duration_ms: float = 400.0
-    fleet_chain_depth: int = 2
-    fleet_cross_domain_fraction: float = 0.75
 
     def workload_params(self, seed: int) -> WorkloadParams:
         return WorkloadParams(
             configuration="LoOptimistic",
-            num_clients=self.num_clients,
-            requests_per_client=self.requests_per_client,
-            calls_to_sm2=self.calls_to_sm2,
-            session_ckpt_threshold=self.session_ckpt_threshold,
-            msp_ckpt_interval_ms=self.msp_ckpt_interval_ms,
-            log_truncation=self.log_truncation,
-            log_segment_bytes=self.log_segment_bytes,
-            sv_ckpt_write_threshold=self.sv_ckpt_write_threshold,
-            forced_ckpt_msp_count=self.forced_ckpt_msp_count,
-            log_partitions=self.log_partitions,
-            recovery_mode=self.recovery_mode,
-            recovery_pump_concurrency=self.recovery_pump_concurrency,
-            logging_mode=self.logging_mode,
             # Atomic RMW counters: with the paper's separate read + write
             # accesses, two concurrent clients can interleave and lose an
             # increment with no crash at all (the fuzzer's first find),
             # which would make the counter oracle unsound.
             atomic_sv_updates=True,
             seed=seed,
+            **same_named(WorkloadParams, FUZZ_RECOVERY),
+            **same_named(WorkloadParams, self),
         )
 
     def fleet_spec(self, seed: int):
@@ -198,17 +198,12 @@ class FuzzParams:
             shards=1,
             seed=seed,
             sessions=self.fleet_sessions,
-            duration_ms=self.fleet_duration_ms,
-            chain_depth=self.fleet_chain_depth,
-            cross_domain_fraction=self.fleet_cross_domain_fraction,
+            duration_ms=FLEET_DURATION_MS,
+            chain_depth=FLEET_CHAIN_DEPTH,
+            cross_domain_fraction=FLEET_CROSS_DOMAIN_FRACTION,
             think_ms=2.0,
-            session_ckpt_threshold=self.session_ckpt_threshold,
-            msp_ckpt_interval_ms=self.msp_ckpt_interval_ms,
-            log_segment_bytes=self.log_segment_bytes,
-            sv_ckpt_write_threshold=self.sv_ckpt_write_threshold,
-            log_partitions=self.log_partitions,
-            recovery_mode=self.recovery_mode,
-            logging_mode=self.logging_mode,
+            **same_named(FleetSpec, FUZZ_RECOVERY),
+            **same_named(FleetSpec, self),
         )
 
 
@@ -352,11 +347,10 @@ def _quiesced(workload) -> bool:
     finish (paper §4.3), so ``running`` alone is not quiescence.
     """
     for msp in _world_msps(workload):
-        if not msp.running:
+        if not msp.running or msp.recovery_pending():
             return False
-        for session in msp.sessions.values():
-            if session.recovery_pending or session.status is not SessionStatus.NORMAL:
-                return False
+        if any(s.status is not SessionStatus.NORMAL for s in msp.sessions.values()):
+            return False
     return True
 
 
@@ -378,8 +372,8 @@ def discover_sites(params: FuzzParams, seed: int = 0) -> TraceRecorder:
     """One uninjected run; returns the recorder holding the site trace."""
     workload = build_world(params, seed, faults=None)
     recorder = TraceRecorder(workload.sim).attach()
-    workload.run(limit_ms=params.limit_ms)
-    workload.sim.run(until=workload.sim.now + params.quiesce_ms)
+    workload.run(limit_ms=LIMIT_MS)
+    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
     recorder.detach()
     return recorder
 
@@ -407,14 +401,14 @@ def run_schedule(
         schedule.kills,
         _crash_and_restart(workload, schedule.target),
     ).attach()
-    result = workload.run(limit_ms=params.limit_ms)
-    workload.sim.run(until=workload.sim.now + params.quiesce_ms)
+    result = workload.run(limit_ms=LIMIT_MS)
+    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
     # A kill that lands at the very edge of the quiesce window leaves its
     # recovery or session replays in flight; grant bounded extra time so
     # the battery judges a recovered world, not a mid-recovery snapshot.
     # (A recovery that cannot finish within this budget is a genuine
     # liveness violation.)
-    settle_deadline = workload.sim.now + params.quiesce_ms
+    settle_deadline = workload.sim.now + QUIESCE_MS
     while workload.sim.now < settle_deadline and not _quiesced(workload):
         if not workload.sim.step():
             break
@@ -631,7 +625,7 @@ def schedule_from_seed(case_seed: int, params: FuzzParams) -> CrashSchedule:
     rng = random.Random(case_seed)
     target = rng.choice(sorted(params.targets))
     n_kills = rng.randint(1, 3)
-    kills = tuple(sorted(rng.sample(range(params.kill_horizon), n_kills)))
+    kills = tuple(sorted(rng.sample(range(KILL_HORIZON), n_kills)))
     faults: Optional[FaultSpec] = None
     if rng.random() < 0.5:
         faults = FaultSpec(

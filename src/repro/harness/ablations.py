@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.client import EndClient
 from repro.core.config import RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
-from repro.core.msp import MiddlewareServer
+from repro.core.msp import RESTART_DELAY_MS, MiddlewareServer
 from repro.core.session import SessionStatus
 from repro.harness.experiments import Claim, Experiment
 from repro.net import Network
@@ -83,7 +83,7 @@ def _recovery_cell(spec: dict) -> list[dict]:
 
     waiter = sim.spawn(wait_recovered())
     sim.run_until_process(waiter, limit=sim.now + 600_000)
-    recovery_ms = sim.now - crash_at - config.restart_delay_ms
+    recovery_ms = sim.now - crash_at - RESTART_DELAY_MS
     total = int.from_bytes(msp.shared["total"].value, "big")
     assert total == RECOVERY_SESSIONS * requests, "exactly-once violated in ablation"
     return [{

@@ -271,9 +271,7 @@ def _instant_restart_cell(spec: dict) -> list[dict]:
     def drain():
         # Coarse poll: the pending scan is O(sessions), so a 10 ms poll
         # over a 10k-session drain is itself quadratic wall time.
-        while any(
-            s.lazy_pending or s.recovery_pending for s in msp.sessions.values()
-        ) or not msp.running:
+        while msp.recovery_pending() or not msp.running:
             yield 500.0
 
     sim.run_until_process(sim.spawn(drain()), limit=36_000_000)

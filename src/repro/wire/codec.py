@@ -20,7 +20,7 @@ Two API layers share the same byte format:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -230,21 +230,3 @@ class Decoder:
         if not self.exhausted:
             raise CodecError(f"{self.remaining} trailing bytes after decode")
 
-
-def encode_all(*fields: Iterable) -> bytes:  # pragma: no cover - convenience
-    """Convenience: encode a flat tuple of ints/bytes/strs."""
-    enc = Encoder()
-    for field in fields:
-        if isinstance(field, bool):
-            enc.boolean(field)
-        elif isinstance(field, int):
-            enc.sint(field)
-        elif isinstance(field, bytes):
-            enc.raw(field)
-        elif isinstance(field, str):
-            enc.text(field)
-        elif isinstance(field, float):
-            enc.float64(field)
-        else:
-            raise TypeError(f"cannot encode {type(field).__name__}")
-    return enc.finish()

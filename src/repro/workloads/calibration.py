@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import CostModel
+from repro.core.config import COSTS
 from repro.net.network import DEFAULT_BANDWIDTH_BYTES_PER_MS
 from repro.storage import DiskModel
 from repro.workloads.paper import CLIENT_LINK_LATENCY_MS, MSP_LINK_LATENCY_MS
@@ -29,7 +29,6 @@ class AnalyticModel:
     """Closed-form §5.2 estimates for the Fig. 13 workload."""
 
     disk: DiskModel = field(default_factory=DiskModel)
-    costs: CostModel = field(default_factory=CostModel)
 
     # -- §5.2 primitives ----------------------------------------------------
 
@@ -41,19 +40,19 @@ class AnalyticModel:
         """MSP-to-MSP round trip incl. protocol-stack CPU (paper: 3.596)."""
         transfer = payload_bytes / DEFAULT_BANDWIDTH_BYTES_PER_MS
         network = 2 * (MSP_LINK_LATENCY_MS + transfer)
-        stacks = 4 * self.costs.message_stack_ms
-        dispatch = self.costs.request_dispatch_ms
+        stacks = 4 * COSTS.message_stack_ms
+        dispatch = COSTS.request_dispatch_ms
         return network + stacks + dispatch
 
     def client_round_ms(self, payload_bytes: int = 300) -> float:
         """Client-to-MSP round trip (paper: 3.9 ms)."""
         transfer = payload_bytes / DEFAULT_BANDWIDTH_BYTES_PER_MS
         network = 2 * (CLIENT_LINK_LATENCY_MS + transfer)
-        return network + 2 * self.costs.client_stack_ms
+        return network + 2 * COSTS.client_stack_ms
 
     def tdv_ms(self, dv_operations: int = 6) -> float:
         """Dependency-tracking overhead per request."""
-        return dv_operations * self.costs.dv_track_ms
+        return dv_operations * COSTS.dv_track_ms
 
     # -- §5.2 composite predictions --------------------------------------------
 

@@ -32,7 +32,9 @@ from typing import Optional
 
 from repro.baselines import PsessionServer, StateServerNode, StateServerServer
 from repro.core.client import EndClient
-from repro.core.config import LOGGING_MODES, RECOVERY_MODES, LoggingMode, RecoveryConfig
+from repro.core.config import (
+    COSTS, LOGGING_MODES, RECOVERY_MODES, LoggingMode, RecoveryConfig,
+)
 from repro.core.domain import ServiceDomainConfig
 from repro.core.msp import MiddlewareServer
 from repro.net import Network
@@ -47,24 +49,33 @@ MSP_LINK_LATENCY_MS = 0.35
 #: 100 Mbps Ethernet.
 BANDWIDTH_BYTES_PER_MS = 12_500.0
 
+#: The §5.1 payload sizes (bytes): a reply, a shared variable, a
+#: session's whole state, and the part of it each request rewrites.
+REPLY_BYTES = 100
+SV_BYTES = 128
+SESSION_STATE_BYTES = 8 * 1024
+SESSION_WRITE_BYTES = 512
+
+#: The recovery settings' defaults, declared once by RecoveryConfig.
+_RECOVERY = RecoveryConfig()
+
 
 @dataclass
 class WorkloadParams:
-    """Everything the §5 experiments vary."""
+    """Everything the §5 experiments vary.
+
+    A field named like a :class:`RecoveryConfig` field is that setting
+    of both MSPs (``RecoveryConfig.of``), and defaults to it.
+    """
 
     configuration: str = "LoOptimistic"
     #: The paper's *m*: calls to ServiceMethod2 per ServiceMethod1.
     calls_to_sm2: int = 1
     num_clients: int = 1
     requests_per_client: int = 200
-    #: Session checkpoint threshold in bytes (None = no checkpointing).
-    session_ckpt_threshold: Optional[int] = 1024 * 1024
-    #: Batch flushing timeout (0 = disabled; the paper uses 8 ms).
-    batch_flush_timeout_ms: float = 0.0
-    #: Fuzzy MSP checkpoint period override (None = RecoveryConfig
-    #: default).  The crash-schedule fuzzer shortens it so checkpoint
-    #: phase boundaries appear among the enumerated crash sites.
-    msp_ckpt_interval_ms: Optional[float] = None
+    session_ckpt_threshold: Optional[int] = _RECOVERY.session_ckpt_threshold
+    batch_flush_timeout_ms: float = _RECOVERY.batch_flush_timeout_ms
+    msp_ckpt_interval_ms: float = _RECOVERY.msp_ckpt_interval_ms
     #: Forced crash rate: one MSP2 kill per this many completed
     #: ServiceMethod1 executions (None = no crashes).
     crash_every_n: Optional[int] = None
@@ -77,38 +88,15 @@ class WorkloadParams:
     #: calls" is a sound exactly-once oracle under multi-client runs;
     #: the §5 performance experiments keep the paper's access pattern.
     atomic_sv_updates: bool = False
-    #: Checkpoint-driven log truncation (segment recycling below the
-    #: anchored checkpoint's minimal LSN).  Off reproduces the seed's
-    #: grow-forever log, for the ``log_space`` comparison.
-    log_truncation: bool = True
-    #: Physical log segment size override (None = RecoveryConfig default).
-    log_segment_bytes: Optional[int] = None
-    #: Log partition count (1 = the classical single log).  Sessions
-    #: hash to partitions; each partition group-commits independently.
-    log_partitions: int = 1
-    #: Shared-variable checkpoint threshold override (None = default).
-    #: The fuzzer lowers it so sv scan starts stop pinning the minimal
-    #: LSN and truncation advances within short runs.
-    sv_ckpt_write_threshold: Optional[int] = None
-    #: Forced-checkpoint staleness limit override (None = default).
-    forced_ckpt_msp_count: Optional[int] = None
-    #: Crash-recovery mode, i.e. the drain's worker count (DESIGN.md
-    #: §15): ``eager`` starts one worker per session (the paper's
-    #: recover-everything restart), ``lazy`` starts
-    #: ``recovery_pump_concurrency`` and replays a session inline when
-    #: its next request beats the workers to it.
-    recovery_mode: str = "eager"
-    #: Lazy mode's drain worker count (1 = sequential replay).
-    recovery_pump_concurrency: int = 4
-    #: What sessions log: ``value`` (the paper's §3.3 per-SV records),
-    #: ``command`` (one command record per request, replay re-executes)
-    #: or ``adaptive`` (per-session runtime choice, DESIGN.md §16).
-    logging_mode: str = "value"
+    log_truncation: bool = _RECOVERY.log_truncation
+    log_segment_bytes: int = _RECOVERY.log_segment_bytes
+    log_partitions: int = _RECOVERY.log_partitions
+    sv_ckpt_write_threshold: int = _RECOVERY.sv_ckpt_write_threshold
+    forced_ckpt_msp_count: int = _RECOVERY.forced_ckpt_msp_count
+    recovery_mode: str = _RECOVERY.recovery_mode
+    recovery_pump_concurrency: int = _RECOVERY.recovery_pump_concurrency
+    logging_mode: str = _RECOVERY.logging_mode
     request_arg_bytes: int = 100
-    reply_bytes: int = 100
-    sv_bytes: int = 128
-    session_state_bytes: int = 8 * 1024
-    session_write_bytes: int = 512
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -278,25 +266,9 @@ class PaperWorkload:
             )
 
     def _recovery_config(self) -> RecoveryConfig:
-        params = self.params
-        config = RecoveryConfig()
-        if params.configuration == "NoLog":
+        config = RecoveryConfig.of(self.params)
+        if self.params.configuration == "NoLog":
             config.mode = LoggingMode.NOLOG
-        config.session_ckpt_threshold_bytes = params.session_ckpt_threshold
-        config.batch_flush_timeout_ms = params.batch_flush_timeout_ms
-        if params.msp_ckpt_interval_ms is not None:
-            config.msp_ckpt_interval_ms = params.msp_ckpt_interval_ms
-        config.log_truncation = params.log_truncation
-        if params.log_segment_bytes is not None:
-            config.log_segment_bytes = params.log_segment_bytes
-        config.log_partitions = params.log_partitions
-        if params.sv_ckpt_write_threshold is not None:
-            config.sv_ckpt_write_threshold = params.sv_ckpt_write_threshold
-        if params.forced_ckpt_msp_count is not None:
-            config.forced_ckpt_msp_count = params.forced_ckpt_msp_count
-        config.recovery_mode = params.recovery_mode
-        config.recovery_pump_concurrency = params.recovery_pump_concurrency
-        config.logging_mode = params.logging_mode
         return config
 
     def _build_servers(self) -> None:
@@ -329,11 +301,11 @@ class PaperWorkload:
         self.crash_controller.msp2 = self.msp2
 
         self.msp1.register_service("service_method1", self._make_service_method1())
-        self.msp1.register_shared("SV0", _counter_bytes(0, params.sv_bytes))
-        self.msp1.register_shared("SV1", _counter_bytes(0, params.sv_bytes))
+        self.msp1.register_shared("SV0", _counter_bytes(0, SV_BYTES))
+        self.msp1.register_shared("SV1", _counter_bytes(0, SV_BYTES))
         self.msp2.register_service("service_method2", self._make_service_method2())
-        self.msp2.register_shared("SV2", _counter_bytes(0, params.sv_bytes))
-        self.msp2.register_shared("SV3", _counter_bytes(0, params.sv_bytes))
+        self.msp2.register_shared("SV2", _counter_bytes(0, SV_BYTES))
+        self.msp2.register_shared("SV3", _counter_bytes(0, SV_BYTES))
 
     def _increment(self, ctx, name: str):
         """Bump one shared counter via the configured access pattern."""
@@ -341,21 +313,21 @@ class PaperWorkload:
         if params.atomic_sv_updates:
             yield from ctx.update_shared(
                 name,
-                lambda raw: _counter_bytes(_counter_value(raw) + 1, params.sv_bytes),
+                lambda raw: _counter_bytes(_counter_value(raw) + 1, SV_BYTES),
             )
         else:
             raw = yield from ctx.read_shared(name)
             yield from ctx.write_shared(
-                name, _counter_bytes(_counter_value(raw) + 1, params.sv_bytes)
+                name, _counter_bytes(_counter_value(raw) + 1, SV_BYTES)
             )
 
     def _make_service_method1(self):
         params = self.params
         controller = self.crash_controller
-        bulk_bytes = params.session_state_bytes - params.session_write_bytes
+        bulk_bytes = SESSION_STATE_BYTES - SESSION_WRITE_BYTES
 
         def service_method1(ctx, argument):
-            yield from ctx.compute(self.msp1.config.costs.method_execution_ms)
+            yield from ctx.compute(COSTS.method_execution_ms)
             yield from self._increment(ctx, "SV0")
             for _ in range(params.calls_to_sm2):
                 yield from ctx.call("msp2", "service_method2", argument)
@@ -368,9 +340,9 @@ class PaperWorkload:
             hot = yield from ctx.get_session_var("hot")
             count = _counter_value(hot) + 1
             yield from ctx.set_session_var(
-                "hot", _counter_bytes(count, params.session_write_bytes)
+                "hot", _counter_bytes(count, SESSION_WRITE_BYTES)
             )
-            return _counter_bytes(count, params.reply_bytes)
+            return _counter_bytes(count, REPLY_BYTES)
 
         return service_method1
 
@@ -378,20 +350,20 @@ class PaperWorkload:
         params = self.params
 
         def service_method2(ctx, argument):
-            yield from ctx.compute(self.msp2.config.costs.method_execution_ms)
+            yield from ctx.compute(COSTS.method_execution_ms)
             for name in ("SV2", "SV3"):
                 yield from self._increment(ctx, name)
             bulk = yield from ctx.get_session_var("bulk")
             if bulk is None:
                 yield from ctx.set_session_var(
-                    "bulk", b"\x00" * (params.session_state_bytes - params.session_write_bytes)
+                    "bulk", b"\x00" * (SESSION_STATE_BYTES - SESSION_WRITE_BYTES)
                 )
             hot = yield from ctx.get_session_var("hot")
             count = _counter_value(hot) + 1
             yield from ctx.set_session_var(
-                "hot", _counter_bytes(count, params.session_write_bytes)
+                "hot", _counter_bytes(count, SESSION_WRITE_BYTES)
             )
-            return _counter_bytes(count, params.reply_bytes)
+            return _counter_bytes(count, REPLY_BYTES)
 
         return service_method2
 
@@ -454,12 +426,9 @@ class PaperWorkload:
         # have not been re-executed yet, so shared counters read stale
         # until every session is replayed.  Measurements were taken above.
         def _quiesced() -> bool:
-            if not (self.msp1.running and self.msp2.running):
-                return False
-            return not any(
-                s.lazy_pending or s.recovery_pending
+            return all(
+                msp.running and not msp.recovery_pending()
                 for msp in (self.msp1, self.msp2)
-                for s in msp.sessions.values()
             )
 
         settle_deadline = self.sim.now + 60_000.0

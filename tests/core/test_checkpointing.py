@@ -67,7 +67,7 @@ def records_of(msp, kind):
 
 
 def test_session_checkpoint_taken_at_threshold():
-    config = RecoveryConfig(session_ckpt_threshold_bytes=4096)
+    config = RecoveryConfig(session_ckpt_threshold=4096)
     sim, msp, client = build(config=config)
     drive(sim, msp, client, 30)
     ckpts = records_of(msp, SessionCheckpointRecord)
@@ -78,7 +78,7 @@ def test_session_checkpoint_taken_at_threshold():
 
 
 def test_session_checkpoint_resets_threshold_accounting():
-    config = RecoveryConfig(session_ckpt_threshold_bytes=4096)
+    config = RecoveryConfig(session_ckpt_threshold=4096)
     sim, msp, client = build(config=config)
     _, session = drive(sim, msp, client, 30)
     server_session = msp.sessions[session.id]
@@ -113,7 +113,7 @@ def test_forced_checkpoint_for_idle_session():
     config = RecoveryConfig(
         msp_ckpt_interval_ms=20.0,
         forced_ckpt_msp_count=3,
-        session_ckpt_threshold_bytes=100 * 1024 * 1024,  # never by size
+        session_ckpt_threshold=100 * 1024 * 1024,  # never by size
     )
     sim, msp, client = build(config=config)
     msp.start_process()
@@ -133,7 +133,7 @@ def test_forced_checkpoint_for_idle_session():
 def test_msp_checkpoint_min_lsn_bounds_scan():
     """After checkpoints, crash-recovery scans only the log suffix."""
     config = RecoveryConfig(
-        session_ckpt_threshold_bytes=4096, msp_ckpt_interval_ms=50.0
+        session_ckpt_threshold=4096, msp_ckpt_interval_ms=50.0
     )
     sim, msp, client = build(config=config)
     results, session = drive(sim, msp, client, 40)
@@ -160,7 +160,7 @@ def test_checkpoint_truncates_log_to_anchored_min_lsn():
     """Each anchored MSP checkpoint advances the truncation floor to its
     own minimal LSN and recycles the segments below it."""
     config = RecoveryConfig(
-        session_ckpt_threshold_bytes=4096,
+        session_ckpt_threshold=4096,
         msp_ckpt_interval_ms=50.0,
         sv_ckpt_write_threshold=8,
         log_segment_bytes=2048,
@@ -179,7 +179,7 @@ def test_checkpoint_truncates_log_to_anchored_min_lsn():
 
 def test_truncation_disabled_keeps_whole_log():
     config = RecoveryConfig(
-        session_ckpt_threshold_bytes=4096,
+        session_ckpt_threshold=4096,
         msp_ckpt_interval_ms=50.0,
         sv_ckpt_write_threshold=8,
         log_segment_bytes=2048,
@@ -200,7 +200,7 @@ def test_crash_before_anchor_flush_keeps_previous_floor():
     advance the floor past what the *previous* durable anchor justifies:
     recovery reads the old anchor, so the old minimal LSN must be readable."""
     config = RecoveryConfig(
-        session_ckpt_threshold_bytes=4096,
+        session_ckpt_threshold=4096,
         msp_ckpt_interval_ms=50.0,
         sv_ckpt_write_threshold=8,
         log_segment_bytes=2048,
@@ -225,7 +225,7 @@ def test_recovery_from_checkpoint_equals_full_replay():
     replay matches state recovered by full replay."""
     outcomes = {}
     for threshold in (2048, None):
-        config = RecoveryConfig(session_ckpt_threshold_bytes=threshold)
+        config = RecoveryConfig(session_ckpt_threshold=threshold)
         sim, msp, client = build(config=config)
         results, session = drive(sim, msp, client, 25)
         msp.crash()

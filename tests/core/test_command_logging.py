@@ -264,7 +264,7 @@ def test_session_checkpoint_seals_command_effects_before_truncation():
     rng = RngRegistry(0)
     net = Network(sim, rng=rng)
     config = RecoveryConfig(
-        logging_mode="command", session_ckpt_threshold_bytes=64
+        logging_mode="command", session_ckpt_threshold=64
     )
     msp = MiddlewareServer(
         sim, net, "server", ServiceDomainConfig(), config=config, rng=rng

@@ -157,7 +157,7 @@ def test_recovered_number_is_durable_end():
 def test_anchor_bounds_scan_start():
     """With checkpoints, the scan reads only the log suffix."""
     config = RecoveryConfig(
-        session_ckpt_threshold_bytes=2048, msp_ckpt_interval_ms=1_000_000.0
+        session_ckpt_threshold=2048, msp_ckpt_interval_ms=1_000_000.0
     )
     sim = Simulator()
     rng = RngRegistry(0)

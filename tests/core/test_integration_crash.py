@@ -120,7 +120,7 @@ def test_multiple_crashes_back_to_back():
 
 def test_session_checkpoint_bounds_replay():
     """With a tiny checkpoint threshold, recovery replays few requests."""
-    config = RecoveryConfig(session_ckpt_threshold_bytes=2048)
+    config = RecoveryConfig(session_ckpt_threshold=2048)
     sim, _net, msp, client = build_world(config=config)
     results = drive_with_crashes(sim, msp, client, 30, crash_after_calls={25})
     assert results == list(range(1, 31))
@@ -130,7 +130,7 @@ def test_session_checkpoint_bounds_replay():
 
 
 def test_no_checkpointing_configuration():
-    config = RecoveryConfig(session_ckpt_threshold_bytes=None)
+    config = RecoveryConfig(session_ckpt_threshold=None)
     sim, _net, msp, client = build_world(config=config)
     results = drive_with_crashes(sim, msp, client, 10, crash_after_calls={6})
     assert results == list(range(1, 11))

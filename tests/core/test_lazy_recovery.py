@@ -152,7 +152,7 @@ def test_duplicate_request_during_inline_replay_gets_busy(monkeypatch):
     monkeypatch.setattr(cr, "drain", lambda msp, state: None)
     # Make the replayed stream long (no session checkpoints) and the
     # client impatient, so resends land mid-replay.
-    config = lazy_config(session_ckpt_threshold_bytes=None)
+    config = lazy_config(session_ckpt_threshold=None)
     sim, _net, msp, clients = build_world(config=config)
     clients[0].resend_timeout_ms = 5.0
     results = drive(sim, msp, clients, 30, crash_after_calls={25})
@@ -168,7 +168,7 @@ def test_request_during_pump_replay_is_busy_then_served():
     """The pump claims S and is mid-replay when S's next request
     arrives: the request must not slip in (busy reply), and the resend
     is served from fully recovered state."""
-    config = lazy_config(session_ckpt_threshold_bytes=None)
+    config = lazy_config(session_ckpt_threshold=None)
     sim, _net, msp, clients = build_world(config=config)
     clients[0].resend_timeout_ms = 5.0
     busy_before = msp.stats.busy_replies
@@ -260,7 +260,7 @@ def record_claims(sim, msp):
 def pump_world(traced=False):
     """Five sessions of unequal request counts, one pump worker."""
     config = lazy_config(
-        recovery_pump_concurrency=1, session_ckpt_threshold_bytes=None
+        recovery_pump_concurrency=1, session_ckpt_threshold=None
     )
     sim, _net, msp, clients = build_world(config=config, n_clients=5)
     if traced:
@@ -427,7 +427,7 @@ def test_eager_restart_opens_for_traffic_while_sessions_still_replay():
     the request racing that session's replay is turned away busy —
     never replayed inline, never served early.  Fails if eager is ever
     made to wait for the drain before opening."""
-    config = RecoveryConfig(session_ckpt_threshold_bytes=None)
+    config = RecoveryConfig(session_ckpt_threshold=None)
     sim, _net, msp, clients = build_world(config=config)
     clients[0].resend_timeout_ms = 5.0
     open_while_replaying = []

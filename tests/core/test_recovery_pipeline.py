@@ -65,7 +65,7 @@ def method2(ctx, argument):
 
 def config() -> RecoveryConfig:
     return RecoveryConfig(
-        session_ckpt_threshold_bytes=2048,
+        session_ckpt_threshold=2048,
         sv_ckpt_write_threshold=5,
         msp_ckpt_interval_ms=60.0,
     )

@@ -11,14 +11,9 @@ from repro.fuzz import enumerate_schedules, fleet_fuzz_params, run_schedule
 
 
 def small_params():
-    return fleet_fuzz_params(
-        fleet_msps=4,
-        fleet_domains=2,
-        fleet_sessions=8,
-        fleet_duration_ms=300.0,
-        fleet_chain_depth=2,
-        fleet_cross_domain_fraction=0.75,
-    )
+    # Chains two hops deep, 75% of hops cross a domain boundary, over a
+    # 400 ms arrival window: the fixed shape of every fleet fuzz world.
+    return fleet_fuzz_params(fleet_msps=4, fleet_domains=2, fleet_sessions=8)
 
 
 def test_fleet_discovery_reaches_all_msps():

@@ -1,0 +1,67 @@
+"""The CI ``fuzz-smoke`` matrix stays runnable and covers every mode pair.
+
+Each matrix row's ``flags`` are spliced into the job's ``repro fuzz``
+steps; a flag renamed or removed in the CLI would otherwise fail only
+in CI.  Here every step's command line, with the row's values filled
+in, must parse with the fuzz subcommand's own parser and build its
+``FuzzParams``; and every (recovery mode, logging mode) pair must be
+fuzzed by some row with more than one log partition.
+"""
+
+import argparse
+import itertools
+import re
+import shlex
+from pathlib import Path
+
+import yaml
+
+from repro.core.config import LOGGING_MODES, RECOVERY_MODES
+from repro.fuzz.cli import _params, add_fuzz_arguments
+
+CI = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
+COMMAND = "python -m repro fuzz"
+
+
+def _job() -> dict:
+    return yaml.safe_load(CI.read_text())["jobs"]["fuzz-smoke"]
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="repro fuzz")
+    add_fuzz_arguments(parser)
+    return parser
+
+
+def _fill(command: str, row: dict) -> str:
+    return re.sub(r"\$\{\{\s*matrix\.(\w+)\s*\}\}", lambda m: str(row[m.group(1)]), command)
+
+
+def _rows() -> list[dict]:
+    return _job()["strategy"]["matrix"]["include"]
+
+
+def test_every_row_parses_in_every_step():
+    commands = [
+        " ".join(step["run"].split())
+        for step in _job()["steps"]
+        if COMMAND in step.get("run", "")
+    ]
+    assert len(commands) == 3
+    parser = _parser()
+    for row, command in itertools.product(_rows(), commands):
+        argv = shlex.split(_fill(command, row))
+        assert argv[: len(COMMAND.split())] == COMMAND.split()
+        args = parser.parse_args(argv[len(COMMAND.split()) :])
+        _params(args)
+
+
+def test_every_mode_pair_runs_partitioned():
+    parser = _parser()
+    covered = set()
+    for row in _rows():
+        args = parser.parse_args(shlex.split(row["flags"]))
+        params = _params(args)
+        if params.log_partitions > 1:
+            covered.add((params.recovery_mode, params.logging_mode))
+    assert covered == set(itertools.product(RECOVERY_MODES, LOGGING_MODES))

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.records import MspCheckpointRecord
 from repro.fuzz import CrashSchedule, FuzzParams, discover_sites, run_schedule
-from repro.fuzz.explorer import build_world, _crash_and_restart
+from repro.fuzz.explorer import LIMIT_MS, QUIESCE_MS, build_world, _crash_and_restart
 from repro.fuzz.sites import CrashInjector
 
 MSP_CKPT_PHASES = (
@@ -84,8 +84,8 @@ def test_torn_checkpoint_anchor_never_used_by_analysis(phase):
     injector = CrashInjector(
         workload.sim, "msp2", (ordinal,), _crash_and_restart(workload, "msp2")
     ).attach()
-    workload.run(limit_ms=_params.limit_ms)
-    workload.sim.run(until=workload.sim.now + _params.quiesce_ms)
+    workload.run(limit_ms=LIMIT_MS)
+    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
     injector.detach()
     assert injector.crashes_injected == 1
     store = workload.msp2.store

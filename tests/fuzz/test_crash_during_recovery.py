@@ -8,7 +8,7 @@ idempotent because analysis only reads the durable prefix).
 """
 
 from repro.fuzz import CrashSchedule, FuzzParams, run_schedule
-from repro.fuzz.explorer import build_world, _crash_and_restart
+from repro.fuzz.explorer import LIMIT_MS, build_world, _crash_and_restart
 from repro.fuzz.sites import CrashInjector, TraceRecorder
 
 RECOVERY_SITES = (
@@ -34,7 +34,7 @@ def _recovery_ordinals(target: str) -> dict[str, int]:
     injector = CrashInjector(
         workload.sim, target, (FIRST_KILL,), _crash_and_restart(workload, target)
     ).attach()
-    workload.run(limit_ms=params.limit_ms)
+    workload.run(limit_ms=LIMIT_MS)
     recorder.detach()
     injector.detach()
     assert injector.crashes_injected == 1

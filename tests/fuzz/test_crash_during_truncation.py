@@ -13,7 +13,7 @@ invariant battery, plus the floor/anchor ordering directly.
 import pytest
 
 from repro.fuzz import CrashSchedule, FuzzParams, discover_sites, run_schedule
-from repro.fuzz.explorer import build_world, _crash_and_restart
+from repro.fuzz.explorer import LIMIT_MS, QUIESCE_MS, build_world, _crash_and_restart
 from repro.fuzz.sites import CrashInjector
 
 TRUNCATE_PHASES = ("log.truncate.begin", "log.truncate.end")
@@ -38,7 +38,7 @@ def test_truncate_probes_fire_and_segments_recycle():
     for phase in TRUNCATE_PHASES:
         assert hist.get(phase, 0) > 0, f"{phase} never fired"
     workload = build_world(_params, seed=0, faults=None)
-    workload.run(limit_ms=_params.limit_ms)
+    workload.run(limit_ms=LIMIT_MS)
     recycled = sum(
         msp.store.recycled_segments for msp in (workload.msp1, workload.msp2)
     )
@@ -68,8 +68,8 @@ def test_floor_never_passes_anchor_after_truncate_crash(phase):
     injector = CrashInjector(
         workload.sim, "msp2", (ordinal,), _crash_and_restart(workload, "msp2")
     ).attach()
-    workload.run(limit_ms=_params.limit_ms)
-    workload.sim.run(until=workload.sim.now + _params.quiesce_ms)
+    workload.run(limit_ms=LIMIT_MS)
+    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
     injector.detach()
     assert injector.crashes_injected == 1
     store = workload.msp2.store

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.session import SessionStatus
 from repro.fuzz import FuzzParams, check_world
-from repro.fuzz.explorer import build_world
+from repro.fuzz.explorer import LIMIT_MS, build_world
 from repro.fuzz.invariants import (
     check_durable_log,
     check_exactly_once,
@@ -18,7 +18,7 @@ from repro.fuzz.invariants import (
 def world():
     params = FuzzParams(num_clients=1, requests_per_client=3)
     workload = build_world(params, seed=0, faults=None)
-    workload.run(limit_ms=params.limit_ms)
+    workload.run(limit_ms=LIMIT_MS)
     return workload
 
 

@@ -14,7 +14,7 @@ session left pending after quiesce).
 """
 
 from repro.fuzz import CrashSchedule, FuzzParams, explore_exhaustive, fuzz_random, run_schedule
-from repro.fuzz.explorer import build_world, _crash_and_restart
+from repro.fuzz.explorer import LIMIT_MS, build_world, _crash_and_restart
 from repro.fuzz.sites import CrashInjector, TraceRecorder
 
 LAZY_SITES = (
@@ -53,7 +53,7 @@ def _lazy_ordinals(target: str, params: FuzzParams) -> dict[str, list[int]]:
     injector = CrashInjector(
         workload.sim, target, (FIRST_KILL,), _crash_and_restart(workload, target)
     ).attach()
-    workload.run(limit_ms=params.limit_ms)
+    workload.run(limit_ms=LIMIT_MS)
     recorder.detach()
     injector.detach()
     assert injector.crashes_injected == 1

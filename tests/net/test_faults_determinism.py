@@ -9,7 +9,7 @@ RNG stream identically — the property the crash-schedule fuzzer's
 import random
 
 from repro.fuzz import FaultSpec, FuzzParams, discover_sites
-from repro.fuzz.explorer import build_world
+from repro.fuzz.explorer import LIMIT_MS, build_world
 from repro.fuzz.sites import TraceRecorder
 from repro.net import FaultModel
 from repro.net.faults import RELIABLE
@@ -72,7 +72,7 @@ def test_same_seed_faulty_runs_have_identical_delivery_orders():
     def run():
         workload = build_world(params, seed=13, faults=faults)
         recorder = TraceRecorder(workload.sim).attach()
-        result = workload.run(limit_ms=params.limit_ms)
+        result = workload.run(limit_ms=LIMIT_MS)
         recorder.detach()
         deliveries = [
             (e.owner, e.time) for e in recorder.events if e.site == "net.deliver"
@@ -90,7 +90,7 @@ def test_different_seeds_diverge_under_faults():
 
     def run(seed):
         workload = build_world(params, seed=seed, faults=faults)
-        result = workload.run(limit_ms=params.limit_ms)
+        result = workload.run(limit_ms=LIMIT_MS)
         return tuple(result.response_times_ms)
 
     assert run(1) != run(2)
