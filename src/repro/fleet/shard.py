@@ -16,6 +16,7 @@ barrier inputs), which is what makes the fleet byte-identical at any
 from __future__ import annotations
 
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from repro.core.client import EndClient
 from repro.core.config import RecoveryConfig
@@ -39,9 +40,26 @@ CHAIN_COMPUTE_MS = 0.25
 #: sessions do not race the MSPs' cold boot.
 BOOT_GRACE_MS = 50.0
 
+#: ``FleetShard.run`` checks for completion only every this many
+#: kernel steps; fuzz worlds step a lot.
+_SETTLE_CHECK_STRIDE = 256
+
 
 def _incr8(value: bytes) -> bytes:
     return (int.from_bytes(value, "big") + 1).to_bytes(8, "big")
+
+
+def msp_settled(msp: MiddlewareServer) -> bool:
+    """Serving, no recovery pending and every session ``NORMAL``.
+
+    Recovery opens for business before its session replays finish
+    (paper §4.3), so ``running`` alone is not settled.
+    """
+    return (
+        msp.running
+        and not msp.recovery_pending()
+        and all(s.status is SessionStatus.NORMAL for s in msp.sessions.values())
+    )
 
 
 def chain_service(ctx, argument):
@@ -61,7 +79,11 @@ def chain_service(ctx, argument):
 
 
 class FleetShard:
-    """One shard's world plus its epoch-barrier surface."""
+    """One shard's world plus its epoch-barrier surface.
+
+    A one-shard fleet is also a crash-explorer world (DESIGN.md §10):
+    ``msps``, :meth:`run` and :meth:`violations` are that surface.
+    """
 
     def __init__(self, spec: FleetSpec, index: int):
         self.spec = spec
@@ -320,14 +342,64 @@ class FleetShard:
             return False
         if self.sim.now <= self._last_crash_ms:
             return False
-        for msp in self.msps.values():
-            if not msp.running or msp.recovery_pending():
-                return False
-            if any(s.status is not SessionStatus.NORMAL for s in msp.sessions.values()):
-                return False
-        return True
+        return all(msp_settled(msp) for msp in self.msps.values())
+
+    # -- the crash explorer's world surface --------------------------------
+
+    def run(self, limit_ms: float) -> SimpleNamespace:
+        """Run a one-shard fleet alone until every session completed
+        (or the budget expires)."""
+        sim = self.sim
+        while sim.now < limit_ms:
+            if self.completed_sessions == self.expected_sessions:
+                break
+            advanced = False
+            for _ in range(_SETTLE_CHECK_STRIDE):
+                if not sim.step():
+                    break
+                advanced = True
+            if not advanced:
+                break
+        return SimpleNamespace(
+            completed_requests=self.completed_calls, elapsed_ms=sim.now
+        )
+
+    def violations(self) -> list[str]:
+        """The fleet's own oracle: every session finished, every
+        completed call hit its whole chain exactly once (hops that
+        crossed a domain boundary included), and the domain-isolation
+        invariants of :meth:`check_invariants` hold."""
+        violations: list[str] = []
+        if self.completed_sessions != self.expected_sessions:
+            violations.append(
+                f"liveness: fleet completed {self.completed_sessions}/"
+                f"{self.expected_sessions} sessions"
+            )
+        if self.call_errors:
+            violations.append(
+                f"liveness: {self.call_errors} fleet call(s) returned an error"
+            )
+        hits = self.actual_hits()
+        for name in self.local_names:
+            if not self.msps[name].running:
+                continue  # check_running reports it; its counter is gone
+            expected = self.expected_hits.get(name, 0)
+            if hits[name] != expected:
+                violations.append(
+                    f"exactly-once: {name} counted {hits[name]} hits, "
+                    f"client oracle expected {expected}"
+                )
+        return violations + self.check_invariants()
 
     # -- results -----------------------------------------------------------
+
+    def actual_hits(self) -> dict[str, int]:
+        """Each local MSP's hit counter as it stands now."""
+        hits = {}
+        for name in self.local_names:
+            sv = self.msps[name].shared.get("hits")
+            hits[name] = int.from_bytes(sv.value, "big") if sv is not None else 0
+        return hits
 
     def check_invariants(self) -> list[str]:
         """Domain-isolation invariants (DESIGN.md §17, fuzz satellite):
@@ -369,13 +441,6 @@ class FleetShard:
         # Run the invariant sweep (including the standby shipping audit)
         # first so its verification counters land in the stats below.
         violations = self.check_invariants()
-        actual_hits = {}
-        for name in self.local_names:
-            msp = self.msps[name]
-            sv = msp.shared.get("hits")
-            actual_hits[name] = (
-                int.from_bytes(sv.value, "big") if sv is not None else 0
-            )
         log_stats = {}
         for name in self.local_names:
             msp = self.msps[name]
@@ -405,7 +470,7 @@ class FleetShard:
             "expected_hits": {
                 m: n for m, n in sorted(self.expected_hits.items()) if n
             },
-            "actual_hits": actual_hits,
+            "actual_hits": self.actual_hits(),
             # ``samples_ms`` travels to the runner only: it pops the
             # list before the result is serialised.
             "latency": {

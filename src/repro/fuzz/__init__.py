@@ -32,7 +32,7 @@ from repro.fuzz.explorer import (
     run_schedule,
     schedule_from_seed,
 )
-from repro.fuzz.invariants import check_fleet, check_msp, check_world
+from repro.fuzz.invariants import check_msp, check_world
 from repro.fuzz.minimize import minimize_schedule
 from repro.fuzz.sites import CrashInjector, SiteEvent, TraceRecorder
 
@@ -46,7 +46,6 @@ __all__ = [
     "SiteEvent",
     "TraceRecorder",
     "case_seed_for",
-    "check_fleet",
     "check_msp",
     "check_world",
     "discover_sites",

@@ -26,12 +26,14 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 from typing import Optional
 
 from repro.fuzz.explorer import (
     CrashSchedule,
     FuzzParams,
     FuzzReport,
+    UnknownTargetError,
     explore_exhaustive,
     fleet_fuzz_params,
     fuzz_random,
@@ -41,7 +43,6 @@ from repro.fuzz.explorer import (
 )
 from repro.fuzz.minimize import minimize_recorded_failure
 from repro.parallel import ProgressReporter, resolve_jobs, run_tasks
-from repro.parallel.tasks import FuzzTaskSpec, minimize_fuzz_failure
 from repro.workloads.paper import add_mode_arguments, mode_overrides
 
 #: Pairs mode samples this many two-crash schedules when no explicit
@@ -118,15 +119,15 @@ def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _params(args: argparse.Namespace) -> FuzzParams:
-    if getattr(args, "topology", "paper") == "fleet":
-        overrides = {}
-        if getattr(args, "fleet_msps", None) is not None:
-            overrides["fleet_msps"] = args.fleet_msps
-        if getattr(args, "fleet_domains", None) is not None:
-            overrides["fleet_domains"] = args.fleet_domains
-        if getattr(args, "fleet_sessions", None) is not None:
-            overrides["fleet_sessions"] = args.fleet_sessions
-        params = fleet_fuzz_params(**overrides)
+    if args.topology == "fleet":
+        overrides = {
+            "fleet_msps": args.fleet_msps,
+            "fleet_domains": args.fleet_domains,
+            "fleet_sessions": args.fleet_sessions,
+        }
+        params = fleet_fuzz_params(
+            **{name: value for name, value in overrides.items() if value is not None}
+        )
         if args.recovery_pump_concurrency is not None:
             # FleetSpec has no such field; ignoring the flag would
             # report a run that was never configured.
@@ -165,31 +166,22 @@ def _minimize_failures(
 ) -> None:
     """Shrink every failure; independent failures shrink in parallel.
 
-    Worker-failure reports (a died/hung worker, not an invariant
-    violation) carry no reproducible violation to shrink against and are
-    left untouched.
+    Worker-failure reports (a raising, died or hung worker, not an
+    invariant violation) carry no reproducible violation to shrink
+    against and are left untouched; so is a failure whose shrinking
+    itself fails.
     """
     shrinkable = [
         f for f in report.failures
         if not any(v.startswith("worker-failure:") for v in f.violations)
     ]
-    if not shrinkable:
-        return
-    if resolve_jobs(jobs) > 1 and len(shrinkable) > 1:
-        specs = [
-            FuzzTaskSpec(schedule=f.schedule, params=params) for f in shrinkable
-        ]
-        outcomes = run_tasks(minimize_fuzz_failure, specs, jobs=jobs)
-        minimized_list = [
-            (o.result["schedule"], o.result["attempts"]) if o.ok
-            else (o.spec.schedule, 0)  # keep the unshrunk, replayable spec
-            for o in outcomes
-        ]
-    else:
-        minimized_list = [
-            minimize_recorded_failure(f.schedule, params) for f in shrinkable
-        ]
-    for failure, (minimized, attempts) in zip(shrinkable, minimized_list):
+    outcomes = run_tasks(
+        partial(minimize_recorded_failure, params=params),
+        [f.schedule for f in shrinkable],
+        jobs=jobs,
+    )
+    for failure, outcome in zip(shrinkable, outcomes):
+        minimized, attempts = outcome.result if outcome.ok else (failure.schedule, 0)
         original = failure.schedule
         failure.schedule = minimized
         if not quiet:
@@ -295,6 +287,14 @@ def _run_replay(args: argparse.Namespace, params: FuzzParams) -> int:
 
 
 def run_fuzz(args: argparse.Namespace) -> int:
+    try:
+        return _run_fuzz(args)
+    except UnknownTargetError as exc:
+        print(f"repro fuzz: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_fuzz(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.replay is not None or args.replay_file is not None:
         return _run_replay(args, params)

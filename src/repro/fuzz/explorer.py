@@ -1,7 +1,9 @@
 """The deterministic crash-schedule explorer.
 
-Two modes over the paper workload (§5.1 topology: client, MSP1, MSP2 in
-one service domain):
+Two modes over a *world* — the paper workload (§5.1 topology: client,
+MSP1, MSP2 in one service domain) or a single-shard fleet — reached
+through one surface (DESIGN.md §10): ``msps``, ``run(limit_ms)`` and
+``violations()``, plus the ``sim`` and ``network`` the probes hook:
 
 - **exhaustive** single-crash enumeration: one instrumented discovery
   run records every crash site the workload reaches; then, for each
@@ -24,28 +26,26 @@ workers rebuild their world from the serialized schedule alone and the
 parent merges verdicts in schedule order, so a ``--jobs 8`` run
 produces the byte-identical report of a ``--jobs 1`` run.  Exhaustive
 mode additionally offers a bounded two-crash *pair* product
-(``enumerate_pair_schedules``) whose quadratic schedule count is only
-practical multi-core.
+(``enumerate_schedules(kills=2)``) whose quadratic schedule count is
+only practical multi-core.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.config import same_named
-from repro.core.session import SessionStatus
+from repro.fleet.shard import FleetShard, msp_settled
+from repro.fleet.topology import FleetSpec
 from repro.fuzz.invariants import check_world
 from repro.fuzz.sites import CrashInjector, TraceRecorder
 from repro.net.faults import FaultModel
-from repro.workloads.paper import (
-    BANDWIDTH_BYTES_PER_MS,
-    CLIENT_LINK_LATENCY_MS,
-    MSP_LINK_LATENCY_MS,
-    PaperWorkload,
-    WorkloadParams,
-)
+from repro.parallel import run_tasks
+from repro.workloads.paper import PaperWorkload, WorkloadParams
 
 #: Case-seed derivation for random mode: ``master_seed * _SEED_STRIDE + i``.
 _SEED_STRIDE = 1_000_003
@@ -53,7 +53,7 @@ _SEED_STRIDE = 1_000_003
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Link faults a schedule composes into the run (both workload links)."""
+    """Link faults a schedule composes into the run (see ``build_world``)."""
 
     loss_prob: float = 0.0
     duplicate_prob: float = 0.0
@@ -188,10 +188,8 @@ class FuzzParams:
             **same_named(WorkloadParams, self),
         )
 
-    def fleet_spec(self, seed: int):
+    def fleet_spec(self, seed: int) -> FleetSpec:
         """The single-shard fleet this parameter set fuzzes."""
-        from repro.fleet.topology import FleetSpec
-
         return FleetSpec(
             msps=self.fleet_msps,
             domains=self.fleet_domains,
@@ -303,63 +301,51 @@ class FuzzReport:
 
 def build_world(params: FuzzParams, seed: int, faults: Optional[FaultSpec]):
     """A fresh world for one schedule: the paper workload, or a
-    single-shard fleet when ``params.topology == "fleet"``; schedule
-    faults go on every inter-MSP link either way."""
-    if params.topology == "fleet":
-        from repro.fleet.fuzzworld import FleetFuzzWorld
+    single-shard fleet when ``params.topology == "fleet"``.
 
-        return FleetFuzzWorld(
-            params.fleet_spec(seed),
-            faults=faults.to_model() if faults is not None else None,
-        )
-    workload = PaperWorkload(params.workload_params(seed))
-    if faults is not None:
-        model = faults.to_model()
-        workload.network.set_link(
-            "client",
-            "msp1",
-            latency_ms=CLIENT_LINK_LATENCY_MS,
-            bandwidth_bytes_per_ms=BANDWIDTH_BYTES_PER_MS,
-            faults=model,
-        )
-        workload.network.set_link(
-            "msp1",
-            "msp2",
-            latency_ms=MSP_LINK_LATENCY_MS,
-            bandwidth_bytes_per_ms=BANDWIDTH_BYTES_PER_MS,
-            faults=model,
-        )
-    return workload
-
-
-def _world_msps(workload) -> list:
-    """Every MSP of the world, whatever its topology."""
-    msps = getattr(workload, "fuzz_msps", None)
-    if msps is not None:
-        return list(msps)
-    return [workload.msp1, workload.msp2]
-
-
-def _quiesced(workload) -> bool:
-    """All MSPs serving and no session replay still in flight.
-
-    Recovery opens for business *before* the parallel session replays
-    finish (paper §4.3), so ``running`` alone is not quiescence.
+    Schedule faults go on the paper world's client and MSP links, and on
+    every link between two fleet MSPs.  A fleet's client links stay
+    clean: its oracle counts a call only once the client saw the reply,
+    so MSP-side loss, duplication and reordering is where its recovery
+    machinery is exercised.
     """
-    for msp in _world_msps(workload):
-        if not msp.running or msp.recovery_pending():
-            return False
-        if any(s.status is not SessionStatus.NORMAL for s in msp.sessions.values()):
-            return False
-    return True
-
-
-def _crash_and_restart(workload, target: str):
-    named = getattr(workload, "msp_named", None)
-    if named is not None:
-        msp = named(target)
+    if params.topology == "fleet":
+        world = FleetShard(params.fleet_spec(seed), 0)
+        faulted = list(world.msps)
     else:
-        msp = {"msp1": workload.msp1, "msp2": workload.msp2}[target]
+        world = PaperWorkload(params.workload_params(seed))
+        faulted = ["client", *world.msps]
+    if faults is not None:
+        world.network.set_faults(faulted, faults.to_model())
+    return world
+
+
+class UnknownTargetError(ValueError):
+    """A kill target the world has no MSP for."""
+
+
+def _msp(world, target: str):
+    """The world's MSP called ``target``; an unknown name is an error
+    that names the MSPs the world has."""
+    msp = world.msps.get(target)
+    if msp is None:
+        raise UnknownTargetError(
+            f"unknown target {target!r}: this world's MSPs are "
+            f"{', '.join(world.msps)}"
+        )
+    return msp
+
+
+def check_targets(params: FuzzParams, targets: Iterable[str]) -> None:
+    """Raise :class:`UnknownTargetError` unless every target names an
+    MSP of the world ``params`` builds — before any schedule runs."""
+    world = build_world(params, 0, None)
+    for target in targets:
+        _msp(world, target)
+
+
+def _crash_and_restart(world, target: str):
+    msp = _msp(world, target)
 
     def crash() -> None:
         msp.crash()
@@ -370,10 +356,10 @@ def _crash_and_restart(workload, target: str):
 
 def discover_sites(params: FuzzParams, seed: int = 0) -> TraceRecorder:
     """One uninjected run; returns the recorder holding the site trace."""
-    workload = build_world(params, seed, faults=None)
-    recorder = TraceRecorder(workload.sim).attach()
-    workload.run(limit_ms=LIMIT_MS)
-    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
+    world = build_world(params, seed, faults=None)
+    recorder = TraceRecorder(world.sim).attach()
+    world.run(limit_ms=LIMIT_MS)
+    world.sim.run(until=world.sim.now + QUIESCE_MS)
     recorder.detach()
     return recorder
 
@@ -388,45 +374,43 @@ def run_schedule(
     failure replay dumps so the failing schedule's timeline can be read
     in ``chrome://tracing``.
     """
-    workload = build_world(params, schedule.seed, schedule.faults)
+    world = build_world(params, schedule.seed, schedule.faults)
     tracer = None
     if trace:
         from repro.trace import Tracer
 
-        tracer = Tracer(workload.sim).attach()
-    recorder = TraceRecorder(workload.sim).attach()
+        tracer = Tracer(world.sim).attach()
+    recorder = TraceRecorder(world.sim).attach()
     injector = CrashInjector(
-        workload.sim,
+        world.sim,
         schedule.target,
         schedule.kills,
-        _crash_and_restart(workload, schedule.target),
+        _crash_and_restart(world, schedule.target),
     ).attach()
-    result = workload.run(limit_ms=LIMIT_MS)
-    workload.sim.run(until=workload.sim.now + QUIESCE_MS)
+    result = world.run(limit_ms=LIMIT_MS)
+    world.sim.run(until=world.sim.now + QUIESCE_MS)
     # A kill that lands at the very edge of the quiesce window leaves its
     # recovery or session replays in flight; grant bounded extra time so
     # the battery judges a recovered world, not a mid-recovery snapshot.
     # (A recovery that cannot finish within this budget is a genuine
     # liveness violation.)
-    settle_deadline = workload.sim.now + QUIESCE_MS
-    while workload.sim.now < settle_deadline and not _quiesced(workload):
-        if not workload.sim.step():
+    settle_deadline = world.sim.now + QUIESCE_MS
+    while world.sim.now < settle_deadline and not all(
+        msp_settled(msp) for msp in world.msps.values()
+    ):
+        if not world.sim.step():
             break
     injector.detach()
     recorder.detach()
-    checker = getattr(workload, "fuzz_check", None)
-    if checker is not None:
-        violations = checker()
-    else:
-        violations = check_world(workload, _world_msps(workload))
+    violations = check_world(world)
     if tracer is not None:
         tracer.finalize()
         from repro.trace import collect_component_metrics
 
         collect_component_metrics(
             tracer.metrics,
-            msps=tuple(_world_msps(workload)),
-            network=workload.network,
+            msps=tuple(world.msps.values()),
+            network=world.network,
         )
     return ScheduleResult(
         schedule=schedule,
@@ -440,7 +424,7 @@ def run_schedule(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive single-crash enumeration
+# exhaustive enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -450,57 +434,31 @@ def enumerate_schedules(
     targets: Optional[Iterable[str]] = None,
     stride: int = 1,
     max_schedules: Optional[int] = None,
+    kills: int = 1,
 ) -> tuple[list[CrashSchedule], dict[str, int]]:
-    """All single-crash schedules from one discovery run.
+    """Every ``kills``-crash schedule (1 or 2) from one discovery run.
 
+    Per target, each strided ordinal becomes a single-kill schedule, or
+    each ordered pair ``a < b`` of them a two-kill one — the second kill
+    often lands *inside* the recovery the first one triggered, the
+    interleaving single-crash enumeration cannot reach.  The pair space
+    is quadratic (~616k pairs for the default workload's 1570 sites), so
     ``stride`` and ``max_schedules`` bound CI smoke passes; the
     truncation is evenly spaced so bounded runs still sample every phase
     of the workload rather than only its warm-up.
     """
+    targets = tuple(targets or params.targets)
+    check_targets(params, targets)
     recorder = discover_sites(params, seed)
-    counts = {t: recorder.count_for(t) for t in (targets or params.targets)}
-    schedules: list[CrashSchedule] = []
+    counts = {t: recorder.count_for(t) for t in targets}
+    index: list[tuple[str, tuple[int, ...]]] = []
     for target, count in sorted(counts.items()):
-        for ordinal in range(0, count, max(1, stride)):
-            schedules.append(CrashSchedule(target=target, kills=(ordinal,), seed=seed))
-    if max_schedules is not None and len(schedules) > max_schedules:
-        step = len(schedules) / max_schedules
-        schedules = [schedules[int(i * step)] for i in range(max_schedules)]
-    return schedules, counts
-
-
-def enumerate_pair_schedules(
-    params: FuzzParams,
-    seed: int = 0,
-    targets: Optional[Iterable[str]] = None,
-    stride: int = 1,
-    max_schedules: Optional[int] = None,
-) -> tuple[list[CrashSchedule], dict[str, int]]:
-    """The bounded two-crash product over one discovery run's sites.
-
-    For each target, every ordered pair ``a < b`` of (strided) ordinals
-    becomes a two-kill schedule — the second kill often lands *inside*
-    the recovery the first one triggered, the interleaving single-crash
-    enumeration cannot reach.  The pair space is quadratic (~850k for
-    the default workload's 1306 sites), so bounded runs sample it
-    evenly via ``max_schedules``; pairs are constructed lazily so a
-    bounded run never materializes the full product.
-    """
-    recorder = discover_sites(params, seed)
-    counts = {t: recorder.count_for(t) for t in (targets or params.targets)}
-    index: list[tuple[str, int, int]] = []
-    for target, count in sorted(counts.items()):
-        ordinals = list(range(0, count, max(1, stride)))
-        for i, a in enumerate(ordinals):
-            for b in ordinals[i + 1 :]:
-                index.append((target, a, b))
+        ordinals = range(0, count, max(1, stride))
+        index.extend((target, k) for k in itertools.combinations(ordinals, kills))
     if max_schedules is not None and len(index) > max_schedules:
         step = len(index) / max_schedules
         index = [index[int(i * step)] for i in range(max_schedules)]
-    schedules = [
-        CrashSchedule(target=target, kills=(a, b), seed=seed)
-        for target, a, b in index
-    ]
+    schedules = [CrashSchedule(target=t, kills=k, seed=seed) for t, k in index]
     return schedules, counts
 
 
@@ -515,38 +473,18 @@ def _execute_all(
     params: FuzzParams,
     jobs: Optional[int],
     progress,
-    case_seeds: Optional[list[int]] = None,
 ) -> list[tuple[Optional[ScheduleResult], Optional[str]]]:
-    """Run every schedule, sequentially or fanned across cores.
+    """Run every schedule, in-process at ``jobs=1`` or fanned across cores.
 
     Returns ``(result, error)`` pairs **in schedule order** — the merge
     discipline that keeps parallel reports byte-identical to sequential
-    ones.  ``error`` is set only when a worker died or hung; such tasks
-    surface as failures carrying their replayable spec downstream.
+    ones.  ``error`` is set when the schedule raised or its worker died
+    or hung, at every jobs value; such tasks surface as failures
+    carrying their replayable schedule downstream.
     """
-    from repro.parallel import resolve_jobs, run_tasks
-    from repro.parallel.tasks import FuzzTaskSpec, run_fuzz_schedule
-
-    total = len(schedules)
-    if resolve_jobs(jobs) == 1:
-        executed: list[tuple[Optional[ScheduleResult], Optional[str]]] = []
-        for i, schedule in enumerate(schedules):
-            result = run_schedule(schedule, params)
-            executed.append((result, None))
-            if progress is not None:
-                progress(i + 1, total, result)
-        return executed
-    specs = [
-        FuzzTaskSpec(
-            schedule=schedule.to_dict(),
-            params=params,
-            case_seed=case_seeds[i] if case_seeds is not None else None,
-        )
-        for i, schedule in enumerate(schedules)
-    ]
     outcomes = run_tasks(
-        run_fuzz_schedule,
-        specs,
+        partial(run_schedule, params=params),
+        schedules,
         jobs=jobs,
         progress=(
             None
@@ -600,9 +538,13 @@ def explore_exhaustive(
 ) -> FuzzReport:
     """Run every enumerated single-crash (or two-crash) schedule."""
     params = params or FuzzParams()
-    enumerate_fn = enumerate_pair_schedules if pairs else enumerate_schedules
-    schedules, counts = enumerate_fn(
-        params, seed=seed, targets=targets, stride=stride, max_schedules=max_schedules
+    schedules, counts = enumerate_schedules(
+        params,
+        seed=seed,
+        targets=targets,
+        stride=stride,
+        max_schedules=max_schedules,
+        kills=2 if pairs else 1,
     )
     report = FuzzReport(
         mode="exhaustive-pairs" if pairs else "exhaustive", sites_discovered=counts
@@ -654,8 +596,9 @@ def fuzz_random(
 ) -> FuzzReport:
     """``runs`` independent seeded cases; failures report their case seed."""
     params = params or FuzzParams()
+    check_targets(params, params.targets)
     report = FuzzReport(mode="random")
     case_seeds = [case_seed_for(master_seed, i) for i in range(runs)]
     schedules = [schedule_from_seed(seed, params) for seed in case_seeds]
-    executed = _execute_all(schedules, params, jobs, progress, case_seeds=case_seeds)
+    executed = _execute_all(schedules, params, jobs, progress)
     return _merge_outcomes(report, schedules, executed, case_seeds=case_seeds)

@@ -4,8 +4,8 @@ Every schedule the explorer executes ends with these checks over the
 quiesced world.  Each checker returns a list of violation strings (empty
 = invariant holds) so one run can report every broken property at once:
 
-- **exactly-once** — every completed client call took effect exactly
-  once (shared counters equal completed-call counts) and every client
+- **exactly-once** — the world's own oracle (``world.violations()``):
+  every completed client call took effect exactly once and every client
   finished its script (a stall is a liveness violation);
 - **no surviving orphans** — after quiesce, no session and no shared
   variable still depends on state lost in a crash;
@@ -28,7 +28,7 @@ quiesced world.  Each checker returns a list of violation strings (empty
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.records import (
     NO_LSN,
@@ -45,36 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.msp import MiddlewareServer
 
 _SV_WRITE_KINDS = (SvWriteRecord, SvUpdateRecord, SvCheckpointRecord)
-
-
-def check_exactly_once(workload) -> list[str]:
-    """Completed calls vs shared counters, and no stalled client."""
-    violations: list[str] = []
-    params = workload.params
-    expected_calls = params.num_clients * params.requests_per_client
-    completed = workload.client.stats.calls
-    if completed != expected_calls:
-        violations.append(
-            f"liveness: clients completed {completed}/{expected_calls} calls"
-        )
-    try:
-        counters = workload.shared_counters()
-    except Exception as exc:  # noqa: BLE001 - a torn world is a finding
-        violations.append(
-            f"exactly-once: shared counters unreadable after quiesce ({exc!r})"
-        )
-        return violations
-    expected = {
-        "SV0": completed,
-        "SV1": completed,
-        "SV2": completed * params.calls_to_sm2,
-        "SV3": completed * params.calls_to_sm2,
-    }
-    if counters != expected:
-        violations.append(
-            f"exactly-once: shared counters {counters}, expected {expected}"
-        )
-    return violations
 
 
 def check_no_orphans(msp: "MiddlewareServer") -> list[str]:
@@ -145,7 +115,7 @@ def check_durable_log(msp: "MiddlewareServer") -> list[str]:
     """
     violations: list[str] = []
     store = msp.store
-    stores = getattr(msp, "stores", None) or [store]
+    stores = msp.stores
     for partition, pstore in enumerate(stores):
         label = msp.name if partition == 0 else f"{msp.name}.p{partition}"
         durable = pstore.durable_end
@@ -279,62 +249,21 @@ def check_msp(msp: "MiddlewareServer") -> list[str]:
     return violations
 
 
-def check_network_ledger(workload) -> list[str]:
+def check_network_ledger(world) -> list[str]:
     """The fabric's counter ledger must balance at all times:
     ``sent + duplicated == delivered + dropped + in_flight``."""
     try:
-        workload.network.check_ledger()
+        world.network.check_ledger()
     except AssertionError as exc:
         return [f"network-ledger: {exc}"]
     return []
 
 
-def check_world(workload, msps: Iterable["MiddlewareServer"]) -> list[str]:
-    """The full battery over a quiesced workload run."""
-    violations = check_exactly_once(workload)
-    violations += check_network_ledger(workload)
-    for msp in msps:
-        violations += check_msp(msp)
-    return violations
-
-
-def check_fleet(world) -> list[str]:
-    """The battery over a quiesced fleet world (multi-domain topology).
-
-    On top of the per-MSP battery and the network ledger, a fleet run
-    must satisfy the domain-boundary properties the paper's topology
-    cannot exercise: every completed call hit its whole chain exactly
-    once (including hops that crossed a domain boundary through the
-    pessimistic flush-before-send path), no DV ever leaked past a
-    domain boundary, and recovery knowledge stayed inside the crashed
-    MSP's domain.
-    """
-    shard = world.shard
-    violations: list[str] = []
-    if shard.completed_sessions != shard.expected_sessions:
-        violations.append(
-            f"liveness: fleet completed {shard.completed_sessions}/"
-            f"{shard.expected_sessions} sessions"
-        )
-    if shard.call_errors:
-        violations.append(
-            f"liveness: {shard.call_errors} fleet call(s) returned an error"
-        )
-    for name in shard.local_names:
-        msp = shard.msps[name]
-        if not msp.running:
-            continue  # check_running reports it; the counter is unreadable
-        sv = msp.shared.get("hits")
-        actual = int.from_bytes(sv.value, "big") if sv is not None else 0
-        expected = shard.expected_hits.get(name, 0)
-        if actual != expected:
-            violations.append(
-                f"exactly-once: {name} counted {actual} hits, "
-                f"client oracle expected {expected}"
-            )
+def check_world(world) -> list[str]:
+    """The full battery over a quiesced world: its own oracle, the
+    network ledger, then every MSP's battery."""
+    violations = world.violations()
     violations += check_network_ledger(world)
-    for msp in world.fuzz_msps:
+    for msp in world.msps.values():
         violations += check_msp(msp)
-    # Domain isolation: no DV and no recovery knowledge past a boundary.
-    violations += shard.check_invariants()
     return violations

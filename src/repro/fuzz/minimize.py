@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from repro.fuzz.explorer import CrashSchedule, FaultSpec, FuzzParams
+from repro.fuzz.explorer import CrashSchedule, FuzzParams, run_schedule
 
 
 def minimize_recorded_failure(
@@ -34,8 +34,6 @@ def minimize_recorded_failure(
     of a fuzz run can shrink in its own pool worker.  Returns the
     minimized schedule in the same serialized form, plus oracle calls.
     """
-    from repro.fuzz.explorer import run_schedule
-
     schedule = CrashSchedule.from_dict(schedule_dict)
     minimized, attempts = minimize_schedule(
         schedule,

@@ -14,7 +14,7 @@ paper's clients must resend requests until a reply arrives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -176,6 +176,14 @@ class Network:
         self._links[(source, destination)] = link
         if symmetric:
             self._links[(destination, source)] = link
+
+    def set_faults(self, nodes, faults: FaultModel) -> None:
+        """Put ``faults`` on every configured link between two of
+        ``nodes``, keeping its latency and bandwidth."""
+        among = set(nodes)
+        for (source, destination), link in list(self._links.items()):
+            if source in among and destination in among:
+                self._links[source, destination] = replace(link, faults=faults)
 
     def link(self, source: str, destination: str) -> Link:
         return self._links.get((source, destination), self._default_link)

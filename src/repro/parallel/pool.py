@@ -17,7 +17,8 @@ The contract (DESIGN.md §11):
   ``task_timeout_s`` is treated as hung and every unfinished task is
   failed with its spec.  No task is ever silently dropped.
 - ``jobs=1`` runs everything in-process (no pool, no pickling), which
-  is the debugging path and the reference behaviour.
+  is the debugging path and the reference behaviour; a worker that
+  raises is a failed outcome there as well.
 
 ``resolve_jobs`` implements the ``--jobs N`` / ``REPRO_JOBS`` /
 auto-detect precedence shared by every CLI entry point.

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from repro.fleet.runner import fleet_fingerprint, run_fleet
 from repro.parallel import run_tasks
-from repro.parallel.tasks import ScenarioCellSpec, run_scenario_cell
 from repro.scenarios.spec import ScenarioCell, ScenarioSpec
 from repro.trace.metrics import nearest_rank
 
@@ -34,10 +33,15 @@ def _quantiles(samples: list[float]) -> dict:
     }
 
 
-def execute_cell(spec: ScenarioCellSpec) -> dict:
-    """Run one cell's fleet (jobs=1) and trim the result down to the
-    deterministic record the report consumes."""
-    result = run_fleet(spec.fleet, jobs=1)
+def execute_cell(cell: ScenarioCell) -> dict:
+    """Run one cell's fleet and trim the result down to the
+    deterministic record the report consumes.
+
+    The fleet runs at ``jobs=1``: cell-level parallelism comes from the
+    pool, and a fleet result is byte-identical at any jobs value anyway,
+    so nesting pools would only add overhead.
+    """
+    result = run_fleet(cell.fleet, jobs=1)
     recovery = result["recovery"]
     standby = {
         name: stats
@@ -45,11 +49,11 @@ def execute_cell(spec: ScenarioCellSpec) -> dict:
         for name, stats in sorted(shard.get("standby", {}).items())
     }
     return {
-        "cell": spec.cell_id,
-        "family": spec.family,
-        "topology": spec.topology,
-        "seed": spec.seed,
-        "baseline_of": spec.baseline_of,
+        "cell": cell.cell_id,
+        "family": cell.family,
+        "topology": cell.topology,
+        "seed": cell.seed,
+        "baseline_of": cell.baseline_of,
         "verdicts": result["verdicts"],
         "violations": result["violations"],
         "totals": result["totals"],
@@ -69,21 +73,9 @@ def run_matrix(
     task_timeout_s: Optional[float] = None,
 ) -> dict:
     """Run every cell; returns the deterministic matrix report dict."""
-    cells = spec.expand()
-    specs = [
-        ScenarioCellSpec(
-            cell_id=c.cell_id,
-            family=c.family,
-            topology=c.topology,
-            seed=c.seed,
-            fleet=c.fleet,
-            baseline_of=c.baseline_of,
-        )
-        for c in cells
-    ]
     outcomes = run_tasks(
-        run_scenario_cell,
-        specs,
+        execute_cell,
+        spec.expand(),
         jobs=jobs,
         task_timeout_s=task_timeout_s,
         progress=progress,

@@ -298,6 +298,8 @@ class PaperWorkload:
             self.sim, self.network, "msp2", domains,
             config=self._recovery_config(), rng=self.rng,
         )
+        #: The crash explorer's world surface (DESIGN.md §10).
+        self.msps = {"msp1": self.msp1, "msp2": self.msp2}
         self.crash_controller.msp2 = self.msp2
 
         self.msp1.register_service("service_method1", self._make_service_method1())
@@ -447,6 +449,12 @@ class PaperWorkload:
             "SV3": _counter_value(self.msp2.shared["SV3"].value),
         }
 
+    def expected_counters(self) -> dict[str, int]:
+        """The shared counters if every completed call took effect once."""
+        total = self.client.stats.calls
+        nested = total * self.params.calls_to_sm2
+        return {"SV0": total, "SV1": total, "SV2": nested, "SV3": nested}
+
     def verify_exactly_once(self) -> None:
         """Assert every completed request took effect exactly once.
 
@@ -454,15 +462,34 @@ class PaperWorkload:
         baselines make no such promise under crashes — which is the
         point of the paper).
         """
-        total = self.client.stats.calls
         counters = self.shared_counters()
-        expected = {
-            "SV0": total,
-            "SV1": total,
-            "SV2": total * self.params.calls_to_sm2,
-            "SV3": total * self.params.calls_to_sm2,
-        }
+        expected = self.expected_counters()
         if counters != expected:
             raise AssertionError(
                 f"exactly-once violated: shared counters {counters}, expected {expected}"
             )
+
+    def violations(self) -> list[str]:
+        """The crash explorer's oracle: every client finished its
+        script, and the shared counters equal the completed calls."""
+        violations: list[str] = []
+        params = self.params
+        expected_calls = params.num_clients * params.requests_per_client
+        completed = self.client.stats.calls
+        if completed != expected_calls:
+            violations.append(
+                f"liveness: clients completed {completed}/{expected_calls} calls"
+            )
+        try:
+            counters = self.shared_counters()
+        except Exception as exc:  # noqa: BLE001 - a torn world is a finding
+            violations.append(
+                f"exactly-once: shared counters unreadable after quiesce ({exc!r})"
+            )
+            return violations
+        expected = self.expected_counters()
+        if counters != expected:
+            violations.append(
+                f"exactly-once: shared counters {counters}, expected {expected}"
+            )
+        return violations

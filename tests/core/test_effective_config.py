@@ -137,7 +137,7 @@ def test_fleet_fuzz_world():
     assert params.targets == ("m000", "m001", "m002", "m003")
     world = build_world(params, 0, None)
     expected = {**FLEET, **FUZZ_SIZES}
-    assert [settings(msp.config) for msp in world.fuzz_msps] == [expected] * 4
+    assert [settings(msp.config) for msp in world.msps.values()] == [expected] * 4
     assert params.fleet_spec(7) == FleetSpec(
         msps=4, domains=2, shards=1, seed=7, sessions=10, duration_ms=400.0,
         chain_depth=2, cross_domain_fraction=0.75, think_ms=2.0,

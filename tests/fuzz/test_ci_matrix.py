@@ -4,8 +4,9 @@ Each matrix row's ``flags`` are spliced into the job's ``repro fuzz``
 steps; a flag renamed or removed in the CLI would otherwise fail only
 in CI.  Here every step's command line, with the row's values filled
 in, must parse with the fuzz subcommand's own parser and build its
-``FuzzParams``; and every (recovery mode, logging mode) pair must be
-fuzzed by some row with more than one log partition.
+``FuzzParams``; every (recovery mode, logging mode) pair must be
+fuzzed by some row with more than one log partition; and every
+``--topology`` must run two-crash pairs in some row.
 """
 
 import argparse
@@ -65,3 +66,14 @@ def test_every_mode_pair_runs_partitioned():
         if params.log_partitions > 1:
             covered.add((params.recovery_mode, params.logging_mode))
     assert covered == set(itertools.product(RECOVERY_MODES, LOGGING_MODES))
+
+
+def test_every_topology_runs_pairs():
+    parser = _parser()
+    (topology,) = [a for a in parser._actions if a.dest == "topology"]
+    with_pairs = {
+        _params(parser.parse_args(shlex.split(row["flags"]))).topology
+        for row in _rows()
+        if row["pairs"] > 0
+    }
+    assert with_pairs == set(topology.choices)

@@ -7,7 +7,6 @@ from repro.fuzz import FuzzParams, check_world
 from repro.fuzz.explorer import LIMIT_MS, build_world
 from repro.fuzz.invariants import (
     check_durable_log,
-    check_exactly_once,
     check_no_orphans,
     check_running,
     check_sv_undo,
@@ -23,19 +22,19 @@ def world():
 
 
 def test_clean_world_passes_battery(world):
-    assert check_world(world, [world.msp1, world.msp2]) == []
+    assert check_world(world) == []
 
 
 def test_detects_lost_counter_update(world):
     sv = world.msp1.shared["SV0"]
     sv.value = (0).to_bytes(8, "big") + sv.value[8:]
-    violations = check_exactly_once(world)
+    violations = world.violations()
     assert violations and violations[0].startswith("exactly-once:")
 
 
 def test_detects_stalled_client(world):
     world.params.requests_per_client += 1
-    violations = check_exactly_once(world)
+    violations = world.violations()
     assert any(v.startswith("liveness:") for v in violations)
 
 

@@ -5,7 +5,7 @@ from repro.fuzz.explorer import (
     FuzzParams,
     FuzzReport,
     _merge_outcomes,
-    enumerate_pair_schedules,
+    enumerate_schedules,
     explore_exhaustive,
     fuzz_random,
 )
@@ -13,19 +13,19 @@ from repro.fuzz.explorer import (
 
 def test_pair_schedules_are_ordered_two_kill_and_deterministic():
     params = FuzzParams()
-    schedules, counts = enumerate_pair_schedules(params, max_schedules=20)
+    schedules, counts = enumerate_schedules(params, kills=2, max_schedules=20)
     assert len(schedules) == 20
     for schedule in schedules:
         assert len(schedule.kills) == 2
         assert schedule.kills[0] < schedule.kills[1]
         assert schedule.target in counts
-    again, _ = enumerate_pair_schedules(params, max_schedules=20)
+    again, _ = enumerate_schedules(params, kills=2, max_schedules=20)
     assert [s.to_dict() for s in schedules] == [s.to_dict() for s in again]
 
 
 def test_pair_sampling_spans_the_product():
     params = FuzzParams()
-    bounded, counts = enumerate_pair_schedules(params, stride=16, max_schedules=12)
+    bounded, counts = enumerate_schedules(params, kills=2, stride=16, max_schedules=12)
     total_sites = sum(counts.values())
     assert total_sites > 0
     # Even sampling reaches late ordinals, not just the head of the
@@ -58,7 +58,7 @@ def test_random_jobs_parity():
 
 def test_worker_failure_becomes_replayable_failure():
     params = FuzzParams()
-    schedules, _ = enumerate_pair_schedules(params, max_schedules=2)
+    schedules, _ = enumerate_schedules(params, kills=2, max_schedules=2)
     executed = [
         (None, "Traceback (most recent call last):\n  ...\nOSError: worker died"),
         (None, None),

@@ -135,16 +135,10 @@ def test_hung_pool_fails_unfinished_tasks():
 
 
 def test_task_specs_are_picklable():
-    from repro.fuzz.explorer import FuzzParams
+    from repro.fuzz.explorer import CrashSchedule, FuzzParams
     from repro.__main__ import EXPERIMENTS
-    from repro.parallel.tasks import FuzzTaskSpec
 
-    specs = [
-        FuzzTaskSpec(
-            schedule={"target": "msp1", "kills": [3], "seed": 0},
-            params=FuzzParams(),
-        ),
-    ]
+    specs = [CrashSchedule(target="msp1", kills=(3,), seed=0), FuzzParams()]
     for experiment in EXPERIMENTS.values():
         specs.extend(experiment.specs(0.0, 1))
     for spec in specs:
