@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.config import RecoveryConfig
 from repro.harness import EXPERIMENTS as _DECLARED, render_result
 from repro.workloads import CONFIGURATIONS, PaperWorkload, WorkloadParams
 from repro.workloads.paper import add_mode_arguments, mode_overrides
@@ -221,6 +222,13 @@ def _progress(label: str):
     return lambda done, total, key: reporter.update(done, total)
 
 
+def _usage_error(command: str, problem: object) -> int:
+    """Report a configuration the command refused before running: exit
+    2, which no verdict or claim uses."""
+    print(f"repro {command}: {problem}", file=sys.stderr)
+    return 2
+
+
 def _run_workload(args: argparse.Namespace) -> int:
     params = WorkloadParams(
         configuration=args.configuration,
@@ -235,6 +243,10 @@ def _run_workload(args: argparse.Namespace) -> int:
         seed=args.seed,
         **mode_overrides(args),
     )
+    try:
+        RecoveryConfig.of(params).validate()
+    except ValueError as exc:
+        return _usage_error("workload", exc)
     workload = PaperWorkload(params)
     result = workload.run()
     print(f"configuration:      {result.configuration}")
@@ -272,7 +284,7 @@ def _run_workload(args: argparse.Namespace) -> int:
 
 
 def _run_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetSpec, fleet_fingerprint, run_fleet
+    from repro.fleet import FleetSpec, FleetTopology, fleet_fingerprint, run_fleet
     from repro.fleet.runner import canonical_result_bytes
     from repro.parallel import resolve_jobs
 
@@ -282,8 +294,7 @@ def _run_fleet(args: argparse.Namespace) -> int:
             when, _, target = entry.partition(":")
             crash_plan.append((float(when), target))
         except ValueError:
-            print(f"error: bad --crash {entry!r} (want MS:MSP)", file=sys.stderr)
-            return 2
+            return _usage_error("fleet", f"bad --crash {entry!r} (want MS:MSP)")
     spec = FleetSpec(
         msps=args.msps,
         domains=args.domains,
@@ -295,14 +306,17 @@ def _run_fleet(args: argparse.Namespace) -> int:
         cross_domain_fraction=args.cross_fraction,
         crash_plan=tuple(crash_plan),
     )
+    try:
+        FleetTopology(spec)
+    except ValueError as exc:
+        return _usage_error("fleet", exc)
     jobs = min(resolve_jobs(args.jobs), spec.shards)
 
     tracer_factory = None
     traced_shards = []
     if args.trace is not None:
         if jobs != 1:
-            print("error: --trace requires --jobs 1", file=sys.stderr)
-            return 2
+            return _usage_error("fleet", "--trace requires --jobs 1")
         from repro.trace import Tracer
 
         def tracer_factory(shard):
@@ -459,6 +473,10 @@ def _run_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
         **mode_overrides(args),
     )
+    try:
+        RecoveryConfig.of(params).validate()
+    except ValueError as exc:
+        return _usage_error("trace", exc)
     workload = PaperWorkload(params)
     tracer = Tracer(workload.sim, max_events=args.max_events).attach()
     result = workload.run()

@@ -19,26 +19,17 @@ from typing import Optional
 
 from repro.core.config import COSTS, LoggingMode, RecoveryConfig
 from repro.core.msp import MiddlewareServer
+from repro.core.records import VARIABLES
 from repro.core.session import Session
 from repro.db import KVStore
-from repro.wire import Decoder, Encoder
 
-
-def encode_variables(variables: dict[str, bytes]) -> bytes:
-    enc = Encoder()
-    enc.uint(len(variables))
-    for name in sorted(variables):
-        enc.text(name).raw(variables[name])
-    return enc.finish()
+#: A session's variables as Psession and StateServer persist them: the
+#: session checkpoint's ``variables`` field.
+encode_variables = VARIABLES.write
 
 
 def decode_variables(blob: bytes) -> dict[str, bytes]:
-    dec = Decoder(blob)
-    variables = {}
-    for _ in range(dec.uint()):
-        name = dec.text()
-        variables[name] = dec.raw()
-    return variables
+    return VARIABLES.read(blob, 0)[0]
 
 
 class PsessionServer(MiddlewareServer):

@@ -14,20 +14,27 @@ from "before the crash".
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
+from typing import Callable, ClassVar, Optional, Union
 
 from repro.core.dv import DependencyVector
 from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, decode_frontier
-from repro.wire import Encoder
 from repro.wire.codec import (
+    BOOL,
+    BYTES,
+    PADDING,
+    TEXT,
+    UINT,
     Buffer,
     CodecError,
+    Field,
+    code_table,
     encode_uvarint,
-    read_bytes,
-    read_text_interned,
-    read_uvarint,
+    mapping,
+    optional,
+    pair,
+    sequence,
 )
 
 # Record kind tags (one byte each on the log).
@@ -51,37 +58,55 @@ NO_LSN = 0xFFFFFFFFFFFF
 
 #: Per-session logging-mode codes for the session checkpoint's last field.
 LOGGING_MODE_CODES = {"value": 0, "command": 1}
-LOGGING_MODE_NAMES = {code: name for name, code in LOGGING_MODE_CODES.items()}
 
-# -- compiled-codec helpers ---------------------------------------------------
+# -- wire layouts -------------------------------------------------------------
 #
-# The high-frequency record kinds (request, reply, SV read/write/update
-# and filler) encode with precompiled ``struct.Struct`` packers and the
-# module-level varint fast paths of :mod:`repro.wire.codec` instead of
-# the chained Encoder; the bytes are the ones the Encoder would write —
-# pinned by the golden-bytes tests — only the Python overhead (one
-# Encoder object plus a method call per field) is gone.
+# Every record class declares its wire layout once, as ``LAYOUT``: its
+# ``(field name, field type)`` pairs in wire order after the kind byte.
+# ``_Record.encode`` and ``decode_record`` both follow it, so the two
+# directions cannot drift apart; the golden-bytes tests pin every
+# kind's bytes.  The field types are :mod:`repro.wire.codec`'s plus the
+# DV types below, which call ``DependencyVector``'s own codec.
 
-_PACK_KIND_LEN = struct.Struct("<BB").pack
-_FALSE = b"\x00"
-_TRUE = b"\x01"
+DV = Field(DependencyVector.encode_bytes, DependencyVector.decode_from_buffer)
+OPTIONAL_DV = optional(DV)
+#: A session's ``name -> value`` variables; the Psession baseline
+#: persists the same field.
+VARIABLES = mapping(TEXT, BYTES)
+UINT_MAP = mapping(TEXT, UINT)
+
+#: Requests and commands: only the kind byte and the class differ.
+_SESSION_MESSAGE = (
+    ("session_id", TEXT),
+    ("seq", UINT),
+    ("method", TEXT),
+    ("argument", BYTES),
+    ("sender_dv", OPTIONAL_DV),
+)
 
 
-def _kind_len(kind: int, length: int) -> bytes:
-    """Pack a record kind and the first field's length prefix at once."""
-    if length < 0x80:
-        return _PACK_KIND_LEN(kind, length)
-    return encode_uvarint(kind) + encode_uvarint(length)
+class _Record:
+    """Base of every log record: ``encode`` follows the class's
+    ``LAYOUT`` (compiled once into ``_ENCODER`` at import).
 
+    The loops here and in ``decode_record`` are ``encode_fields`` /
+    ``decode_fields`` inlined: the extra call per record cost 10% of
+    encode and 5% of decode.
+    """
 
-def _optional_dv_bytes(dv: Optional[DependencyVector]) -> bytes:
-    if dv is None:
-        return _FALSE
-    return _TRUE + dv.encode_bytes()
+    LAYOUT: ClassVar[tuple[tuple[str, Field], ...]]
+    _ENCODER: ClassVar[tuple[bytes, Callable, tuple]]
+
+    def encode(self) -> bytes:
+        kind, values, writers = self._ENCODER
+        parts = [kind]
+        for write, value in zip(writers, values(self)):
+            parts.append(write(value))
+        return b"".join(parts)
 
 
 @dataclass
-class RequestRecord:
+class RequestRecord(_Record):
     """A client request received over a session (paper Fig. 7, receive).
 
     The attached DV is present only for intra-domain senders (optimistic
@@ -94,27 +119,11 @@ class RequestRecord:
     argument: bytes
     sender_dv: Optional[DependencyVector] = None
     kind: int = field(default=KIND_REQUEST, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        method = self.method.encode("utf-8")
-        argument = self.argument
-        return b"".join(
-            (
-                _kind_len(KIND_REQUEST, len(sid)),
-                sid,
-                encode_uvarint(self.seq),
-                encode_uvarint(len(method)),
-                method,
-                encode_uvarint(len(argument)),
-                argument,
-                _optional_dv_bytes(self.sender_dv),
-            )
-        )
+    LAYOUT = _SESSION_MESSAGE
 
 
 @dataclass
-class CommandRecord:
+class CommandRecord(_Record):
     """Command logging: the request itself is the log record (§3.3 dual).
 
     Under ``logging_mode: command`` the per-SV value records of a
@@ -133,27 +142,11 @@ class CommandRecord:
     argument: bytes
     sender_dv: Optional[DependencyVector] = None
     kind: int = field(default=KIND_COMMAND, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        method = self.method.encode("utf-8")
-        argument = self.argument
-        return b"".join(
-            (
-                _kind_len(KIND_COMMAND, len(sid)),
-                sid,
-                encode_uvarint(self.seq),
-                encode_uvarint(len(method)),
-                method,
-                encode_uvarint(len(argument)),
-                argument,
-                _optional_dv_bytes(self.sender_dv),
-            )
-        )
+    LAYOUT = _SESSION_MESSAGE
 
 
 @dataclass
-class ReplyRecord:
+class ReplyRecord(_Record):
     """A reply received from another MSP for an outgoing call."""
 
     session_id: str  #: the *local* session that made the outgoing call
@@ -162,27 +155,17 @@ class ReplyRecord:
     payload: bytes
     sender_dv: Optional[DependencyVector] = None
     kind: int = field(default=KIND_REPLY, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        out = self.outgoing_session_id.encode("utf-8")
-        payload = self.payload
-        return b"".join(
-            (
-                _kind_len(KIND_REPLY, len(sid)),
-                sid,
-                encode_uvarint(len(out)),
-                out,
-                encode_uvarint(self.seq),
-                encode_uvarint(len(payload)),
-                payload,
-                _optional_dv_bytes(self.sender_dv),
-            )
-        )
+    LAYOUT = (
+        ("session_id", TEXT),
+        ("outgoing_session_id", TEXT),
+        ("seq", UINT),
+        ("payload", BYTES),
+        ("sender_dv", OPTIONAL_DV),
+    )
 
 
 @dataclass
-class SvReadRecord:
+class SvReadRecord(_Record):
     """Value logging for a shared-variable read (paper Fig. 8, read).
 
     Logging the value *and* the variable's DV lets a recovering reader
@@ -195,26 +178,16 @@ class SvReadRecord:
     value: bytes
     variable_dv: DependencyVector
     kind: int = field(default=KIND_SV_READ, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        var = self.variable.encode("utf-8")
-        value = self.value
-        return b"".join(
-            (
-                _kind_len(KIND_SV_READ, len(sid)),
-                sid,
-                encode_uvarint(len(var)),
-                var,
-                encode_uvarint(len(value)),
-                value,
-                self.variable_dv.encode_bytes(),
-            )
-        )
+    LAYOUT = (
+        ("session_id", TEXT),
+        ("variable", TEXT),
+        ("value", BYTES),
+        ("variable_dv", DV),
+    )
 
 
 @dataclass
-class SvWriteRecord:
+class SvWriteRecord(_Record):
     """Value logging for a shared-variable write (paper Fig. 8, write).
 
     ``prev_write_lsn`` names the write (or checkpoint) this one
@@ -229,27 +202,17 @@ class SvWriteRecord:
     writer_dv: DependencyVector
     prev_write_lsn: int = NO_LSN
     kind: int = field(default=KIND_SV_WRITE, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        var = self.variable.encode("utf-8")
-        value = self.value
-        return b"".join(
-            (
-                _kind_len(KIND_SV_WRITE, len(sid)),
-                sid,
-                encode_uvarint(len(var)),
-                var,
-                encode_uvarint(len(value)),
-                value,
-                self.writer_dv.encode_bytes(),
-                encode_uvarint(self.prev_write_lsn),
-            )
-        )
+    LAYOUT = (
+        ("session_id", TEXT),
+        ("variable", TEXT),
+        ("value", BYTES),
+        ("writer_dv", DV),
+        ("prev_write_lsn", UINT),
+    )
 
 
 @dataclass
-class SvUpdateRecord:
+class SvUpdateRecord(_Record):
     """An atomic read-modify-write of a shared variable.
 
     Extension over the paper (see ``ServiceContext.update_shared``): one
@@ -269,31 +232,19 @@ class SvUpdateRecord:
     writer_dv: DependencyVector
     prev_write_lsn: int = NO_LSN
     kind: int = field(default=KIND_SV_UPDATE, init=False)
-
-    def encode(self) -> bytes:
-        sid = self.session_id.encode("utf-8")
-        var = self.variable.encode("utf-8")
-        old_value = self.old_value
-        new_value = self.new_value
-        return b"".join(
-            (
-                _kind_len(KIND_SV_UPDATE, len(sid)),
-                sid,
-                encode_uvarint(len(var)),
-                var,
-                encode_uvarint(len(old_value)),
-                old_value,
-                encode_uvarint(len(new_value)),
-                new_value,
-                self.variable_dv.encode_bytes(),
-                self.writer_dv.encode_bytes(),
-                encode_uvarint(self.prev_write_lsn),
-            )
-        )
+    LAYOUT = (
+        ("session_id", TEXT),
+        ("variable", TEXT),
+        ("old_value", BYTES),
+        ("new_value", BYTES),
+        ("variable_dv", DV),
+        ("writer_dv", DV),
+        ("prev_write_lsn", UINT),
+    )
 
 
 @dataclass
-class SvCheckpointRecord:
+class SvCheckpointRecord(_Record):
     """A shared-variable checkpoint: a value that can never be an orphan.
 
     Written after a distributed log flush covered the variable's DV, so
@@ -317,24 +268,16 @@ class SvCheckpointRecord:
     prev_write_lsn: int = NO_LSN
     command_frontier: dict[str, tuple[int, int]] = field(default_factory=dict)
     kind: int = field(default=KIND_SV_CHECKPOINT, init=False)
-
-    def encode(self) -> bytes:
-        enc = (
-            Encoder()
-            .uint(self.kind)
-            .text(self.variable)
-            .raw(self.value)
-            .uint(self.prev_write_lsn)
-            .uint(len(self.command_frontier))
-        )
-        for sid in sorted(self.command_frontier):
-            lsn, ordinal = self.command_frontier[sid]
-            enc.text(sid).uint(lsn).uint(ordinal)
-        return enc.finish()
+    LAYOUT = (
+        ("variable", TEXT),
+        ("value", BYTES),
+        ("prev_write_lsn", UINT),
+        ("command_frontier", mapping(TEXT, pair(UINT, UINT))),
+    )
 
 
 @dataclass
-class SessionCheckpointRecord:
+class SessionCheckpointRecord(_Record):
     """A session checkpoint (paper §3.2).
 
     Contains exactly what the paper lists: session variables, the
@@ -357,27 +300,20 @@ class SessionCheckpointRecord:
     buffered_reply_error: bool = False
     logging_mode: str = "value"
     kind: int = field(default=KIND_SESSION_CHECKPOINT, init=False)
-
-    def encode(self) -> bytes:
-        enc = Encoder().uint(self.kind).text(self.session_id)
-        enc.uint(len(self.variables))
-        for name in sorted(self.variables):
-            enc.text(name).raw(self.variables[name])
-        enc.boolean(self.buffered_reply is not None)
-        if self.buffered_reply is not None:
-            enc.raw(self.buffered_reply)
-        enc.uint(self.buffered_reply_seq)
-        enc.uint(self.next_expected_seq)
-        enc.uint(len(self.outgoing_next_seq))
-        for target in sorted(self.outgoing_next_seq):
-            enc.text(target).uint(self.outgoing_next_seq[target])
-        enc.boolean(self.buffered_reply_error)
-        enc.uint(LOGGING_MODE_CODES[self.logging_mode])
-        return enc.finish()
+    LAYOUT = (
+        ("session_id", TEXT),
+        ("variables", VARIABLES),
+        ("buffered_reply", optional(BYTES)),
+        ("buffered_reply_seq", UINT),
+        ("next_expected_seq", UINT),
+        ("outgoing_next_seq", UINT_MAP),
+        ("buffered_reply_error", BOOL),
+        ("logging_mode", code_table("logging-mode", LOGGING_MODE_CODES)),
+    )
 
 
 @dataclass
-class MspCheckpointRecord:
+class MspCheckpointRecord(_Record):
     """The fuzzy MSP checkpoint (paper §3.4).
 
     "Mainly contains recovered state numbers of MSPs in the service
@@ -400,6 +336,14 @@ class MspCheckpointRecord:
     partition_ends: tuple[int, ...]
     epoch: int = 0
     kind: int = field(default=KIND_MSP_CHECKPOINT, init=False)
+    #: Wire order, not field order: the epoch comes first.
+    LAYOUT = (
+        ("epoch", UINT),
+        ("recovered_snapshot", mapping(TEXT, mapping(UINT, UINT))),
+        ("session_start_lsns", UINT_MAP),
+        ("sv_start_lsns", UINT_MAP),
+        ("partition_ends", sequence(UINT)),
+    )
 
     def partition_floors(self, own_lsn: int) -> list[int]:
         """Per-partition scan starts / truncation floors.
@@ -424,29 +368,9 @@ class MspCheckpointRecord:
                 floors[partition] = offset
         return floors
 
-    def encode(self) -> bytes:
-        enc = Encoder().uint(self.kind).uint(self.epoch)
-        enc.uint(len(self.recovered_snapshot))
-        for msp in sorted(self.recovered_snapshot):
-            enc.text(msp)
-            epochs = self.recovered_snapshot[msp]
-            enc.uint(len(epochs))
-            for ep in sorted(epochs):
-                enc.uint(ep).uint(epochs[ep])
-        enc.uint(len(self.session_start_lsns))
-        for sid in sorted(self.session_start_lsns):
-            enc.text(sid).uint(self.session_start_lsns[sid])
-        enc.uint(len(self.sv_start_lsns))
-        for name in sorted(self.sv_start_lsns):
-            enc.text(name).uint(self.sv_start_lsns[name])
-        enc.uint(len(self.partition_ends))
-        for end in self.partition_ends:
-            enc.uint(end)
-        return enc.finish()
-
 
 @dataclass
-class EosRecord:
+class EosRecord(_Record):
     """End-of-skip marker written at orphan-recovery end (paper §4.1).
 
     Points back at the orphan log record; everything between them is
@@ -456,13 +380,11 @@ class EosRecord:
     session_id: str
     orphan_lsn: int
     kind: int = field(default=KIND_EOS, init=False)
-
-    def encode(self) -> bytes:
-        return Encoder().uint(self.kind).text(self.session_id).uint(self.orphan_lsn).finish()
+    LAYOUT = (("session_id", TEXT), ("orphan_lsn", UINT))
 
 
 @dataclass
-class AnnouncementRecord:
+class AnnouncementRecord(_Record):
     """Another MSP's recovery announcement, logged so the knowledge
     survives our own crashes (paper §4.3 scan step c)."""
 
@@ -470,20 +392,11 @@ class AnnouncementRecord:
     epoch: int
     recovered_lsn: int
     kind: int = field(default=KIND_ANNOUNCEMENT, init=False)
-
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .uint(self.kind)
-            .text(self.msp)
-            .uint(self.epoch)
-            .uint(self.recovered_lsn)
-            .finish()
-        )
+    LAYOUT = (("msp", TEXT), ("epoch", UINT), ("recovered_lsn", UINT))
 
 
 @dataclass
-class FillerRecord:
+class FillerRecord(_Record):
     """Storage padding modeling per-record serialization overhead.
 
     The paper's .NET prototype logs fatter records than our binary
@@ -496,243 +409,43 @@ class FillerRecord:
 
     size: int
     kind: int = field(default=KIND_FILLER, init=False)
-
-    def encode(self) -> bytes:
-        return _kind_len(KIND_FILLER, self.size) + b"\x00" * self.size
+    LAYOUT = (("size", PADDING),)
 
 
 @dataclass
-class SessionEndRecord:
+class SessionEndRecord(_Record):
     """Marks the end of a session's log records (paper §3.2)."""
 
     session_id: str
     kind: int = field(default=KIND_SESSION_END, init=False)
-
-    def encode(self) -> bytes:
-        return Encoder().uint(self.kind).text(self.session_id).finish()
+    LAYOUT = (("session_id", TEXT),)
 
 
-LogRecord = (
-    RequestRecord
-    | CommandRecord
-    | FillerRecord
-    | ReplyRecord
-    | SvUpdateRecord
-    | SvReadRecord
-    | SvWriteRecord
-    | SvCheckpointRecord
-    | SessionCheckpointRecord
-    | MspCheckpointRecord
-    | EosRecord
-    | AnnouncementRecord
-    | SessionEndRecord
-)
+#: kind byte -> (field readers in wire order, constructor taking them).
+_DECODERS: dict[int, tuple[tuple, Callable]] = {}
 
 
-# -- decoders: one position-threaded function per kind ------------------------
-#
-# Each takes the payload and the position just past the kind byte and
-# returns ``(record, next_pos)``.  Identifier fields go through the
-# intern table; single-byte varints are read inline by the DV decoder.
+def _compile(cls: type) -> type:
+    """Derive ``cls``'s encoder and decoder from its layout."""
+    names = tuple(name for name, _ in cls.LAYOUT)
+    values = attrgetter(*names)
+    if len(names) == 1:
+        values = lambda record, one=values: (one(record),)  # noqa: E731
+    cls._ENCODER = (encode_uvarint(cls.kind), values, tuple(t.write for _, t in cls.LAYOUT))
+    build = cls
+    init_names = tuple(f.name for f in fields(cls) if f.init)
+    if names != init_names:  # wire order is not field order
+        in_field_order = itemgetter(*map(names.index, init_names))
+        build = lambda *wire: cls(*in_field_order(wire))  # noqa: E731
+    _DECODERS[cls.kind] = (tuple(t.read for _, t in cls.LAYOUT), build)
+    return cls
 
 
-def _read_flag(buf: Buffer, pos: int) -> tuple[bool, int]:
-    flag, pos = read_uvarint(buf, pos)
-    if flag > 1:
-        raise CodecError(f"bad boolean value {flag}")
-    return flag == 1, pos
+#: kind byte -> record class: every record class, one per kind.
+RECORD_CLASSES: dict[int, type] = {cls.kind: _compile(cls) for cls in _Record.__subclasses__()}
 
-
-def _read_optional_dv(buf: Buffer, pos: int) -> tuple[Optional[DependencyVector], int]:
-    present, pos = _read_flag(buf, pos)
-    if not present:
-        return None, pos
-    return DependencyVector.decode_from_buffer(buf, pos)
-
-
-def _decode_request(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    seq, pos = read_uvarint(buf, pos)
-    method, pos = read_text_interned(buf, pos)
-    argument, pos = read_bytes(buf, pos)
-    sender_dv, pos = _read_optional_dv(buf, pos)
-    return RequestRecord(session_id, seq, method, argument, sender_dv), pos
-
-
-def _decode_command(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    seq, pos = read_uvarint(buf, pos)
-    method, pos = read_text_interned(buf, pos)
-    argument, pos = read_bytes(buf, pos)
-    sender_dv, pos = _read_optional_dv(buf, pos)
-    return CommandRecord(session_id, seq, method, argument, sender_dv), pos
-
-
-def _decode_reply(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    outgoing, pos = read_text_interned(buf, pos)
-    seq, pos = read_uvarint(buf, pos)
-    payload, pos = read_bytes(buf, pos)
-    sender_dv, pos = _read_optional_dv(buf, pos)
-    return ReplyRecord(session_id, outgoing, seq, payload, sender_dv), pos
-
-
-def _decode_sv_read(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    variable, pos = read_text_interned(buf, pos)
-    value, pos = read_bytes(buf, pos)
-    dv, pos = DependencyVector.decode_from_buffer(buf, pos)
-    return SvReadRecord(session_id, variable, value, dv), pos
-
-
-def _decode_sv_write(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    variable, pos = read_text_interned(buf, pos)
-    value, pos = read_bytes(buf, pos)
-    dv, pos = DependencyVector.decode_from_buffer(buf, pos)
-    prev_write_lsn, pos = read_uvarint(buf, pos)
-    return SvWriteRecord(session_id, variable, value, dv, prev_write_lsn), pos
-
-
-def _decode_sv_update(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    variable, pos = read_text_interned(buf, pos)
-    old_value, pos = read_bytes(buf, pos)
-    new_value, pos = read_bytes(buf, pos)
-    variable_dv, pos = DependencyVector.decode_from_buffer(buf, pos)
-    writer_dv, pos = DependencyVector.decode_from_buffer(buf, pos)
-    prev_write_lsn, pos = read_uvarint(buf, pos)
-    return (
-        SvUpdateRecord(
-            session_id, variable, old_value, new_value, variable_dv, writer_dv,
-            prev_write_lsn,
-        ),
-        pos,
-    )
-
-
-def _decode_filler(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    # Skip the padding without materializing it — fillers dominate the
-    # log volume when record_overhead_bytes is calibrated to the paper.
-    # The analysis scan counts and charges every filler it decodes here
-    # but keeps none of them (``log_manager._NOT_RETAINED``).
-    size, pos = read_uvarint(buf, pos)
-    end = pos + size
-    if end > len(buf):
-        raise CodecError(f"truncated bytes field (need {size}, have {len(buf) - pos})")
-    return FillerRecord(size), end
-
-
-def _decode_sv_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    variable, pos = read_text_interned(buf, pos)
-    value, pos = read_bytes(buf, pos)
-    prev_write_lsn, pos = read_uvarint(buf, pos)
-    count, pos = read_uvarint(buf, pos)
-    frontier: dict[str, tuple[int, int]] = {}
-    for _ in range(count):
-        sid, pos = read_text_interned(buf, pos)
-        lsn, pos = read_uvarint(buf, pos)
-        ordinal, pos = read_uvarint(buf, pos)
-        frontier[sid] = (lsn, ordinal)
-    return SvCheckpointRecord(variable, value, prev_write_lsn, frontier), pos
-
-
-def _read_uint_map(buf: Buffer, pos: int) -> tuple[dict[str, int], int]:
-    """A count-prefixed ``identifier -> uint`` map."""
-    count, pos = read_uvarint(buf, pos)
-    out: dict[str, int] = {}
-    for _ in range(count):
-        key, pos = read_text_interned(buf, pos)
-        out[key], pos = read_uvarint(buf, pos)
-    return out, pos
-
-
-def _decode_session_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    count, pos = read_uvarint(buf, pos)
-    variables: dict[str, bytes] = {}
-    for _ in range(count):
-        name, pos = read_text_interned(buf, pos)
-        variables[name], pos = read_bytes(buf, pos)
-    buffered_reply = None
-    has_reply, pos = _read_flag(buf, pos)
-    if has_reply:
-        buffered_reply, pos = read_bytes(buf, pos)
-    buffered_reply_seq, pos = read_uvarint(buf, pos)
-    next_expected_seq, pos = read_uvarint(buf, pos)
-    outgoing_next_seq, pos = _read_uint_map(buf, pos)
-    buffered_reply_error, pos = _read_flag(buf, pos)
-    code, pos = read_uvarint(buf, pos)
-    logging_mode = LOGGING_MODE_NAMES.get(code)
-    if logging_mode is None:
-        raise CodecError(f"unknown logging-mode code {code}")
-    return (
-        SessionCheckpointRecord(
-            session_id, variables, buffered_reply, buffered_reply_seq,
-            next_expected_seq, outgoing_next_seq, buffered_reply_error,
-            logging_mode,
-        ),
-        pos,
-    )
-
-
-def _decode_msp_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    epoch, pos = read_uvarint(buf, pos)
-    count, pos = read_uvarint(buf, pos)
-    recovered: dict[str, dict[int, int]] = {}
-    for _ in range(count):
-        msp, pos = read_text_interned(buf, pos)
-        nepochs, pos = read_uvarint(buf, pos)
-        epochs = recovered[msp] = {}
-        for _ in range(nepochs):
-            ep, pos = read_uvarint(buf, pos)
-            epochs[ep], pos = read_uvarint(buf, pos)
-    session_start, pos = _read_uint_map(buf, pos)
-    sv_start, pos = _read_uint_map(buf, pos)
-    count, pos = read_uvarint(buf, pos)
-    ends = []
-    for _ in range(count):
-        end, pos = read_uvarint(buf, pos)
-        ends.append(end)
-    return (
-        MspCheckpointRecord(recovered, session_start, sv_start, tuple(ends), epoch),
-        pos,
-    )
-
-
-def _decode_eos(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    orphan_lsn, pos = read_uvarint(buf, pos)
-    return EosRecord(session_id, orphan_lsn), pos
-
-
-def _decode_announcement(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    msp, pos = read_text_interned(buf, pos)
-    epoch, pos = read_uvarint(buf, pos)
-    recovered_lsn, pos = read_uvarint(buf, pos)
-    return AnnouncementRecord(msp, epoch, recovered_lsn), pos
-
-
-def _decode_session_end(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
-    session_id, pos = read_text_interned(buf, pos)
-    return SessionEndRecord(session_id), pos
-
-
-_DECODERS: dict[int, Callable[[Buffer, int], tuple[LogRecord, int]]] = {
-    KIND_REQUEST: _decode_request,
-    KIND_COMMAND: _decode_command,
-    KIND_REPLY: _decode_reply,
-    KIND_SV_READ: _decode_sv_read,
-    KIND_SV_WRITE: _decode_sv_write,
-    KIND_SV_UPDATE: _decode_sv_update,
-    KIND_SV_CHECKPOINT: _decode_sv_checkpoint,
-    KIND_SESSION_CHECKPOINT: _decode_session_checkpoint,
-    KIND_MSP_CHECKPOINT: _decode_msp_checkpoint,
-    KIND_EOS: _decode_eos,
-    KIND_ANNOUNCEMENT: _decode_announcement,
-    KIND_SESSION_END: _decode_session_end,
-    KIND_FILLER: _decode_filler,
-}
+#: Any log record.
+LogRecord = Union[tuple(RECORD_CLASSES.values())]
 
 
 def decode_record(payload: Buffer) -> LogRecord:
@@ -747,8 +460,13 @@ def decode_record(payload: Buffer) -> LogRecord:
     decoder = _DECODERS.get(payload[0])
     if decoder is None:
         raise CodecError(f"unknown log record kind byte {payload[0]}")
+    readers, build = decoder
+    pos = 1
+    values = []
     try:
-        record, pos = decoder(payload, 1)
+        for read in readers:
+            value, pos = read(payload, pos)
+            values.append(value)
     except IndexError:
         # The DV decoder's inlined varint reads index past the end on
         # truncated input.
@@ -757,4 +475,4 @@ def decode_record(payload: Buffer) -> LogRecord:
         raise CodecError(f"identifier is not UTF-8: {exc}") from None
     if pos != len(payload):
         raise CodecError(f"{len(payload) - pos} trailing bytes after decode")
-    return record
+    return build(*values)

@@ -22,7 +22,8 @@ from typing import Optional
 
 from repro.sim import Resource, Simulator, Store
 from repro.storage import Disk, StableStore
-from repro.wire import Decoder, Encoder, FrameReader, frame
+from repro.wire import FrameReader, frame
+from repro.wire.codec import BYTES, TEXT, UINT, decode_fields, encode_fields
 
 
 class TransactionError(Exception):
@@ -32,6 +33,18 @@ class TransactionError(Exception):
 _REC_BEGIN = 1
 _REC_WRITE = 2
 _REC_COMMIT = 3
+
+#: The WAL record shapes: kind and transaction id, then a write's key
+#: and value.
+_WAL_FIELDS = {
+    _REC_BEGIN: (UINT, UINT),
+    _REC_WRITE: (UINT, UINT, TEXT, BYTES),
+    _REC_COMMIT: (UINT, UINT),
+}
+
+
+def _wal_record(kind: int, *values) -> bytes:
+    return frame(encode_fields(_WAL_FIELDS[kind], (kind, *values)))
 
 
 class Transaction:
@@ -145,14 +158,11 @@ class KVStore:
             yield from self.disk.read_bytes(nbytes, sequential=True)
         staged: dict[int, dict[str, bytes]] = {}
         for _offset, payload in FrameReader(self.wal.read(0, nbytes)):
-            dec = Decoder(payload)
-            kind = dec.uint()
-            txn_id = dec.uint()
+            (kind, txn_id, *write), _ = decode_fields(_WAL_FIELDS[payload[0]], payload, 0)
             if kind == _REC_BEGIN:
                 staged[txn_id] = {}
             elif kind == _REC_WRITE:
-                key = dec.text()
-                value = dec.raw()
+                key, value = write
                 staged.setdefault(txn_id, {})[key] = value
             elif kind == _REC_COMMIT:
                 self._data.update(staged.pop(txn_id, {}))
@@ -190,13 +200,11 @@ class KVStore:
         txn._locks.clear()
 
     def _commit_writes(self, txn: Transaction):
-        enc_begin = Encoder().uint(_REC_BEGIN).uint(txn.txn_id).finish()
-        self.wal.append(frame(enc_begin))
+        self.wal.append(_wal_record(_REC_BEGIN, txn.txn_id))
         for key, value in txn._writes.items():
-            enc = Encoder().uint(_REC_WRITE).uint(txn.txn_id).text(key).raw(value).finish()
-            self.wal.append(frame(enc))
-        enc_commit = Encoder().uint(_REC_COMMIT).uint(txn.txn_id).finish()
-        end = self.wal.append(frame(enc_commit)) + len(frame(enc_commit))
+            self.wal.append(_wal_record(_REC_WRITE, txn.txn_id, key, value))
+        commit = _wal_record(_REC_COMMIT, txn.txn_id)
+        end = self.wal.append(commit) + len(commit)
         # Force the WAL: the transaction is durable before we ack.
         unflushed = end - self.wal.durable_end
         yield from self.disk.write_bytes(unflushed)

@@ -29,6 +29,8 @@ import time
 from functools import partial
 from typing import Optional
 
+from repro.core.config import RecoveryConfig
+from repro.fleet import FleetTopology
 from repro.fuzz.explorer import (
     CrashSchedule,
     FuzzParams,
@@ -287,15 +289,27 @@ def _run_replay(args: argparse.Namespace, params: FuzzParams) -> int:
 
 
 def run_fuzz(args: argparse.Namespace) -> int:
-    try:
-        return _run_fuzz(args)
-    except UnknownTargetError as exc:
-        print(f"repro fuzz: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run_fuzz(args: argparse.Namespace) -> int:
     params = _params(args)
+    try:  # the world's own check, before any simulator runs
+        if params.topology == "fleet":
+            FleetTopology(params.fleet_spec(args.seed))
+        else:
+            RecoveryConfig.of(params).validate()
+    except ValueError as exc:
+        return _refused(exc)
+    try:
+        return _run_fuzz(args, params)
+    except UnknownTargetError as exc:
+        return _refused(exc)
+
+
+def _refused(exc: ValueError) -> int:
+    """A usage error: exit 2, which no verdict uses."""
+    print(f"repro fuzz: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_fuzz(args: argparse.Namespace, params: FuzzParams) -> int:
     if args.replay is not None or args.replay_file is not None:
         return _run_replay(args, params)
 

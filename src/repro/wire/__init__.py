@@ -6,13 +6,10 @@ so serialization bugs surface as recovery failures rather than being
 papered over by keeping Python objects alive across a "crash".
 """
 
-from repro.wire.codec import Decoder, Encoder
 from repro.wire.framing import CorruptRecordError, FrameReader, frame, unframe
 
 __all__ = [
     "CorruptRecordError",
-    "Decoder",
-    "Encoder",
     "FrameReader",
     "frame",
     "unframe",

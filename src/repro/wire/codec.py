@@ -1,26 +1,24 @@
-"""Low-level binary encoder/decoder used by log records and DB pages.
+"""The log pipeline's binary format: varint primitives and the field
+vocabulary every record layout is written in.
 
-A tiny, explicit format: unsigned varints (LEB128), zig-zag signed ints,
-length-prefixed bytes/strings, fixed 8-byte floats, and homogeneous
-sequences.  No reflection, no pickle — every record type spells out its
-own fields, which keeps the on-log format stable and debuggable.
+A tiny, explicit format: unsigned varints (LEB128) and length-prefixed
+bytes and UTF-8 text, composed into booleans, optionals, sorted maps,
+sequences and code tables.  No reflection, no pickle.
 
-Two API layers share the same byte format:
-
-- :class:`Encoder` / :class:`Decoder` — the general chained interface
-  every record type supports;
-- the module-level ``encode_uvarint`` / ``read_uvarint`` /
-  ``read_bytes`` / ``read_text_interned`` functions — the
-  allocation-light fast path used by the compiled codecs of the
-  high-frequency record kinds (see :mod:`repro.core.records`).  They operate on any buffer object
-  (``bytes`` or ``memoryview``), which is what makes the zero-copy log
-  scan possible.
+One API: a record kind declares its layout once, as an ordered list of
+``(field name, field type)`` pairs, and both codec directions come from
+it (:func:`encode_fields` / :func:`decode_fields`, and the log record
+codec in :mod:`repro.core.records`).  A field type is a :class:`Field`,
+a ``write(value) -> bytes`` and ``read(buf, pos) -> (value, next_pos)``
+pair; the readers take any buffer object (``bytes`` or ``memoryview``),
+which is what makes the zero-copy log scan possible, and raise
+:class:`CodecError` on malformed input.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Sequence, Union
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -84,7 +82,12 @@ def read_uvarint(buf: Buffer, pos: int) -> tuple[int, int]:
 
 def read_bytes(buf: Buffer, pos: int) -> tuple[bytes, int]:
     """Parse a length-prefixed bytes field; returns ``(data, next_pos)``."""
-    length, pos = read_uvarint(buf, pos)
+    # Inline single-byte length: most fields are shorter than 128 bytes.
+    length = buf[pos] if pos < len(buf) else 0x80
+    if length < 0x80:
+        pos += 1
+    else:
+        length, pos = read_uvarint(buf, pos)
     end = pos + length
     if end > len(buf):
         raise CodecError(f"truncated bytes field (need {length}, have {len(buf) - pos})")
@@ -106,7 +109,12 @@ def read_text_interned(buf: Buffer, pos: int) -> tuple[str, int]:
     identifiers in a log cluster tightly, so eviction precision is not
     worth per-entry bookkeeping.
     """
-    length, pos = read_uvarint(buf, pos)
+    # Inline single-byte length: most fields are shorter than 128 bytes.
+    length = buf[pos] if pos < len(buf) else 0x80
+    if length < 0x80:
+        pos += 1
+    else:
+        length, pos = read_uvarint(buf, pos)
     end = pos + length
     if end > len(buf):
         raise CodecError(f"truncated text field (need {length}, have {len(buf) - pos})")
@@ -119,114 +127,155 @@ def read_text_interned(buf: Buffer, pos: int) -> tuple[str, int]:
     return cached, end
 
 
-class Encoder:
-    """Builds a byte string field by field."""
+class Field(NamedTuple):
+    """A field type: how one value goes onto the wire and comes back."""
 
-    __slots__ = ("_parts",)
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def uint(self, value: int) -> "Encoder":
-        """Append an unsigned LEB128 varint."""
-        self._parts.append(encode_uvarint(value))
-        return self
-
-    def sint(self, value: int) -> "Encoder":
-        """Append a zig-zag encoded signed varint."""
-        zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
-        return self.uint(zigzag & ((1 << 64) - 1))
-
-    def boolean(self, value: bool) -> "Encoder":
-        return self.uint(1 if value else 0)
-
-    def float64(self, value: float) -> "Encoder":
-        self._parts.append(struct.pack("<d", value))
-        return self
-
-    def raw(self, data: bytes) -> "Encoder":
-        """Append length-prefixed bytes."""
-        self.uint(len(data))
-        self._parts.append(bytes(data))
-        return self
-
-    def text(self, value: str) -> "Encoder":
-        return self.raw(value.encode("utf-8"))
-
-    def seq(self, items: Sequence, item_encoder: Callable[["Encoder", object], None]) -> "Encoder":
-        """Append a count-prefixed homogeneous sequence."""
-        self.uint(len(items))
-        for item in items:
-            item_encoder(self, item)
-        return self
-
-    def finish(self) -> bytes:
-        return b"".join(self._parts)
+    write: Callable[[Any], bytes]
+    read: Callable[[Buffer, int], tuple[Any, int]]
 
 
-class Decoder:
-    """Consumes a byte string field by field (mirror of :class:`Encoder`).
+def _length_prefixed(data: bytes) -> bytes:
+    n = len(data)
+    return (_UVARINT_1BYTE[n] if n < 0x80 else encode_uvarint(n)) + data
 
-    Accepts any buffer object (``bytes`` or ``memoryview``); when handed
-    a view of a larger log region it never copies more than the leaf
-    fields it returns.
-    """
 
-    __slots__ = ("_data", "_pos")
+class _TextWrites(dict):
+    """Identifier -> its length-prefixed UTF-8 bytes: the write side of
+    the intern table, bounded and dropped wholesale the same way."""
 
-    def __init__(self, data: Buffer):
-        self._data = data
-        self._pos = 0
+    def __missing__(self, value: str) -> bytes:
+        if len(self) >= _TEXT_INTERN_MAX:
+            self.clear()
+        written = self[value] = _length_prefixed(value.encode())
+        return written
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
+def _write_padding(size: int) -> bytes:
+    return encode_uvarint(size) + bytes(size)
 
-    def uint(self) -> int:
-        value, self._pos = read_uvarint(self._data, self._pos)
-        return value
 
-    def sint(self) -> int:
-        zigzag = self.uint()
-        value = zigzag >> 1
-        if zigzag & 1:
-            value = ~value
-        return value
+def _skip_padding(buf: Buffer, pos: int) -> tuple[int, int]:
+    # Skip the padding without materializing it: fillers dominate the
+    # log volume when the per-record overhead is calibrated to the paper.
+    size, pos = read_uvarint(buf, pos)
+    end = pos + size
+    if end > len(buf):
+        raise CodecError(f"truncated bytes field (need {size}, have {len(buf) - pos})")
+    return size, end
 
-    def boolean(self) -> bool:
-        flag = self.uint()
-        if flag not in (0, 1):
-            raise CodecError(f"bad boolean value {flag}")
-        return flag == 1
 
-    def float64(self) -> float:
-        if self.remaining < 8:
-            raise CodecError("truncated float64")
-        (value,) = struct.unpack_from("<d", self._data, self._pos)
-        self._pos += 8
-        return value
+UINT = Field(encode_uvarint, read_uvarint)
+BYTES = Field(_length_prefixed, read_bytes)
+#: Identifier text (session ids, variable and MSP names), interned in
+#: both directions.
+TEXT = Field(_TextWrites().__getitem__, read_text_interned)
+#: A size, written as that many zero bytes after it; read back without
+#: materializing them.
+PADDING = Field(_write_padding, _skip_padding)
 
-    def raw(self) -> bytes:
-        length = self.uint()
-        if self.remaining < length:
-            raise CodecError(f"truncated bytes field (need {length}, have {self.remaining})")
-        data = self._data[self._pos : self._pos + length]
-        self._pos += length
-        return bytes(data)
 
-    def text(self) -> str:
-        return self.raw().decode("utf-8")
+def optional(inner: Field) -> Field:
+    """``None`` or an ``inner`` value, behind a presence flag."""
+    write_inner, read_inner = inner
 
-    def seq(self, item_decoder: Callable[["Decoder"], object]) -> list:
-        count = self.uint()
-        return [item_decoder(self) for _ in range(count)]
+    def write(value: Any) -> bytes:
+        return b"\x00" if value is None else b"\x01" + write_inner(value)
 
-    def expect_end(self) -> None:
-        """Assert the record was fully consumed (catches schema drift)."""
-        if not self.exhausted:
-            raise CodecError(f"{self.remaining} trailing bytes after decode")
+    def read(buf: Buffer, pos: int) -> tuple[Any, int]:
+        # The flag is read here rather than through BOOL: one call fewer
+        # on every request, command and reply record.
+        flag, pos = read_uvarint(buf, pos)
+        if flag == 0:
+            return None, pos
+        if flag == 1:
+            return read_inner(buf, pos)
+        raise CodecError(f"bad boolean value {flag}")
 
+    return Field(write, read)
+
+
+def mapping(key: Field, value: Field) -> Field:
+    """A count-prefixed map, written in sorted key order."""
+    write_key, read_key = key
+    write_value, read_value = value
+
+    def write(items: dict) -> bytes:
+        parts = [encode_uvarint(len(items))]
+        for k in sorted(items):
+            parts.append(write_key(k))
+            parts.append(write_value(items[k]))
+        return b"".join(parts)
+
+    def read(buf: Buffer, pos: int) -> tuple[dict, int]:
+        count, pos = read_uvarint(buf, pos)
+        items = {}
+        for _ in range(count):
+            k, pos = read_key(buf, pos)
+            items[k], pos = read_value(buf, pos)
+        return items, pos
+
+    return Field(write, read)
+
+
+def sequence(item: Field) -> Field:
+    """A count-prefixed sequence, read back as a tuple."""
+    write_item, read_item = item
+
+    def write(items: Sequence) -> bytes:
+        return encode_uvarint(len(items)) + b"".join([write_item(i) for i in items])
+
+    def read(buf: Buffer, pos: int) -> tuple[tuple, int]:
+        count, pos = read_uvarint(buf, pos)
+        items = []
+        for _ in range(count):
+            value, pos = read_item(buf, pos)
+            items.append(value)
+        return tuple(items), pos
+
+    return Field(write, read)
+
+
+def pair(first: Field, second: Field) -> Field:
+    """Two values back to back, as a 2-tuple."""
+    both = (first, second)
+
+    def read(buf: Buffer, pos: int) -> tuple[tuple, int]:
+        values, pos = decode_fields(both, buf, pos)
+        return tuple(values), pos
+
+    return Field(partial(encode_fields, both), read)
+
+
+def code_table(what: str, codes: dict[Any, int]) -> Field:
+    """A value written as its uint code; an unknown code is damage."""
+    names = {code: name for name, code in codes.items()}
+
+    def write(name: Any) -> bytes:
+        return encode_uvarint(codes[name])
+
+    def read(buf: Buffer, pos: int) -> tuple[Any, int]:
+        code, pos = read_uvarint(buf, pos)
+        if code not in names:
+            raise CodecError(f"bad {what} value {code}")
+        return names[code], pos
+
+    return Field(write, read)
+
+
+#: A flag above 1 on the wire is a :class:`CodecError`.
+BOOL = code_table("boolean", {False: 0, True: 1})
+
+
+def encode_fields(fields: Sequence[Field], values: Sequence) -> bytes:
+    """The bytes of ``values``, one per field type, in order."""
+    return b"".join([write(value) for (write, _), value in zip(fields, values)])
+
+
+def decode_fields(fields: Sequence[Field], buf: Buffer, pos: int) -> tuple[list, int]:
+    """Inverse of :func:`encode_fields` at ``buf[pos:]``; returns
+    ``(values, next_pos)``."""
+    values = []
+    for _, read in fields:
+        value, pos = read(buf, pos)
+        values.append(value)
+    return values, pos

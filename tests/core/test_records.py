@@ -21,8 +21,7 @@ from repro.core.records import (
     SvWriteRecord,
     decode_record,
 )
-from repro.wire import Encoder
-from repro.wire.codec import CodecError, encode_uvarint
+from repro.wire.codec import TEXT, UINT, CodecError, encode_fields, encode_uvarint
 
 from tests.core.test_golden_records import decode_view
 
@@ -140,7 +139,7 @@ def test_session_end_roundtrip():
 
 def test_unknown_kind_rejected():
     with pytest.raises(CodecError, match="unknown log record kind"):
-        decode_record(Encoder().uint(99).finish())
+        decode_record(encode_uvarint(99))
 
 
 def _session_records():
@@ -183,7 +182,7 @@ def test_retired_checkpoint_chain_heads_are_rejected(decoder, ends):
         partition_ends=ends,
     )
     assert decoder(record.encode()) == record
-    heads = Encoder().uint(1).text("s-1").uint(480).finish()
+    heads = encode_fields((UINT, TEXT, UINT), (1, "s-1", 480))
     retired = record.encode() + heads
     with pytest.raises(CodecError, match="trailing bytes after decode"):
         decoder(retired)

@@ -239,3 +239,30 @@ def test_unknown_experiment_rejected():
 def test_unknown_configuration_rejected():
     with pytest.raises(SystemExit):
         main(["workload", "Bogus"])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["workload", "LoOptimistic", "--partitions", "0"], "log_partitions"),
+        (["workload", "LoOptimistic", "--pump-concurrency", "0"], "recovery_pump_concurrency"),
+        (["trace", "LoOptimistic", "--partitions", "0"], "log_partitions"),
+        (["fuzz", "--partitions", "0", "--quiet"], "log_partitions"),
+        (["fuzz", "--pump-concurrency", "0", "--quiet"], "recovery_pump_concurrency"),
+        (["fuzz", "--topology", "fleet", "--fleet-domains", "9", "--quiet"], "domains"),
+        (["fleet", "--msps", "4", "--domains", "2", "--crash", "2000"], "unknown MSP: ''"),
+        (["fleet", "--msps", "4", "--domains", "2", "--crash", "100:m009"], "unknown MSP: 'm009'"),
+        (["fleet", "--msps", "4", "--domains", "9"], "domains must be in [1, msps]"),
+    ],
+)
+def test_bad_configuration_exits_2_before_running(capsys, tmp_path, argv, message):
+    """A configuration the world would refuse is a usage error: one
+    ``repro <command>: <message>`` line on stderr and exit 2, never a
+    traceback and never exit 1 (which means a verdict failed)."""
+    if argv[0] == "trace":
+        argv = argv + ["--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {argv[0]}: ")
+    assert message in captured.err

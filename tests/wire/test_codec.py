@@ -1,151 +1,199 @@
-"""Codec round-trip tests, including hypothesis property tests."""
+"""Field-vocabulary round trips, including hypothesis property tests."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.wire import Decoder, Encoder
-from repro.wire.codec import CodecError
+from repro.wire.codec import (
+    BOOL,
+    BYTES,
+    PADDING,
+    TEXT,
+    UINT,
+    CodecError,
+    code_table,
+    decode_fields,
+    encode_fields,
+    mapping,
+    optional,
+    pair,
+    sequence,
+)
+
+
+def roundtrip(field, value):
+    """Write ``value``, read it back from bytes and from a view, and
+    check the read consumed exactly what was written."""
+    data = field.write(value)
+    for buf in (data, memoryview(data)):
+        back, pos = field.read(buf, 0)
+        assert pos == len(data)
+        assert back == value
+    return data
 
 
 def test_uint_roundtrip_basic():
-    data = Encoder().uint(0).uint(1).uint(127).uint(128).uint(300).finish()
-    dec = Decoder(data)
-    assert [dec.uint() for _ in range(5)] == [0, 1, 127, 128, 300]
-    dec.expect_end()
+    written = [roundtrip(UINT, v) for v in (0, 1, 127, 128, 300)]
+    assert written == [b"\x00", b"\x01", b"\x7f", b"\x80\x01", b"\xac\x02"]
 
 
 def test_uint_rejects_negative():
     with pytest.raises(ValueError):
-        Encoder().uint(-1)
-
-
-def test_sint_roundtrip_basic():
-    values = [0, -1, 1, -2, 2, -(2**40), 2**40]
-    data = Encoder()
-    for v in values:
-        data.sint(v)
-    dec = Decoder(data.finish())
-    assert [dec.sint() for _ in values] == values
+        UINT.write(-1)
 
 
 def test_text_and_raw_roundtrip():
-    data = Encoder().text("héllo").raw(b"\x00\xff").finish()
-    dec = Decoder(data)
-    assert dec.text() == "héllo"
-    assert dec.raw() == b"\x00\xff"
-    dec.expect_end()
+    assert roundtrip(TEXT, "héllo") == b"\x06h\xc3\xa9llo"
+    assert roundtrip(BYTES, b"\x00\xff") == b"\x02\x00\xff"
+
+
+def test_decoded_bytes_are_real_bytes():
+    value, _ = BYTES.read(memoryview(b"\x02\x00\xff"), 0)
+    assert type(value) is bytes
 
 
 def test_boolean_roundtrip():
-    data = Encoder().boolean(True).boolean(False).finish()
-    dec = Decoder(data)
-    assert dec.boolean() is True
-    assert dec.boolean() is False
+    assert roundtrip(BOOL, True) == b"\x01"
+    assert roundtrip(BOOL, False) == b"\x00"
 
 
 def test_boolean_bad_value():
-    data = Encoder().uint(7).finish()
-    with pytest.raises(CodecError):
-        Decoder(data).boolean()
-
-
-def test_float64_roundtrip():
-    data = Encoder().float64(3.14159).float64(-0.0).finish()
-    dec = Decoder(data)
-    assert dec.float64() == 3.14159
-    assert dec.float64() == -0.0
+    """A flag above 1 is damage, alone and as an optional's presence."""
+    for field in (BOOL, optional(UINT)):
+        with pytest.raises(CodecError, match="bad boolean value 7"):
+            field.read(b"\x07\x00", 0)
 
 
 def test_seq_roundtrip():
-    items = [(1, "a"), (2, "b")]
-    data = (
-        Encoder()
-        .seq(items, lambda e, it: e.uint(it[0]).text(it[1]))
-        .finish()
-    )
-    result = Decoder(data).seq(lambda d: (d.uint(), d.text()))
-    assert result == items
+    items = ((1, "a"), (2, "b"))
+    assert roundtrip(sequence(pair(UINT, TEXT)), items) == b"\x02\x01\x01a\x02\x01b"
 
 
 def test_truncated_varint():
-    with pytest.raises(CodecError):
-        Decoder(b"\x80").uint()
+    with pytest.raises(CodecError, match="truncated varint"):
+        UINT.read(b"\x80", 0)
 
 
 def test_truncated_bytes():
-    data = Encoder().uint(10).finish() + b"abc"
-    with pytest.raises(CodecError):
-        Decoder(data).raw()
+    with pytest.raises(CodecError, match="truncated bytes field"):
+        BYTES.read(b"\x0aabc", 0)
 
 
-def test_expect_end_catches_trailing():
-    data = Encoder().uint(1).uint(2).finish()
-    dec = Decoder(data)
-    dec.uint()
-    with pytest.raises(CodecError):
-        dec.expect_end()
+def test_map_encodes_its_keys_sorted():
+    data = roundtrip(mapping(TEXT, UINT), {"b": 2, "a": 1, "c": 3})
+    assert data == b"\x03\x01a\x01\x01b\x02\x01c\x03"
+    assert list(mapping(TEXT, UINT).read(data, 0)[0]) == ["a", "b", "c"]
+
+
+def test_padding_skips_its_bytes():
+    data = roundtrip(PADDING, 5)
+    assert data == b"\x05" + bytes(5)
+
+
+def test_code_table_rejects_an_unknown_code():
+    modes = code_table("mode", {"value": 0, "command": 1})
+    assert roundtrip(modes, "command") == b"\x01"
+    with pytest.raises(CodecError, match="bad mode value 2"):
+        modes.read(b"\x02", 0)
+
+
+def test_fields_in_sequence():
+    fields = (UINT, TEXT, BYTES)
+    data = encode_fields(fields, (7, "k", b"v"))
+    assert data == b"\x07\x01k\x01v"
+    assert decode_fields(fields, data, 0) == ([7, "k", b"v"], len(data))
+
+
+_TRUNCATABLE = [
+    (UINT, 300),
+    (TEXT, "héllo"),
+    (BYTES, b"abc"),
+    (BOOL, True),
+    (PADDING, 3),
+    (optional(BYTES), b"x"),
+    (mapping(TEXT, BYTES), {"a": b"1"}),
+    (sequence(UINT), (1, 200)),
+    (pair(UINT, UINT), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("field,value", _TRUNCATABLE)
+def test_every_truncation_is_a_codec_error(field, value):
+    data = field.write(value)
+    for cut in range(len(data)):
+        with pytest.raises(CodecError):
+            field.read(data[:cut], 0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63)))
 def test_uint_roundtrip_property(values):
-    enc = Encoder()
-    for v in values:
-        enc.uint(v)
-    dec = Decoder(enc.finish())
-    assert [dec.uint() for _ in values] == values
-    dec.expect_end()
+    fields = (UINT,) * len(values)
+    data = encode_fields(fields, values)
+    assert decode_fields(fields, data, 0) == (values, len(data))
 
 
-@given(st.lists(st.integers(min_value=-(2**62), max_value=2**62)))
-def test_sint_roundtrip_property(values):
-    enc = Encoder()
-    for v in values:
-        enc.sint(v)
-    dec = Decoder(enc.finish())
-    assert [dec.sint() for _ in values] == values
+@given(st.binary(max_size=300))
+def test_raw_roundtrip_property(value):
+    roundtrip(BYTES, value)
 
 
-@given(st.lists(st.binary(max_size=200)))
-def test_raw_roundtrip_property(blobs):
-    enc = Encoder()
-    for b in blobs:
-        enc.raw(b)
-    dec = Decoder(enc.finish())
-    assert [dec.raw() for _ in blobs] == blobs
+@given(st.text(max_size=200))
+def test_text_roundtrip_property(value):
+    roundtrip(TEXT, value)
 
 
-@given(st.lists(st.text(max_size=50)))
-def test_text_roundtrip_property(texts):
-    enc = Encoder()
-    for t in texts:
-        enc.text(t)
-    dec = Decoder(enc.finish())
-    assert [dec.text() for _ in texts] == texts
+@given(st.booleans())
+def test_boolean_roundtrip_property(value):
+    roundtrip(BOOL, value)
 
 
-@given(st.floats(allow_nan=False))
-def test_float_roundtrip_property(value):
-    data = Encoder().float64(value).finish()
-    assert Decoder(data).float64() == value
+@given(st.integers(min_value=0, max_value=300))
+def test_padding_roundtrip_property(size):
+    roundtrip(PADDING, size)
+
+
+@given(st.one_of(st.none(), st.binary(max_size=50)))
+def test_optional_roundtrip_property(value):
+    roundtrip(optional(BYTES), value)
+
+
+@given(st.dictionaries(st.text(max_size=10), st.binary(max_size=30), max_size=6))
+def test_map_roundtrip_property(value):
+    roundtrip(mapping(TEXT, BYTES), value)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**48), max_size=8).map(tuple))
+def test_sequence_roundtrip_property(value):
+    roundtrip(sequence(UINT), value)
+
+
+@given(st.tuples(st.integers(min_value=0, max_value=2**48), st.integers(0, 2**20)))
+def test_pair_roundtrip_property(value):
+    roundtrip(pair(UINT, UINT), value)
+
+
+@given(st.sampled_from(["value", "command"]))
+def test_code_table_roundtrip_property(value):
+    roundtrip(code_table("mode", {"value": 0, "command": 1}), value)
+
+
+_MIXED = {
+    "uint": (UINT, st.integers(min_value=0, max_value=2**30)),
+    "text": (TEXT, st.text(max_size=20)),
+    "bytes": (BYTES, st.binary(max_size=20)),
+    "bool": (BOOL, st.booleans()),
+}
 
 
 @given(
     st.lists(
         st.one_of(
-            st.integers(min_value=0, max_value=2**30).map(lambda v: ("uint", v)),
-            st.text(max_size=20).map(lambda v: ("text", v)),
-            st.binary(max_size=20).map(lambda v: ("raw", v)),
-            st.booleans().map(lambda v: ("bool", v)),
+            *[strategy.map(lambda v, k=k: (k, v)) for k, (_, strategy) in _MIXED.items()]
         )
     )
 )
-def test_mixed_field_roundtrip_property(fields):
-    enc = Encoder()
-    for kind, value in fields:
-        getattr(enc, {"uint": "uint", "text": "text", "raw": "raw", "bool": "boolean"}[kind])(value)
-    dec = Decoder(enc.finish())
-    for kind, value in fields:
-        read = {"uint": dec.uint, "text": dec.text, "raw": dec.raw, "bool": dec.boolean}[kind]()
-        assert read == value
-    dec.expect_end()
+def test_mixed_field_roundtrip_property(items):
+    fields = [_MIXED[kind][0] for kind, _ in items]
+    values = [value for _, value in items]
+    data = encode_fields(fields, values)
+    assert decode_fields(fields, data, 0) == (values, len(data))
