@@ -26,7 +26,7 @@ from repro.core.checkpoint import (
     perform_msp_checkpoint,
 )
 from repro.core.config import COSTS, LoggingMode, RecoveryConfig
-from repro.core.context import BUSY_RETRY_SLEEP_MS, NormalContext, _await_reply
+from repro.core.context import BUSY_RETRY_SLEEP_MS, ServiceContext, await_reply
 from repro.core.crash_recovery import recover_msp, recover_session
 from repro.core.domain import ServiceDomainConfig
 from repro.core.dv import RecoveryTable
@@ -677,14 +677,11 @@ class MiddlewareServer:
             elif self.recoverable:
                 yield from self.distributed_flush(session.dv, f"session {session.id}")
             yield from self._send_reply(request, reply)
-            session.buffered_reply = reply.payload
-            session.buffered_reply_seq = request.seq
-            session.buffered_reply_error = True
-            session.next_expected_seq = request.seq + 1
+            session.buffer_reply(request.seq, reply.payload, error=True)
             return
 
         yield from self._before_method(session)
-        ctx = NormalContext(self, session)
+        ctx = ServiceContext(self, session)
         method = self.service(request.method)
         if self.adaptive_mode:
             session.call_ms_accum = 0.0
@@ -719,10 +716,7 @@ class MiddlewareServer:
                 yield from self.distributed_flush(session.dv, f"session {session.id}")
 
         yield from self._send_reply(request, reply)
-        session.buffered_reply = result
-        session.buffered_reply_seq = request.seq
-        session.buffered_reply_error = False
-        session.next_expected_seq = request.seq + 1
+        session.buffer_reply(request.seq, result)
         self.stats.requests_processed += 1
 
     def _maybe_adapt_mode(self, session: Session) -> None:
@@ -851,7 +845,7 @@ class MiddlewareServer:
         for _attempt in range(END_PROPAGATION_ATTEMPTS):
             yield from self.cpu(COSTS.message_stack_ms)
             self.send(out.target_msp, "request", request)
-            reply = yield from _await_reply(self, inbox, request.seq)
+            reply = yield from await_reply(self, inbox, request.seq)
             if reply is None:
                 continue  # lost request/reply or crashed server: resend
             if reply.busy:

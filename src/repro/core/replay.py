@@ -4,14 +4,18 @@ The same engine drives both *session orphan recovery* (the session's MSP
 is alive but the session depends on lost remote state) and *session
 recovery after the crash-recovery scan* (§4.3): re-initialize from the
 most recent session checkpoint, then re-execute the logged requests by
-following the position stream, feeding each nondeterministic event from
-the log through a :class:`~repro.core.context.ReplayContext`.
+following the position stream.  Replay is live execution fed from the
+log: each method runs in a :class:`~repro.core.context.ServiceContext`
+given a cursor over the stream, whose one logged-input step feeds every
+nondeterministic event — the requests included — from the log, and
+ends replay at the stream's end or at the orphan log record (writing
+EOS), after which the method under way continues live.
 
 Multiple concurrent crashes are handled by restarting the pass: if new
 recovery knowledge arrives mid-replay and invalidates already-replayed
 state, the pass is restarted from the checkpoint and this time stops at
 the (now detectable) orphan log record, writes the EOS record and
-switches to normal execution — one EOS per crash at most, the invariant
+switches to live execution — one EOS per crash at most, the invariant
 behind the paper's Fig. 11 pair combinations.
 """
 
@@ -19,14 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.context import (
-    OrphanRecordFound,
-    ReplayContext,
-    ReplayCursor,
-    write_eos,
-)
+from repro.core.context import ReplayCursor, ServiceContext
 from repro.core.config import COSTS
-from repro.core.dv import StateId
 from repro.core.errors import FlushFailed, OrphanDetected, SessionProtocolError
 from repro.core.log_manager import LogWindowReader
 from repro.core.records import CommandRecord, RequestRecord, SessionCheckpointRecord
@@ -114,33 +112,30 @@ def _restore_checkpoint(msp: "MiddlewareServer", session: Session):
 def _replay_stream(msp: "MiddlewareServer", session: Session, cursor: ReplayCursor):
     """Pass step 2, redo recovery: replay logged requests along the
     position stream."""
-    ctx = ReplayContext(msp, session, cursor)
-    while cursor.has_next() and not ctx.switched:
-        try:
-            lsn, record = yield from cursor.fetch_next()
-        except OrphanRecordFound as found:
-            # The orphan log record is a request: skip it and everything
-            # after, write EOS, go back to waiting for new requests.
-            yield from write_eos(msp, session, found.lsn)
+    ctx = ServiceContext(msp, session, cursor)
+    while True:
+        logged = yield from ctx.logged_input(
+            "a request record",
+            lambda record: isinstance(record, (RequestRecord, CommandRecord)),
+        )
+        if logged is None:
+            # Stream exhausted, or the orphan log record is a request
+            # (EOS written): back to waiting for new requests.
             return
-        if not isinstance(record, (RequestRecord, CommandRecord)):
-            raise SessionProtocolError(
-                f"replay of {session.id}: expected a request record at "
-                f"{lsn}, found {record!r}"
-            )
+        lsn, record = logged
         yield from _replay_request(msp, session, ctx, lsn, record)
+        if not ctx.is_replay:
+            return  # the request went live mid-method and completed live
         # Interception between requests: knowledge that arrived while we
         # replayed may have orphaned what we just rebuilt.
-        if not ctx.switched and session.is_orphan(msp.table):
+        if session.is_orphan(msp.table):
             raise _RestartReplay
-    # Stream exhausted (or completed live after a mid-method switch):
-    # back to normal execution.
 
 
 def _replay_request(
     msp: "MiddlewareServer",
     session: Session,
-    ctx: ReplayContext,
+    ctx: ServiceContext,
     lsn: int,
     record: "RequestRecord | CommandRecord",
 ):
@@ -152,14 +147,12 @@ def _replay_request(
     # session's live mode tracks along, so post-recovery requests
     # continue in the pre-crash mode.
     is_command = isinstance(record, CommandRecord)
-    ctx.command_request = is_command
-    ctx._command_ordinals = {}
+    ctx.begin_request(is_command)
     session.command_lsn = lsn if is_command else None
     session.logging_mode = "command" if is_command else "value"
     # Receive effects, replayed: state number and DV move exactly as
     # they did in normal execution.
-    session.state_lsn = lsn
-    session.dv.observe(msp.name, StateId(msp.epoch, lsn))
+    session.advance_state(lsn, msp.epoch)
     if record.sender_dv is not None:
         yield from msp.cpu(COSTS.dv_track_ms)
         session.dv.merge(record.sender_dv)
@@ -167,10 +160,7 @@ def _replay_request(
     if record.method not in msp._services:
         # The original execution rejected this unknown method; replay
         # reproduces the same permanent-error outcome.
-        session.buffered_reply = b"unknown method"
-        session.buffered_reply_seq = record.seq
-        session.buffered_reply_error = True
-        session.next_expected_seq = record.seq + 1
+        session.buffer_reply(record.seq, b"unknown method", error=True)
         return
 
     method = msp.service(record.method)
@@ -182,10 +172,7 @@ def _replay_request(
     # The reply is buffered, not sent: if the client never received the
     # original reply it will resend the request, and the duplicate
     # detection path serves the buffered copy — exactly-once execution.
-    session.buffered_reply = result
-    session.buffered_reply_seq = record.seq
-    session.buffered_reply_error = False
-    session.next_expected_seq = record.seq + 1
+    session.buffer_reply(record.seq, result)
     msp.stats.replayed_requests += 1
     if is_command:
         msp.stats.replayed_commands += 1

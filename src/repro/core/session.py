@@ -116,13 +116,26 @@ class Session:
         stream and the checkpoint threshold accounting.  Returns True
         when the position buffer wants spilling.
         """
-        self.state_lsn = lsn
-        self.dv.observe(self.msp_name, StateId(epoch, lsn))
+        self.advance_state(lsn, epoch)
         if self.first_lsn is None:
             self.first_lsn = lsn
         self.bytes_since_ckpt += size
         self.bytes_since_eval += size
         return self.position_stream.append(lsn)
+
+    def advance_state(self, lsn: int, epoch: int) -> None:
+        """Make the session's record at ``lsn`` its state: the state
+        number moves to it and the DV depends on it (live or replayed)."""
+        self.state_lsn = lsn
+        self.dv.observe(self.msp_name, StateId(epoch, lsn))
+
+    def buffer_reply(self, seq: int, payload: bytes, error: bool = False) -> None:
+        """Keep the reply to request ``seq`` for duplicate detection (paper
+        §3.1) and expect ``seq + 1``; ``error`` marks a permanent error."""
+        self.buffered_reply = payload
+        self.buffered_reply_seq = seq
+        self.buffered_reply_error = error
+        self.next_expected_seq = seq + 1
 
     def is_orphan(self, table: RecoveryTable) -> bool:
         self.dv.prune_resolved(table)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import RecoveryConfig, ServiceDomainConfig
 from repro.core.client import EndClient
-from repro.core.context import NormalContext
+from repro.core.context import ServiceContext
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
 from repro.core.errors import SessionProtocolError
 from repro.core.msp import MiddlewareServer
@@ -316,7 +316,7 @@ def test_value_write_seals_uncaptured_commands_first():
 
     session = msp.session_for("writer")
     assert session.logging_mode == "value"  # adaptive sessions start value
-    ctx = NormalContext(msp, session)
+    ctx = ServiceContext(msp, session)
 
     def run():
         yield from ctx.write_shared("v", b"after")
