@@ -126,8 +126,7 @@ class ServiceContext:
         # recovery; they never orphan the session (paper §4.1 lists only
         # requests, replies and shared-variable reads).
         if dv is not None:
-            dv.prune_resolved(self.msp.table)
-            if self.msp.table.is_orphan(dv):
+            if dv.resolve(self.msp.table):
                 # Terminate skipping: truncate the stream, write the EOS
                 # record.  It points back at the orphan log record and
                 # need not be flushed — if it is lost, recovery simply
@@ -462,8 +461,7 @@ class ServiceContext:
             # Fig. 7 "after receive".
             if msp.recoverable:
                 if reply.sender_dv is not None:
-                    reply.sender_dv.prune_resolved(msp.table)
-                    if msp.table.is_orphan(reply.sender_dv):
+                    if reply.sender_dv.resolve(msp.table):
                         # Orphan message: discard and stop; the sender's
                         # MSP will recover it, and our resend will fetch
                         # a consistent reply.

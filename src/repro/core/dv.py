@@ -42,7 +42,11 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, decode_frontier, encode_frontier
-from repro.wire.codec import Buffer, encode_uvarint, read_text_interned, read_uvarint
+from repro.wire.codec import TEXT, Buffer, encode_uvarint, read_text_interned, read_uvarint
+
+#: ``varint(len) + utf-8 name`` for an MSP name, from the intern table
+#: the record codec's text fields write through.
+_name_head = TEXT.write
 
 #: Bits of the internal DV entry key reserved for the partition index:
 #: ``key = (epoch << PKEY_BITS) | partition``.  Sorting keys sorts by
@@ -70,7 +74,8 @@ class DependencyVector:
     where a shared-variable write *replaces* the variable's DV with the
     writer session's DV.  The inner dict is keyed by
     ``(epoch << PKEY_BITS) | partition`` so the single-partition case
-    keeps one flat int key per epoch.
+    keeps one flat int key per epoch.  An MSP is present only while it
+    has an entry.
     """
 
     __slots__ = ("_entries",)
@@ -79,14 +84,9 @@ class DependencyVector:
         # External constructor input is epoch-keyed (the historical
         # shape); the partition half of the key comes from the lsn.
         self._entries: dict[str, dict[int, int]] = {}
-        if entries:
-            for msp, epochs in entries.items():
-                inner = self._entries[msp] = {}
-                for epoch, lsn in epochs.items():
-                    key = _entry_key(epoch, lsn)
-                    current = inner.get(key)
-                    if current is None or lsn > current:
-                        inner[key] = lsn
+        for msp, epochs in (entries or {}).items():
+            for epoch, lsn in epochs.items():
+                self.observe(msp, StateId(epoch, lsn))
 
     # -- access ----------------------------------------------------------
 
@@ -179,15 +179,43 @@ class DependencyVector:
         if not keys:
             del self._entries[msp]
 
-    def prune_resolved(self, table: "RecoveryTable") -> None:
-        """Drop entries that recovery knowledge proves can never orphan."""
-        for msp in list(self._entries):
-            keys = self._entries[msp]
-            for key in list(keys):
-                if table.covers(msp, key >> PKEY_BITS, keys[key]):
-                    del keys[key]
-            if not keys:
-                del self._entries[msp]
+    def resolve(self, table: "RecoveryTable") -> bool:
+        """Check the DV against recovery knowledge: drop the entries
+        ``table`` covers and return whether any entry is lost (the
+        state is an orphan).
+
+        One pass over the entries, with :meth:`RecoveryTable.covers`
+        inlined.  An MSP ``table`` has never seen recover costs one dict
+        lookup, and nothing is allocated unless an entry is dropped.
+        Dropping is safe because a covered entry can never become lost:
+        frontiers only grow.
+        """
+        recovered = table._recovered
+        lost = False
+        covered = None
+        for msp, keys in self._entries.items():
+            epochs = recovered.get(msp)
+            if epochs is None:
+                continue
+            for key, lsn in keys.items():
+                frontier = epochs.get(key >> PKEY_BITS)
+                if frontier is None:
+                    continue
+                partition = lsn >> OFFSET_BITS
+                if partition < len(frontier) and (lsn & OFFSET_MASK) < frontier[partition]:
+                    if covered is None:
+                        covered = []
+                    covered.append((msp, key))
+                else:
+                    lost = True
+        if covered is not None:
+            entries = self._entries
+            for msp, key in covered:
+                keys = entries[msp]
+                del keys[key]
+                if not keys:
+                    del entries[msp]
+        return lost
 
     # -- serialization -------------------------------------------------------
 
@@ -196,20 +224,33 @@ class DependencyVector:
         ``msp -> (epoch, lsn)*`` in sorted order, all varints.
 
         The partition index is never written — it is recoverable from
-        the lsn — so the format is the flat per-epoch encoding.
+        the lsn — so the format is the flat per-epoch encoding.  One
+        buffer is written in place: each MSP name's length-prefixed
+        bytes come from the codec's intern table, and counts, epochs
+        and lsns are appended as inline varints.
         """
         entries = self._entries
-        parts = [encode_uvarint(len(entries))]
+        out = bytearray(encode_uvarint(len(entries)))
         for msp in sorted(entries):
-            name = msp.encode("utf-8")
-            parts.append(encode_uvarint(len(name)))
-            parts.append(name)
+            out += _name_head(msp)
             keys = entries[msp]
-            parts.append(encode_uvarint(len(keys)))
+            count = len(keys)
+            if count > 0x7F:
+                out += encode_uvarint(count)
+            else:
+                out.append(count)
             for key in sorted(keys):
-                parts.append(encode_uvarint(key >> PKEY_BITS))
-                parts.append(encode_uvarint(keys[key]))
-        return b"".join(parts)
+                epoch = key >> PKEY_BITS
+                if epoch > 0x7F:
+                    out += encode_uvarint(epoch)
+                else:
+                    out.append(epoch)
+                lsn = keys[key]
+                while lsn > 0x7F:
+                    out.append((lsn & 0x7F) | 0x80)
+                    lsn >>= 7
+                out.append(lsn)
+        return bytes(out)
 
     @staticmethod
     def decode_from_buffer(buf: Buffer, pos: int) -> tuple["DependencyVector", int]:
@@ -344,15 +385,6 @@ class RecoveryTable:
             and (lsn & OFFSET_MASK) < frontier[partition]
         )
 
-    def is_orphan_state(self, msp: str, state: StateId) -> bool:
-        """Is a dependency on ``(msp, state)`` known to be lost?
-
-        The frontier is an end offset per partition; the record
-        starting at ``state.lsn`` survived iff its offset is below its
-        partition's frontier.
-        """
-        return self.covers(msp, state.epoch, state.lsn) is False
-
     def is_orphan(self, dv: DependencyVector) -> bool:
         """Does any entry of ``dv`` depend on lost state?"""
         return self.find_orphan_entry(dv) is not None
@@ -360,7 +392,7 @@ class RecoveryTable:
     def find_orphan_entry(self, dv: DependencyVector) -> Optional[tuple[str, StateId]]:
         """Return the first orphan entry of ``dv``, if any."""
         for msp, state in dv:
-            if self.is_orphan_state(msp, state):
+            if self.covers(msp, state.epoch, state.lsn) is False:
                 return msp, state
         return None
 

@@ -43,14 +43,13 @@ def distributed_flush(msp: "MiddlewareServer", dv: DependencyVector, subject: st
     messages need no DV after the flush).  Raises :class:`FlushFailed`
     when any leg reports the state lost.
     """
-    dv.prune_resolved(msp.table)
+    # Fail fast on entries already known to be orphans.
+    if dv.resolve(msp.table):
+        target, state = msp.table.find_orphan_entry(dv)
+        raise FlushFailed(f"{subject}: dependency on {target} {state} already lost")
     entries = list(dv)
     if not entries:
         return
-    # Fail fast on entries already known to be orphans.
-    for target, state in entries:
-        if msp.table.is_orphan_state(target, state):
-            raise FlushFailed(f"{subject}: dependency on {target} {state} already lost")
 
     tracer = msp.sim.tracer
     span = None
@@ -179,9 +178,10 @@ def _remote_leg(msp: "MiddlewareServer", target: str, state: StateId):
             except SimTimeoutError:
                 # The target may have crashed.  If an announcement since
                 # resolved our dependency, we can decide locally.
-                if msp.table.is_orphan_state(target, state):
+                survived = msp.table.covers(target, state.epoch, state.lsn)
+                if survived is False:
                     raise FlushFailed(f"remote state {target} {state} lost") from None
-                if msp.table.covers(target, state.epoch, state.lsn):
+                if survived:
                     if span is not None:
                         span.end(outcome="resolved-by-announcement")
                     return  # durable: it survived the crash

@@ -632,8 +632,7 @@ class MiddlewareServer:
         # Fig. 7 "after receive" actions.
         if self.recoverable:
             if request.sender_dv is not None:
-                request.sender_dv.prune_resolved(self.table)
-                if self.table.is_orphan(request.sender_dv):
+                if request.sender_dv.resolve(self.table):
                     # Orphan message: discard and stop.  The sender will
                     # be recovered by its own MSP and resend.
                     self.stats.orphan_messages_discarded += 1

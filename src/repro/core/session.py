@@ -138,8 +138,7 @@ class Session:
         self.next_expected_seq = seq + 1
 
     def is_orphan(self, table: RecoveryTable) -> bool:
-        self.dv.prune_resolved(table)
-        return table.is_orphan(self.dv)
+        return self.dv.resolve(table)
 
     def scan_start_lsn(self) -> Optional[int]:
         """Where the crash-recovery scan must start for this session."""

@@ -164,8 +164,7 @@ class SharedVariable:
         return encode_frontier(tuple(starts))
 
     def is_orphan(self, table: RecoveryTable) -> bool:
-        self.dv.prune_resolved(table)
-        return table.is_orphan(self.dv)
+        return self.dv.resolve(table)
 
     # -- orphan rollback (undo recovery, paper §4.2) -------------------------
 
@@ -181,9 +180,7 @@ class SharedVariable:
         history = self.history
         hops = 0
         while history:
-            dv = history[-1][1]
-            dv.prune_resolved(table)
-            if not table.is_orphan(dv):
+            if not history[-1][1].resolve(table):
                 break
             history.pop()
             hops += 1

@@ -44,7 +44,7 @@ def test_prune_resolved_drops_survivors_keeps_orphans():
     dv = dv_of(("p1", 0, 300), ("p1", 1, 10), ("p2", 0, 7))
     table = RecoveryTable()
     table.record("p1", 0, 400)  # 300 <= 400: survived, droppable
-    dv.prune_resolved(table)
+    dv.resolve(table)
     assert list(dv) == [("p1", StateId(1, 10)), ("p2", StateId(0, 7))]
 
 
