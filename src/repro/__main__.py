@@ -262,12 +262,11 @@ def _run_workload(args: argparse.Namespace) -> int:
         f"session replays:    {inline + pump} "
         f"({inline} inline, {pump} by drain workers; {params.recovery_mode})"
     )
-    if params.logging_mode != "value":
+    if params.logging_mode == "command":
         print(
             f"command logging:    "
             f"{sum(s.command_requests for s in stats)} command requests, "
-            f"{sum(s.replayed_commands for s in stats)} replayed, "
-            f"{sum(s.mode_switches for s in stats)} mode switches"
+            f"{sum(s.replayed_commands for s in stats)} replayed"
         )
     print(f"orphan recoveries:  {result.orphan_recoveries}")
     print(f"replayed requests:  {result.replayed_requests}")

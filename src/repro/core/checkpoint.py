@@ -65,7 +65,7 @@ def take_session_checkpoint(msp: "MiddlewareServer", session: Session):
         yield from msp.distributed_flush(session.dv, f"session {session.id} ckpt")
         msp.sim.probe("ckpt.session.flushed", owner=msp.name)
         yield from _seal_command_effects(msp, session)
-        record = session.build_checkpoint()
+        record = session.build_checkpoint(msp.config.logging_mode)
         yield from msp.cpu(
             COSTS.session_ckpt_cpu_ms + COSTS.log_append_ms
         )

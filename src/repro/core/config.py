@@ -18,7 +18,7 @@ from repro.core.plsn import MAX_PARTITIONS
 
 #: Legal values of the mode strings.
 RECOVERY_MODES = ("eager", "lazy")
-LOGGING_MODES = ("value", "command", "adaptive")
+LOGGING_MODES = ("value", "command")
 
 
 class LoggingMode(enum.Enum):
@@ -107,9 +107,9 @@ class RecoveryConfig:
     """What a caller may choose for one MSP's recovery infrastructure.
 
     Every field is varied by some world (DESIGN.md "Configuration");
-    the fixed values — server sizing, timeouts, block and buffer sizes,
-    the adaptive policy's constants — live as module constants next to
-    their one reader, and the CPU costs are :data:`COSTS`.
+    the fixed values — server sizing, timeouts, block and buffer sizes —
+    live as module constants next to their one reader, and the CPU
+    costs are :data:`COSTS`.
     """
 
     mode: LoggingMode = LoggingMode.RECOVERABLE
@@ -174,12 +174,9 @@ class RecoveryConfig:
     recovery_pump_concurrency: int = 4
 
     # -- command/value logging (DESIGN.md §16) -------------------------------
-    #: What a session's execution logs: ``value`` (the paper's §3.3
-    #: per-SV value records),
-    #: ``command`` (one CommandRecord per request, replay re-executes the
-    #: handler deterministically), or ``adaptive`` (per-session runtime
-    #: choice between the two driven by the live metrics, with
-    #: hysteresis; mode switches land at session-checkpoint boundaries).
+    #: What every session of the MSP logs: ``value`` (the paper's §3.3
+    #: per-SV value records) or ``command`` (one CommandRecord per
+    #: request, replay re-executes the handler deterministically).
     logging_mode: str = "value"
 
     # -- ablations (paper design choices, for the ablation benches) ---------

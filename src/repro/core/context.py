@@ -77,7 +77,7 @@ class ServiceContext:
         self.session = session
         #: The logged inputs still to replay; None once execution is live.
         self.cursor = cursor
-        self.begin_request(msp.recoverable and session.logging_mode == "command")
+        self.begin_request(msp.recoverable and msp.command_mode)
 
     @property
     def is_replay(self) -> bool:
@@ -337,11 +337,7 @@ class ServiceContext:
                 session.dv.merge(variable_dv)
                 sv.apply_write(lsn, new_value, session.dv)
 
-            _lsn, size = yield from msp.append_session_record(session, record, apply)
-            if msp.adaptive_mode:
-                # What command logging would have elided — the policy's
-                # log-volume upside for this session.
-                session.elidable_bytes_since_eval += size
+            yield from msp.append_session_record(session, record, apply)
             yield from msp.cpu(2 * COSTS.dv_track_ms)
         finally:
             sv.lock.release_write()
@@ -428,7 +424,6 @@ class ServiceContext:
             self._consume(lsn, record.sender_dv)
             out.next_seq = seq + 1
             return record.payload
-        call_started = msp.sim.now
         reply_port = f"reply:{out.session_id}"
         inbox = msp.node.bind(reply_port)
         request = Request(
@@ -481,10 +476,6 @@ class ServiceContext:
                     session.dv.merge(reply.sender_dv)
                 msp.check_session_orphan(session)
             out.next_seq = seq + 1
-            if msp.adaptive_mode:
-                # The round trip vanishes at replay (replies come from
-                # the log); keep it out of the replay-cost estimate.
-                session.call_ms_accum += msp.sim.now - call_started
             return reply.payload
 
 

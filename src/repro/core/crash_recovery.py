@@ -149,9 +149,9 @@ def _scan_sv_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
     sv = msp.shared.get(record.variable)
     if sv is not None:
         sv.value = record.value
-        # Command/value adaptive logging (DESIGN.md §16): the frontier
-        # says which command effects the checkpointed value already
-        # includes, so replayed commands at or below it skip re-apply.
+        # Command logging (DESIGN.md §16): the frontier says which
+        # command effects the checkpointed value already includes, so
+        # replayed commands at or below it skip re-apply.
         sv.command_frontier = dict(record.command_frontier)
         # The new base of the undo stack: the writes the merge orders
         # after this record rebuild the stack on top of it.

@@ -75,20 +75,6 @@ LOG_RECORD_OVERHEAD_BYTES = 64
 #: expiry is the backstop).
 END_PROPAGATION_ATTEMPTS = 20
 
-# -- the adaptive logging policy (DESIGN.md §16) -----------------------------
-#: Re-evaluate a session's choice after this many completed requests
-#: since the last evaluation.
-ADAPTIVE_EVAL_REQUESTS = 8
-#: Prefer command logging while the estimated replay cost of a command
-#: suffix stays below this many ms per request (replay re-executes the
-#: method; value replay only reinstalls).
-ADAPTIVE_REPLAY_BUDGET_MS = 5.0
-#: Hysteresis: the observed value-mode bytes/request must exceed the
-#: command-mode estimate by this factor to switch to command, and fall
-#: below ``1/margin`` of it to switch back — so the mode cannot flap on
-#: noise.
-ADAPTIVE_HYSTERESIS_MARGIN = 1.5
-
 
 @dataclass
 class MspStats:
@@ -127,12 +113,10 @@ class MspStats:
     #: Invariant counter — a request entering normal processing while
     #: its session was still unreplayed.  Must stay 0.
     served_before_recovery: int = 0
-    #: Command/value adaptive logging (DESIGN.md §16): requests logged
-    #: as command records, commands re-executed at replay, and adaptive
-    #: policy mode switches.
+    #: Command logging (DESIGN.md §16): requests logged as command
+    #: records, and commands re-executed at replay.
     command_requests: int = 0
     replayed_commands: int = 0
-    mode_switches: int = 0
     #: Sessions ended server-side by the idle-expiry sweep
     #: (config.session_idle_timeout_ms).
     sessions_expired: int = 0
@@ -209,12 +193,9 @@ class MiddlewareServer:
         #: instead of one per session.  Cached — the mode is fixed per
         #: run (and was validated above, like ``logging_mode``).
         self.lazy_mode = self.config.recovery_mode == "lazy"
-        #: Command/value adaptive logging (DESIGN.md §16), cached like
-        #: ``lazy_mode``: ``command_mode`` fixes every session to
-        #: command logging; ``adaptive_mode`` lets the per-session
-        #: policy pick (sessions start in value mode).
+        #: Command logging (DESIGN.md §16), cached like ``lazy_mode``:
+        #: the logging regime is the MSP's, the same for every session.
         self.command_mode = self.config.logging_mode == "command"
-        self.adaptive_mode = self.config.logging_mode == "adaptive"
         # Ablation support: the single MSP-wide DV (see session_for).
         from repro.core.dv import DependencyVector
 
@@ -428,7 +409,6 @@ class MiddlewareServer:
         if session.first_lsn is None:
             session.first_lsn = lsn
         session.bytes_since_ckpt += size
-        session.bytes_since_eval += size
         if session.position_stream.append(lsn):
             yield from session.position_stream.spill(self.disk)
         return lsn, size
@@ -468,8 +448,6 @@ class MiddlewareServer:
                 # sessions will roll back, possibly unnecessarily",
                 # paper S3.2) -- the cost the per-session design avoids.
                 session.dv = self._msp_wide_dv
-            if self.command_mode:
-                session.logging_mode = "command"
             self.sessions[session_id] = session
         return session
 
@@ -618,11 +596,9 @@ class MiddlewareServer:
         finally:
             session.busy = False
 
-        # Between requests: take a session checkpoint if due (§3.2),
-        # then let the adaptive policy re-decide the logging mode.
+        # Between requests: take a session checkpoint if due (§3.2).
         if self.recoverable and session.id in self.sessions:
             yield from maybe_session_checkpoint(self, session)
-            self._maybe_adapt_mode(session)
 
     def _process_new_request(self, request: Request, session: Session):
         if session.lazy_pending:
@@ -640,9 +616,7 @@ class MiddlewareServer:
             # Command mode (DESIGN.md §16): the request record *is* the
             # command — same fields, distinct kind so replay knows to
             # re-execute RMW effects instead of consuming value records.
-            record_cls = (
-                CommandRecord if session.logging_mode == "command" else RequestRecord
-            )
+            record_cls = CommandRecord if self.command_mode else RequestRecord
             record = record_cls(
                 session_id=session.id,
                 seq=request.seq,
@@ -651,7 +625,7 @@ class MiddlewareServer:
                 sender_dv=request.sender_dv,
             )
             lsn, _size = yield from self.append_session_record(session, record)
-            if record_cls is CommandRecord:
+            if self.command_mode:
                 session.command_lsn = lsn
                 self.stats.command_requests += 1
             else:
@@ -682,23 +656,8 @@ class MiddlewareServer:
         yield from self._before_method(session)
         ctx = ServiceContext(self, session)
         method = self.service(request.method)
-        if self.adaptive_mode:
-            session.call_ms_accum = 0.0
-            exec_started = self.sim.now
         result = yield from method(ctx, request.argument)
         yield from self._after_method(session)
-        if self.adaptive_mode:
-            # Replay-cost estimate: wall time minus outgoing-call time
-            # (replay answers calls from logged replies, so the network
-            # round trips vanish; CPU, locks and appends remain a fair
-            # proxy for re-execution cost).  EWMA so one slow request
-            # cannot flip the mode.
-            exec_ms = self.sim.now - exec_started - session.call_ms_accum
-            if session.observed_exec_ms == 0.0:
-                session.observed_exec_ms = exec_ms
-            else:
-                session.observed_exec_ms += 0.3 * (exec_ms - session.observed_exec_ms)
-            session.requests_since_eval += 1
         if not isinstance(result, bytes):
             raise SessionProtocolError(
                 f"{self.name}.{request.method} returned {type(result).__name__}, "
@@ -717,51 +676,6 @@ class MiddlewareServer:
         yield from self._send_reply(request, reply)
         session.buffer_reply(request.seq, result)
         self.stats.requests_processed += 1
-
-    def _maybe_adapt_mode(self, session: Session) -> None:
-        """The adaptive logging policy (DESIGN.md §16), run between
-        requests.
-
-        Every ``ADAPTIVE_EVAL_REQUESTS`` completed requests, compare the
-        observed log volume against what command logging would keep
-        (value mode tracks the elidable SvUpdate share) and the
-        estimated re-execution cost against the replay budget.  Both
-        directions are guarded by the hysteresis margin so the mode
-        cannot flap on noise; switches take effect on the session's next
-        request (replay dispatches per record kind, so mixed suffixes
-        are fine).
-        """
-        if not self.adaptive_mode or session.status is not SessionStatus.NORMAL:
-            return
-        if session.requests_since_eval < ADAPTIVE_EVAL_REQUESTS:
-            return
-        margin = ADAPTIVE_HYSTERESIS_MARGIN
-        budget = ADAPTIVE_REPLAY_BUDGET_MS
-        old_mode = session.logging_mode
-        if old_mode == "value":
-            kept = session.bytes_since_eval - session.elidable_bytes_since_eval
-            if (
-                session.elidable_bytes_since_eval > 0
-                and session.bytes_since_eval > margin * max(kept, 1)
-                and session.observed_exec_ms <= budget
-            ):
-                session.logging_mode = "command"
-        elif session.observed_exec_ms > budget * margin:
-            session.logging_mode = "value"
-        if session.logging_mode != old_mode:
-            self.stats.mode_switches += 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "session.mode-switch",
-                    owner=self.name,
-                    session=session.id,
-                    mode=session.logging_mode,
-                )
-                tracer.metrics.inc(f"logging.mode_switch.{session.logging_mode}")
-        session.requests_since_eval = 0
-        session.bytes_since_eval = 0
-        session.elidable_bytes_since_eval = 0
 
     def _before_method(self, session: Session):
         """Hook for alternative session-persistence baselines (Psession,

@@ -286,9 +286,10 @@ class SessionCheckpointRecord(_Record):
     (stacks, program counters), because checkpoints are only taken
     between requests.
 
-    ``logging_mode`` tells recovery how to interpret the log suffix
-    after this checkpoint (DESIGN.md §16): value records to reinstall,
-    or command records to re-execute.
+    ``logging_mode`` is the writing MSP's logging mode (DESIGN.md §16).
+    Recovery checks it against its own: a log suffix of value records
+    to reinstall, or of command records to re-execute, replays only
+    under the mode that wrote it.
     """
 
     session_id: str

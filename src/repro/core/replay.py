@@ -104,6 +104,14 @@ def _restore_checkpoint(msp: "MiddlewareServer", session: Session):
             raise SessionProtocolError(
                 f"bad session checkpoint for {session.id} at {session.last_ckpt_lsn}: {record!r}"
             )
+        if record.logging_mode != msp.config.logging_mode:
+            # The log was written under the other logging regime: its
+            # suffix cannot be replayed by this MSP's (DESIGN.md §16).
+            raise SessionProtocolError(
+                f"session checkpoint for {session.id} at {session.last_ckpt_lsn} "
+                f"was logged in {record.logging_mode} mode, this MSP logs "
+                f"in {msp.config.logging_mode} mode"
+            )
         session.restore_checkpoint(record)
     else:
         session.reset_fresh()
@@ -141,15 +149,11 @@ def _replay_request(
 ):
     """Re-execute one logged request (paper §4.1 replay rules)."""
     yield from msp.cpu(COSTS.replay_dispatch_ms)
-    # Command logging (DESIGN.md §16): dispatch per record kind, so a
-    # mixed-mode suffix (the adaptive policy switching between requests)
-    # replays each request under the regime it was logged with.  The
-    # session's live mode tracks along, so post-recovery requests
-    # continue in the pre-crash mode.
+    # Command logging (DESIGN.md §16): each request replays under the
+    # regime its record kind says it was logged with.
     is_command = isinstance(record, CommandRecord)
     ctx.begin_request(is_command)
     session.command_lsn = lsn if is_command else None
-    session.logging_mode = "command" if is_command else "value"
     # Receive effects, replayed: state number and DV move exactly as
     # they did in normal execution.
     session.advance_state(lsn, msp.epoch)

@@ -76,23 +76,6 @@ class Session:
         #: replay during a lazy restart; cleared when the replay is
         #: claimed (inline or by the pump).
         self.lazy_pending = False
-        #: Effective logging mode of this session: ``value`` or
-        #: ``command`` (DESIGN.md §16).  Fixed by config for the pure
-        #: modes; the adaptive policy re-decides it between requests, so
-        #: any one request's records are single-mode but a log suffix
-        #: may mix them — replay dispatches per record kind.
-        self.logging_mode = "value"
-        #: Adaptive accounting: requests completed and log bytes
-        #: appended since the policy last evaluated this session.
-        self.requests_since_eval = 0
-        self.bytes_since_eval = 0
-        #: Of ``bytes_since_eval``, the bytes command mode would have
-        #: elided (SvUpdate records + their storage overhead).
-        self.elidable_bytes_since_eval = 0
-        #: Estimated per-request replay cost (ms) from live execution —
-        #: the adaptive policy's command-mode downside.  EWMA of request
-        #: wall time minus time spent blocked in outgoing calls.
-        self.observed_exec_ms = 0.0
         #: Shared variables this session has applied command-mode RMWs
         #: to since its last session checkpoint.  The checkpoint must
         #: seal these (checkpoint any still carrying uncaptured command
@@ -103,9 +86,6 @@ class Session:
         #: LSN of the current request's command record (command mode);
         #: the frontier key for its RMW effects.
         self.command_lsn: Optional[int] = None
-        #: Wall time the current request spent inside ``ctx.call`` —
-        #: subtracted from elapsed time for the replay-cost EWMA.
-        self.call_ms_accum = 0.0
 
     # -- state-number / DV bookkeeping --------------------------------------
 
@@ -120,7 +100,6 @@ class Session:
         if self.first_lsn is None:
             self.first_lsn = lsn
         self.bytes_since_ckpt += size
-        self.bytes_since_eval += size
         return self.position_stream.append(lsn)
 
     def advance_state(self, lsn: int, epoch: int) -> None:
@@ -163,9 +142,10 @@ class Session:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def build_checkpoint(self) -> SessionCheckpointRecord:
+    def build_checkpoint(self, logging_mode: str) -> SessionCheckpointRecord:
         """Snapshot for a session checkpoint (taken between requests,
-        so no control state is needed — paper §3.2)."""
+        so no control state is needed — paper §3.2), stamped with the
+        MSP's logging mode."""
         return SessionCheckpointRecord(
             session_id=self.id,
             variables=dict(self.variables),
@@ -176,7 +156,7 @@ class Session:
                 out.session_id: out.next_seq for out in self.outgoing.values()
             },
             buffered_reply_error=self.buffered_reply_error,
-            logging_mode=self.logging_mode,
+            logging_mode=logging_mode,
         )
 
     def account_checkpoint(self, lsn: int) -> None:
@@ -207,7 +187,6 @@ class Session:
             )
         self.dv = DependencyVector()
         self.state_lsn = None
-        self.logging_mode = record.logging_mode
 
     def reset_fresh(self) -> None:
         """Reset to the just-started state (recovery with no checkpoint)."""

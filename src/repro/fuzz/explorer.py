@@ -158,10 +158,9 @@ class FuzzParams:
     #: Lazy mode's drain worker count (paper topology only: a fleet
     #: drains with the ``RecoveryConfig`` default).
     recovery_pump_concurrency: int = 4
-    #: Request logging mode: ``value`` (historical, byte-identical),
-    #: ``command`` (log the request, not the deltas — DESIGN.md §16) or
-    #: ``adaptive`` (the runtime policy switching per session).  The
-    #: non-value modes exercise command replay, the (lsn, ordinal)
+    #: Request logging mode: ``value`` (historical, byte-identical) or
+    #: ``command`` (log the request, not the deltas — DESIGN.md §16).
+    #: Command mode exercises command replay, the (lsn, ordinal)
     #: idempotence frontier and the in-memory rollback history under
     #: arbitrary crash schedules.
     logging_mode: str = "value"

@@ -344,7 +344,7 @@ instant_restart = Experiment(
 
 
 # ---------------------------------------------------------------------------
-# log-volume: value -> adaptive -> command logging (DESIGN.md §16)
+# log-volume: value vs command logging (DESIGN.md §16)
 # ---------------------------------------------------------------------------
 
 #: Ceiling on command-mode over value-mode log bytes per request.
@@ -352,7 +352,7 @@ LOG_VOLUME_MAX_BYTES_RATIO = 0.5
 
 
 def _log_volume_cell(spec: dict) -> list[dict]:
-    """One §5.1 workload run under one (logging mode, P, recovery mode).
+    """One §5.1 workload run under one (logging mode, P).
 
     The run is traced so the per-kind append counters and the recovery
     spans land in one MetricsRegistry; exactly-once is verified before
@@ -362,9 +362,8 @@ def _log_volume_cell(spec: dict) -> list[dict]:
     from repro.trace import Tracer
     from repro.workloads import PaperWorkload, WorkloadParams
 
-    mode, nparts, recovery_mode, requests, seed = (
-        spec["logging_mode"], spec["partitions"], spec["recovery_mode"],
-        spec["requests"], spec["seed"],
+    mode, nparts, requests, seed = (
+        spec["logging_mode"], spec["partitions"], spec["requests"], spec["seed"],
     )
     workload = PaperWorkload(
         WorkloadParams(
@@ -379,7 +378,6 @@ def _log_volume_cell(spec: dict) -> list[dict]:
             # elides (plain read+write pairs stay value-logged by contract).
             atomic_sv_updates=True,
             log_partitions=nparts,
-            recovery_mode=recovery_mode,
             logging_mode=mode,
             seed=seed,
         )
@@ -401,8 +399,7 @@ def _log_volume_cell(spec: dict) -> list[dict]:
         if name.startswith("log.append.") and name.endswith(".bytes")
     )
     # Crash recovery (restart to open-for-business) plus session replay
-    # sim-time.  Eager nests replay inside the recovery span; lazy runs
-    # replays after it — the sum is the total repair work either way.
+    # sim-time: the total repair work.
     spans = tracer.metrics.histograms
     repair = sum(
         spans[name].total
@@ -413,7 +410,6 @@ def _log_volume_cell(spec: dict) -> list[dict]:
     return [{
         "logging_mode": mode,
         "partitions": nparts,
-        "recovery_mode": recovery_mode,
         "requests": run.completed_requests,
         "crashes": run.crashes,
         # Total log volume (both MSPs, all kinds) over completed
@@ -424,32 +420,26 @@ def _log_volume_cell(spec: dict) -> list[dict]:
         "sv_update_records": records_of("SvUpdateRecord"),
         "replayed_requests": sum(s.replayed_requests for s in stats),
         "replayed_commands": sum(s.replayed_commands for s in stats),
-        "mode_switches": sum(s.mode_switches for s in stats),
     }]
 
 
 def _log_volume_claims(rows: list[dict]) -> list[Claim]:
     bpr = {
-        (row["logging_mode"], row["partitions"], row["recovery_mode"]):
-            row["log_bytes_per_request"]
+        (row["logging_mode"], row["partitions"]): row["log_bytes_per_request"]
         for row in rows
     }
-    ratios = [
-        bpr["command", P, rmode] / bpr["value", P, rmode]
-        for P in (1, 4)
-        for rmode in ("eager", "lazy")
-    ]
+    ratios = [bpr["command", P] / bpr["value", P] for P in (1, 4)]
     return [
         (
             f"command logging writes <= {LOG_VOLUME_MAX_BYTES_RATIO:g}x value "
-            "logging's bytes per request at every (P, recovery mode) (measured "
+            "logging's bytes per request at every P (measured "
             f"{min(ratios):.2f}-{max(ratios):.2f}x)",
             max(ratios) <= LOG_VOLUME_MAX_BYTES_RATIO,
         ),
         (
-            "value cells logged no command record and never switched mode",
+            "value cells logged no command record",
             all(
-                row["command_records"] == 0 and row["mode_switches"] == 0
+                row["command_records"] == 0
                 for row in rows if row["logging_mode"] == "value"
             ),
         ),
@@ -466,9 +456,10 @@ def _log_volume_claims(rows: list[dict]) -> list[Claim]:
     ]
 
 
-#: Runtime log volume vs recovery time across the logging modes: the
-#: adaptive-logging trade of Yao et al. on the §5.1 workload, two
-#: clients, MSP2 killed twice, at P in {1, 4}, eager and lazy.
+#: Runtime log volume vs recovery time across the two logging modes on
+#: the §5.1 workload, two clients, MSP2 killed twice, at P in {1, 4}.
+#: Eager only: at two sessions the lazy drain also starts one worker per
+#: session, so a lazy cell would repeat its eager twin.
 log_volume = Experiment(
     name="log-volume",
     description=(
@@ -476,11 +467,10 @@ log_volume = Experiment(
         "with MSP2 crashes, each cell verified exactly-once"
     ),
     specs=lambda scale, seed: [
-        dict(logging_mode=mode, partitions=P, recovery_mode=rmode,
+        dict(logging_mode=mode, partitions=P,
              requests=max(16, int(100 * scale)), seed=seed)
-        for mode in ("value", "adaptive", "command")
+        for mode in ("value", "command")
         for P in (1, 4)
-        for rmode in ("eager", "lazy")
     ],
     cell=_log_volume_cell,
     claims=_log_volume_claims,

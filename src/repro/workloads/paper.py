@@ -141,10 +141,9 @@ def add_mode_arguments(parser) -> None:
     )
     parser.add_argument(
         "--logging-mode", choices=LOGGING_MODES,
-        help="request logging mode: value logs per-variable deltas "
-        "(paper §3.3); command logs the request and re-executes it at "
-        "replay; adaptive switches per session from observed log volume "
-        f"vs estimated replay cost (default {defaults.logging_mode})",
+        help="request logging mode of every session: value logs "
+        "per-variable deltas (paper §3.3); command logs the request and "
+        f"re-executes it at replay (default {defaults.logging_mode})",
     )
 
 

@@ -1,4 +1,4 @@
-"""Command/value adaptive logging (DESIGN.md §16) unit tests.
+"""Command logging (DESIGN.md §16) unit tests.
 
 Covers the pieces the end-to-end suites exercise only indirectly:
 
@@ -9,7 +9,9 @@ Covers the pieces the end-to-end suites exercise only indirectly:
   idempotent, and divergence detection when a handler violates the
   determinism contract (raises instead of silently corrupting state);
 - the regime barrier — a value-logged write on a variable carrying
-  unlogged command effects checkpoints it first.
+  unlogged command effects checkpoints it first;
+- the session checkpoint's mode byte — a log written under one logging
+  mode is refused by an MSP recovering under the other.
 """
 
 import pytest
@@ -173,7 +175,6 @@ def test_command_replay_reexecutes_rmw():
     assert session.buffered_reply == b"ok"
     assert session.buffered_reply_seq == 0
     assert session.next_expected_seq == 1
-    assert session.logging_mode == "command"
     assert msp.stats.replayed_commands == 1
 
 
@@ -309,13 +310,14 @@ def test_session_checkpoint_seals_command_effects_before_truncation():
 
 
 def test_value_write_seals_uncaptured_commands_first():
-    sim, msp = build_msp(logging_mode="adaptive")
+    # A plain write is value-logged in command mode too: only RMWs are
+    # commands.
+    sim, msp = build_msp()
     sv = msp.shared["v"]
     sv.apply_command_write(5, 0, b"cmd-effect", DependencyVector(), "cmd-sess")
     assert sv.uncaptured_commands
 
     session = msp.session_for("writer")
-    assert session.logging_mode == "value"  # adaptive sessions start value
     ctx = ServiceContext(msp, session)
 
     def run():
@@ -331,3 +333,23 @@ def test_value_write_seals_uncaptured_commands_first():
     # command effect is captured under it, frontier and all.
     assert sv.last_ckpt_lsn is not None
     assert sv.base[4] == {"cmd-sess": (5, 0)}
+
+
+# -- the mode byte -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("written, recovering", [("value", "command"), ("command", "value")])
+def test_checkpoint_from_the_other_logging_mode_fails_replay(written, recovering):
+    """The logging mode is the MSP's: a session checkpoint records the
+    mode that wrote it, and replay under the other mode refuses the log
+    instead of misreading its suffix."""
+    sim, msp = build_msp(logging_mode=recovering)
+    session = msp.session_for("s")
+    lsn, _size = msp.log.append(session.build_checkpoint(written))
+    session.account_checkpoint(lsn)
+
+    p = sim.spawn(run_session_recovery(msp, session, orphan=False))
+    sim.run_until_process(p, limit=60_000)
+    with pytest.raises(SessionProtocolError, match=f"logged in {written} mode"):
+        p.result
+    assert msp.failed_replays == 1

@@ -161,9 +161,6 @@ SERVER_CONSTANTS = [
     ("log_record_overhead_bytes", "repro.core.msp", "LOG_RECORD_OVERHEAD_BYTES", 64),
     ("thread_pool_size", "repro.core.msp", "THREAD_POOL_SIZE", 16),
     ("cpu_cores", "repro.core.msp", "CPU_CORES", 1),
-    ("adaptive_eval_requests", "repro.core.msp", "ADAPTIVE_EVAL_REQUESTS", 8),
-    ("adaptive_replay_budget_ms", "repro.core.msp", "ADAPTIVE_REPLAY_BUDGET_MS", 5.0),
-    ("adaptive_hysteresis_margin", "repro.core.msp", "ADAPTIVE_HYSTERESIS_MARGIN", 1.5),
     ("call_resend_timeout_ms", "repro.core.context", "CALL_RESEND_TIMEOUT_MS", 100.0),
     ("flush_retry_timeout_ms", "repro.core.flush", "FLUSH_RETRY_TIMEOUT_MS", 50.0),
     ("restart_delay_ms", "repro.core.msp", "RESTART_DELAY_MS", 50.0),

@@ -151,14 +151,14 @@ def test_lazy_final_state_equals_eager(seed, crash_times):
     ).map(sorted),
 )
 def test_logging_modes_times_recovery_modes_agree(seed, crash_times):
-    """PR 8 modes matrix: command and adaptive logging, under both
-    recovery modes, land on the same semantic state as the value/eager
+    """Modes matrix: value and command logging, under both recovery
+    modes, land on the same semantic state as the value/eager
     baseline.  ``mixed_method``'s RMW is deterministic and commutative
     and its return value never reaches the reply, so it satisfies the
     §16 command contract; the session-variable counter and the buffered
     replies pin exactly-once across the regimes."""
     baseline = run_mode("eager", seed, crash_times, n_clients=1, n_calls=8)
-    for logging_mode in ("value", "command", "adaptive"):
+    for logging_mode in ("value", "command"):
         for recovery_mode in ("eager", "lazy"):
             if (logging_mode, recovery_mode) == ("value", "eager"):
                 continue

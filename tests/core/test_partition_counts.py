@@ -45,7 +45,7 @@ def run_and_verify(requests, crash_every, **params):
 
 @pytest.mark.parametrize("threshold", (2, 6))
 @pytest.mark.parametrize("recovery_mode", ("eager", "lazy"))
-@pytest.mark.parametrize("logging_mode", ("value", "adaptive", "command"))
+@pytest.mark.parametrize("logging_mode", ("value", "command"))
 @pytest.mark.parametrize("partitions", PARTITIONS)
 def test_frequent_sv_checkpoints(partitions, logging_mode, recovery_mode, threshold):
     run_and_verify(

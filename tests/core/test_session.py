@@ -59,7 +59,7 @@ def test_checkpoint_roundtrip():
     s.outgoing_to("msp2").next_seq = 9
     s.account_record(100, 8, 0)
 
-    record = s.build_checkpoint()
+    record = s.build_checkpoint("value")
     fresh = Session("c#0", "msp1")
     fresh.restore_checkpoint(record)
     assert fresh.variables == {"a": b"1", "b": b"2"}
@@ -74,7 +74,7 @@ def test_checkpoint_roundtrip():
 
 def test_checkpoint_with_no_reply():
     s = Session("c#0", "msp1")
-    record = s.build_checkpoint()
+    record = s.build_checkpoint("value")
     fresh = Session("c#0", "msp1")
     fresh.restore_checkpoint(record)
     assert fresh.buffered_reply is None

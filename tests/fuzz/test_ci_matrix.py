@@ -5,8 +5,9 @@ steps; a flag renamed or removed in the CLI would otherwise fail only
 in CI.  Here every step's command line, with the row's values filled
 in, must parse with the fuzz subcommand's own parser and build its
 ``FuzzParams``; every (recovery mode, logging mode) pair must be
-fuzzed by some row with more than one log partition; and every
-``--topology`` must run two-crash pairs in some row.
+fuzzed by some row with more than one log partition; every lazy row
+must fuzz fewer drain workers than clients; and every ``--topology``
+must run two-crash pairs in some row.
 """
 
 import argparse
@@ -66,6 +67,22 @@ def test_every_mode_pair_runs_partitioned():
         if params.log_partitions > 1:
             covered.add((params.recovery_mode, params.logging_mode))
     assert covered == set(itertools.product(RECOVERY_MODES, LOGGING_MODES))
+
+
+def test_every_lazy_row_drains_with_fewer_workers_than_clients():
+    # With a drain worker per session, lazy recovery replays exactly as
+    # eager does (the same schedule fingerprint): the row would re-run
+    # its eager twin instead of reaching a request that races a
+    # not-yet-claimed session.
+    parser = _parser()
+    lazy = [
+        params
+        for params in (_params(parser.parse_args(shlex.split(row["flags"]))) for row in _rows())
+        if params.recovery_mode == "lazy"
+    ]
+    assert lazy
+    for params in lazy:
+        assert params.recovery_pump_concurrency < params.num_clients, params
 
 
 def test_every_topology_runs_pairs():

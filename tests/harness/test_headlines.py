@@ -16,8 +16,8 @@ SHAPES = {
             "inline_recoveries", "pump_recoveries", "served_before_recovery"},
     ),
     "log-volume": (
-        12, {"logging_mode", "partitions", "recovery_mode", "crashes",
-             "log_bytes_per_request", "repair_ms", "mode_switches"},
+        4, {"logging_mode", "partitions", "crashes", "log_bytes_per_request",
+            "repair_ms"},
     ),
     "log-space": (
         7, {"workload", "truncation", "records", "live_bytes",

@@ -21,6 +21,8 @@ gone and what waited behind them runs earlier) re-recorded
 ``p4_lazy_crashing`` only (steps 32400 -> 32189, ``log_bytes`` 430469
 -> 430224); the fleet result's ``totals`` gained ``critical_steps``
 (the per-epoch busiest shard's steps, summed), which replaced the fleet
+fingerprint string only; deleting adaptive logging took
+``mode_switches`` out of ``MspStats``, which replaced the fleet
 fingerprint string only.  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
@@ -43,7 +45,7 @@ RECORDED = {
         "steps": 5665,
         "completed": 58,
         "log_bytes": 47788,
-        "fingerprint": "b952fb29e81ebf3f6e20be2fc1c19e7621232446d1ce61a563011bc5cfd63e9d",
+        "fingerprint": "251a3221422c50096306638a93e7b736d590f58c123bfe9818d5dcceb574ddab",
     },
 }
 
