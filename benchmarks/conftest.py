@@ -29,5 +29,5 @@ def report(result) -> None:
 
 
 def assert_claims(result) -> None:
-    failed = [claim for claim, ok in result.claims if not ok]
+    failed = [str(claim) for claim in result.claims if not claim.holds]
     assert not failed, f"{result.experiment}: shape claims failed: {failed}"

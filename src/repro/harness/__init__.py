@@ -7,9 +7,9 @@ in :mod:`repro.harness.ablations`, the headline results in
 :mod:`repro.harness.headlines` — and :data:`EXPERIMENTS` lists all of
 them.  Calling one at a scale returns an
 :class:`~repro.harness.experiments.ExperimentResult` carrying the
-measured rows, the paper's reference numbers where it prints them, and
-the checked claims; :func:`~repro.harness.report.render_result` renders
-it as a text table.
+measured rows and the checked
+:class:`~repro.harness.experiments.Claim` values;
+:func:`~repro.harness.report.render_result` renders it as a text table.
 """
 
 from repro.harness import headlines
@@ -18,6 +18,7 @@ from repro.harness.ablations import (
     ablation_parallel_recovery,
 )
 from repro.harness.experiments import (
+    Claim,
     Experiment,
     ExperimentResult,
     analysis_flush_accounting,
@@ -56,6 +57,7 @@ EXPERIMENTS = tuple(sorted(
 
 __all__ = [
     "EXPERIMENTS",
+    "Claim",
     "Experiment",
     "ExperimentResult",
     "ablation_dv_granularity",

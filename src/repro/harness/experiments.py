@@ -4,10 +4,10 @@ An :class:`Experiment` is a declaration: ``specs(scale, seed)`` lists
 its independent cells (one picklable dict per seeded simulation),
 ``cell(spec)`` — a module-level function — turns one spec into its
 rows, and ``claims(rows)`` checks the *shape* statements made about the
-artifact — who wins, by roughly what factor, where crossovers fall —
-each with its threshold beside it.  ``paper`` carries the published
-reference numbers where the paper prints them.  Absolute parity is not
-expected (our substrate is a calibrated simulator); shape parity is.
+artifact — who wins, by roughly what factor, where crossovers fall — as
+:class:`Claim` values, each one number computed from the rows and
+compared against a bound.  Absolute parity is not expected (our
+substrate is a calibrated simulator); shape parity is.
 
 Calling a declaration, ``experiment(scale, seed, jobs, progress)``, runs
 its cells through :func:`sweep` — in-process for ``jobs=1``, fanned
@@ -25,8 +25,9 @@ attributes of what it measured.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.parallel import WorkerFailure, resolve_jobs, run_tasks
 from repro.workloads import PaperWorkload, WorkloadParams
@@ -34,23 +35,61 @@ from repro.workloads import PaperWorkload, WorkloadParams
 KB = 1024
 MB = 1024 * 1024
 
-#: One checked shape statement: its text and whether it held.
-Claim = tuple[str, bool]
+_COMPARATORS = {
+    ">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+    "==": operator.eq,
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checked shape statement: ``measured op bound``.
+
+    ``what`` names the one number ``measured`` is, computed from the
+    rows; ``paper`` is the paper's value of that number where the paper
+    prints one.  The rendered line is built from all five fields, so a
+    claim's text cannot say more than its check.  A NaN measurement
+    fails every comparator.
+    """
+
+    what: str
+    measured: float
+    op: str
+    bound: float
+    paper: Optional[float] = None
+
+    @property
+    def holds(self) -> bool:
+        return _COMPARATORS[self.op](self.measured, self.bound)
+
+    def __str__(self) -> str:
+        line = (
+            f"[{'PASS' if self.holds else 'FAIL'}] {self.what}: "
+            f"{_number(self.measured)} {self.op} {_number(self.bound, 'g')}"
+        )
+        return line if self.paper is None else f"{line} (paper {_number(self.paper)})"
+
+
+def _number(value, float_format: Optional[str] = None) -> str:
+    """An int as is; a float to two decimals, or to three significant
+    digits below 1 so a small ratio is not printed as 0.00."""
+    if isinstance(value, int):
+        return str(value)
+    return format(value, float_format or (".2f" if abs(value) >= 1 else ".3g"))
 
 
 @dataclass
 class ExperimentResult:
-    """Rows + paper references + checked shape claims for one artifact."""
+    """Rows + checked shape claims for one artifact."""
 
     experiment: str
     description: str
     rows: list[dict] = field(default_factory=list)
-    paper: dict = field(default_factory=dict)
     claims: list[Claim] = field(default_factory=list)
 
     @property
     def all_claims_hold(self) -> bool:
-        return all(ok for _claim, ok in self.claims)
+        return all(claim.holds for claim in self.claims)
 
 
 def sweep(worker, specs, jobs=None, progress=None) -> list:
@@ -104,7 +143,6 @@ class Experiment:
     specs: Callable[[float, int], list[dict]]
     cell: Callable[[dict], list[dict]]
     claims: Callable[[list[dict]], list[Claim]]
-    paper: dict = field(default_factory=dict)
 
     def __call__(
         self, scale: float = 1.0, seed: int = 0, jobs=None, progress=None
@@ -119,7 +157,6 @@ class Experiment:
             experiment=self.name,
             description=self.description.format(**specs[0]),
             rows=rows,
-            paper=dict(self.paper),
             claims=self.claims(rows),
         )
 
@@ -159,6 +196,11 @@ def _series(rows: list[dict], key, value: str) -> dict:
     return series
 
 
+def _steps_not_rising(values) -> int:
+    """How many consecutive steps of ``values`` fail to increase."""
+    return sum(b <= a for a, b in zip(values, values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Figure 14 (table): average response time of the five configurations
 # ---------------------------------------------------------------------------
@@ -177,22 +219,26 @@ def _fig14_table_cell(spec: dict) -> list[dict]:
     return [{**row, "paper_ms": PAPER_FIG14_TABLE[row["configuration"]]}]
 
 
+FIG14_ORDER = ("NoLog", "StateServer", "LoOptimistic", "Pessimistic", "Psession")
+
+
 def _fig14_table_claims(rows: list[dict]) -> list[Claim]:
     means = {row["configuration"]: row["mean_response_ms"] for row in rows}
-    reduction = 1.0 - means["LoOptimistic"] / means["Pessimistic"]
+
+    def reduction(table: dict) -> float:
+        return 1.0 - table["LoOptimistic"] / table["Pessimistic"]
+
+    order = "adjacent pairs out of the order " + " < ".join(FIG14_ORDER)
+    paper = reduction(PAPER_FIG14_TABLE)
     return [
-        (
-            "ordering NoLog < StateServer < LoOptimistic < Pessimistic < Psession",
-            means["NoLog"]
-            < means["StateServer"]
-            < means["LoOptimistic"]
-            < means["Pessimistic"]
-            < means["Psession"],
+        Claim(
+            order, _steps_not_rising([means[c] for c in FIG14_ORDER]), "==", 0,
+            paper=_steps_not_rising([PAPER_FIG14_TABLE[c] for c in FIG14_ORDER]),
         ),
-        (
-            f"locally optimistic reduces response time by about 30% (measured {reduction:.0%})",
-            0.20 <= reduction <= 0.45,
-        ),
+        Claim("1 - LoOptimistic / Pessimistic mean response", reduction(means), ">=",
+              0.20, paper),
+        Claim("1 - LoOptimistic / Pessimistic mean response", reduction(means), "<=",
+              0.45, paper),
     ]
 
 
@@ -211,7 +257,6 @@ fig14_response_table = Experiment(
     ],
     cell=_fig14_table_cell,
     claims=_fig14_table_claims,
-    paper=PAPER_FIG14_TABLE,
 )
 
 
@@ -229,31 +274,24 @@ def _fig14_chart_claims(rows: list[dict]) -> list[Claim]:
         values = series[name]
         return (values[-1] - values[0]) / (FIG14_CALLS[-1] - FIG14_CALLS[0])
 
+    def gap_growth(above: str, below: str) -> float:
+        gaps = [a - b for a, b in zip(series[above], series[below])]
+        return gaps[-1] - gaps[0]
+
+    lo, ss = series["LoOptimistic"], series["StateServer"]
     return [
-        (
-            "response time grows with m for every configuration",
-            all(all(b > a for a, b in zip(v, v[1:])) for v in series.values()),
-        ),
-        (
-            "LoOptimistic-Pessimistic gap widens with m",
-            (series["Pessimistic"][-1] - series["LoOptimistic"][-1])
-            > (series["Pessimistic"][0] - series["LoOptimistic"][0]),
-        ),
-        (
-            "pessimistic slope ~2 flushes+round/call (steepest logging growth)",
-            slope("Pessimistic") > slope("LoOptimistic") * 2,
-        ),
-        (
-            "StateServer grows faster than LoOptimistic and is close to it at m=4",
-            slope("StateServer") > slope("LoOptimistic")
-            and abs(series["StateServer"][-1] - series["LoOptimistic"][-1])
-            < 0.25 * series["LoOptimistic"][-1],
-        ),
-        (
-            "LoOptimistic-NoLog gap increases (slowly) with m",
-            (series["LoOptimistic"][-1] - series["NoLog"][-1])
-            > (series["LoOptimistic"][0] - series["NoLog"][0]),
-        ),
+        Claim("steps in m where a configuration's response time does not rise",
+              sum(_steps_not_rising(v) for v in series.values()), "==", 0),
+        Claim("growth of the Pessimistic - LoOptimistic gap from m=1 to m=4 (ms)",
+              gap_growth("Pessimistic", "LoOptimistic"), ">", 0),
+        Claim("Pessimistic / LoOptimistic response-time slope over m",
+              slope("Pessimistic") / slope("LoOptimistic"), ">", 2),
+        Claim("StateServer / LoOptimistic response-time slope over m",
+              slope("StateServer") / slope("LoOptimistic"), ">", 1),
+        Claim("|StateServer - LoOptimistic| / LoOptimistic response time at m=4",
+              abs(ss[-1] - lo[-1]) / lo[-1], "<", 0.25),
+        Claim("growth of the LoOptimistic - NoLog gap from m=1 to m=4 (ms)",
+              gap_growth("LoOptimistic", "NoLog"), ">", 0),
     ]
 
 
@@ -289,14 +327,10 @@ def _fig15a_claims(rows: list[dict]) -> list[Claim]:
     no_ckpt = throughputs[-1]
     big = throughputs[FIG15A_THRESHOLDS.index(4 * MB)]
     return [
-        (
-            "even a 64KB threshold leads to only a small throughput reduction (<10%)",
-            throughputs[0] > 0.90 * no_ckpt,
-        ),
-        (
-            "4MB threshold is close to the no-checkpointing case (<2%)",
-            abs(big - no_ckpt) < 0.02 * no_ckpt,
-        ),
+        Claim("64KB-threshold / no-checkpointing throughput", throughputs[0] / no_ckpt,
+              ">", 0.90),
+        Claim("|4MB-threshold - no-checkpointing| / no-checkpointing throughput",
+              abs(big - no_ckpt) / no_ckpt, "<", 0.02),
     ]
 
 
@@ -350,18 +384,15 @@ def _fig15b_claims(rows: list[dict]) -> list[Claim]:
     series = _series(rows, lambda row: row["configuration"], "throughput_rps")
     lo, pe = series["LoOptimistic"], series["Pessimistic"]
     return [
-        (
-            "locally optimistic always has higher throughput than pessimistic",
-            all(a > b for a, b in zip(lo, pe)),
-        ),
-        (
-            "throughput decreases as the crash rate increases (both methods)",
-            lo[0] > lo[-1] and pe[0] > pe[-1],
-        ),
-        (
-            "LoOptimistic's decrease is larger (extra orphan-recovery cost)",
-            (lo[0] - lo[-1]) / lo[0] > (pe[0] - pe[-1]) / pe[0],
-        ),
+        Claim("crash rates where LoOptimistic's throughput is not above Pessimistic's",
+              sum(a <= b for a, b in zip(lo, pe)), "==", 0),
+        Claim("LoOptimistic throughput, highest crash rate / no crashes", lo[-1] / lo[0],
+              "<", 1),
+        Claim("Pessimistic throughput, highest crash rate / no crashes", pe[-1] / pe[0],
+              "<", 1),
+        Claim("LoOptimistic's minus Pessimistic's relative throughput drop at the "
+              "highest crash rate", (lo[0] - lo[-1]) / lo[0] - (pe[0] - pe[-1]) / pe[0],
+              ">", 0),
     ]
 
 
@@ -416,23 +447,23 @@ def _fig16_table_cell(spec: dict) -> list[dict]:
 
 
 def _fig16_table_claims(rows: list[dict]) -> list[Claim]:
-    measured = {(r["configuration"], r["scenario"]): r["max_response_ms"] for r in rows}
+    top = {(r["configuration"], r["scenario"]): r["max_response_ms"] for r in rows}
     means = {(r["configuration"], r["scenario"]): r["mean_response_ms"] for r in rows}
+    paper = PAPER_FIG16_TABLE
+    configurations = ("LoOptimistic", "Pessimistic")
     return [
-        (
-            "crashes raise the maximum response time substantially (both methods)",
-            measured[("LoOptimistic", "Crash")] > 3 * measured[("LoOptimistic", "NoCrash")]
-            and measured[("Pessimistic", "Crash")] > 3 * measured[("Pessimistic", "NoCrash")],
-        ),
-        (
-            "LoOptimistic's crash maximum exceeds Pessimistic's (SE1 orphan replay)",
-            measured[("LoOptimistic", "Crash")] > measured[("Pessimistic", "Crash")],
-        ),
-        (
-            "average response stays low even with crashes",
-            means[("LoOptimistic", "Crash")] < 2.0 * PAPER_FIG14_TABLE["LoOptimistic"]
-            and means[("Pessimistic", "Crash")] < 2.0 * PAPER_FIG14_TABLE["Pessimistic"],
-        ),
+        Claim(f"{cfg} maximum response, Crash / NoCrash",
+              top[cfg, "Crash"] / top[cfg, "NoCrash"], ">", 3,
+              paper[cfg, "Crash"] / paper[cfg, "NoCrash"])
+        for cfg in configurations
+    ] + [
+        Claim("maximum response with crashes, LoOptimistic / Pessimistic",
+              top["LoOptimistic", "Crash"] / top["Pessimistic", "Crash"], ">", 1,
+              paper["LoOptimistic", "Crash"] / paper["Pessimistic", "Crash"]),
+    ] + [
+        Claim(f"{cfg} mean response with crashes / the paper's Fig. 14 mean",
+              means[cfg, "Crash"] / PAPER_FIG14_TABLE[cfg], "<", 2.0)
+        for cfg in configurations
     ]
 
 
@@ -442,7 +473,6 @@ fig16_max_response_table = Experiment(
     specs=_fig16_table_specs,
     cell=_fig16_table_cell,
     claims=_fig16_table_claims,
-    paper={f"{cfg}/{col}": v for (cfg, col), v in PAPER_FIG16_TABLE.items()},
 )
 
 
@@ -476,14 +506,10 @@ def _fig16_chart_claims(rows: list[dict]) -> list[Claim]:
     throughputs = [row["throughput_rps"] for row in rows]
     best_index = max(range(len(throughputs)), key=throughputs.__getitem__)
     return [
-        (
-            "very large thresholds hurt throughput (longer recovery replay)",
-            throughputs[-1] < max(throughputs) * 0.999,
-        ),
-        (
-            "the best threshold is below the largest tested (an optimum exists)",
-            best_index < len(throughputs) - 1,
-        ),
+        Claim("largest-threshold / best throughput", throughputs[-1] / max(throughputs),
+              "<", 0.999),
+        Claim("index of the best-throughput threshold (smallest = 0)",
+              best_index, "<", len(throughputs) - 1),
     ]
 
 
@@ -501,6 +527,7 @@ fig16_optimal_threshold = Experiment(
 # ---------------------------------------------------------------------------
 
 FIG17_CLIENTS = (1, 2, 3, 4, 6, 8)
+FIG17_CONFIGS = ("Pessimistic", "LoOptimistic")
 
 
 def _fig17_claims(rows: list[dict]) -> list[Claim]:
@@ -509,43 +536,36 @@ def _fig17_claims(rows: list[dict]) -> list[Claim]:
 
     curves = _series(rows, curve, "throughput_rps")
     responses = _series(rows, curve, "mean_response_ms")
-
-    def peak(configuration: str, batch: bool) -> float:
-        return max(curves[(configuration, batch)])
-
     few = FIG17_CLIENTS.index(2)
     many = len(FIG17_CLIENTS) - 1
+
+    def climbing(c: list) -> bool:
+        # Still climbing at the most clients: the peak is the last point
+        # and it is more than 5% above the point before.
+        return c[-1] > max(c[:-1]) and c[-1] > 1.05 * c[-2]
+
+    batched, unbatched = responses["Pessimistic", True], responses["Pessimistic", False]
     return [
-        (
-            "batch flushing raises the peak throughput of pessimistic logging "
-            "substantially (paper: ~30%)",
-            peak("Pessimistic", True) > 1.10 * peak("Pessimistic", False),
-        ),
-        (
-            "with batch flushing LoOptimistic still beats Pessimistic by >=30%",
-            peak("LoOptimistic", True) > 1.30 * peak("Pessimistic", True),
-        ),
-        (
-            "response time grows with the number of clients (all curves)",
-            all(v[-1] > v[0] for v in responses.values()),
-        ),
-        (
-            "batch flushing hurts response at few clients but helps at many",
-            responses[("Pessimistic", True)][few] > responses[("Pessimistic", False)][few]
-            and responses[("Pessimistic", True)][many]
-            < responses[("Pessimistic", False)][many],
-        ),
-        (
-            "without batching, throughput saturates (peak not at the highest "
-            "client count, or within 5% of the previous point)",
-            all(
-                curves[(cfg, False)][-1] <= max(curves[(cfg, False)]) * 1.02
-                and max(curves[(cfg, False)]) < curves[(cfg, False)][few] * (
-                    FIG17_CLIENTS[many] / FIG17_CLIENTS[few]
-                )
-                for cfg in ("Pessimistic", "LoOptimistic")
-            ),
-        ),
+        Claim("Pessimistic peak throughput, batched / unbatched",
+              max(curves["Pessimistic", True]) / max(curves["Pessimistic", False]),
+              ">", 1.10, paper=1.30),
+        Claim("batched peak throughput, LoOptimistic / Pessimistic",
+              max(curves["LoOptimistic", True]) / max(curves["Pessimistic", True]),
+              ">", 1.30),
+        Claim("curves whose mean response at the most clients is not above that at one",
+              sum(v[-1] <= v[0] for v in responses.values()), "==", 0),
+        Claim("Pessimistic mean response at 2 clients, batched / unbatched",
+              batched[few] / unbatched[few], ">", 1),
+        Claim("Pessimistic mean response at the most clients, batched / unbatched",
+              batched[many] / unbatched[many], "<", 1),
+        Claim("unbatched curves that peak at the most clients, > 5% above the point "
+              "before", sum(climbing(curves[cfg, False]) for cfg in FIG17_CONFIGS),
+              "==", 0),
+    ] + [
+        Claim(f"{cfg} unbatched peak throughput / throughput at 2 clients",
+              max(curves[cfg, False]) / curves[cfg, False][few], "<",
+              FIG17_CLIENTS[many] / FIG17_CLIENTS[few])
+        for cfg in FIG17_CONFIGS
     ]
 
 
@@ -563,7 +583,7 @@ fig17_multiclient = Experiment(
             batch_flush_timeout_ms=8.0 if batch else 0.0,
             seed=seed,
         )
-        for configuration in ("Pessimistic", "LoOptimistic")
+        for configuration in FIG17_CONFIGS
         for batch in (False, True)
         for clients in FIG17_CLIENTS
     ],
@@ -582,18 +602,15 @@ def _analysis_flush_claims(rows: list[dict]) -> list[Claim]:
     client request (2+3+2 sectors); locally optimistic logging needs one
     distributed flush (3 and 3 sectors in parallel), saving roughly one
     sector per request."""
-    pe, lo = rows
+    pe, lo = (row["flushes_per_request"] for row in rows)
+    saved = rows[0]["sectors_per_request"] - rows[1]["sectors_per_request"]
     return [
-        (
-            "pessimistic needs ~3 flushes per request, locally optimistic ~2 "
-            "(1 distributed = 2 parallel)",
-            2.7 <= pe["flushes_per_request"] <= 3.4
-            and 1.8 <= lo["flushes_per_request"] <= 2.4,
-        ),
-        (
-            "locally optimistic writes about one sector less per request",
-            0.4 <= (pe["sectors_per_request"] - lo["sectors_per_request"]) <= 2.0,
-        ),
+        Claim("Pessimistic flushes per request", pe, ">=", 2.7, 3),
+        Claim("Pessimistic flushes per request", pe, "<=", 3.4, 3),
+        Claim("LoOptimistic flushes per request", lo, ">=", 1.8, 2),
+        Claim("LoOptimistic flushes per request", lo, "<=", 2.4, 2),
+        Claim("sectors per request, Pessimistic - LoOptimistic", saved, ">=", 0.4, 7 - 6),
+        Claim("sectors per request, Pessimistic - LoOptimistic", saved, "<=", 2.0, 7 - 6),
     ]
 
 
@@ -612,10 +629,4 @@ analysis_flush_accounting = Experiment(
     ],
     cell=paper_cell,
     claims=_analysis_flush_claims,
-    paper={
-        "pessimistic_flushes_per_request": 3,
-        "looptimistic_flushes_per_request": 2,
-        "pessimistic_sectors_per_request": 7,
-        "looptimistic_sectors_per_request": 6,
-    },
 )

@@ -131,21 +131,15 @@ def _partition_specs(scale: float, seed: int) -> list[dict]:
 def _partition_claims(rows: list[dict]) -> list[Claim]:
     by_partitions = {row["partitions"]: row for row in rows}
     p1, p4 = by_partitions[1], by_partitions[4]
-    speedup = p4["sim_records_per_s"] / p1["sim_records_per_s"]
     return [
-        (
-            f"simulated append throughput at P=4 is >= {PARTITION_MIN_SPEEDUP:g}x "
-            f"P=1 (measured {speedup:.2f}x)",
-            speedup >= PARTITION_MIN_SPEEDUP,
-        ),
-        (
-            "the session streams spread over exactly P partitions in every cell",
-            all(row["partitions_appended"] == row["partitions"] for row in rows),
-        ),
-        (
-            "mean flush wait falls from P=1 to P=4",
-            p4["flush_wait_mean_ms"] < p1["flush_wait_mean_ms"],
-        ),
+        Claim("P=4 / P=1 simulated append throughput",
+              p4["sim_records_per_s"] / p1["sim_records_per_s"], ">=",
+              PARTITION_MIN_SPEEDUP),
+        Claim("cells whose session streams did not spread over exactly P partitions",
+              sum(row["partitions_appended"] != row["partitions"] for row in rows),
+              "==", 0),
+        Claim("P=4 / P=1 mean flush wait",
+              p4["flush_wait_mean_ms"] / p1["flush_wait_mean_ms"], "<", 1),
     ]
 
 
@@ -305,30 +299,19 @@ def _instant_restart_claims(rows: list[dict]) -> list[Claim]:
         else INSTANT_RESTART_MAX_TTFR_RATIO_NARROW
     )
     ttfr = {(row["mode"], row["partitions"]): row["ttfr_ms"] for row in rows}
-    ratios = {P: ttfr["lazy", P] / ttfr["eager", P] for P in (1, 4)}
     return [
-        (
-            f"lazy TTFR <= {bound:g}x eager at every P with {n} sessions (measured "
-            + ", ".join(f"P={P}: {1 / r:.1f}x sooner" for P, r in ratios.items())
-            + ")",
-            all(ratio <= bound for ratio in ratios.values()),
-        ),
-        (
-            "no session was served before it was replayed",
-            all(row["served_before_recovery"] == 0 for row in rows),
-        ),
-        (
-            "every cell replayed every session exactly once, inline or by a "
-            "drain worker",
-            all(
-                row["inline_recoveries"] + row["pump_recoveries"] == row["sessions"]
-                for row in rows
-            ),
-        ),
-        (
-            "eager cells replayed none inline",
-            all(row["inline_recoveries"] == 0 for row in rows if row["mode"] == "eager"),
-        ),
+        Claim(f"P={P} lazy / eager time to first reply",
+              ttfr["lazy", P] / ttfr["eager", P], "<=", bound)
+        for P in (1, 4)
+    ] + [
+        Claim("sessions served before they were replayed",
+              sum(row["served_before_recovery"] for row in rows), "==", 0),
+        Claim("cells whose inline + drain-worker replays differ from their sessions",
+              sum(row["inline_recoveries"] + row["pump_recoveries"] != row["sessions"]
+                  for row in rows), "==", 0),
+        Claim("sessions eager cells replayed inline",
+              sum(row["inline_recoveries"] for row in rows if row["mode"] == "eager"),
+              "==", 0),
     ]
 
 
@@ -428,31 +411,21 @@ def _log_volume_claims(rows: list[dict]) -> list[Claim]:
         (row["logging_mode"], row["partitions"]): row["log_bytes_per_request"]
         for row in rows
     }
-    ratios = [bpr["command", P] / bpr["value", P] for P in (1, 4)]
+    value = [row for row in rows if row["logging_mode"] == "value"]
+    command = [row for row in rows if row["logging_mode"] == "command"]
     return [
-        (
-            f"command logging writes <= {LOG_VOLUME_MAX_BYTES_RATIO:g}x value "
-            "logging's bytes per request at every P (measured "
-            f"{min(ratios):.2f}-{max(ratios):.2f}x)",
-            max(ratios) <= LOG_VOLUME_MAX_BYTES_RATIO,
-        ),
-        (
-            "value cells logged no command record",
-            all(
-                row["command_records"] == 0
-                for row in rows if row["logging_mode"] == "value"
-            ),
-        ),
-        (
-            "command cells logged no shared-variable update record and replayed "
-            "every request as a command",
-            all(
-                row["sv_update_records"] == 0
-                and row["replayed_commands"] == row["replayed_requests"]
-                for row in rows if row["logging_mode"] == "command"
-            ),
-        ),
-        ("every cell crashed at least once", all(row["crashes"] >= 1 for row in rows)),
+        Claim(f"P={P} command / value log bytes per request",
+              bpr["command", P] / bpr["value", P], "<=", LOG_VOLUME_MAX_BYTES_RATIO)
+        for P in (1, 4)
+    ] + [
+        Claim("command records value cells logged",
+              sum(row["command_records"] for row in value), "==", 0),
+        Claim("shared-variable update records command cells logged",
+              sum(row["sv_update_records"] for row in command), "==", 0),
+        Claim("command cells whose replayed commands differ from replayed requests",
+              sum(r["replayed_commands"] != r["replayed_requests"] for r in command),
+              "==", 0),
+        Claim("fewest crashes in a cell", min(row["crashes"] for row in rows), ">=", 1),
     ]
 
 
@@ -584,34 +557,26 @@ def _log_space_specs(scale: float, seed: int) -> list[dict]:
 
 def _log_space_claims(rows: list[dict]) -> list[Claim]:
     on, off, partitioned = rows[:3], rows[3:6], rows[6]
-    bound = (
-        _CKPT_EVERY * on[-1]["appended_bytes"] / on[-1]["records"]
+    # One checkpoint interval's appends plus the segment slack; the
+    # live-byte counts are integers, so flooring the bound is exact.
+    interval = (
+        _CKPT_EVERY * on[-1]["appended_bytes"] // on[-1]["records"]
         + LOG_SPACE_SLACK_SEGMENTS * _SEGMENT_BYTES
     )
     return [
-        (
-            "with truncation, peak live bytes stay within one checkpoint interval "
-            f"+ {LOG_SPACE_SLACK_SEGMENTS} segments ({on[-1]['peak_live_bytes']} "
-            f"<= {bound:.0f})",
-            on[-1]["peak_live_bytes"] <= bound,
-        ),
-        (
-            "with truncation, the final sample is within the same bound (flat)",
-            on[-1]["live_bytes"] <= bound,
-        ),
-        (
-            "without truncation the log ends >= 2x larger and grew >= 2x from "
-            "the first sample to the last",
-            off[-1]["live_bytes"] >= 2 * on[-1]["live_bytes"]
-            and off[-1]["live_bytes"] >= 2 * off[0]["live_bytes"],
-        ),
-        ("truncation recycled at least one segment", on[-1]["recycled_segments"] >= 1),
-        (
-            "four partitions under the paper workload: segments recycled and "
-            "live bytes under half the appended volume",
-            partitioned["recycled_segments"] > 0
-            and partitioned["live_bytes"] < partitioned["appended_bytes"] / 2,
-        ),
+        Claim("peak live bytes with truncation, against one checkpoint interval + "
+              "segment slack", on[-1]["peak_live_bytes"], "<=", interval),
+        Claim("final live bytes with truncation, against the same bound",
+              on[-1]["live_bytes"], "<=", interval),
+        Claim("final live bytes, truncation off / on",
+              off[-1]["live_bytes"] / on[-1]["live_bytes"], ">=", 2),
+        Claim("live bytes without truncation, last / first sample",
+              off[-1]["live_bytes"] / off[0]["live_bytes"], ">=", 2),
+        Claim("segments truncation recycled", on[-1]["recycled_segments"], ">=", 1),
+        Claim("segments recycled at P=4 under the paper workload",
+              partitioned["recycled_segments"], ">", 0),
+        Claim("live / appended bytes at P=4 under the paper workload",
+              partitioned["live_bytes"] / partitioned["appended_bytes"], "<", 0.5),
     ]
 
 
@@ -691,31 +656,24 @@ def _fleet_specs(scale: float, seed: int) -> list[dict]:
 
 def _fleet_claims(rows: list[dict]) -> list[Claim]:
     s1, _s2, s4, pool = rows[:4]
-    speedup = s1["steps"] / s4["critical_steps"]
     claims = [
-        (
-            f"critical-path speedup at S=4 is >= {FLEET_MIN_SPEEDUP:g}x in simulator "
-            f"steps with {s1['sessions']} sessions (measured {speedup:.2f}x)",
-            speedup >= FLEET_MIN_SPEEDUP,
-        ),
-        (
-            "the S=4 run on a four-worker pool fingerprints identically to jobs=1",
-            pool["fingerprint"] == s4["fingerprint"],
-        ),
-        ("every cell finished clean", all(row["clean"] for row in rows)),
-        (
-            "every shard count completed the same calls",
-            len({row["calls"] for row in rows[:4]}) == 1,
-        ),
+        Claim("S=1 steps / S=4 critical-path steps", s1["steps"] / s4["critical_steps"],
+              ">=", FLEET_MIN_SPEEDUP),
+        Claim("S=4 fingerprints on a four-worker pool that differ from jobs=1",
+              int(pool["fingerprint"] != s4["fingerprint"]), "==", 0),
+        Claim("cells that did not finish clean", sum(not row["clean"] for row in rows),
+              "==", 0),
+        Claim("distinct completed-call counts across shard counts",
+              len({row["calls"] for row in rows[:4]}), "==", 1),
     ]
     for big in rows[4:]:
-        claims.append((
-            f"open loop: >= {FLEET_OPEN_LOOP_MIN_SESSIONS:,} sessions completed, "
-            "segments recycled, live log under 1 KiB per call",
-            big["sessions"] >= FLEET_OPEN_LOOP_MIN_SESSIONS
-            and big["recycled_segments"] > 0
-            and big["live_bytes"] < big["calls"] * 1024,
-        ))
+        claims += [
+            Claim("open loop: sessions completed", big["sessions"], ">=",
+                  FLEET_OPEN_LOOP_MIN_SESSIONS),
+            Claim("open loop: segments recycled", big["recycled_segments"], ">", 0),
+            Claim("open loop: live log bytes per call", big["live_bytes"] / big["calls"],
+                  "<", 1024),
+        ]
     return claims
 
 
@@ -771,15 +729,11 @@ def _trace_cell(spec: dict) -> list[dict]:
 def _trace_claims(rows: list[dict]) -> list[Claim]:
     plain, traced = rows
     return [
-        (
-            "traced and untraced runs take the same simulator steps",
-            traced["steps"] == plain["steps"],
-        ),
-        ("the traced run emitted events", traced["trace_events"] > 0),
-        (
-            "tracing did not change the completed requests",
-            traced["requests"] == plain["requests"],
-        ),
+        Claim("traced - untraced simulator steps", traced["steps"] - plain["steps"],
+              "==", 0),
+        Claim("events the traced run emitted", traced["trace_events"], ">", 0),
+        Claim("traced - untraced completed requests",
+              traced["requests"] - plain["requests"], "==", 0),
     ]
 
 

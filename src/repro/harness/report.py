@@ -72,15 +72,8 @@ def render_result(result: ExperimentResult) -> str:
     """Render one experiment as an aligned text table with its claims."""
     lines = [f"== {result.experiment}: {result.description} =="]
     lines.extend(render_table(result.rows))
-    if result.paper:
-        lines.append("")
-        lines.append("paper reference values:")
-        for key, value in result.paper.items():
-            lines.append(f"  {key}: {value}")
     if result.claims:
         lines.append("")
         lines.append("shape claims:")
-        for claim, ok in result.claims:
-            marker = "PASS" if ok else "FAIL"
-            lines.append(f"  [{marker}] {claim}")
+        lines.extend(f"  {claim}" for claim in result.claims)
     return "\n".join(lines)

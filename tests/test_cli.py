@@ -147,7 +147,7 @@ def test_run_headline_experiment_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(headlines, "PARTITION_MIN_SPEEDUP", 100.0)
     assert main(["run", "partition-scaling", "--scale", "0.05", "--jobs", "1"]) == 1
-    assert "[FAIL] simulated append throughput at P=4" in capsys.readouterr().out
+    assert "[FAIL] P=4 / P=1 simulated append throughput: " in capsys.readouterr().out
 
 
 def test_fuzz_replay_case_seed(capsys):

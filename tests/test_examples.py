@@ -1,7 +1,7 @@
 """The runnable examples run clean and verify exactly-once.
 
 ``paper_experiments.py`` is left out: it runs every paper figure, and
-the Fig. 17 claims fail at every scale (ROADMAP item 1).
+three Fig. 17 claims fail at every scale tried (ROADMAP item 2).
 """
 
 import os
