@@ -97,6 +97,9 @@ class AnalysisState:
     cut: list[int] = field(default_factory=list)
     #: The merged ``(plsn, record)`` scan the analysis pass consumes.
     records: list = field(default_factory=list)
+    #: The last scanned MSP checkpoint's table snapshot, which contains
+    #: every earlier one's (DESIGN.md §14).
+    last_snapshot: Optional[dict] = None
     #: ``cut`` as announced and recorded (``encode_frontier``).
     recovered_lsn: int = 0
     #: The rebuilt sessions awaiting replay, in session-id order.
@@ -111,7 +114,8 @@ class AnalysisState:
 # types), replacing the old chain of up to ~10 sequential ``isinstance``
 # checks per record; the benchmark's ``core_recovery.analyze_us_per_rec``
 # tracks the per-record cost.  Each handler does *all* the work for its kind,
-# including position-stream membership.
+# including position-stream membership, except that the MSP checkpoint
+# handler only notes its snapshot for the one merge after the loop.
 
 
 def _scan_position(msp, state: AnalysisState, lsn: int, record) -> None:
@@ -177,7 +181,7 @@ def _scan_announcement(msp, state: AnalysisState, lsn: int, record) -> None:
 
 
 def _scan_msp_checkpoint(msp, state: AnalysisState, lsn: int, record) -> None:
-    msp.table.merge(RecoveryTable.from_snapshot(record.recovered_snapshot))
+    state.last_snapshot = record.recovered_snapshot
 
 
 def _scan_session_end(msp, state: AnalysisState, lsn: int, record) -> None:
@@ -220,7 +224,8 @@ def analyze_scan(
 
     Pure CPU — no simulated time; callers charge scan cost separately.
     Fills ``state`` (a fresh one when omitted, so tests can drive the
-    pass over a hand-built record list).
+    pass over a hand-built record list).  Only the last scanned MSP
+    checkpoint's table snapshot is merged, once.
     """
     if state is None:
         state = AnalysisState()
@@ -229,6 +234,8 @@ def analyze_scan(
         handler = dispatch.get(record.__class__)
         if handler is not None:
             handler(msp, state, lsn, record)
+    if state.last_snapshot is not None:
+        msp.table.merge_snapshot(state.last_snapshot)
     return state
 
 
@@ -472,7 +479,8 @@ def read_anchor(msp: "MiddlewareServer", state: AnalysisState):
         ckpt, _next = log.record_at(state.anchor)
         if not isinstance(ckpt, MspCheckpointRecord):
             raise ValueError(f"{msp.name}: anchor does not point at an MSP checkpoint")
-        msp.table = RecoveryTable.from_snapshot(ckpt.recovered_snapshot)
+        msp.table = RecoveryTable()
+        msp.table.merge_snapshot(ckpt.recovered_snapshot)
         state.old_epoch = ckpt.epoch
         state.scan_starts = ckpt.partition_floors(state.anchor)
         # A partition the variable's chain did not touch is pinned at

@@ -39,6 +39,7 @@ crash, so the depending state is an orphan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from repro.core.plsn import OFFSET_BITS, OFFSET_MASK, decode_frontier, encode_frontier
@@ -331,24 +332,21 @@ class RecoveryTable:
             frontier = tuple(recovered_lsn)
         epochs = self._recovered.setdefault(msp, {})
         current = epochs.get(epoch)
-        if current is not None:
-            if len(current) != len(frontier):
-                width = max(len(current), len(frontier))
-                current = current + (0,) * (width - len(current))
-                frontier = frontier + (0,) * (width - len(frontier))
-            epochs[epoch] = tuple(
-                max(a, b) for a, b in zip(current, frontier)
-            )
-            return False
-        epochs[epoch] = frontier
-        return True
+        if current is None:
+            epochs[epoch] = frontier
+            return True
+        if current != frontier:
+            epochs[epoch] = tuple(map(max, zip_longest(current, frontier, fillvalue=0)))
+        return False
 
-    def merge(self, other: "RecoveryTable") -> bool:
-        """Merge ``other``'s knowledge; True if anything was new."""
+    def merge_snapshot(self, snapshot: Mapping[str, Mapping[int, int]]) -> bool:
+        """Join a wire-form table (:meth:`snapshot`) into this one, in
+        place; True if anything was new.  The join is a per-epoch,
+        per-partition maximum that never drops an entry."""
         fresh = False
-        for msp, epochs in other._recovered.items():
-            for epoch, frontier in epochs.items():
-                if self.record(msp, epoch, frontier):
+        for msp, epochs in snapshot.items():
+            for epoch, lsn in epochs.items():
+                if self.record(msp, epoch, lsn):
                     fresh = True
         return fresh
 
@@ -402,11 +400,3 @@ class RecoveryTable:
             msp: {epoch: encode_frontier(fr) for epoch, fr in epochs.items()}
             for msp, epochs in self._recovered.items()
         }
-
-    @staticmethod
-    def from_snapshot(snapshot: Mapping[str, Mapping[int, int]]) -> "RecoveryTable":
-        table = RecoveryTable()
-        for msp, epochs in snapshot.items():
-            for epoch, lsn in epochs.items():
-                table.record(msp, int(epoch), int(lsn))
-        return table

@@ -422,8 +422,7 @@ class MiddlewareServer:
         """Merge recovered-state-number knowledge from any source
         (announcement, ack, or flush-reply piggyback) and start orphan
         recovery for idle sessions the new knowledge convicts."""
-        fresh = self.table.merge(RecoveryTable.from_snapshot(snapshot))
-        if not fresh:
+        if not self.table.merge_snapshot(snapshot):
             return
         for session in list(self.sessions.values()):
             if (

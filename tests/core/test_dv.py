@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.dv import DependencyVector, RecoveryTable, StateId
+from repro.core.plsn import encode_frontier
 from repro.core.records import MspCheckpointRecord, decode_record
 
 
@@ -98,15 +99,31 @@ def test_recovery_table_roundtrip():
     table.record("p2", 0, 7)
     # The table's one wire form: the snapshot inside an MSP checkpoint.
     ckpt = MspCheckpointRecord(table.snapshot(), {}, {}, partition_ends=(0,))
-    back = RecoveryTable.from_snapshot(decode_record(ckpt.encode()).recovered_snapshot)
+    back = RecoveryTable()
+    back.merge_snapshot(decode_record(ckpt.encode()).recovered_snapshot)
     assert back.snapshot() == table.snapshot()
 
 
 def test_recovery_table_snapshot_roundtrip():
     table = RecoveryTable()
     table.record("a", 0, 5)
-    rebuilt = RecoveryTable.from_snapshot(table.snapshot())
+    rebuilt = RecoveryTable()
+    rebuilt.merge_snapshot(table.snapshot())
     assert rebuilt.snapshot() == {"a": {0: 5}}
+
+
+def test_merge_snapshot_joins_in_place_and_reports_new_epochs():
+    table = RecoveryTable()
+    table.record("a", 0, encode_frontier((5, 9)))
+    # A wider frontier for a known epoch is joined but is not new.
+    assert table.merge_snapshot({"a": {0: encode_frontier((7, 3))}}) is False
+    assert table.frontier("a", 0) == (7, 9)
+    assert table.merge_snapshot({"a": {0: encode_frontier((7, 9))}}) is False
+    assert table.merge_snapshot({"a": {1: 4}, "b": {0: 2}}) is True
+    assert table.snapshot() == {
+        "a": {0: encode_frontier((7, 9)), 1: 4},
+        "b": {0: 2},
+    }
 
 
 def test_recovery_table_record_returns_new_knowledge():
