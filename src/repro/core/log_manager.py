@@ -120,11 +120,12 @@ class LogStats:
         return max(0, self.flush_requests - self.physical_flushes)
 
 
-#: What the scan image does not retain: no read after the analysis scan
-#: asks for these, and they are the bulk of what it decodes — fillers
-#: (every second frame under calibrated overhead) and MSP checkpoints
-#: (a per-session dict each; recovery reads only the anchored one,
-#: before the scan).
+#: What the scan image does not retain: no ``record_at`` after the
+#: analysis scan asks for these, and they are the bulk of what it
+#: decodes — fillers (every second frame under calibrated overhead) and
+#: MSP checkpoints (a per-session dict each; recovery reads the anchored
+#: one before the scan, and the analysis pass takes the last scanned
+#: one's snapshot from the scan's own record list).
 _NOT_RETAINED = (FillerRecord, MspCheckpointRecord)
 
 

@@ -34,6 +34,7 @@ from repro.wire.codec import (
     mapping,
     optional,
     pair,
+    repeated,
     sequence,
 )
 
@@ -337,12 +338,14 @@ class MspCheckpointRecord(_Record):
     partition_ends: tuple[int, ...]
     epoch: int = 0
     kind: int = field(default=KIND_MSP_CHECKPOINT, init=False)
-    #: Wire order, not field order: the epoch comes first.
+    #: Wire order, not field order: the epoch comes first.  The three
+    #: maps mostly repeat byte for byte from one checkpoint to the next,
+    #: so each decodes once per run of equal values (``repeated``).
     LAYOUT = (
         ("epoch", UINT),
-        ("recovered_snapshot", mapping(TEXT, mapping(UINT, UINT))),
-        ("session_start_lsns", UINT_MAP),
-        ("sv_start_lsns", UINT_MAP),
+        ("recovered_snapshot", repeated(mapping(TEXT, mapping(UINT, UINT)))),
+        ("session_start_lsns", repeated(UINT_MAP)),
+        ("sv_start_lsns", repeated(UINT_MAP)),
         ("partition_ends", sequence(UINT)),
     )
 

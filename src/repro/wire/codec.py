@@ -3,7 +3,8 @@ vocabulary every record layout is written in.
 
 A tiny, explicit format: unsigned varints (LEB128) and length-prefixed
 bytes and UTF-8 text, composed into booleans, optionals, sorted maps,
-sequences and code tables.  No reflection, no pickle.
+sequences and code tables; :func:`repeated` decodes a run of
+equal field values once.  No reflection, no pickle.
 
 One API: a record kind declares its layout once, as an ordered list of
 ``(field name, field type)`` pairs, and both codec directions come from
@@ -215,6 +216,36 @@ def mapping(key: Field, value: Field) -> Field:
         return items, pos
 
     return Field(write, read)
+
+
+class _LastRead:
+    """The read side of :func:`repeated`: the last bytes read, as a
+    ``bytes`` copy (a held view would pin its buffer), and their value."""
+
+    __slots__ = ("read_inner", "data", "value")
+
+    def __init__(self, read_inner: Callable[[Buffer, int], tuple[Any, int]]):
+        self.read_inner = read_inner
+        self.data = self.value = None
+
+    def read(self, buf: Buffer, pos: int) -> tuple[Any, int]:
+        data = self.data
+        # Copy, then compare: a memoryview compares item by item.
+        if data is not None and bytes(buf[pos : pos + len(data)]) == data:
+            return self.value, pos + len(data)
+        self.value, end = self.read_inner(buf, pos)
+        self.data = bytes(buf[pos:end])
+        return self.value, end
+
+
+def repeated(inner: Field) -> Field:
+    """``inner``, for a field whose bytes often repeat from one record
+    to the next: the bytes of the last read are kept, and the same bytes
+    at ``pos`` give back the same value without decoding.  Exact because
+    every read is self-delimiting; other bytes, truncated ones included,
+    decode (or fail) as ``inner`` does.  The value is shared between
+    reads, so callers must not mutate it."""
+    return Field(inner.write, _LastRead(inner.read).read)
 
 
 def sequence(item: Field) -> Field:

@@ -6,14 +6,19 @@ still in the scan, so the last scanned snapshot contains all the others
 (DESIGN.md §14, "Incarnation boundary").  These tests check both halves:
 the table after analysis equals the full join computed here, in real
 crash runs; and the pass records each snapshot entry once, whatever
-the number of scanned checkpoints.
+the number of scanned checkpoints.  The last test checks the decode
+side: the scan reads each distinct snapshot map once (DESIGN.md §9,
+"Repeated maps decode once").
 """
+
+import random
 
 import pytest
 
 from repro.core import crash_recovery
 from repro.core.dv import RecoveryTable
-from repro.core.plsn import decode_frontier
+from repro.core.log_manager import LogManager
+from repro.core.plsn import decode_frontier, make_plsn
 from repro.core.records import AnnouncementRecord, MspCheckpointRecord
 from repro.fuzz import (
     CrashSchedule,
@@ -24,6 +29,8 @@ from repro.fuzz import (
 )
 from repro.fuzz.explorer import LIMIT_MS, _crash_and_restart, build_world
 from repro.fuzz.sites import CrashInjector
+from repro.sim import ProcessGroup, Simulator
+from repro.storage import Disk, StableStore
 
 
 def _join(join: dict, msp: str, epoch: int, packed: int) -> None:
@@ -167,3 +174,42 @@ def test_analysis_records_each_snapshot_entry_once(monkeypatch, checkpoints):
     last = _checkpoint(checkpoints - 1, entries).recovered_snapshot
     peers = {f"peer{a}": {0: 50} for a in range(announcements)}
     assert msp.table.snapshot() == {**last, **peers}
+
+
+@pytest.mark.parametrize("checkpoints", (1, 10, 40))
+def test_restart_decodes_each_distinct_snapshot_once(monkeypatch, checkpoints):
+    """A log of K MSP checkpoints whose table changes every ten
+    checkpoints (an idle incarnation's checkpoints repeat it byte for
+    byte): the restart's scan calls the snapshot map's reader once per
+    distinct snapshot, and analysis ends on the last one's table."""
+    sim = Simulator()
+    log = LogManager(sim, StableStore(name="log"), Disk(sim, rng=random.Random(3)))
+    log.start(group=ProcessGroup("test"))
+    distinct = max(1, checkpoints // 10)
+    snapshots = [
+        {f"m{i}": {0: 100 * (d + 1) + i, 1: 7} for i in range(6)} for d in range(distinct)
+    ]
+    for k in range(checkpoints):
+        snapshot = snapshots[k * distinct // checkpoints]
+        log.append(MspCheckpointRecord(snapshot, {"s": 3}, {"v": 5}, partition_ends=(0,)))
+    sim.run_process(log.flush(None))
+
+    memo = dict(MspCheckpointRecord.LAYOUT)["recovered_snapshot"].read.__self__
+    read_map = memo.read_inner
+    calls = []
+
+    def counting(buf, pos):
+        calls.append(pos)
+        return read_map(buf, pos)
+
+    monkeypatch.setattr(memo, "read_inner", counting)
+    monkeypatch.setattr(memo, "data", None)  # forget an earlier test's read
+    records = sim.run_process(log.scan_durable(make_plsn(0, 0)))
+    assert len(records) == checkpoints
+    assert len(calls) == distinct
+    assert [r.recovered_snapshot for _lsn, r in records] == [
+        snapshots[k * distinct // checkpoints] for k in range(checkpoints)
+    ]
+    msp = _StubMsp()
+    crash_recovery.analyze_scan(msp, records)
+    assert msp.table.snapshot() == snapshots[-1]

@@ -17,6 +17,7 @@ from repro.wire.codec import (
     mapping,
     optional,
     pair,
+    repeated,
     sequence,
 )
 
@@ -197,3 +198,86 @@ def test_mixed_field_roundtrip_property(items):
     values = [value for _, value in items]
     data = encode_fields(fields, values)
     assert decode_fields(fields, data, 0) == (values, len(data))
+
+
+# -- repeated: the last read's bytes decode once ------------------------------
+
+#: The MSP checkpoint's recovery-table snapshot: a map of maps.
+SNAPSHOT = mapping(TEXT, mapping(UINT, UINT))
+
+_SNAPSHOTS = st.dictionaries(
+    st.sampled_from(["msp1", "msp2", "msp3"]),
+    st.dictionaries(st.integers(0, 3), st.integers(0, 2**60), max_size=3),
+    max_size=3,
+)
+
+
+def _outcome(read, buf, pos):
+    """What ``read`` makes of ``buf`` at ``pos``: ``(value, next_pos)``,
+    or the error it raised, as ``(type, message)``."""
+    try:
+        return read(buf, pos)
+    except (CodecError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.integers(0, 3), max_size=20), st.lists(_SNAPSHOTS, min_size=4, max_size=4))
+def test_repeated_reads_equal_fresh_decodes(picks, pool):
+    """Back to back, as checkpoints lie in a log (repeats included):
+    every read through the memo equals a fresh decode of the same bytes."""
+    memo = repeated(SNAPSHOT)
+    data = bytearray(b"".join(SNAPSHOT.write(pool[pick]) for pick in picks))
+    view = memoryview(data)
+    pos = 0
+    for pick in picks:
+        fresh = SNAPSHOT.read(view, pos)
+        assert memo.read(view, pos) == fresh
+        assert fresh[0] == pool[pick]
+        pos = fresh[1]
+    assert pos == len(data)
+
+
+def test_repeated_gives_back_the_identical_object_for_equal_bytes():
+    memo = repeated(SNAPSHOT)
+    table = {"msp1": {0: 300, 1: 7}, "msp2": {0: 5}}
+    data = SNAPSHOT.write(table) * 2
+    first, pos = memo.read(data, 0)
+    second, end = memo.read(memoryview(data), pos)
+    assert first == table
+    assert second is first
+    assert end == len(data)
+    other, _ = memo.read(SNAPSHOT.write({"msp1": {0: 300}}), 0)
+    assert other == {"msp1": {0: 300}}
+    assert memo.read(data, 0)[0] is not first  # the memo holds one entry
+
+
+def test_repeated_decodes_a_changed_or_truncated_map_as_the_bare_reader():
+    """After a cached read, every one-byte change and every truncation
+    of the same bytes, placed right after them, reads exactly as
+    ``SNAPSHOT`` alone reads it: the same value and end, or the same
+    error."""
+    cached = SNAPSHOT.write({"msp1": {0: 300, 1: 7}, "msp2": {0: 5}})
+    variants = [cached[:cut] for cut in range(len(cached))]
+    for index in range(len(cached)):
+        for byte in (0x00, 0x01, 0x7F, 0x80, 0xFF, cached[index] ^ 0x01):
+            variants.append(cached[:index] + bytes((byte,)) + cached[index + 1 :])
+    memo = repeated(SNAPSHOT)
+    for variant in variants:
+        buf = cached + variant
+        assert memo.read(buf, 0) == (SNAPSHOT.read(cached, 0)[0], len(cached))
+        assert _outcome(memo.read, buf, len(cached)) == _outcome(
+            SNAPSHOT.read, buf, len(cached)
+        )
+
+
+def test_repeated_holds_no_view_of_the_buffer_it_read():
+    """The memo keeps a bytes copy: the bytearray under a scanned view
+    can grow (as the stable store's segments do) once the view is gone."""
+    memo = repeated(SNAPSHOT)
+    data = bytearray(SNAPSHOT.write({"msp1": {0: 1}}) * 2)
+    view = memoryview(data)
+    value, pos = memo.read(view, 0)
+    assert memo.read(view, pos)[0] is value
+    view.release()  # BufferError here if a slice of it were still held
+    data.extend(bytes(4096))
+    assert memo.read(bytes(data), 0)[0] is value
