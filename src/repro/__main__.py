@@ -509,6 +509,7 @@ def _run_trace(args: argparse.Namespace) -> int:
             "recovery",
             "recovery.anchor",
             "recovery.scan",
+            "recovery.scan.read",
             "recovery.analyze",
             "recovery.checkpoint",
             "recovery.session",

@@ -268,10 +268,11 @@ def perform_msp_checkpoint(msp: "MiddlewareServer"):
     # Analysis scans start at the captured floors, so bytes below the
     # captured ends can never be re-read: every partition is flushed
     # through its end, except the control partition, whose captured end
-    # lies below the record — through the record is enough there.
-    yield from msp.log.flush(lsn)
-    for partition in range(1, msp.log.nparts):
-        yield from msp.log.flush_partition(partition)
+    # lies below the record — through the record is enough there.  The
+    # partitions' disks write at once; a crash before all of them are
+    # durable leaves the previous anchor in force, and a torn subset of
+    # partitions is what any crash can leave.
+    yield from msp.log.flush_with_ends(lsn)
     msp.sim.probe("ckpt.msp.flushed", owner=msp.name)
     yield from msp.log.write_anchor(lsn)
     msp.stats.msp_checkpoints += 1

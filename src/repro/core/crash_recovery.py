@@ -283,11 +283,34 @@ def _own_dependencies(msp_name: str, old_epoch: int, record) -> list[int]:
     return deps
 
 
+def partition_dependencies(
+    msp_name: str,
+    old_epoch: int,
+    partition_records: dict[int, list[tuple[int, LogRecord]]],
+) -> dict[int, list[int]]:
+    """plsn -> :func:`_own_dependencies` of the record there, for every
+    scanned record that has any.  Computed once per restart: the cut,
+    the merge and the merge assertion all read it.  Empty for a single
+    scanned partition, whose cut and merge read no dependencies.
+    """
+    dependencies: dict[int, list[int]] = {}
+    if len(partition_records) == 1:
+        return dependencies
+    for partition, records in partition_records.items():
+        base = partition << OFFSET_BITS
+        for offset, record in records:
+            deps = _own_dependencies(msp_name, old_epoch, record)
+            if deps:
+                dependencies[base | offset] = deps
+    return dependencies
+
+
 def compute_partition_cut(
     msp_name: str,
     old_epoch: int,
     partition_records: dict[int, list[tuple[int, LogRecord]]],
     durable_ends: dict[int, int],
+    dependencies: Optional[dict[int, list[int]]] = None,
 ) -> dict[int, int]:
     """Lower per-partition durable ends to a consistent cut.
 
@@ -301,22 +324,26 @@ def compute_partition_cut(
     announcement frontier and position streams require).
 
     A single scanned partition has no cross-partition edges: its cut is
-    its durable end.
+    its durable end.  ``dependencies`` is :func:`partition_dependencies`
+    of the scan (computed here when omitted).
     """
     cut = dict(durable_ends)
     if len(partition_records) == 1:
         return cut
+    if dependencies is None:
+        dependencies = partition_dependencies(msp_name, old_epoch, partition_records)
     nparts = len(cut)
     changed = True
     while changed:
         changed = False
         for partition, records in partition_records.items():
             limit = cut[partition]
-            for offset, record in records:
+            base = partition << OFFSET_BITS
+            for offset, _record in records:
                 if offset >= limit:
                     break
                 violated = False
-                for dep in _own_dependencies(msp_name, old_epoch, record):
+                for dep in dependencies.get(base | offset, ()):
                     dep_partition = dep >> OFFSET_BITS
                     if dep_partition >= nparts:
                         continue
@@ -335,6 +362,7 @@ def merge_partition_scans(
     old_epoch: int,
     partition_records: dict[int, list[tuple[int, LogRecord]]],
     cut: dict[int, int],
+    dependencies: Optional[dict[int, list[int]]] = None,
 ) -> list[tuple[int, LogRecord]]:
     """Linearize per-partition scans into one dependency-respecting order.
 
@@ -351,13 +379,16 @@ def merge_partition_scans(
 
     A single scanned partition has nothing to interleave: the merge is
     its scan order (for partition 0 the list itself, since
-    ``make_plsn(0, offset) == offset``).
+    ``make_plsn(0, offset) == offset``).  ``dependencies`` is as for
+    :func:`compute_partition_cut`.
     """
     if len(partition_records) == 1:
         ((partition, records),) = partition_records.items()
         if partition == 0:
             return records
         return [(make_plsn(partition, offset), record) for offset, record in records]
+    if dependencies is None:
+        dependencies = partition_dependencies(msp_name, old_epoch, partition_records)
     lists = {p: records for p, records in sorted(partition_records.items())}
     index = {p: 0 for p in lists}
 
@@ -378,7 +409,7 @@ def merge_partition_scans(
             if best is not None and (offset, partition) >= best[:2]:
                 continue
             eligible = True
-            for dep in _own_dependencies(msp_name, old_epoch, record):
+            for dep in dependencies.get((partition << OFFSET_BITS) | offset, ()):
                 dep_partition = dep >> OFFSET_BITS
                 dep_offset = dep & OFFSET_MASK
                 if dep_partition == partition:
@@ -406,7 +437,7 @@ def merge_partition_scans(
         index[partition] += 1
         remaining -= 1
         merged.append((make_plsn(partition, offset), record))
-    assert_merge_order(msp_name, old_epoch, merged)
+    assert_merge_order(msp_name, old_epoch, merged, dependencies)
     return merged
 
 
@@ -414,6 +445,7 @@ def assert_merge_order(
     msp_name: str,
     old_epoch: int,
     merged: list[tuple[int, LogRecord]],
+    dependencies: Optional[dict[int, list[int]]] = None,
 ) -> None:
     """The DV-merge correctness assertion.
 
@@ -422,17 +454,24 @@ def assert_merge_order(
     starts — outside the merge — are durably checkpointed state and
     count as applied).  The merge construction guarantees this; the
     assertion guards the construction itself and documents the
-    invariant executable-y.
+    invariant executable-y.  ``dependencies`` maps a merged plsn to its
+    record's own dependencies (computed here when omitted).
     """
+    if dependencies is None:
+        dependencies = {}
+        for plsn, record in merged:
+            deps = _own_dependencies(msp_name, old_epoch, record)
+            if deps:
+                dependencies[plsn] = deps
     applied: dict[int, int] = {}
     starts: dict[int, int] = {}
     for plsn, _record in merged:
         partition = plsn >> OFFSET_BITS
         starts.setdefault(partition, plsn & OFFSET_MASK)
-    for plsn, record in merged:
+    for plsn, _record in merged:
         partition = plsn >> OFFSET_BITS
         offset = plsn & OFFSET_MASK
-        for dep in _own_dependencies(msp_name, old_epoch, record):
+        for dep in dependencies.get(plsn, ()):
             dep_partition = dep >> OFFSET_BITS
             dep_offset = dep & OFFSET_MASK
             if dep_offset < starts.get(dep_partition, 0):
@@ -514,12 +553,43 @@ def read_anchor(msp: "MiddlewareServer", state: AnalysisState):
 
 def scan_partitions(msp: "MiddlewareServer", state: AnalysisState):
     """Step 2a: read every partition's durable prefix from its scan
-    start (generator, charges sequential disk time per partition)."""
-    for partition, start in enumerate(state.scan_starts):
-        scanned = yield from msp.log.scan_durable(make_plsn(partition, start))
-        state.partition_records[partition] = [
-            (plsn & OFFSET_MASK, record) for plsn, record in scanned
-        ]
+    start, all partitions at once (generator).
+
+    Each partition has its own disk, so nothing makes the reads take
+    turns: partition 0 is read inline, and every other partition by a
+    reader process in the MSP's group (a crash kills the readers with
+    the restart), joined in partition order.  The step lasts as long as
+    the slowest partition's reads.  The cut and the merge impose the
+    dependency order afterwards; a single log spawns nothing.
+    """
+    starts = state.scan_starts
+    readers = [
+        msp.sim.spawn(
+            _read_partition(msp, partition, starts[partition]),
+            name=f"{msp.name}.scan.p{partition}",
+            group=msp.group,
+        )
+        for partition in range(1, len(starts))
+    ]
+    state.partition_records[0] = yield from _read_partition(msp, 0, starts[0])
+    for partition, reader in enumerate(readers, 1):
+        state.partition_records[partition] = yield reader
+
+
+def _read_partition(msp: "MiddlewareServer", partition: int, start: int):
+    """One partition's timed scan from ``start`` (generator), inside a
+    tracer-only ``recovery.scan.read`` span; returns its ``(offset,
+    record)`` pairs."""
+    durable_end = msp.log.partitions[partition].store.durable_end
+    span = _span(
+        msp,
+        "recovery.scan.read",
+        partition=partition,
+        bytes=max(0, durable_end - start),
+    )
+    scanned = yield from msp.log.scan_durable(make_plsn(partition, start))
+    _end(span, records=len(scanned))
+    return [(plsn & OFFSET_MASK, record) for plsn, record in scanned]
 
 
 def find_incarnation_boundary(state: AnalysisState) -> None:
@@ -548,8 +618,11 @@ def cut_and_merge(msp: "MiddlewareServer", state: AnalysisState) -> None:
         partition: unit.store.durable_end
         for partition, unit in enumerate(log.partitions)
     }
+    dependencies = partition_dependencies(
+        msp.name, state.old_epoch, state.partition_records
+    )
     cut = compute_partition_cut(
-        msp.name, state.old_epoch, state.partition_records, durable_ends
+        msp.name, state.old_epoch, state.partition_records, durable_ends, dependencies
     )
     state.cut = [cut[partition] for partition in range(log.nparts)]
     # Excised durable suffixes must leave the disk with the replay:
@@ -567,7 +640,7 @@ def cut_and_merge(msp: "MiddlewareServer", state: AnalysisState) -> None:
                 if offset < cut[partition]
             ]
     state.records = merge_partition_scans(
-        msp.name, state.old_epoch, state.partition_records, cut
+        msp.name, state.old_epoch, state.partition_records, cut, dependencies
     )
     msp.sim.probe("recovery.scanned", owner=msp.name)
 

@@ -311,12 +311,33 @@ class LogManager:
         """
         self.stats.flush_requests += 1
         if upto_lsn is None:
-            for unit in self.partitions:
-                yield from self._flush_unit(unit, unit.store.end)
+            yield from self._flush_units(
+                [(unit, unit.store.end) for unit in self.partitions]
+            )
             return
         unit = self.partitions[plsn_partition(upto_lsn)]
         target = self._flush_target(unit, plsn_offset(upto_lsn))
-        yield from self._flush_unit(unit, target)
+        yield from self._flush_units([(unit, target)])
+
+    def flush_with_ends(self, lsn: int):
+        """Make the record at ``lsn`` durable and every other partition
+        durable through its current end (generator): the MSP
+        checkpoint's flush.  One request per partition, as if each had
+        been flushed on its own, but all of them run at once.
+        """
+        self.stats.flush_requests += self.nparts
+        own = plsn_partition(lsn)
+        yield from self._flush_units(
+            [
+                (
+                    unit,
+                    self._flush_target(unit, plsn_offset(lsn))
+                    if unit.index == own
+                    else unit.store.end,
+                )
+                for unit in self.partitions
+            ]
+        )
 
     def flush_partition(self, index: int):
         """Make one partition durable through its current end (generator).
@@ -326,22 +347,33 @@ class LogManager:
         """
         self.stats.flush_requests += 1
         unit = self.partitions[index]
-        yield from self._flush_unit(unit, unit.store.end)
+        yield from self._flush_units([(unit, unit.store.end)])
 
-    def _flush_unit(self, unit: _LogPartition, target: int):
-        pstats = self.stats.partition(unit.index)
-        pstats["flush_requests"] += 1
-        if target <= unit.store.durable_end:
-            return
+    def _flush_units(self, targets: list[tuple[_LogPartition, int]]):
+        """Flush each ``(unit, target)`` pair (generator).
+
+        Every partition's request is queued before any is awaited, so
+        the partitions' flushers write at once and the call lasts as
+        long as the slowest write, not the sum of them.
+        """
         tracer = self.sim.tracer
         started_at = self.sim.now
-        done = self.sim.event(name=f"{self.name}.flushed")
-        unit.queue.put((target, done))
-        yield done
-        if tracer is not None:
-            # Request-to-durable latency, including batch-window and
-            # group-commit queueing — the flush-latency histogram.
-            tracer.metrics.observe("log.flush.wait_ms", self.sim.now - started_at)
+        pending = []
+        for unit, target in targets:
+            self.stats.partition(unit.index)["flush_requests"] += 1
+            if target <= unit.store.durable_end:
+                continue
+            done = self.sim.event(name=f"{self.name}.flushed")
+            unit.queue.put((target, done))
+            pending.append(done)
+        for done in pending:
+            if not done.triggered:
+                yield done
+            if tracer is not None:
+                # Request-to-durable latency, including batch-window and
+                # group-commit queueing — the flush-latency histogram.
+                # The event carries the time its write completed.
+                tracer.metrics.observe("log.flush.wait_ms", done.value - started_at)
 
     def _flusher_loop(self, unit: _LogPartition):
         while True:
@@ -368,7 +400,7 @@ class LogManager:
             if goal > unit.store.durable_end:
                 yield from self._write_out(unit, goal)
             for _t, event in waiters:
-                event.trigger(None)
+                event.trigger(self.sim.now)
 
     def _write_out(self, unit: _LogPartition, goal: int):
         """Physically write [durable_end, goal) in <=128-sector blocks."""

@@ -104,6 +104,9 @@ class MspStats:
     sv_rollbacks: int = 0
     replayed_requests: int = 0
     recovery_scan_records: int = 0
+    #: Simulated ms from each restart's first recovery step to the
+    #: start of its drain (anchor read, scan, analysis, announcement and
+    #: checkpoint), summed; not the scan alone, despite the name.
     recovery_scan_ms: float = 0.0
     #: Session replays after a restart (DESIGN.md §15), by who claimed
     #: the session: its next request inline, or a drain worker.  Their

@@ -23,8 +23,10 @@ def test_no_record_chains_to_a_volatile_sv_checkpoint(monkeypatch):
     cuts = []
     compute = crash_recovery.compute_partition_cut
 
-    def spy(msp_name, old_epoch, partition_records, durable_ends):
-        cut = compute(msp_name, old_epoch, partition_records, durable_ends)
+    def spy(msp_name, old_epoch, partition_records, durable_ends, dependencies):
+        cut = compute(
+            msp_name, old_epoch, partition_records, durable_ends, dependencies
+        )
         cuts.append((msp_name, dict(durable_ends), dict(cut)))
         return cut
 
