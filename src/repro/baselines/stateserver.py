@@ -100,11 +100,7 @@ class StateServerNode:
         while True:
             envelope = yield from inbox.get()
             message = envelope.payload
-            yield from self.cpu.acquire()
-            try:
-                yield self.handle_cpu_ms
-            finally:
-                self.cpu.release()
+            yield from self.cpu.hold(self.handle_cpu_ms)
             if isinstance(message, StateGet):
                 reply = StateGetReply(
                     req_id=message.req_id, blob=self._states.get(message.session_id)

@@ -78,13 +78,6 @@ class EndClient:
             session_id = f"{self.name}#{next(self._session_ids)}"
         return ClientSession(self, msp_name, session_id)
 
-    def _spend_cpu(self, ms: float):
-        yield from self.cpu.acquire()
-        try:
-            yield ms
-        finally:
-            self.cpu.release()
-
 
 class ClientSession:
     """The client side of one session: sequence numbers and resends."""
@@ -126,7 +119,7 @@ class ClientSession:
         busy_retries = 0
         while True:
             attempts += 1
-            yield from client._spend_cpu(COSTS.client_stack_ms)
+            yield from client.cpu.hold(COSTS.client_stack_ms)
             client.node.send(
                 self.msp_name, "request", request, request.wire_size()
             )

@@ -356,19 +356,11 @@ class MiddlewareServer:
     # ------------------------------------------------------------------
 
     def cpu(self, ms: float):
-        """Consume ``ms`` of CPU on this server (generator; queues on
-        the core pool, so CPU contention is modeled)."""
-        if ms <= 0:
-            return
-        cpu = self._cpu
-        # No suspension point between the grant (either way) and the
-        # ``try``, so a kill can never strand a held core.
-        if not cpu.try_acquire():
-            yield from cpu.acquire()
-        try:
-            yield ms
-        finally:
-            cpu.release()
+        """Consume ``ms`` of CPU on this server (use with ``yield from``;
+        queues on the core pool, so CPU contention is modeled).  Returns
+        the core's own hold, or nothing to iterate for no time: a charge
+        builds one generator, not two."""
+        return () if ms <= 0 else self._cpu.hold(ms)
 
     def cpu_utilization(self, since: float = 0.0) -> float:
         return self._cpu.utilization(since=since)

@@ -173,11 +173,7 @@ class KVStore:
         if self._cpu is None:
             yield self.txn_cpu_ms  # plain delay when no shared CPU given
             return
-        yield from self._cpu.acquire()
-        try:
-            yield self.txn_cpu_ms
-        finally:
-            self._cpu.release()
+        yield from self._cpu.hold(self.txn_cpu_ms)
 
     def _lock_key(self, txn: Transaction, key: str):
         """Acquire an exclusive lock on ``key`` (generator, FIFO)."""

@@ -519,6 +519,25 @@ def _append_space_rows(truncation: bool, n: int, seed: int) -> list[dict]:
     return rows
 
 
+class _LivePeak:
+    """Samples the live bytes of a partitioned log at each anchor flush:
+    the anchor precedes the truncation it allows, so this is where the
+    live log peaks."""
+
+    def __init__(self, stores):
+        self.stores = stores
+        self.bytes = 0
+
+    def anchor_flushed(self, store) -> None:
+        self.bytes = max(self.bytes, sum(s.live_bytes for s in self.stores))
+
+    def durable_advanced(self, store) -> None:
+        pass
+
+    def rewound(self, store, boundary: int) -> None:
+        pass
+
+
 def _partitioned_space_row(requests: int, seed: int) -> dict:
     """The §5.1 workload on four partitions with a fast checkpoint
     cadence and small segments: per-partition truncation at work."""
@@ -533,13 +552,19 @@ def _partitioned_space_row(requests: int, seed: int) -> dict:
             log_partitions=4,
         )
     )
+    stores = workload.msp1.stores
+    peak = _LivePeak(stores)
+    for store in stores:
+        store.subscribe(peak)
     workload.run()
     log = workload.msp1.log
+    live = sum(store.live_bytes for store in stores)
     return {
         "workload": "msp1, P=4",
         "truncation": True,
         "records": log.stats.appended_records,
-        "live_bytes": sum(unit.store.live_bytes for unit in log.partitions),
+        "live_bytes": live,
+        "peak_live_bytes": max(peak.bytes, live),
         "appended_bytes": log.stats.appended_bytes,
         "recycled_segments": log.stats.recycled_segments,
     }
@@ -575,8 +600,8 @@ def _log_space_claims(rows: list[dict]) -> list[Claim]:
         Claim("segments truncation recycled", on[-1]["recycled_segments"], ">=", 1),
         Claim("segments recycled at P=4 under the paper workload",
               partitioned["recycled_segments"], ">", 0),
-        Claim("live / appended bytes at P=4 under the paper workload",
-              partitioned["live_bytes"] / partitioned["appended_bytes"], "<", 0.5),
+        Claim("peak live / appended bytes at P=4 under the paper workload",
+              partitioned["peak_live_bytes"] / partitioned["appended_bytes"], "<", 0.5),
     ]
 
 

@@ -24,7 +24,11 @@ are never compared.  *Every* schedule — timers, process steps, event
 wake-ups, network deliveries — goes through ``call_at``, which makes it
 the one place to count, wrap or slow the kernel from outside.
 ``Simulator.steps`` counts callbacks run; cancelled entries are skipped
-uncounted.
+uncounted.  The one callback that skips ``call_at`` is a timed wake-up
+that :meth:`Simulator.advance` proves is the very next callback the
+running loop would take: it is taken in place, with the same ``seq``,
+clock and ``steps`` it would have had (``Simulator.advanced`` counts
+them).
 
 Processes can be killed (used for crash injection).  A kill closes the
 generator at once, so ``try/finally`` blocks run; finalizers must not
@@ -319,6 +323,12 @@ class Simulator:
         #: Callbacks executed so far — the per-shard work measure the
         #: fleet harness reports (``fleet.shard<i>.steps``).
         self.steps = 0
+        #: Of those, the wake-ups :meth:`advance` took in place.
+        self.advanced = 0
+        #: ``(until, limit, joined process)`` of the running ``run()`` or
+        #: ``run_until_process()`` loop; no clock reaches ``until`` outside
+        #: one (``step()`` sets none), so nothing advances in place there.
+        self._bounds: tuple = (-_NEVER, _NEVER, None)
         self._probe_listeners: list[Callable[[str, Optional[str]], None]] = []
         #: Optional structured tracer (see :mod:`repro.trace`).  ``None``
         #: unless a harness attaches one; instrumentation sites guard
@@ -372,6 +382,34 @@ class Simulator:
     def call_later(self, delay: float, callback: Callable[[], None]) -> _Handle:
         """Schedule ``callback`` to run ``delay`` ms from now."""
         return self.call_at(self.now + delay, callback)
+
+    def advance(self, ms: float) -> bool:
+        """Take in place the wake-up of a process that would now sleep
+        ``ms``, if it is provably the next callback the running loop
+        would run: consume its ``seq``, set the clock and count the step,
+        as that loop would, and return True.  Otherwise change nothing
+        and return False (the caller yields ``ms``).
+
+        Provably next: no entry, live or cancelled, is due by then (such
+        an entry, or one at the same time with an earlier ``seq``, would
+        run first), and the enclosing ``run()``/``run_until_process()``
+        would not stop before it — ``step()`` always stops, so its
+        callers see every callback."""
+        now = self.now
+        end = now + ms
+        heap = self._heap
+        if heap and heap[0][0] <= end:
+            return False
+        until, limit, joined = self._bounds
+        if not now <= end <= until or now > limit:  # ``not`` also rejects NaN
+            return False
+        if joined is not None and joined._finished:
+            return False
+        next(self._seq)
+        self.now = end
+        self.steps += 1
+        self.advanced += 1
+        return True
 
     def event(self, name: str = "") -> Event:
         """Create a fresh one-shot :class:`Event`."""
@@ -436,15 +474,23 @@ class Simulator:
         return ran
 
     def step(self) -> bool:
-        """Run the next scheduled callback.  Returns False when idle."""
+        """Run the next scheduled callback.  Returns False when idle.
+        It sets no bounds, so :meth:`advance` takes nothing in place."""
         return self._run(budget=1) == 1
+
+    def _run_bounded(self, until: float, process: Optional[Process], limit: float) -> None:
+        """``_run`` with :meth:`advance` allowed inside the same bounds."""
+        outer = self._bounds
+        self._bounds = (until, limit, process)
+        try:
+            self._run(until=until, process=process, limit=limit)
+        finally:
+            self._bounds = outer
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock passes ``until``."""
-        if until is None:
-            self._run()
-        else:
-            self._run(until=until)
+        self._run_bounded(_NEVER if until is None else until, None, _NEVER)
+        if until is not None:
             self.now = max(self.now, until)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
@@ -456,4 +502,4 @@ class Simulator:
     def run_until_process(self, process: Process, limit: Optional[float] = None) -> None:
         """Run until ``process`` finishes (daemons would otherwise keep
         the loop alive forever).  ``limit`` bounds runaway simulations."""
-        self._run(process=process, limit=_NEVER if limit is None else limit)
+        self._run_bounded(_NEVER, process, _NEVER if limit is None else limit)

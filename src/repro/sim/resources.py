@@ -39,11 +39,7 @@ class Resource:
 
     Usage::
 
-        yield from resource.acquire()
-        try:
-            yield service_time_ms
-        finally:
-            resource.release()
+        yield from resource.hold(service_time_ms)
 
     Utilization is tracked so experiments can report busy fractions
     (paper §5.5 reports CPU utilization).
@@ -94,6 +90,25 @@ class Resource:
                 # Killed between the grant and resuming: hand the slot
                 # on, or it would leak and deadlock the resource.
                 self.release()
+
+    def hold(self, ms: float):
+        """Occupy a slot for ``ms`` of service time (generator; queues
+        FIFO while every slot is busy).
+
+        When the wake-up after ``ms`` is provably the next callback
+        (:meth:`Simulator.advance`), the clock is advanced in place and
+        the slot released without suspending.  Either way no suspension
+        point lies between the grant and the ``try``, so a kill can
+        never strand a held slot."""
+        if not self.try_acquire():
+            yield from self.acquire()
+        if self.sim.advance(ms):
+            self.release()
+            return
+        try:
+            yield ms
+        finally:
+            self.release()
 
     def release(self) -> None:
         """Free one slot and hand it to the next waiter, if any."""

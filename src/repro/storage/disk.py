@@ -193,11 +193,7 @@ class Disk:
         self.stats.sectors_trimmed += math.ceil(nbytes / SECTOR_BYTES)
 
     def _serve(self, service_ms: float):
-        yield from self._queue.acquire()
-        try:
-            yield service_ms
-        finally:
-            self._queue.release()
+        yield from self._queue.hold(service_ms)
         self.stats.busy_ms += service_ms
 
     def utilization(self, since: float = 0.0) -> float:

@@ -2,25 +2,34 @@
 
 Random programs — plain callbacks scheduled, rescheduled and cancelled;
 processes that sleep, yield ``None``, wait on events, join, spawn,
-trigger, fail and kill each other; a group killed as a whole — run once
-on :class:`Simulator` and once on :class:`ReferenceSimulator`, which has
-the same scheduling contract but no heap: a plain list kept sorted by
-``(time, seq)``.  Both must observe the same things in the same order
-at the same times and count the same ``steps``.
+trigger, fail and kill each other, and hold capacity-1 and capacity-2
+resources; a group killed as a whole — run once on :class:`Simulator`
+and once on :class:`ReferenceSimulator`, which has the same scheduling
+contract but no heap: a plain list kept sorted by ``(time, seq)``, and
+no hold ever advanced in place.  Both must observe the same things in
+the same order at the same times and count the same ``steps``.
 
 The contract under test (DESIGN.md §9, "Kernel fast path"): run order is
 ``(time, seq)``, ``seq`` consumed once per ``call_at`` in call order;
 ``steps`` counts callbacks run and cancelled entries are skipped
 uncounted; a kill closes the generator at once and a dispatch already
 scheduled for the victim is a no-op; callbacks themselves are never
-compared.
+compared; a hold is taken in place only when its wake-up is provably the
+next callback of a ``run()`` or ``run_until_process()``, never under
+``step()``.
+
+Tier-1 runs 300 derandomized examples; under the ``deep`` profile
+(``--hypothesis-profile=deep``) the property runs that profile's count,
+freshly random.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import ProcessGroup, Simulator
+from repro.sim import ProcessGroup, Resource, Simulator
 from repro.sim.kernel import SimError
+
+EXAMPLES = max(300, settings.default.max_examples)
 
 
 class _RefHandle:
@@ -71,8 +80,11 @@ class ReferenceSimulator(Simulator):
             self.now = max(self.now, until)
 
     def run_until_process(self, process, limit=None):
-        while process.alive and self.step():
+        while process.alive and (limit is None or self.now <= limit) and self.step():
             pass
+
+    def advance(self, ms):
+        return False  # every hold sleeps through the scheduler
 
 
 class Boom(Exception):
@@ -110,6 +122,7 @@ class World:
         self.scripts = program["scripts"]
         self.trace = []
         self.events = [sim.event(f"e{i}") for i in range(3)]
+        self.resources = [Resource(sim, capacity=c, name=f"r{c}") for c in (1, 2)]
         self.group = ProcessGroup("g")
         self.processes = []
         self.grouped = set()
@@ -132,6 +145,9 @@ class World:
         except SimError:
             self.log("past", tag)
             handle = None
+        else:
+            # A hold taken in place consumes the seq its timer would have.
+            self.log("seq", tag, handle.seq if isinstance(handle, _RefHandle) else handle[1])
         self.handles.append((tag, time, handle))
 
     def callback_ran(self, tag):
@@ -161,6 +177,11 @@ class World:
                 kind = op[0]
                 if kind in ("sleep", "none"):
                     yield op[1] if kind == "sleep" else None
+                    self.entered(index)
+                elif kind == "hold":
+                    resource = self.resources[op[1]]
+                    yield from resource.hold(op[2])
+                    self.log("held", index, resource.name, resource.in_use)
                     self.entered(index)
                 elif kind == "wait":
                     try:
@@ -250,12 +271,16 @@ class World:
             if op[0] == "until":
                 self.sim.run(until=self.sim.now + op[1])
             elif op[0] == "steps":
+                advanced = self.sim.advanced
                 for _ in range(op[1]):
                     self.sim.step()
+                if self.sim.advanced != advanced:
+                    self.violations.append("step() advanced a hold in place")
             else:
                 target = self.pick(op[1])
                 if target is not None:
-                    self.sim.run_until_process(self.processes[target])
+                    limit = op[2] if op[2] is None else self.sim.now + op[2]
+                    self.sim.run_until_process(self.processes[target], limit=limit)
             self.log("driven", op[0], self.sim.steps)
         self.sim.run()
 
@@ -278,6 +303,7 @@ acts = st.one_of(
 )
 script_ops = st.one_of(
     st.tuples(st.just("sleep"), delays),
+    st.tuples(st.just("hold"), st.integers(min_value=0, max_value=1), delays),
     st.tuples(st.just("none")),
     st.tuples(st.just("wait"), events),
     st.tuples(st.just("join"), small),
@@ -291,7 +317,7 @@ boot_ops = st.one_of(
 drive_ops = st.one_of(
     st.tuples(st.just("until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
     st.tuples(st.just("steps"), st.integers(min_value=0, max_value=6)),
-    st.tuples(st.just("process"), small),
+    st.tuples(st.just("process"), small, st.sampled_from([None, 0.0, 1.0, 3.0])),
 )
 programs = st.fixed_dictionaries({
     "scripts": st.lists(st.lists(script_ops, max_size=8), min_size=1, max_size=4),
@@ -308,7 +334,7 @@ def run_program(sim, program):
     return world
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(programs)
 def test_kernel_matches_reference_scheduler(program):
     real = run_program(Simulator(), program)
@@ -320,6 +346,9 @@ def test_kernel_matches_reference_scheduler(program):
     assert real.sim.now == model.sim.now
     assert [p.alive for p in real.processes] == [p.alive for p in model.processes]
     assert not real.sim.step(), "run() returned with live work pending"
+    assert 0 <= real.sim.advanced <= real.sim.steps and model.sim.advanced == 0
+    # Every holder finished or was killed: no slot is left held.
+    assert [r.in_use for r in real.resources] == [0, 0]
 
     # Whatever ran did so in (time, scheduling order).
     when = {tag: (time, tag) for tag, time, _handle in real.handles}
@@ -339,3 +368,82 @@ def test_steps_count_callbacks_run_not_cancelled_entries():
     assert ran == [0, 2, 3, 5]
     assert sim.steps == 4
     assert not sim.step()
+
+
+def holders(sim, log):
+    """Two processes that take turns on one core, three holds each."""
+    core = Resource(sim, capacity=1, name="core")
+
+    def worker(name, ms):
+        for _ in range(3):
+            yield from core.hold(ms)
+            log.append((sim.now, name))
+
+    for name, ms in (("a", 1.0), ("b", 2.5)):
+        sim.spawn(worker(name, ms), name=name)
+
+
+def test_step_never_advances_in_place():
+    stepped, ran = Simulator(), Simulator()
+    stepped_log, ran_log = [], []
+    holders(stepped, stepped_log)
+    holders(ran, ran_log)
+    while stepped.step():
+        pass
+    ran.run()
+    assert stepped_log == ran_log
+    assert stepped.steps == ran.steps
+    assert stepped.advanced == 0
+    # "b"'s last hold is the only timer left: it runs in place.
+    assert 0 < ran.advanced < ran.steps
+
+
+def test_a_hold_is_not_taken_in_place_past_the_run_bound():
+    sim = Simulator()
+    log = []
+    holders(sim, log)
+    # At t=1 "b" takes the core for 2.5 with nothing else scheduled:
+    # only the bound keeps that hold from running in place.
+    sim.run(until=1.0)
+    assert (sim.now, log, sim.advanced) == (1.0, [(1.0, "a")], 0)
+    sim.run()
+    assert (sim.now, len(log)) == (10.5, 6)
+
+
+def test_run_until_process_takes_no_hold_in_place_once_the_joined_process_died():
+    sim = Simulator()
+    core = Resource(sim, capacity=1, name="core")
+    held = []
+
+    def target():
+        yield 100.0
+
+    def killer(victim):
+        yield 1.0
+        victim.kill()
+        # Only a cancelled timer is left: the heap would allow this hold
+        # in place, but the loop stops before it.
+        yield from core.hold(5.0)
+        held.append(sim.now)
+
+    victim = sim.spawn(target())
+    sim.spawn(killer(victim))
+    sim.run_until_process(victim)
+    assert (sim.now, held, sim.advanced) == (1.0, [], 0)
+    sim.run()
+    assert (sim.now, held) == (6.0, [6.0])
+
+
+def test_run_until_process_takes_no_hold_in_place_past_its_limit():
+    sim = Simulator()
+    core = Resource(sim, capacity=1, name="core")
+
+    def worker():
+        for _ in range(3):
+            yield from core.hold(2.0)
+
+    process = sim.spawn(worker())
+    sim.run_until_process(process, limit=3.0)
+    # The holds that start at 0 and 2 run in place; the one that starts
+    # at 4 is past the limit, so it sleeps and the loop stops.
+    assert (sim.now, process.alive, sim.advanced) == (4.0, True, 2)

@@ -274,6 +274,42 @@ def test_group_killed_on_the_cpu_fast_path_leaves_the_core_free(kill_at):
     assert core.in_use == 0
 
 
+@pytest.mark.parametrize("scheduled", ["before the hold", "by the in-place hold's holder"])
+def test_kill_at_an_in_place_hold_end_leaves_the_slot_free(scheduled):
+    """A hold runs in place only when nothing is due by its end.  A kill
+    due at exactly that end, scheduled before the hold began, makes the
+    hold sleep, and the kill runs first.  A kill the holder schedules
+    for the end of a hold that ran in place finds that hold over and
+    the holder's next hold asleep.  Either way the slot ends up free."""
+    sim = Simulator()
+    core = Resource(sim, capacity=1, name="cpu")
+    group = ProcessGroup("msp")
+    charged = []
+
+    def worker():
+        while True:
+            yield from core.hold(1.0)
+            charged.append(sim.now)
+            if scheduled != "before the hold" and len(charged) == 1:
+                sim.call_at(sim.now, group.kill_all)
+
+    if scheduled == "before the hold":
+        sim.call_at(1.0, group.kill_all)
+    sim.spawn(worker(), group=group)
+    sim.run()
+    if scheduled == "before the hold":
+        assert (charged, sim.advanced) == ([], 0)
+    else:
+        assert (charged, sim.advanced) == ([1.0], 1)
+    assert (sim.now, core.in_use, core.queue_length, len(group)) == (1.0, 0, 0, 0)
+    assert sim.run_process(_charge(core)) == 2.0
+
+
+def _charge(core):
+    yield from core.hold(1.0)
+    return core.sim.now
+
+
 def test_kill_between_trigger_and_resumption_never_resumes():
     sim = Simulator()
     event = sim.event()

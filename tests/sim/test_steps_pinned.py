@@ -27,7 +27,11 @@ fingerprint string only; reading a partitioned restart's partitions at
 once and flushing an MSP checkpoint's partitions at once re-recorded
 ``p4_lazy_crashing`` only (steps 32189 -> 30399, ``log_bytes`` 430224
 -> 424292: the restarts are shorter, so everything after them runs
-at other simulated times).  Regenerating it is legitimate only in
+at other simulated times).  ``advanced`` (the callbacks of ``steps``
+that ``Simulator.advance`` took in place) was added next to ``steps``
+with no other value moving: a stray timer that keeps the heap from
+proving a hold's wake-up next turns the fast path off without moving
+any simulated result, and fails here.  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -43,10 +47,15 @@ from repro.fleet.runner import fleet_fingerprint
 from repro.workloads.paper import PaperWorkload, WorkloadParams
 
 RECORDED = {
-    "p1_eager": {"steps": 9995, "completed": 120, "crashes": 0, "log_bytes": 271252},
-    "p4_lazy_crashing": {"steps": 30399, "completed": 160, "crashes": 3, "log_bytes": 424292},
+    "p1_eager": {
+        "steps": 9995, "advanced": 3038, "completed": 120, "crashes": 0, "log_bytes": 271252,
+    },
+    "p4_lazy_crashing": {
+        "steps": 30399, "advanced": 6511, "completed": 160, "crashes": 3, "log_bytes": 424292,
+    },
     "fleet": {
         "steps": 5665,
+        "advanced": 1119,
         "completed": 58,
         "log_bytes": 47788,
         "fingerprint": "251a3221422c50096306638a93e7b736d590f58c123bfe9818d5dcceb574ddab",
@@ -87,6 +96,7 @@ def run_paper(params: WorkloadParams) -> dict:
     workload.verify_exactly_once()
     return {
         "steps": workload.sim.steps,
+        "advanced": workload.sim.advanced,
         "completed": result.completed_requests,
         "crashes": result.crashes,
         "log_bytes": sum(dead_bytes) + sum(m.log.stats.appended_bytes for m in msps),
@@ -94,11 +104,13 @@ def run_paper(params: WorkloadParams) -> dict:
 
 
 def run_small_fleet() -> dict:
-    result = run_fleet(FLEET_SPEC, jobs=1)
+    sims = []  # the shards' simulators, for their ``advanced`` counts
+    result = run_fleet(FLEET_SPEC, jobs=1, tracer_factory=lambda shard: sims.append(shard.sim))
     assert result["verdicts"]["clean"], result["violations"]
     assert result["recovery"], "the crash plan did not crash anything"
     return {
         "steps": result["totals"]["steps"],
+        "advanced": sum(sim.advanced for sim in sims),
         "completed": result["totals"]["completed_calls"],
         "log_bytes": sum(
             log["live_bytes"] for shard in result["shards"] for log in shard["log"].values()
