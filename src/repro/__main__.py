@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.core.config import RecoveryConfig
 from repro.harness import EXPERIMENTS as _DECLARED, render_result
@@ -44,6 +45,9 @@ from repro.workloads import CONFIGURATIONS, PaperWorkload, WorkloadParams
 from repro.workloads.paper import add_mode_arguments, mode_overrides
 
 EXPERIMENTS = {experiment.name: experiment for experiment in _DECLARED}
+
+#: The scenario matrix ``repro scenarios`` runs without ``--matrix``.
+DEFAULT_MATRIX = Path(__file__).resolve().parents[2] / "scenarios" / "default.yaml"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,33 +109,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_fuzz_arguments(fuzz)
 
+    from repro.fleet import FleetSpec
+
+    fleet_defaults = FleetSpec()
     fleet = sub.add_parser(
         "fleet",
         help="run a sharded multi-MSP fleet under open-loop traffic",
     )
-    fleet.add_argument("--msps", type=int, default=8, help="MSP count")
     fleet.add_argument(
-        "--domains", type=int, default=2, help="service-domain count"
+        "--msps", type=int, default=fleet_defaults.msps, help="MSP count"
     )
     fleet.add_argument(
-        "--shards", type=int, default=1,
+        "--domains", type=int, default=fleet_defaults.domains,
+        help="service-domain count",
+    )
+    fleet.add_argument(
+        "--shards", type=int, default=fleet_defaults.shards,
         help="simulation shards (part of the spec: whole domains per "
         "shard, results identical at any --jobs)",
     )
     add_jobs_argument(fleet)
     fleet.add_argument(
-        "--sessions", type=int, default=200, help="open-loop session count"
+        "--sessions", type=int, default=fleet_defaults.sessions,
+        help="open-loop session count",
     )
     fleet.add_argument(
-        "--duration", type=float, default=10_000.0, metavar="MS",
+        "--duration", type=float, default=fleet_defaults.duration_ms, metavar="MS",
         help="arrival window in simulated ms",
     )
     fleet.add_argument(
-        "--chain-depth", type=int, default=1,
+        "--chain-depth", type=int, default=fleet_defaults.chain_depth,
         help="downstream hops chained per request",
     )
     fleet.add_argument(
-        "--cross-fraction", type=float, default=0.5,
+        "--cross-fraction", type=float,
+        default=fleet_defaults.cross_domain_fraction,
         help="probability a hop crosses a domain boundary (the "
         "pessimistic flush-before-send path)",
     )
@@ -157,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "and emit a fuzzbench-style report",
     )
     scenarios.add_argument(
-        "--matrix", default=None, metavar="PATH",
-        help="scenario matrix YAML (default: the built-in matrix; the "
-        "committed ones live under scenarios/)",
+        "--matrix", default=str(DEFAULT_MATRIX), metavar="PATH",
+        help="scenario matrix YAML (default: the repository's "
+        "scenarios/default.yaml; the committed ones live under scenarios/)",
     )
     add_jobs_argument(scenarios)
     scenarios.add_argument(
@@ -395,7 +407,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
 def _run_scenarios(args: argparse.Namespace) -> int:
     from repro.parallel import resolve_jobs
     from repro.scenarios import (
-        DEFAULT_MATRIX,
         ScenarioSpec,
         canonical_report_bytes,
         render_html,
@@ -403,10 +414,7 @@ def _run_scenarios(args: argparse.Namespace) -> int:
         run_matrix,
     )
 
-    if args.matrix is not None:
-        spec = ScenarioSpec.load(args.matrix)
-    else:
-        spec = ScenarioSpec.from_dict(DEFAULT_MATRIX)
+    spec = ScenarioSpec.load(args.matrix)
     cells = spec.expand()
     jobs = min(resolve_jobs(args.jobs), len(cells))
     families = sorted({c.family for c in cells})

@@ -188,8 +188,7 @@ class MiddlewareServer:
         #: Invariant counter — session replays that ended in an error (a
         #: log read failed, the log and the method diverged); such a
         #: session stays RECOVERING until a restart rebuilds it.  Must
-        #: stay 0.  Not an ``MspStats`` field: fleet reports serialize
-        #: that dataclass whole, and their bytes are fingerprinted.
+        #: stay 0.
         self.failed_replays = 0
         #: Lazy recovery mode (DESIGN.md §15): after a crash, drain the
         #: rebuilt sessions with ``recovery_pump_concurrency`` workers

@@ -40,6 +40,10 @@ from repro.trace.metrics import nearest_rank
 #: How many epochs between progress callbacks.
 _PROGRESS_EVERY = 200
 
+#: Extra simulated time after the arrival window for stragglers,
+#: recoveries and drains before the run is declared stuck.
+SETTLE_MS = 30_000.0
+
 
 class FleetWorkerError(RuntimeError):
     """A shard worker process died or raised."""
@@ -215,7 +219,7 @@ def run_fleet(
     else:
         executor = _PoolExecutor(spec, jobs)
 
-    horizon_ms = spec.duration_ms + spec.settle_ms
+    horizon_ms = spec.duration_ms + SETTLE_MS
     epoch = 0
     sim_t = 0.0
     pending: dict[int, list[tuple[float, object]]] = {}

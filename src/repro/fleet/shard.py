@@ -19,7 +19,7 @@ from dataclasses import asdict
 from types import SimpleNamespace
 
 from repro.core.client import EndClient
-from repro.core.config import RecoveryConfig
+from repro.core.config import RecoveryConfig, same_named
 from repro.core.msp import MiddlewareServer
 from repro.core.session import SessionStatus
 from repro.core.standby import WarmStandby
@@ -43,6 +43,23 @@ BOOT_GRACE_MS = 50.0
 #: ``FleetShard.run`` checks for completion only every this many
 #: kernel steps; fuzz worlds step a lot.
 _SETTLE_CHECK_STRIDE = 256
+
+#: Client resend timeout of every fleet session.
+RESEND_TIMEOUT_MS = 400.0
+
+#: Failure-detection / takeover delay a disaster failover pays before
+#: the standby starts recovering.
+STANDBY_TAKEOVER_MS = 5.0
+
+#: Recovery settings every fleet MSP runs with, on top of the ones
+#: ``FleetSpec`` carries: 2 ms group commit, and server-side idle-session
+#: expiry (bounded-memory truncation: the implicit inter-MSP sessions
+#: chains open are never client-ended, and expired sessions stop
+#: pinning the log truncation floor).
+FLEET_RECOVERY = {
+    "batch_flush_timeout_ms": 2.0,
+    "session_idle_timeout_ms": 30_000.0,
+}
 
 
 def _incr8(value: bytes) -> bytes:
@@ -105,7 +122,9 @@ class FleetShard:
                 self.network,
                 name,
                 domains=self.topology.domains,
-                config=RecoveryConfig.of(spec),
+                config=RecoveryConfig(
+                    **FLEET_RECOVERY, **same_named(RecoveryConfig, spec)
+                ),
                 rng=self.rng,
             )
             msp.register_service("chain", chain_service)
@@ -138,7 +157,7 @@ class FleetShard:
                 self.sim,
                 self.network,
                 f"c.{name}",
-                resend_timeout_ms=spec.resend_timeout_ms,
+                resend_timeout_ms=RESEND_TIMEOUT_MS,
             )
             client.cpu = Resource(self.sim, capacity=1 << 20, name=f"cpu.c.{name}")
             self.network.set_link(f"c.{name}", name, latency_ms=CLIENT_LATENCY_MS)
@@ -225,9 +244,7 @@ class FleetShard:
         msp.crash()
         standby = self.standbys[msp.name]
         try:
-            standby.failover_process(
-                takeover_delay_ms=self.spec.standby_takeover_ms
-            )
+            standby.failover_process(takeover_delay_ms=STANDBY_TAKEOVER_MS)
         except RuntimeError as exc:
             self.standby_violations.append(str(exc))
             msp.restart_process()
@@ -477,8 +494,11 @@ class FleetShard:
                 "samples_ms": list(self.latencies_ms),
                 "total_ms": round(self.latency_total_ms, 6),
             },
+            # Nonzero counters only: a missing one is 0, so a counter
+            # that stays 0 moves no fingerprint.
             "msp_stats": {
-                name: asdict(self.msps[name].stats) for name in self.local_names
+                name: {k: v for k, v in asdict(self.msps[name].stats).items() if v}
+                for name in self.local_names
             },
             "log": log_stats,
             "clients": client_stats,

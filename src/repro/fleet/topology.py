@@ -3,8 +3,7 @@
 The shape rules (DESIGN.md §17):
 
 - MSPs are named ``m000..mNNN`` and assigned to service domains round
-  robin (``domain_of(m_i) = i mod domains``) unless the spec pins an
-  explicit ``domain_layout``.
+  robin (``domain_of(m_i) = i mod domains``).
 - Whole domains are placed on one shard (``shard_of(domain d) = d mod
   shards``), so every *optimistic* message — DV-tagged intra-domain
   requests, distributed-flush legs, recovery announcements — stays
@@ -14,19 +13,25 @@ The shape rules (DESIGN.md §17):
   defines the simulated semantics.  ``--jobs`` only chooses how many
   shards execute concurrently and never changes results.
 
-Validation happens at construction: unknown MSP names in the domain
-layout or the crash plan, non-disjoint layouts, epoch lengths longer
-than the cross-shard latency, and illegal recovery/logging modes or
-partition counts are all rejected before any simulator is built.
+Validation happens at construction: unknown MSP names in the crash or
+partition plan, unknown domains in the disaster plan, epoch lengths
+longer than the cross-shard latency, and illegal recovery/logging modes
+or partition counts are all rejected before any simulator is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.core.config import RecoveryConfig
 from repro.core.domain import ServiceDomainConfig
+
+#: Hot/cold placement skew: the first ``round(HOT_FRACTION * msps)``
+#: MSPs (at least one) receive ``HOT_WEIGHT`` times the arrival mass of
+#: cold ones.
+HOT_FRACTION = 0.25
+HOT_WEIGHT = 4.0
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,8 @@ class FleetSpec:
 
     Two runs with equal specs produce byte-identical results at any
     ``--jobs`` value — the spec is the complete seed of the simulation.
+    Every field is one some fleet sets; a value no fleet varies is a
+    constant beside its one reader.
     """
 
     msps: int = 8
@@ -48,23 +55,12 @@ class FleetSpec:
     sessions: int = 200
     #: Arrival window in simulated ms.
     duration_ms: float = 10_000.0
-    #: Zipf-ish skew of requests per session (higher alpha = flatter).
-    zipf_alpha: float = 1.3
     max_requests_per_session: int = 8
     #: Downstream hops chained per request (0 = no inter-MSP calls).
     chain_depth: int = 1
     #: Probability a hop crosses a domain boundary (the pessimistic
     #: flush-before-send path); otherwise it stays inside the domain.
     cross_domain_fraction: float = 0.5
-    #: Hot/cold placement skew: the first ``ceil(hot_fraction*msps)``
-    #: MSPs receive ``hot_weight`` times the arrival mass of cold ones.
-    hot_fraction: float = 0.25
-    hot_weight: float = 4.0
-    #: Burst shape of the arrival-rate curve: every ``burst_every_ms``
-    #: the rate multiplies by ``burst_factor`` for ``burst_length_ms``.
-    burst_factor: float = 3.0
-    burst_every_ms: float = 4_000.0
-    burst_length_ms: float = 500.0
     #: Client think time between a session's calls.
     think_ms: float = 5.0
 
@@ -75,9 +71,6 @@ class FleetSpec:
     #: One-way latency of every cross-domain MSP link (WAN-ish, vs the
     #: 0.35 ms intra-domain LAN default).
     cross_latency_ms: float = 5.0
-    #: Extra simulated time after the arrival window for stragglers,
-    #: recoveries and drains before the run is declared stuck.
-    settle_ms: float = 30_000.0
 
     # -- failures ----------------------------------------------------------
     #: ``((time_ms, msp_name), ...)`` — crash + restart that MSP then.
@@ -94,49 +87,42 @@ class FleetSpec:
     #: export — windows are RNG-free and never shift the fault streams.
     partition_plan: tuple = ()
     #: ``((time_ms, domain_index), ...)`` — whole-domain loss: every MSP
-    #: of that domain is destroyed *with its storage* at that instant.
-    #: Requires ``warm_standby`` — without shipped logs there is nothing
-    #: to recover from.
+    #: of that domain is destroyed *with its storage* at that instant
+    #: and fails over to its warm standby (see :attr:`warm_standby`).
     disaster_plan: tuple = ()
-    #: Attach a :class:`~repro.core.standby.WarmStandby` to every MSP:
-    #: flushed log frames ship synchronously to a standby store, and a
-    #: disaster fails over to it (skipping the cold ``RESTART_DELAY_MS``).
-    warm_standby: bool = False
-    #: Failure-detection / takeover delay a disaster failover pays
-    #: before the standby starts recovering.
-    standby_takeover_ms: float = 5.0
 
     # -- recovery configuration (per MSP) ----------------------------------
     log_partitions: int = 1
     recovery_mode: str = "eager"
     logging_mode: str = "value"
-    batch_flush_timeout_ms: float = 2.0
     session_ckpt_threshold: Optional[int] = 8 * 1024
     sv_ckpt_write_threshold: int = 64
     msp_ckpt_interval_ms: float = 5_000.0
     log_segment_bytes: int = 64 * 1024
-    resend_timeout_ms: float = 400.0
-    #: Server-side idle-session expiry (bounded-memory truncation: the
-    #: implicit inter-MSP sessions chains open are never client-ended,
-    #: and expired sessions stop pinning the log truncation floor).
-    session_idle_timeout_ms: Optional[float] = 30_000.0
 
-    #: Optional explicit domain assignment ``((msp, ...), ...)``.  Every
-    #: member must name a known MSP and every MSP must appear exactly
-    #: once — validated by :class:`FleetTopology`.
-    domain_layout: tuple = ()
+    @property
+    def warm_standby(self) -> bool:
+        """Whether every MSP gets a :class:`~repro.core.standby.WarmStandby`:
+        exactly when a disaster plan destroys storage, since without
+        shipped logs there is nothing to recover from."""
+        return bool(self.disaster_plan)
 
     def canonical(self) -> dict:
-        """A stable JSON-safe form for result fingerprints."""
-        spec = asdict(self)
-        spec["crash_plan"] = [list(entry) for entry in self.crash_plan]
-        spec["partition_plan"] = [
-            [start, end, list(side_a), list(side_b)]
-            for start, end, side_a, side_b in self.partition_plan
-        ]
-        spec["disaster_plan"] = [list(entry) for entry in self.disaster_plan]
-        spec["domain_layout"] = [list(d) for d in self.domain_layout]
-        return spec
+        """A stable JSON-safe form for result fingerprints: the fields
+        that differ from their defaults (a missing key means the
+        default), plans as nested lists."""
+        return {
+            f.name: _lists(getattr(self, f.name))
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
+
+
+def _lists(value):
+    """``value`` with every tuple turned into a list, recursively."""
+    if isinstance(value, tuple):
+        return [_lists(item) for item in value]
+    return value
 
 
 class FleetTopology:
@@ -167,37 +153,15 @@ class FleetTopology:
         self.msp_names: list[str] = [f"m{i:03d}" for i in range(spec.msps)]
         known = set(self.msp_names)
 
-        if spec.domain_layout:
-            layout = [tuple(members) for members in spec.domain_layout]
-            assigned = [m for members in layout for m in members]
-            unknown = sorted(set(assigned) - known)
-            if unknown:
-                raise ValueError(
-                    f"domain layout routes unknown MSPs: {', '.join(unknown)}"
-                )
-            missing = sorted(known - set(assigned))
-            if missing:
-                raise ValueError(
-                    f"domain layout leaves MSPs unrouted: {', '.join(missing)}"
-                )
-            if len(layout) != spec.domains:
-                raise ValueError(
-                    f"domain layout has {len(layout)} domains, spec says "
-                    f"{spec.domains}"
-                )
-            self.domain_lists = layout
-        else:
-            self.domain_lists = [
-                tuple(
-                    self.msp_names[i]
-                    for i in range(spec.msps)
-                    if i % spec.domains == d
-                )
-                for d in range(spec.domains)
-            ]
-        # ServiceDomainConfig itself rejects overlaps and empty domains.
+        self.domain_lists = [
+            tuple(
+                self.msp_names[i]
+                for i in range(spec.msps)
+                if i % spec.domains == d
+            )
+            for d in range(spec.domains)
+        ]
         self.domains = ServiceDomainConfig(self.domain_lists)
-        self.domains.validate_members(known)
 
         self._domain_index: dict[str, int] = {}
         for d, members in enumerate(self.domain_lists):
@@ -227,11 +191,6 @@ class FleetTopology:
                     f"empty partition window: [{start}, {end})"
                 )
 
-        if spec.disaster_plan and not spec.warm_standby:
-            raise ValueError(
-                "disaster_plan destroys storage — recovery needs "
-                "warm_standby=True (log shipping)"
-            )
         for when, domain in spec.disaster_plan:
             if not 0 <= domain < spec.domains:
                 raise ValueError(
@@ -241,11 +200,9 @@ class FleetTopology:
             if when < 0:
                 raise ValueError(f"disaster plan entry in the past: {when}")
 
-        # Hot/cold arrival weights (satellite of the open-loop generator):
-        # the first ceil(hot_fraction * msps) MSPs are "hot".
-        hot = max(1, round(spec.hot_fraction * spec.msps)) if spec.msps else 0
+        hot = max(1, round(HOT_FRACTION * spec.msps))
         self.arrival_weights = [
-            spec.hot_weight if i < hot else 1.0 for i in range(spec.msps)
+            HOT_WEIGHT if i < hot else 1.0 for i in range(spec.msps)
         ]
 
     # -- placement ---------------------------------------------------------

@@ -25,6 +25,13 @@ from repro.fleet.topology import FleetTopology
 
 #: Resolution of the arrival-rate inverse CDF.
 _RATE_BINS = 512
+#: Zipf-ish skew of requests per session (higher alpha = flatter).
+ZIPF_ALPHA = 1.3
+#: Burst shape of the arrival-rate curve: every ``BURST_EVERY_MS`` the
+#: rate multiplies by ``BURST_FACTOR`` for ``BURST_LENGTH_MS``.
+BURST_FACTOR = 3.0
+BURST_EVERY_MS = 4_000.0
+BURST_LENGTH_MS = 500.0
 
 
 @dataclass(frozen=True)
@@ -41,18 +48,13 @@ class SessionPlan:
     calls: tuple[tuple[str, ...], ...]
 
 
-def _rate_cdf(topology: FleetTopology) -> list[float]:
+def _rate_cdf(duration_ms: float) -> list[float]:
     """Cumulative arrival mass per time bin over the arrival window."""
-    spec = topology.spec
     weights = []
     for b in range(_RATE_BINS):
-        t = (b + 0.5) * spec.duration_ms / _RATE_BINS
-        in_burst = (
-            spec.burst_factor > 1.0
-            and spec.burst_every_ms > 0
-            and (t % spec.burst_every_ms) < spec.burst_length_ms
-        )
-        weights.append(spec.burst_factor if in_burst else 1.0)
+        t = (b + 0.5) * duration_ms / _RATE_BINS
+        in_burst = (t % BURST_EVERY_MS) < BURST_LENGTH_MS
+        weights.append(BURST_FACTOR if in_burst else 1.0)
     return list(accumulate(weights))
 
 
@@ -74,7 +76,7 @@ def generate_session_plans(topology: FleetTopology, rng) -> Iterator[SessionPlan
     spec's seed.
     """
     spec = topology.spec
-    cdf = _rate_cdf(topology)
+    cdf = _rate_cdf(spec.duration_ms)
     # Hot/cold placement: inverse-CDF over the per-MSP arrival weights.
     placement_cdf = list(accumulate(topology.arrival_weights))
     placement_total = placement_cdf[-1]
@@ -87,7 +89,7 @@ def generate_session_plans(topology: FleetTopology, rng) -> Iterator[SessionPlan
         # Zipf-ish request count: most sessions are one-shot, a hot tail
         # runs up to the cap.
         n_calls = min(
-            spec.max_requests_per_session, max(1, int(rng.paretovariate(spec.zipf_alpha)))
+            spec.max_requests_per_session, max(1, int(rng.paretovariate(ZIPF_ALPHA)))
         )
         calls = []
         for _ in range(n_calls):

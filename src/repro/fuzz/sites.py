@@ -78,9 +78,6 @@ class TraceRecorder:
         """Number of crash sites attributed to ``owner`` so far."""
         return self._per_owner.get(owner, 0)
 
-    def owners(self) -> list[str]:
-        return sorted(o for o in self._per_owner if o is not None)
-
     def site_histogram(self) -> dict[str, int]:
         histogram: dict[str, int] = {}
         for event in self.events:

@@ -22,15 +22,9 @@ from repro.scenarios.runner import (
     matrix_fingerprint,
     run_matrix,
 )
-from repro.scenarios.spec import (
-    DEFAULT_MATRIX,
-    FAMILIES,
-    ScenarioCell,
-    ScenarioSpec,
-)
+from repro.scenarios.spec import FAMILIES, ScenarioCell, ScenarioSpec
 
 __all__ = [
-    "DEFAULT_MATRIX",
     "FAMILIES",
     "ScenarioCell",
     "ScenarioSpec",

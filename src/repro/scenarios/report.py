@@ -12,12 +12,6 @@ import html as _html
 from repro.harness.report import render_table
 
 
-def _fmt_ms(value) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.3f}"
-
-
 def _cell_rows(report: dict) -> list[dict]:
     rows = []
     for cell in report["cells"]:

@@ -31,10 +31,10 @@ to the topology deterministically:
   each side taking its MSPs *and their client machines*; a one-domain
   topology degenerates to clients-vs-servers (the resend protocol's
   blackout case).
-- ``disaster`` picks ``domain % domains`` and forces
-  ``warm_standby=True`` on the cell.  It also emits a paired
-  *cold-baseline* cell — the same MSPs crashed at the same instant with
-  no standby — so the report can show what the failover bought.
+- ``disaster`` picks ``domain % domains``; a disaster plan gives every
+  MSP a warm standby.  It also emits a paired *cold-baseline* cell —
+  the same MSPs crashed at the same instant with no standby — so the
+  report can show what the failover bought.
 """
 
 from __future__ import annotations
@@ -50,36 +50,6 @@ _MATRIX_KEYS = {"name", "base", "seeds", "topologies", "faults"}
 
 #: Topology keys consumed by the grammar itself (not FleetSpec fields).
 _TOPOLOGY_ONLY = {"name"}
-
-#: The committed fallback matrix (used when no YAML file is given);
-#: spans all four fault families over both topology shapes.
-DEFAULT_MATRIX = {
-    "name": "default",
-    "base": {
-        "sessions": 40,
-        "duration_ms": 3000.0,
-        "settle_ms": 30000.0,
-    },
-    "seeds": [7],
-    "topologies": [
-        {"name": "single", "msps": 1, "domains": 1, "shards": 1,
-         "chain_depth": 0},
-        {"name": "fleet", "msps": 4, "domains": 2, "shards": 2,
-         "chain_depth": 1},
-    ],
-    "faults": [
-        {"name": "calm", "family": "none"},
-        {"name": "crash", "family": "crash", "at_ms": 1200.0,
-         "targets": [0]},
-        {"name": "rack-loss", "family": "correlated", "at_ms": 1200.0,
-         "targets": [0, 2]},
-        {"name": "net-split", "family": "partition", "start_ms": 900.0,
-         "end_ms": 1500.0},
-        {"name": "site-loss", "family": "disaster", "at_ms": 1100.0,
-         "domain": 1},
-    ],
-}
-
 
 @dataclass(frozen=True)
 class ScenarioCell:
@@ -228,7 +198,6 @@ class ScenarioSpec:
         at = float(fault["at_ms"])
         domain = int(fault.get("domain", 0)) % probe.domains
         warm = dict(overrides)
-        warm["warm_standby"] = True
         warm["disaster_plan"] = ((at, domain),)
         yield ScenarioCell(cell_id, family, topo["name"], seed,
                            FleetSpec(**warm))

@@ -5,8 +5,9 @@ turns into one ``RecoveryConfig`` per MSP.  These tests pin that
 config field by field for the default of each world and for the
 benchmark's two non-default paper workloads, and pin every fixed value
 the code keeps as a module constant (the cost model, the server sizing
-and timeouts, the fuzzer's bounds), so a refactor of how configs are
-built cannot move a default unnoticed.
+and timeouts, the fuzzer's bounds, the fleet's traffic shape and
+timeouts), so a refactor of how configs are built cannot move a
+default unnoticed.
 
 A setting may live on ``RecoveryConfig`` or, when no world varies it,
 as a constant in the module that reads it; the lookups below accept
@@ -146,6 +147,21 @@ def test_fleet_fuzz_world():
     )
 
 
+def test_fleet_spec_fields():
+    """Every ``FleetSpec`` field is one some fleet caller sets; a value
+    no caller varies is a constant beside its reader (below)."""
+    assert [f.name for f in dataclasses.fields(FleetSpec)] == [
+        "msps", "domains", "shards", "seed",
+        "sessions", "duration_ms", "max_requests_per_session", "chain_depth",
+        "cross_domain_fraction", "think_ms",
+        "epoch_ms", "cross_latency_ms",
+        "crash_plan", "partition_plan", "disaster_plan",
+        "log_partitions", "recovery_mode", "logging_mode",
+        "session_ckpt_threshold", "sv_ckpt_write_threshold",
+        "msp_ckpt_interval_ms", "log_segment_bytes",
+    ]
+
+
 def test_fuzz_workload_params():
     params = FuzzParams().workload_params(5)
     assert (params.num_clients, params.requests_per_client, params.calls_to_sm2) == (2, 6, 1)
@@ -197,6 +213,33 @@ def test_fuzz_constant(field, constant, value):
         actual = getattr(explorer, constant)
     else:
         actual = getattr(FuzzParams(), field)
+    assert actual == value
+
+
+#: (former FleetSpec field, module of its one reader, constant, value)
+FLEET_CONSTANTS = [
+    ("zipf_alpha", "repro.fleet.traffic", "ZIPF_ALPHA", 1.3),
+    ("burst_factor", "repro.fleet.traffic", "BURST_FACTOR", 3.0),
+    ("burst_every_ms", "repro.fleet.traffic", "BURST_EVERY_MS", 4_000.0),
+    ("burst_length_ms", "repro.fleet.traffic", "BURST_LENGTH_MS", 500.0),
+    ("hot_fraction", "repro.fleet.topology", "HOT_FRACTION", 0.25),
+    ("hot_weight", "repro.fleet.topology", "HOT_WEIGHT", 4.0),
+    ("standby_takeover_ms", "repro.fleet.shard", "STANDBY_TAKEOVER_MS", 5.0),
+    ("resend_timeout_ms", "repro.fleet.shard", "RESEND_TIMEOUT_MS", 400.0),
+    ("settle_ms", "repro.fleet.runner", "SETTLE_MS", 30_000.0),
+]
+
+
+@pytest.mark.parametrize(
+    "field,module,constant,value", FLEET_CONSTANTS, ids=[row[0] for row in FLEET_CONSTANTS]
+)
+def test_fleet_constant(field, module, constant, value):
+    home = importlib.import_module(module)
+    if hasattr(home, constant):
+        assert not hasattr(FleetSpec(), field)
+        actual = getattr(home, constant)
+    else:
+        actual = getattr(FleetSpec(), field)
     assert actual == value
 
 

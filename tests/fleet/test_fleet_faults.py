@@ -10,6 +10,7 @@ import pytest
 
 from repro.fleet import FleetSpec, FleetTopology
 from repro.fleet.runner import fleet_fingerprint, run_fleet
+from repro.fleet.shard import FleetShard
 
 
 def base_spec(**overrides):
@@ -60,12 +61,7 @@ def test_disaster_fails_over_and_beats_cold_restart():
     """Whole-domain loss with warm standby: verified failover, clean
     settle, and a fault-to-open time below the same-instant cold
     restart (the standby skips restart_delay_ms)."""
-    warm = base_spec(
-        seed=9,
-        warm_standby=True,
-        disaster_plan=((1100.0, 1),),
-        standby_takeover_ms=5.0,
-    )
+    warm = base_spec(seed=9, disaster_plan=((1100.0, 1),))
     cold = base_spec(seed=9, crash_plan=((1100.0, "m001"), (1100.0, "m003")))
 
     warm_result = run_fleet(warm, jobs=1)
@@ -98,7 +94,6 @@ def test_disaster_fails_over_and_beats_cold_restart():
 def test_disaster_and_standby_runs_are_jobs_invariant():
     spec = base_spec(
         seed=13,
-        warm_standby=True,
         disaster_plan=((1000.0, 0),),
         partition_plan=((1800.0, 2100.0, SPLIT[0], SPLIT[1]),),
     )
@@ -108,13 +103,18 @@ def test_disaster_and_standby_runs_are_jobs_invariant():
     assert fleet_fingerprint(first) == fleet_fingerprint(second)
 
 
+def test_standbys_follow_the_disaster_plan():
+    """A disaster plan gives every MSP a warm standby (there is nothing
+    else to recover from); a crash-only plan gives none."""
+    warm = FleetShard(base_spec(shards=1, disaster_plan=((100.0, 0),)), 0)
+    assert sorted(warm.standbys) == ["m000", "m001", "m002", "m003"]
+    cold = FleetShard(base_spec(shards=1, crash_plan=((100.0, "m000"),)), 0)
+    assert cold.standbys == {}
+
+
 def test_spec_validation_of_fault_plans():
-    with pytest.raises(ValueError, match="warm_standby"):
-        FleetTopology(base_spec(disaster_plan=((100.0, 0),)))
     with pytest.raises(ValueError, match="unknown domain"):
-        FleetTopology(
-            base_spec(warm_standby=True, disaster_plan=((100.0, 7),))
-        )
+        FleetTopology(base_spec(disaster_plan=((100.0, 7),)))
     with pytest.raises(ValueError, match="unknown nodes"):
         FleetTopology(
             base_spec(partition_plan=((0.0, 10.0, ("m000",), ("nope",)),))

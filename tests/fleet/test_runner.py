@@ -92,6 +92,21 @@ def test_canonical_bytes_exclude_wall_clock():
     assert canonical_result_bytes(result) == before
 
 
+def test_msp_stats_carry_only_nonzero_counters():
+    """A missing counter means 0, so a counter that stays 0 — or is
+    deleted — moves no fleet fingerprint."""
+    result = run_fleet(SPEC, jobs=1)
+    stats = {
+        name: counters
+        for shard in result["shards"]
+        for name, counters in shard["msp_stats"].items()
+    }
+    assert sorted(stats) == ["m000", "m001", "m002", "m003"]
+    assert all(value != 0 for counters in stats.values() for value in counters.values())
+    assert stats["m001"]["crashes"] == 1
+    assert "crashes" not in stats["m000"]
+
+
 def test_jobs_capped_at_shard_count():
     spec = FleetSpec(
         msps=2, domains=2, shards=2, sessions=6, duration_ms=200.0,

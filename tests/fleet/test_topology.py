@@ -50,41 +50,6 @@ def test_epoch_bounded_by_cross_latency_when_sharded():
     )
 
 
-def test_domain_layout_rejects_unknown_msps():
-    with pytest.raises(ValueError, match="unknown MSPs: m9"):
-        FleetTopology(
-            FleetSpec(msps=2, domains=2, domain_layout=(("m000",), ("m001", "m9")))
-        )
-
-
-def test_domain_layout_rejects_unrouted_msps():
-    with pytest.raises(ValueError, match="unrouted: m001"):
-        FleetTopology(
-            FleetSpec(msps=3, domains=2, domain_layout=(("m000",), ("m002",)))
-        )
-
-
-def test_domain_layout_count_must_match_spec():
-    with pytest.raises(ValueError, match="spec says 3"):
-        FleetTopology(
-            FleetSpec(
-                msps=4,
-                domains=3,
-                domain_layout=(("m000", "m001"), ("m002", "m003")),
-            )
-        )
-
-
-def test_domain_layout_rejects_overlap():
-    # The overlap is caught by ServiceDomainConfig itself.
-    with pytest.raises(ValueError):
-        FleetTopology(
-            FleetSpec(
-                msps=2, domains=2, domain_layout=(("m000", "m001"), ("m001",))
-            )
-        )
-
-
 def test_crash_plan_rejects_unknown_msp_and_negative_time():
     with pytest.raises(ValueError, match="unknown MSP"):
         FleetTopology(FleetSpec(msps=2, crash_plan=((10.0, "nope"),)))
@@ -129,7 +94,7 @@ def test_peers_inside_and_outside_partition_the_fleet():
 
 
 def test_hot_cold_arrival_weights():
-    spec = FleetSpec(msps=8, domains=2, hot_fraction=0.25, hot_weight=4.0)
+    spec = FleetSpec(msps=8, domains=2)
     top = FleetTopology(spec)
     assert top.arrival_weights == [4.0, 4.0] + [1.0] * 6
 
@@ -139,9 +104,20 @@ def test_spec_canonical_is_json_safe():
         msps=4,
         domains=2,
         crash_plan=((100.0, "m001"),),
-        domain_layout=(("m000", "m001"), ("m002", "m003")),
+        partition_plan=((10.0, 20.0, ("m000",), ("c.m000",)),),
     )
     data = json.loads(json.dumps(spec.canonical()))
     assert data["msps"] == 4
     assert data["crash_plan"] == [[100.0, "m001"]]
-    assert data["domain_layout"] == [["m000", "m001"], ["m002", "m003"]]
+    assert data["partition_plan"] == [[10.0, 20.0, ["m000"], ["c.m000"]]]
+
+
+def test_spec_canonical_holds_only_what_differs_from_the_default():
+    """A missing key means the default, so a field no spec sets (or one
+    turned into a constant) never enters a fingerprint."""
+    assert FleetSpec().canonical() == {}
+    assert FleetSpec(sessions=24).canonical() == {"sessions": 24}
+    assert FleetSpec(domains=2, epoch_ms=5.0).canonical() == {}
+    assert FleetSpec(disaster_plan=((10.0, 1),)).canonical() == {
+        "disaster_plan": [[10.0, 1]]
+    }

@@ -60,9 +60,7 @@ def test_cross_domain_fraction_extremes():
 
 
 def test_hot_msps_receive_more_sessions():
-    spec = FleetSpec(
-        msps=8, domains=2, sessions=800, hot_fraction=0.25, hot_weight=4.0
-    )
+    spec = FleetSpec(msps=8, domains=2, sessions=800)
     counts = {name: 0 for name in FleetTopology(spec).msp_names}
     for plan in plans_for(spec):
         counts[plan.home] += 1

@@ -4,8 +4,8 @@ import pathlib
 
 import pytest
 
+from repro.__main__ import _build_parser
 from repro.scenarios import (
-    DEFAULT_MATRIX,
     ScenarioSpec,
     build_report,
     render_html,
@@ -104,7 +104,11 @@ def test_correlated_targets_reduce_modulo_msp_count():
 
 
 def test_default_matrix_is_valid_and_spans_the_families():
-    spec = ScenarioSpec.from_dict(DEFAULT_MATRIX)
+    """``repro scenarios`` without ``--matrix`` runs the committed
+    ``scenarios/default.yaml``."""
+    path = _build_parser().parse_args(["scenarios"]).matrix
+    assert pathlib.Path(path) == REPO / "scenarios" / "default.yaml"
+    spec = ScenarioSpec.load(path)
     cells = spec.expand()
     families = {c.family for c in cells if not c.family.endswith("-baseline")}
     assert families == {"none", "crash", "correlated", "partition", "disaster"}

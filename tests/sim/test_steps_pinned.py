@@ -31,7 +31,10 @@ at other simulated times).  ``advanced`` (the callbacks of ``steps``
 that ``Simulator.advance`` took in place) was added next to ``steps``
 with no other value moving: a stray timer that keeps the heap from
 proving a hold's wake-up next turns the fast path off without moving
-any simulated result, and fails here.  Regenerating it is legitimate only in
+any simulated result, and fails here.  The fleet result's spec and
+``msp_stats`` now carry only values that differ from their default or
+from 0, which replaced the fleet fingerprint string only, so that later
+an unused setting turned constant, or a counter deleted, moves none.  Regenerating it is legitimate only in
 a PR that *announces* a fingerprint move (one that changes simulated
 behaviour on purpose, e.g. CPU-charge coalescing, and says so in
 CHANGES.md together with the benchmark's new fingerprints) — never to
@@ -58,7 +61,7 @@ RECORDED = {
         "advanced": 1119,
         "completed": 58,
         "log_bytes": 47788,
-        "fingerprint": "251a3221422c50096306638a93e7b736d590f58c123bfe9818d5dcceb574ddab",
+        "fingerprint": "666b4355aeb4a5094114fa3b395ddf5ce3ba07be50f02e8bab6f325d8b981cde",
     },
 }
 
